@@ -54,7 +54,7 @@ def make_penalized_fitness(
     beta = np.array([p.beta_deg for p in ev_params])
     const = np.array([p.gamma_deg + p.other_ops for p in ev_params])
     price = np.array([p.price for p in ev_params])
-    eta = np.asarray(agg_params.eta, dtype=float)
+    eta = agg_params.eta_array
     if len(eta) != len(ev_params):
         raise ValueError(f"{len(ev_params)} EV params but {len(eta)} efficiencies")
     scale = penalty.spread_scale_kw if penalty.spread_scale_kw is not None else upper - lower

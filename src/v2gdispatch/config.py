@@ -229,27 +229,34 @@ def build_instance(config: ScenarioConfig) -> Instance:
         gen_b=config.gen_b,
         gen_c=config.gen_c,
         omega=config.omega,
-        eta=tuple(ev.eta for ev in fleet.evs),
+        eta=fleet.eta,
     )
     return Instance(fleet=fleet, costs=CostSet(ev=ev_params, agg=agg))
 
 
 def resolve_departures(config: ScenarioConfig, fleet: Fleet) -> tuple[DepartureEvent, ...]:
-    """Turn config departure specs into concrete id lists.
+    """Turn config departure specs into concrete id lists, in config order.
 
-    A ``count`` spec removes that many EVs from the top of the id range
-    (deterministic and independent of sampling order).
+    Specs are resolved in time order (ties in config order). A ``count``
+    spec removes that many EVs from the top of the ids still present: those
+    available now and not removed by an earlier event (deterministic and
+    independent of sampling order).
     """
-    events = []
-    for spec in config.departures:
+    present = available_ids(fleet)
+    order = sorted(range(len(config.departures)),
+                   key=lambda j: float(config.departures[j]["time_h"]))
+    events: list[DepartureEvent | None] = [None] * len(order)
+    for j in order:
+        spec = config.departures[j]
         if "ids" in spec:
             ids = tuple(int(i) for i in spec["ids"])
         else:
             count = int(spec["count"])
-            pool = available_ids(fleet)
-            ids = tuple(pool[-count:]) if count > 0 else ()
+            ids = tuple(present[-count:]) if count > 0 else ()
         for i in ids:
-            if not 0 <= i < len(fleet.evs):
+            if not 0 <= i < len(fleet):
                 raise ConfigError(f"departures: EV id {i} out of range")
-        events.append(DepartureEvent(time_h=float(spec["time_h"]), ev_ids=ids))
+        gone = set(ids)
+        present = [i for i in present if i not in gone]
+        events[j] = DepartureEvent(time_h=float(spec["time_h"]), ev_ids=ids)
     return tuple(events)

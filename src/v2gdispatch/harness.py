@@ -19,7 +19,7 @@ import numpy as np
 from .baselines import cwoa_solve, gwo_solve, make_penalized_fitness, penalized_fitness
 from .config import Instance, ScenarioConfig, build_instance
 from .costs import consensus_objective, grid_search_rate
-from .fleet import available_ids
+from .fleet import available_ids, common_rate_bounds
 from .orchestrator import run_optimization
 from .records import IterationRow, RunRecord, export_run
 
@@ -122,8 +122,7 @@ def oracle_rate(instance: Instance, step: float = 1e-4) -> tuple[float, float]:
     if not avail:
         raise ValueError("no available EVs")
     costs = instance.costs.restrict(avail)
-    lower = max(instance.fleet.evs[i].rate_min_kw for i in avail)
-    upper = min(instance.fleet.evs[i].rate_max_kw for i in avail)
+    lower, upper = common_rate_bounds(instance.fleet, avail)
     return grid_search_rate(costs.ev, costs.agg, lower, upper, step)
 
 
@@ -174,8 +173,7 @@ def compare_solvers(
         instance = build_instance(config)
     avail = available_ids(instance.fleet)
     costs = instance.costs.restrict(avail)
-    lower = max(instance.fleet.evs[i].rate_min_kw for i in avail)
-    upper = min(instance.fleet.evs[i].rate_max_kw for i in avail)
+    lower, upper = common_rate_bounds(instance.fleet, avail)
     fitness = make_penalized_fitness(costs.ev, costs.agg, config.penalty(), lower, upper)
     dim = len(avail)
 

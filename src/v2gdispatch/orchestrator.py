@@ -7,6 +7,11 @@ the ECN totals them per candidate, picks the argmin, moves the pool, and
 re-broadcasts. Consensus holds by construction: all agents always evaluate
 the same candidate sequence and the answer is one scalar rate.
 
+Each iteration is whole-matrix work: the evaluations form one (N+1) x M
+matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
+order, quantized once, masked by one ``draw_split`` / ``mask_units`` round and
+summed per column.
+
 A scenario run repeats epochs over simulated time: whenever the available set
 changes (scheduled departures or SOC floors crossed), a fresh epoch
 re-optimizes the common rate, which is then applied every ``dt`` until the
@@ -16,24 +21,26 @@ next change.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostOracle, CostSet
+from .costs import CostSet, agg_consensus_cost, ev_net_cost_matrix
 from .dwoa import advance_pool, init_pool
-from .fleet import Fleet, apply_discharge, available_ids, grid_power_kw
-from .records import IterationRow, RunRecord, StepRow
+from .fleet import Fleet, apply_discharge, available_ids, common_rate_bounds, grid_power_kw
+from .records import IterationSegment, RunRecord
 from .shuffle import (
     DEFAULT_UNIT_BITS,
     ProtocolError,
     candidate_totals,
+    check_headroom,
+    draw_split,
     from_units_array,
-    shuffle_round,
+    mask_units,
     to_units_array,
 )
-from .topology import AGGREGATOR_ID, build_topology, ev_agent
+from .shuffle import shuffle_round  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .topology import build_topology
 
 
 def ecn_select_best(totals) -> int:
@@ -48,7 +55,7 @@ def ecn_select_best(totals) -> int:
     best_index = None
     best_value = None
     for i, value in enumerate(totals):
-        if value is None or (isinstance(value, float) and math.isnan(value)):
+        if value is None or not math.isfinite(value):
             raise ProtocolError(f"candidate {i} has an incomplete total")
         if best_value is None or value < best_value:
             best_index, best_value = i, value
@@ -89,6 +96,8 @@ def run_optimization(
     ``shuffle_enabled`` cannot perturb the optimizer's randomness. With no
     available EV the rate is 0 and the record carries the empty-fleet flag.
     Search bounds are the intersection of the available EVs' rate limits.
+    An iteration whose reports could overflow the int64 totals (see
+    ``check_headroom``) raises ProtocolError.
     """
     record = RunRecord()
     avail = available_ids(fleet)
@@ -96,8 +105,7 @@ def run_optimization(
         record.empty_fleet = True
         return 0.0, record
 
-    lower = max(fleet.evs[i].rate_min_kw for i in avail)
-    upper = min(fleet.evs[i].rate_max_kw for i in avail)
+    lower, upper = common_rate_bounds(fleet, avail)
     if lower > upper:
         raise ValueError(f"no common feasible rate: [{lower}, {upper}]")
 
@@ -106,42 +114,29 @@ def run_optimization(
     shuffle_rng = np.random.default_rng(shuffle_ss)
     topology = build_topology(fleet, topology_policy, np.random.default_rng(topo_ss))
 
-    ev_oracles = {i: CostOracle.for_ev(costs.ev[i]) for i in avail}
-    agg_oracle = CostOracle.for_aggregator_consensus(costs.agg.restrict(avail))
-
-    pool = init_pool(m_whales, lower, upper, max(k_max, 1), dwoa_rng)
-    for k in range(max(k_max, 1)):
-        t0 = time.perf_counter()
-        values_by_agent = {
-            ev_agent(i): to_units_array(ev_oracles[i].evaluate_many(pool.positions), unit_bits)
-            for i in avail
-        }
-        values_by_agent[AGGREGATOR_ID] = to_units_array(
-            agg_oracle.evaluate_many(pool.positions), unit_bits
-        )
+    ev_costs = costs.ev.take(avail)
+    agg_costs = costs.agg.restrict(avail)
+    n_iterations = max(k_max, 1)
+    pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
+    trace = []  # (selected index, best rate, best total) per iteration
+    values = np.empty((len(avail) + 1, m_whales))
+    for k in range(n_iterations):
+        values[0] = agg_consensus_cost(pool.positions, agg_costs)
+        values[1:] = ev_net_cost_matrix(pool.positions, ev_costs)
+        units = to_units_array(values, unit_bits)
+        check_headroom(units)
         if shuffle_enabled:
-            masked = shuffle_round(values_by_agent, topology, shuffle_rng)
-        else:
-            masked = values_by_agent
-        totals = from_units_array(candidate_totals(masked), unit_bits)
-        selected = ecn_select_best(totals)
+            units = mask_units(units, *draw_split(topology, m_whales, shuffle_rng))
+        totals = from_units_array(candidate_totals(units), unit_bits)
+        selected = ecn_select_best(totals.tolist())
         pool.record_evaluation(totals, selected)
-        record.iterations.append(
-            IterationRow(
-                epoch=epoch,
-                k=k,
-                selected_index=selected,
-                best_rate_kw=pool.best_rate,
-                best_total_cost=pool.best_value,
-                n_available=len(avail),
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        trace.append((selected, pool.best_rate, pool.best_value))
         if k_max > 0:
             advance_pool(pool, dwoa_rng)
 
-    record.oracle_calls_ev = sum(o.call_count for o in ev_oracles.values())
-    record.oracle_calls_agg = agg_oracle.call_count
+    record.iterations.segments.append(IterationSegment(epoch, len(avail), 0, *zip(*trace)))
+    record.oracle_calls_ev = len(avail) * m_whales * n_iterations
+    record.oracle_calls_agg = m_whales * n_iterations
     return pool.best_rate, record
 
 
@@ -157,13 +152,15 @@ def run_scenario(
     shuffle_enabled: bool = True,
     topology_policy: str = "one-random-neighbor",
     unit_bits: int = DEFAULT_UNIT_BITS,
+    record_soc: bool = False,
 ) -> RunRecord:
     """Simulate the full time horizon, re-optimizing on availability changes.
 
     Each step records the applied rate and the delivered grid power (rate
-    times the available efficiency sum) before discharging the fleet by
-    ``dt_h``. Departure events take effect at the first step boundary at or
-    after their time; SOC-floor crossings take effect at the next step. Every
+    times the available efficiency sum), and with ``record_soc`` every EV's
+    SOC by id, before discharging the fleet by ``dt_h``. Departure events
+    take effect at the first step boundary at or after their time;
+    SOC-floor crossings take effect at the next step. Every
     change of the available set starts a fresh optimization epoch whose
     random streams are spawned in sequence from ``seed``, keeping whole-run
     determinism.
@@ -184,8 +181,7 @@ def run_scenario(
     for _ in range(n_steps):
         now = fleet.time_h
         while pending and pending[0].time_h <= now + 1e-12:
-            for i in pending.pop(0).ev_ids:
-                fleet.evs[i].departed = True
+            fleet.departed[np.asarray(pending.pop(0).ev_ids, dtype=np.intp)] = True
 
         avail = available_ids(fleet)
         if avail != last_avail:
@@ -209,14 +205,8 @@ def run_scenario(
             last_avail = avail
 
         applied = rate if avail else 0.0
-        record.steps.append(
-            StepRow(
-                time_h=now,
-                rate_kw=applied,
-                grid_power_kw=grid_power_kw(fleet, applied),
-                soc=tuple(ev.soc for ev in fleet.evs),
-            )
-        )
+        record.steps.add(now, applied, grid_power_kw(fleet, applied),
+                         fleet.soc if record_soc else None)
         if avail:
             apply_discharge(fleet, applied, dt_h)
         else:

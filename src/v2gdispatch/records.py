@@ -1,16 +1,23 @@
 """Run traces and their CSV round-trip.
 
 A RunRecord holds one row per optimization iteration and one row per
-simulated time step. The CSV is append-ordered, versioned and fully
-deterministic: floats are written with repr (shortest exact round-trip), so
-export -> import -> export reproduces the file byte for byte. Per-iteration
-wall-clock timings stay in memory only (they would break determinism of the
-exported file); the stats harness reads them from the record object.
+simulated time step, stored as columns: iterations in one segment per run of
+consecutive iterations of an epoch (selected index, best rate, best total),
+steps as time, rate and grid power, plus the per-EV SOC of each step when
+the run recorded it (opt-in: ``run_scenario(record_soc=True)``). Rows are
+``IterationRow`` / ``StepRow`` objects built on access. The CSV is
+append-ordered, versioned and fully deterministic: floats are written with
+repr (shortest exact round-trip), so export -> import -> export reproduces
+the file byte for byte; a step without SOC has an empty soc field.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 FORMAT_TAG = "# v2g-run-record v1"
 HEADER = (
@@ -30,25 +37,147 @@ class IterationRow:
     best_rate_kw: float
     best_total_cost: float
     n_available: int
-    elapsed_ms: float = 0.0  # in-memory only, not exported
 
 
 @dataclass(frozen=True)
 class StepRow:
-    """Fleet state at the start of one time step, before discharging."""
+    """Fleet state at the start of one time step, before discharging.
+
+    ``soc`` holds every EV's SOC by id, or is empty when not recorded.
+    """
 
     time_h: float
     rate_kw: float
     grid_power_kw: float
-    soc: tuple[float, ...]
+    soc: tuple[float, ...] = ()
 
 
-@dataclass
+class IterationSegment:
+    """Iterations k0, k0 + 1, ... of one epoch at one fleet size, as columns.
+
+    Columns given at construction are copied into exactly sized arrays.
+    """
+
+    __slots__ = ("epoch", "n_available", "k0", "selected_index", "best_rate_kw", "best_total_cost")
+
+    def __init__(self, epoch: int, n_available: int, k0: int = 0,
+                 selected_index=(), best_rate_kw=(), best_total_cost=()):
+        self.epoch, self.n_available, self.k0 = epoch, n_available, k0
+        self.selected_index = array("i", selected_index)  # a candidate index
+        self.best_rate_kw = array("d", best_rate_kw)
+        self.best_total_cost = array("d", best_total_cost)
+        if not len(self.selected_index) == len(self.best_rate_kw) == len(self.best_total_cost):
+            raise ValueError("iteration columns differ in length")
+
+    def append(self, selected_index: int, best_rate_kw: float, best_total_cost: float) -> None:
+        self.selected_index.append(selected_index)
+        self.best_rate_kw.append(best_rate_kw)
+        self.best_total_cost.append(best_total_cost)
+
+    def __len__(self) -> int:
+        return len(self.selected_index)
+
+    def row(self, j: int) -> IterationRow:
+        return IterationRow(self.epoch, self.k0 + j, self.selected_index[j],
+                            self.best_rate_kw[j], self.best_total_cost[j], self.n_available)
+
+    def copy(self) -> "IterationSegment":
+        return IterationSegment(self.epoch, self.n_available, self.k0, self.selected_index,
+                                self.best_rate_kw, self.best_total_cost)
+
+
+def _locate(index, n: int) -> int:
+    i = int(index)
+    if i < 0:
+        i += n
+    if not 0 <= i < n:
+        raise IndexError(f"row {index} out of range for {n} rows")
+    return i
+
+
+class IterationLog(Sequence):
+    """A record's iteration rows: a list of segments, rows built on access."""
+
+    __slots__ = ("segments",)
+
+    def __init__(self):
+        self.segments: list[IterationSegment] = []
+
+    def append(self, row: IterationRow) -> None:
+        last = self.segments[-1] if self.segments else None
+        if (last is None or (last.epoch, last.n_available) != (row.epoch, row.n_available)
+                or row.k != last.k0 + len(last)):
+            last = IterationSegment(row.epoch, row.n_available, row.k)
+            self.segments.append(last)
+        last.append(row.selected_index, row.best_rate_kw, row.best_total_cost)
+
+    def extend(self, rows) -> None:
+        if isinstance(rows, IterationLog):
+            self.segments.extend(segment.copy() for segment in rows.segments)
+        else:
+            for row in rows:
+                self.append(row)
+
+    def __len__(self) -> int:
+        return sum(len(segment) for segment in self.segments)
+
+    def __getitem__(self, index) -> IterationRow:
+        i = _locate(index, len(self))
+        for segment in self.segments:
+            if i < len(segment):
+                return segment.row(i)
+            i -= len(segment)
+        raise AssertionError("unreachable")
+
+    def __iter__(self):
+        for segment in self.segments:
+            for j in range(len(segment)):
+                yield segment.row(j)
+
+
+class StepLog(Sequence):
+    """A record's step rows as columns; per-step SOC arrays where recorded."""
+
+    __slots__ = ("time_h", "rate_kw", "grid_power_kw", "soc")
+
+    def __init__(self):
+        self.time_h = array("d")
+        self.rate_kw = array("d")
+        self.grid_power_kw = array("d")
+        self.soc: list[np.ndarray | None] = []
+
+    def add(self, time_h: float, rate_kw: float, grid_power_kw: float, soc=None) -> None:
+        """Append one step; ``soc`` is every EV's SOC by id (copied), or None."""
+        self.time_h.append(time_h)
+        self.rate_kw.append(rate_kw)
+        self.grid_power_kw.append(grid_power_kw)
+        self.soc.append(np.array(soc, dtype=float) if soc is not None and len(soc) else None)
+
+    def append(self, row: StepRow) -> None:
+        self.add(row.time_h, row.rate_kw, row.grid_power_kw, row.soc)
+
+    def extend(self, rows) -> None:
+        for row in rows:
+            self.append(row)
+
+    def __len__(self) -> int:
+        return len(self.time_h)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = _locate(index, len(self))
+        soc = self.soc[i]
+        return StepRow(self.time_h[i], self.rate_kw[i], self.grid_power_kw[i],
+                       () if soc is None else tuple(soc.tolist()))
+
+
+@dataclass(slots=True)
 class RunRecord:
     """Append-only trace of one run: iterations, time steps, call accounting."""
 
-    iterations: list[IterationRow] = field(default_factory=list)
-    steps: list[StepRow] = field(default_factory=list)
+    iterations: IterationLog = field(default_factory=IterationLog)
+    steps: StepLog = field(default_factory=StepLog)
     empty_fleet: bool = False
     oracle_calls_ev: int = 0
     oracle_calls_agg: int = 0
@@ -66,16 +195,19 @@ def export_run(record: RunRecord, path) -> None:
     lines = [FORMAT_TAG, HEADER]
     if record.empty_fleet and not record.iterations and not record.steps:
         lines.append("flag,,,,,,,,,,,empty_fleet")
-    for row in record.iterations:
-        lines.append(
-            f"iter,{row.epoch},{row.k},{row.selected_index},{row.best_rate_kw!r},"
-            f"{row.best_total_cost!r},{row.n_available},,,,,"
-        )
-    for row in record.steps:
-        soc = ";".join(repr(s) for s in row.soc)
-        lines.append(
-            f"step,,,,,,,{row.time_h!r},{row.rate_kw!r},{row.grid_power_kw!r},{soc},"
-        )
+    for seg in record.iterations.segments:
+        for k, selected, rate, total in zip(
+            range(seg.k0, seg.k0 + len(seg)), seg.selected_index, seg.best_rate_kw,
+            seg.best_total_cost,
+        ):
+            lines.append(
+                f"iter,{seg.epoch},{k},{selected},{rate!r},{total!r},{seg.n_available},,,,,"
+            )
+    steps = record.steps
+    for time_h, rate, power, soc in zip(steps.time_h, steps.rate_kw, steps.grid_power_kw,
+                                        steps.soc):
+        soc = "" if soc is None else ";".join(repr(s) for s in soc.tolist())
+        lines.append(f"step,,,,,,,{time_h!r},{rate!r},{power!r},{soc},")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -113,15 +245,8 @@ def import_run(path) -> RunRecord:
                 )
             )
         elif kind == "step":
-            soc = tuple(float(s) for s in fields[10].split(";")) if fields[10] else ()
-            record.steps.append(
-                StepRow(
-                    time_h=float(fields[7]),
-                    rate_kw=float(fields[8]),
-                    grid_power_kw=float(fields[9]),
-                    soc=soc,
-                )
-            )
+            soc = [float(s) for s in fields[10].split(";")] if fields[10] else None
+            record.steps.add(float(fields[7]), float(fields[8]), float(fields[9]), soc)
         else:
             raise ValueError(f"{path}:{lineno}: unknown row kind {kind!r}")
     return record

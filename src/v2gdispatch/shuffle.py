@@ -10,7 +10,14 @@ The wire format is fixed-point: values are quantized to integer multiples of
 2**-unit_bits on entry and all splitting/aggregation runs on (numpy) int64,
 which makes conservation exact rather than subject to float rounding drift.
 Quantized units convert back to float exactly, so totals agree bit-for-bit
-with and without shuffling.
+with and without shuffling. A value int64 cannot hold is an error, never a
+silent wrap.
+
+One round works on the whole (agents x candidates) unit matrix: row 0 is the
+aggregator and rows 1..N are the EVs in ascending id order (the rows of a
+built ``NeighborMap``). ``draw_split`` draws every kept fraction and share
+destination, ``mask_units`` applies them. ``shuffle_round`` is the same
+round over an agent-keyed mapping.
 """
 
 from __future__ import annotations
@@ -20,13 +27,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .topology import AgentId, Envelope, NeighborMap, deliver_round
+# deliver_round stays bound here: perfbench/tracer.py wraps shuffle.deliver_round
+from .topology import AgentId, NeighborMap, TopologyError, deliver_round  # noqa: F401
 
 DEFAULT_UNIT_BITS = 40
+_INT64_BOUND = 2.0**63  # magnitudes at or beyond this do not fit int64
 
 
 class ProtocolError(RuntimeError):
-    """Agents disagree on the candidate keys or a report is incomplete."""
+    """Agents disagree on the candidate keys, a report is incomplete, or a
+    value does not fit the int64 wire."""
 
 
 def to_units(value: float, unit_bits: int = DEFAULT_UNIT_BITS) -> int:
@@ -40,7 +50,28 @@ def from_units(units: int, unit_bits: int = DEFAULT_UNIT_BITS) -> float:
 
 
 def to_units_array(values: np.ndarray, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
-    return np.rint(np.asarray(values, dtype=float) * float(1 << unit_bits)).astype(np.int64)
+    """Quantize currency values to int64 grid units; raises ProtocolError for
+    a value whose units int64 cannot hold (or that is not finite)."""
+    scaled = np.rint(np.asarray(values, dtype=float) * float(1 << unit_bits))
+    if not np.all(np.abs(scaled) < _INT64_BOUND):
+        raise ProtocolError(f"value beyond the int64 wire at {unit_bits} unit bits")
+    return scaled.astype(np.int64)
+
+
+def check_headroom(units: np.ndarray) -> None:
+    """Raise ProtocolError unless rows * max|units| < 2**63.
+
+    Every masked value is a row's kept share plus shares received, and every
+    column total a sum over rows, each term at most max|units| in magnitude;
+    so under this bound neither can wrap.
+    """
+    if units.size == 0:
+        return
+    peak = max(int(units.max()), -int(units.min()))
+    if units.shape[0] * peak >= 1 << 63:
+        raise ProtocolError(
+            f"{units.shape[0]} reports of up to {peak} units could overflow int64 totals"
+        )
 
 
 def from_units_array(units: np.ndarray, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
@@ -94,7 +125,8 @@ def masking_check(original, masked) -> bool:
     return bool(masked != original)
 
 
-def _validated_matrix(values_by_agent: Mapping[AgentId, np.ndarray]) -> tuple[list[AgentId], int]:
+def _stacked(values_by_agent: Mapping[AgentId, np.ndarray]) -> tuple[list[AgentId], np.ndarray]:
+    """Agents in sort order and their unit-values stacked as matrix rows."""
     if not values_by_agent:
         raise ProtocolError("no agent mappings to shuffle")
     agents = sorted(values_by_agent, key=AgentId.sort_key)
@@ -104,7 +136,59 @@ def _validated_matrix(values_by_agent: Mapping[AgentId, np.ndarray]) -> tuple[li
     (m,) = lengths
     if m == 0:
         raise ProtocolError("empty candidate sequence")
-    return agents, m
+    return agents, np.stack([np.asarray(values_by_agent[a], dtype=np.int64) for a in agents])
+
+
+def draw_split(
+    topology: NeighborMap,
+    m: int,
+    rng,
+    forced: Mapping[int, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kept fractions and share destinations for one round over ``m`` candidates.
+
+    Returns two (rows, m) arrays: the fraction of each value its row keeps,
+    and the row its send share goes to. Rows draw in row order: m uniform
+    fractions, then, for a row with several out-edges, one out-edge per
+    candidate. A run of single-edge rows draws its fractions in one call,
+    which consumes ``rng`` exactly as row-by-row draws would. ``forced``
+    maps a row to fractions used instead of drawn ones.
+    """
+    n_rows = len(topology.rows)
+    destinations = np.empty((n_rows, m), dtype=np.intp)
+    destinations[:] = topology.only_target[:, None]
+    fractions = np.empty((n_rows, m))
+    stops = topology.multi_edge_rows
+    if forced:
+        stops = sorted(set(stops) | set(forced))
+    start = 0
+    for r in stops:
+        if r > start:
+            fractions[start:r] = rng.random((r - start, m))
+        fractions[r] = forced[r] if forced and r in forced else rng.random(m)
+        first, last = topology.indptr[r], topology.indptr[r + 1]
+        if last - first == 0:
+            raise TopologyError(f"agent {topology.rows[r]} has no out-edges")
+        if last - first > 1:
+            destinations[r] = topology.targets[first + rng.integers(last - first, size=m)]
+        start = r + 1
+    if start < n_rows:
+        fractions[start:] = rng.random((n_rows - start, m))
+    return fractions, destinations
+
+
+def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarray) -> np.ndarray:
+    """Additive split of every value of an int64 (rows, m) unit matrix.
+
+    Row r keeps ``rint(fraction * units)`` of candidate h and sends the rest
+    to row ``destinations[r, h]``; each row reports what it kept plus what
+    it received. Column sums are conserved exactly. The input is unchanged.
+    """
+    masked = np.rint(fractions * units).astype(np.int64)
+    sends = units - masked
+    m = units.shape[1]
+    np.add.at(masked.reshape(-1), (destinations * m + np.arange(m)).reshape(-1), sends.reshape(-1))
+    return masked
 
 
 def shuffle_round(
@@ -122,52 +206,32 @@ def shuffle_round(
     then adds the shares it received. Returns the masked unit-values per
     agent; per-candidate totals over all agents are conserved exactly.
 
-    Split fractions are drawn per agent in ascending agent order (then any
-    multi-neighbour target draws), so results do not depend on traversal
-    order. ``fractions`` forces the kept fraction per agent and candidate.
+    The agents, in sort order, are the rows of one ``draw_split`` /
+    ``mask_units`` round, so results do not depend on traversal order.
+    ``fractions`` forces the kept fraction per agent and candidate.
     """
-    agents, m = _validated_matrix(values_by_agent)
-    rng = np.random.default_rng(rng)
-
-    kept: dict[AgentId, np.ndarray] = {}
-    envelopes: list[Envelope] = []
-    for agent in agents:
-        units = np.asarray(values_by_agent[agent], dtype=np.int64)
+    agents, units = _stacked(values_by_agent)
+    m = units.shape[1]
+    forced = {}
+    for r, agent in enumerate(agents):
         if fractions is not None and agent in fractions:
-            frac = np.asarray(fractions[agent], dtype=float)
-            if frac.shape != (m,):
+            forced[r] = np.asarray(fractions[agent], dtype=float)
+            if forced[r].shape != (m,):
                 raise ProtocolError(f"forced fractions for {agent} must have length {m}")
-        else:
-            frac = rng.random(m)
-        keeps = np.rint(frac * units).astype(np.int64)
-        sends = units - keeps
-        kept[agent] = keeps
-
-        neighbors = topology.neighbors_of(agent)
-        if len(neighbors) == 1:
-            envelopes.append(Envelope(agent, neighbors[0], (np.arange(m), sends)))
-        else:
-            choice = rng.integers(len(neighbors), size=m)
-            for t in np.unique(choice):
-                idx = np.flatnonzero(choice == t)
-                envelopes.append(Envelope(agent, neighbors[t], (idx, sends[idx])))
-
-    inboxes = deliver_round(envelopes, agents=agents)
-    masked: dict[AgentId, np.ndarray] = {}
-    for agent in agents:
-        acc = kept[agent].copy()
-        for env in inboxes[agent]:
-            idx, units = env.payload
-            np.add.at(acc, idx, units)
-        masked[agent] = acc
-    return masked
+    graph = NeighborMap.from_edges({a: topology.neighbors_of(a) for a in agents})
+    split = draw_split(graph, m, np.random.default_rng(rng), forced)
+    return dict(zip(agents, mask_units(units, *split)))
 
 
-def candidate_totals(values_by_agent: Mapping[AgentId, np.ndarray]) -> np.ndarray:
-    """Exact per-candidate sum of unit-values over all agents."""
-    agents, _ = _validated_matrix(values_by_agent)
-    stacked = np.stack([np.asarray(values_by_agent[a], dtype=np.int64) for a in agents])
-    return stacked.sum(axis=0)
+def candidate_totals(units) -> np.ndarray:
+    """Exact per-candidate sum of unit-values over all agents.
+
+    ``units`` is an int64 (agents x candidates) matrix, or an agent-keyed
+    mapping of unit-values.
+    """
+    if isinstance(units, Mapping):
+        units = _stacked(units)[1]
+    return np.asarray(units, dtype=np.int64).sum(axis=0)
 
 
 def audit_rows(

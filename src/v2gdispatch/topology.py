@@ -4,6 +4,10 @@ Agents are EVs, one aggregator and one coordination node (ECN). Edges are
 out-edges: ``out_edges[a]`` lists the agents ``a`` may send shares to. Links
 are lossless and instantaneous; a round is a barrier (all sends complete
 before any receive is observed).
+
+A graph is held as index arrays over rows, one row per agent in agent order.
+A built topology has the aggregator in row 0 and the available EVs in rows
+1..N in ascending id order: the row order of the protocol's value matrix.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,20 +72,65 @@ class Envelope:
     payload: object
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NeighborMap:
-    """Per-agent out-edges; every participating EV keeps at least one."""
+    """Per-agent out-edges as compressed index arrays over rows.
 
-    out_edges: dict[AgentId, tuple[AgentId, ...]]
+    ``rows[r]`` is the agent of row r (rows in agent sort order), and row r
+    may send to the rows ``targets[indptr[r]:indptr[r + 1]]``. Every
+    participating EV keeps at least one out-edge. ``out_edges`` gives the
+    same graph keyed by agent, built on access.
+    """
+
+    rows: tuple[AgentId, ...]
+    indptr: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def from_edges(cls, edges: Mapping[AgentId, Sequence[AgentId]]) -> "NeighborMap":
+        """Index form of an agent-keyed edge map; targets must be keys too."""
+        rows = tuple(sorted(edges, key=AgentId.sort_key))
+        row_of = {agent: r for r, agent in enumerate(rows)}
+        try:
+            targets = [row_of[t] for agent in rows for t in edges[agent]]
+        except KeyError as exc:
+            raise TopologyError(f"edge to {exc.args[0]} points outside the graph") from None
+        degree = [len(edges[agent]) for agent in rows]
+        return cls(rows, np.cumsum([0] + degree), np.array(targets, dtype=np.intp))
+
+    @cached_property
+    def _row_of(self) -> dict[AgentId, int]:
+        return {agent: r for r, agent in enumerate(self.rows)}
+
+    @cached_property
+    def only_target(self) -> np.ndarray:
+        """Per row, its one out-edge's row; -1 for a row with none or several."""
+        degree = np.diff(self.indptr)
+        only = np.full(len(self.rows), -1, dtype=np.intp)
+        only[degree == 1] = self.targets[self.indptr[:-1][degree == 1]]
+        return only
+
+    @cached_property
+    def multi_edge_rows(self) -> list[int]:
+        """Rows with no or several out-edges, ascending."""
+        return np.flatnonzero(np.diff(self.indptr) != 1).tolist()
+
+    @property
+    def out_edges(self) -> dict[AgentId, tuple[AgentId, ...]]:
+        rows, indptr, targets = self.rows, self.indptr.tolist(), self.targets.tolist()
+        return {
+            agent: tuple(rows[t] for t in targets[indptr[r]:indptr[r + 1]])
+            for r, agent in enumerate(rows)
+        }
 
     def neighbors_of(self, agent: AgentId) -> tuple[AgentId, ...]:
-        try:
-            return self.out_edges[agent]
-        except KeyError:
-            raise TopologyError(f"agent {agent} has no out-edges") from None
+        r = self._row_of.get(agent)
+        if r is None:
+            raise TopologyError(f"agent {agent} has no out-edges")
+        return tuple(self.rows[t] for t in self.targets[self.indptr[r]:self.indptr[r + 1]].tolist())
 
     def agents(self) -> list[AgentId]:
-        return sorted(self.out_edges, key=AgentId.sort_key)
+        return list(self.rows)
 
 
 POLICIES = ("one-random-neighbor", "ring")
@@ -99,37 +148,36 @@ def build_topology(
     from the other available EVs and the aggregator; ``ring`` chains the
     available EVs with the last pointing at the aggregator. The aggregator's
     out-edges are always the available EVs. Unavailable EVs get no edges.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed; O(N), and the fleet is not modified.
     """
     if custom_edges is not None:
         edges = dict(custom_edges)
         _validate_edges(edges)
-        return NeighborMap(out_edges=edges)
+        return NeighborMap.from_edges(edges)
 
     avail = available_ids(fleet)
     if not avail:
         raise TopologyError("no available EVs to connect")
     rng = np.random.default_rng(rng)
-    ev_ids = [ev_agent(i) for i in avail]
-    edges: dict[AgentId, tuple[AgentId, ...]] = {}
+    n = len(avail)
 
+    # rows: 0 the aggregator, p + 1 the EV at position p of ``avail``
     if policy == "one-random-neighbor":
-        for i in avail:
-            targets = [ev_agent(j) for j in avail if j != i] + [AGGREGATOR_ID]
-            edges[ev_agent(i)] = (targets[int(rng.integers(len(targets)))],)
+        # EV p draws j uniformly over [other EVs in ascending order..., the
+        # aggregator]: j = n - 1 is the aggregator, and j >= p skips EV p itself
+        # (one vectorised draw consumes the stream as n scalar draws do)
+        j = rng.integers(n, size=n)
+        ev_targets = np.where(j == n - 1, 0, j + 1 + (j >= np.arange(n)))
     elif policy == "ring":
-        for pos, i in enumerate(avail):
-            if pos + 1 < len(avail):
-                edges[ev_agent(i)] = (ev_agent(avail[pos + 1]),)
-            else:
-                edges[ev_agent(i)] = (AGGREGATOR_ID,)
+        ev_targets = np.arange(2, n + 2)
+        ev_targets[-1] = 0
     else:
         raise TopologyError(f"unknown topology policy {policy!r}")
 
-    edges[AGGREGATOR_ID] = tuple(ev_ids)
-    for i in avail:
-        fleet.evs[i].neighbor = edges[ev_agent(i)][0]
-    return NeighborMap(out_edges=edges)
+    rows = (AGGREGATOR_ID,) + tuple(map(ev_agent, avail))
+    indptr = np.concatenate(([0], np.arange(n, 2 * n + 1)))  # aggregator: n edges, EVs: 1
+    targets = np.concatenate((np.arange(1, n + 1), ev_targets)).astype(np.intp)
+    return NeighborMap(rows, indptr, targets)
 
 
 def _validate_edges(edges: dict[AgentId, tuple[AgentId, ...]]) -> None:
@@ -154,18 +202,18 @@ def reroute(topology: NeighborMap, fleet: Fleet, rng=None) -> NeighborMap:
         raise TopologyError("no available EVs to connect")
     rng = np.random.default_rng(rng)
     alive = {ev_agent(i) for i in avail} | {AGGREGATOR_ID}
+    old_edges = topology.out_edges
     edges: dict[AgentId, tuple[AgentId, ...]] = {}
     for i in avail:
         agent = ev_agent(i)
-        old = topology.out_edges.get(agent, ())
+        old = old_edges.get(agent, ())
         kept = tuple(t for t in old if t in alive)
         if not kept:
             targets = [ev_agent(j) for j in avail if j != i] + [AGGREGATOR_ID]
             kept = (targets[int(rng.integers(len(targets)))],)
         edges[agent] = kept
-        fleet.evs[i].neighbor = kept[0]
     edges[AGGREGATOR_ID] = tuple(ev_agent(i) for i in avail)
-    return NeighborMap(out_edges=edges)
+    return NeighborMap.from_edges(edges)
 
 
 def deliver_round(
@@ -202,6 +250,7 @@ def export_topology(topology: NeighborMap, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["from", "to"])
+        edges = topology.out_edges
         for agent in topology.agents():
-            for target in topology.out_edges[agent]:
+            for target in edges[agent]:
                 writer.writerow([str(agent), str(target)])

@@ -128,6 +128,27 @@ def test_resolve_departures_by_count_takes_top_ids():
     assert event.ev_ids == (6, 7, 8, 9)
 
 
+def test_resolve_departures_counts_against_evs_still_present():
+    cfg = ScenarioConfig(
+        n_evs=10, seed=3,
+        departures=({"time_h": 1.0, "count": 3}, {"time_h": 2.0, "count": 3}),
+    )
+    first, second = resolve_departures(cfg, build_instance(cfg).fleet)
+    assert first.ev_ids == (7, 8, 9)
+    assert second.ev_ids == (4, 5, 6)
+
+
+def test_resolve_departures_in_time_order():
+    # listed out of time order: the earlier ids event removes EV 9 first
+    cfg = ScenarioConfig(
+        n_evs=10, seed=3,
+        departures=({"time_h": 2.0, "count": 2}, {"time_h": 1.0, "ids": [9]}),
+    )
+    late, early = resolve_departures(cfg, build_instance(cfg).fleet)
+    assert early.ev_ids == (9,)
+    assert late.ev_ids == (7, 8)
+
+
 def test_resolve_departures_by_ids_and_range_check():
     cfg = ScenarioConfig(n_evs=5, seed=3, departures=({"time_h": 0.5, "ids": [0, 4]},))
     instance = build_instance(cfg)

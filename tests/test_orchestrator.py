@@ -44,6 +44,21 @@ def test_select_best_rejects_incomplete_totals():
         ecn_select_best([1.0, float("nan")])
 
 
+def test_select_best_rejects_non_finite_totals():
+    for totals in ([float("inf"), float("inf")], [1.0, float("inf")], [float("-inf"), 0.0]):
+        with pytest.raises(ProtocolError):
+            ecn_select_best(totals)
+
+
+def test_iteration_beyond_int64_headroom_rejected():
+    # each aggregator value (~3000 currency at 48 bits) fits int64 alone, but
+    # 13 agents' worth of it does not: totals would wrap
+    cfg = ScenarioConfig(n_evs=12, seed=5, m_whales=4, k_max=5, gen_c=3000.0, unit_bits=48)
+    inst = build_instance(cfg)
+    with pytest.raises(ProtocolError):
+        run_optimization(inst.fleet, inst.costs, m_whales=4, k_max=5, seed=0, unit_bits=48)
+
+
 def test_run_optimization_converges_to_grid_oracle(instance):
     avail = available_ids(instance.fleet)
     costs = instance.costs.restrict(avail)
@@ -150,7 +165,7 @@ def test_scenario_departure_triggers_reoptimization(instance):
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=0.1, horizon_h=0.6,
         events=(DepartureEvent(time_h=0.3, ev_ids=half),),
-        m_whales=4, k_max=40, seed=8,
+        m_whales=4, k_max=40, seed=8, record_soc=True,
     )
     epochs = sorted({row.epoch for row in record.iterations})
     assert epochs == [0, 1]
@@ -170,7 +185,7 @@ def test_scenario_departure_triggers_reoptimization(instance):
 def test_scenario_grid_power_identity(instance):
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=0.25, horizon_h=1.0,
-        m_whales=4, k_max=30, seed=9,
+        m_whales=4, k_max=30, seed=9, record_soc=True,
     )
     fresh = build_instance(CFG).fleet  # same sampling, pre-discharge states
     soc_min = [ev.soc_min for ev in fresh.evs]
@@ -185,7 +200,7 @@ def test_scenario_grid_power_identity(instance):
 def test_scenario_soc_monotone_and_time_grid(instance):
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=0.2, horizon_h=1.0,
-        m_whales=4, k_max=30, seed=10,
+        m_whales=4, k_max=30, seed=10, record_soc=True,
     )
     times = [row.time_h for row in record.steps]
     assert times == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8])

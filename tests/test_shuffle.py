@@ -26,6 +26,17 @@ def test_unit_grid_round_trip():
         assert from_units(to_units(v)) == v
 
 
+def test_to_units_array_rejects_values_int64_cannot_hold():
+    # 2**23 at 40 bits is exactly 2**63, one past the largest int64
+    with pytest.raises(ProtocolError):
+        to_units_array(np.array([1.0, 2.0**23]), 40)
+    with pytest.raises(ProtocolError):
+        to_units_array(np.array([-(2.0**23)]), 40)
+    with pytest.raises(ProtocolError):
+        to_units_array(np.array([float("nan")]), 40)
+    assert to_units_array(np.array([2.0**22]), 40)[0] == 2**62
+
+
 def test_split_value_forced_fractions():
     shares = split_value(5.0, rng=None, fraction=0.4)
     assert (shares.keep, shares.send) == (2.0, 3.0)

@@ -1,5 +1,6 @@
 """Communication graph construction and synchronous round delivery."""
 
+import copy
 from collections import Counter
 
 import numpy as np
@@ -29,8 +30,25 @@ def test_one_random_neighbor_outdegree_exactly_one():
         t = targets[0]
         assert t != ev_agent(i)
         assert t == AGGREGATOR_ID or t.kind is AgentKind.EV
-        assert fleet.evs[i].neighbor == t
     assert topo.out_edges[AGGREGATOR_ID] == tuple(ev_agent(i) for i in range(100))
+
+
+def test_one_random_neighbor_matches_scalar_reference():
+    # reference: per EV, one uniform draw over the other EVs then the aggregator
+    for n in (1, 2, 3, 17, 100):
+        topo = build_topology(sample_fleet(n, n), "one-random-neighbor", 40 + n)
+        rng = np.random.default_rng(40 + n)
+        for i in range(n):
+            targets = [ev_agent(j) for j in range(n) if j != i] + [AGGREGATOR_ID]
+            assert topo.out_edges[ev_agent(i)] == (targets[int(rng.integers(len(targets)))],)
+
+
+def test_build_topology_leaves_the_fleet_unchanged():
+    fleet = sample_fleet(20, 6)
+    before = copy.deepcopy(fleet)
+    for policy in ("one-random-neighbor", "ring"):
+        build_topology(fleet, policy, 5)
+        assert fleet.evs == before.evs
 
 
 def test_single_ev_gets_the_aggregator():
