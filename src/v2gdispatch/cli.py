@@ -58,7 +58,6 @@ def _cmd_run(args) -> int:
         shuffle_enabled=config.shuffle_enabled,
         topology_policy=config.topology_policy,
         unit_bits=config.unit_bits,
-        record_soc=True,
     )
     path = _out_path(config, args.out, "run.csv")
     export_run(record, path)

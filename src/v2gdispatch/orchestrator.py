@@ -96,8 +96,9 @@ def run_optimization(
     ``shuffle_enabled`` cannot perturb the optimizer's randomness. With no
     available EV the rate is 0 and the record carries the empty-fleet flag.
     Search bounds are the intersection of the available EVs' rate limits.
-    An iteration whose reports could overflow the int64 totals (see
-    ``check_headroom``) raises ProtocolError.
+    An iteration whose reports could overflow the int64 wire (see
+    ``check_headroom``) raises ProtocolError. The record's oracle-call
+    counters count the cost values actually scored.
     """
     record = RunRecord()
     avail = available_ids(fleet)
@@ -121,8 +122,11 @@ def run_optimization(
     trace = []  # (selected index, best rate, best total) per iteration
     values = np.empty((len(avail) + 1, m_whales))
     for k in range(n_iterations):
-        values[0] = agg_consensus_cost(pool.positions, agg_costs)
-        values[1:] = ev_net_cost_matrix(pool.positions, ev_costs)
+        agg_row = agg_consensus_cost(pool.positions, agg_costs)
+        ev_rows = ev_net_cost_matrix(pool.positions, ev_costs)
+        values[0], values[1:] = agg_row, ev_rows
+        record.oracle_calls_agg += agg_row.size
+        record.oracle_calls_ev += ev_rows.size
         units = to_units_array(values, unit_bits)
         check_headroom(units)
         if shuffle_enabled:
@@ -135,8 +139,6 @@ def run_optimization(
             advance_pool(pool, dwoa_rng)
 
     record.iterations.segments.append(IterationSegment(epoch, len(avail), 0, *zip(*trace)))
-    record.oracle_calls_ev = len(avail) * m_whales * n_iterations
-    record.oracle_calls_agg = m_whales * n_iterations
     return pool.best_rate, record
 
 
@@ -152,18 +154,16 @@ def run_scenario(
     shuffle_enabled: bool = True,
     topology_policy: str = "one-random-neighbor",
     unit_bits: int = DEFAULT_UNIT_BITS,
-    record_soc: bool = False,
 ) -> RunRecord:
     """Simulate the full time horizon, re-optimizing on availability changes.
 
     Each step records the applied rate and the delivered grid power (rate
-    times the available efficiency sum), and with ``record_soc`` every EV's
-    SOC by id, before discharging the fleet by ``dt_h``. Departure events
-    take effect at the first step boundary at or after their time;
-    SOC-floor crossings take effect at the next step. Every
-    change of the available set starts a fresh optimization epoch whose
-    random streams are spawned in sequence from ``seed``, keeping whole-run
-    determinism.
+    times the available efficiency sum) and every EV's SOC by id, before
+    discharging the fleet by ``dt_h``. Departure events take effect at the
+    first step boundary at or after their time; SOC-floor crossings take
+    effect at the next step. Every change of the available set starts a
+    fresh optimization epoch whose random streams are spawned in sequence
+    from ``seed``, keeping whole-run determinism.
     """
     if horizon_h <= 0.0:
         raise ValueError(f"horizon_h must be > 0, got {horizon_h}")
@@ -205,8 +205,7 @@ def run_scenario(
             last_avail = avail
 
         applied = rate if avail else 0.0
-        record.steps.add(now, applied, grid_power_kw(fleet, applied),
-                         fleet.soc if record_soc else None)
+        record.steps.add(now, applied, grid_power_kw(fleet, applied), fleet.soc)
         if avail:
             apply_discharge(fleet, applied, dt_h)
         else:

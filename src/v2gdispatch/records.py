@@ -3,8 +3,9 @@
 A RunRecord holds one row per optimization iteration and one row per
 simulated time step, stored as columns: iterations in one segment per run of
 consecutive iterations of an epoch (selected index, best rate, best total),
-steps as time, rate and grid power, plus the per-EV SOC of each step when
-the run recorded it (opt-in: ``run_scenario(record_soc=True)``). Rows are
+steps as time, rate and grid power, plus every EV's SOC (by id) at each
+step, held losslessly in ``SocSeries`` (a step's SOC costs bytes only where
+the discharge pattern changes). Rows are
 ``IterationRow`` / ``StepRow`` objects built on access. The CSV is
 append-ordered, versioned and fully deterministic: floats are written with
 repr (shortest exact round-trip), so export -> import -> export reproduces
@@ -135,23 +136,79 @@ class IterationLog(Sequence):
                 yield segment.row(j)
 
 
-class StepLog(Sequence):
-    """A record's step rows as columns; per-step SOC arrays where recorded."""
+class SocSeries:
+    """Equal-length per-EV SOC rows of consecutive steps, stored losslessly.
 
-    __slots__ = ("time_h", "rate_kw", "grid_power_kw", "soc")
+    Each row after the first is kept as the second difference of its
+    float64 bit patterns (uint64, wrapping). One discharge rate takes the
+    same number of grid units off an SOC every step until the value crosses
+    a power of two, so almost every second difference is 0; only the others
+    are kept, as (index, value) pairs. Decoding adds them back up, which
+    gives every row back bit for bit.
+    """
+
+    __slots__ = ("first", "ptr", "ids", "vals", "_last", "_step")
+
+    def __init__(self, row: np.ndarray):
+        self.first = row.view(np.uint64)
+        self.ptr = array("q", [0])  # row j's pairs: ids/vals[ptr[j - 1]:ptr[j]]
+        self.ids = array("i")
+        self.vals = array("Q")
+        self._last = self.first
+        self._step = np.zeros_like(self.first)
+
+    def __len__(self) -> int:
+        return len(self.ptr)
+
+    def append(self, row: np.ndarray) -> None:
+        bits = row.view(np.uint64)
+        step = bits - self._last
+        changed = np.flatnonzero(step != self._step)
+        self.ids.frombytes(changed.astype(np.int32).tobytes())
+        self.vals.frombytes((step[changed] - self._step[changed]).tobytes())
+        self.ptr.append(len(self.ids))
+        self._last, self._step = bits, step
+
+    def rows(self):
+        """Each row in turn, as one float64 array updated in place."""
+        ids = np.frombuffer(self.ids, dtype=np.int32)
+        vals = np.frombuffer(self.vals, dtype=np.uint64)
+        bits = self.first.copy()
+        step = np.zeros_like(bits)
+        yield bits.view(np.float64)
+        for start, stop in zip(self.ptr, self.ptr[1:]):
+            step[ids[start:stop]] += vals[start:stop]
+            bits += step
+            yield bits.view(np.float64)
+
+
+class StepLog(Sequence):
+    """A record's step rows as columns; per-EV SOC as runs of ``SocSeries``."""
+
+    __slots__ = ("time_h", "rate_kw", "grid_power_kw", "_soc_runs", "_run_steps")
 
     def __init__(self):
         self.time_h = array("d")
         self.rate_kw = array("d")
         self.grid_power_kw = array("d")
-        self.soc: list[np.ndarray | None] = []
+        self._soc_runs: list[SocSeries | None] = []  # None: steps without SOC
+        self._run_steps = array("q")
 
     def add(self, time_h: float, rate_kw: float, grid_power_kw: float, soc=None) -> None:
         """Append one step; ``soc`` is every EV's SOC by id (copied), or None."""
         self.time_h.append(time_h)
         self.rate_kw.append(rate_kw)
         self.grid_power_kw.append(grid_power_kw)
-        self.soc.append(np.array(soc, dtype=float) if soc is not None and len(soc) else None)
+        row = np.array(soc, dtype=float).reshape(-1) if soc is not None and len(soc) else None
+        last = self._soc_runs[-1] if self._soc_runs else False
+        if row is None and last is None:
+            self._run_steps[-1] += 1
+        elif row is not None and isinstance(last, SocSeries) and len(last.first) == len(row):
+            last.append(row)
+            self._run_steps[-1] += 1
+        else:
+            self._soc_runs.append(None if row is None else SocSeries(row))
+            self._run_steps.append(1)
 
     def append(self, row: StepRow) -> None:
         self.add(row.time_h, row.rate_kw, row.grid_power_kw, row.soc)
@@ -163,13 +220,35 @@ class StepLog(Sequence):
     def __len__(self) -> int:
         return len(self.time_h)
 
+    def soc_rows(self):
+        """Every step's SOC in order: a float64 array updated in place, or None."""
+        for series, n in zip(self._soc_runs, self._run_steps):
+            if series is None:
+                yield from (None,) * n
+            else:
+                yield from series.rows()
+
+    def _soc_tuple(self, i: int) -> tuple[float, ...]:
+        for series, n in zip(self._soc_runs, self._run_steps):
+            if i < n:
+                if series is None:
+                    return ()
+                for j, soc in enumerate(series.rows()):
+                    if j == i:
+                        return tuple(soc.tolist())
+            i -= n
+        raise AssertionError("unreachable")
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         i = _locate(index, len(self))
-        soc = self.soc[i]
-        return StepRow(self.time_h[i], self.rate_kw[i], self.grid_power_kw[i],
-                       () if soc is None else tuple(soc.tolist()))
+        return StepRow(self.time_h[i], self.rate_kw[i], self.grid_power_kw[i], self._soc_tuple(i))
+
+    def __iter__(self):
+        for time_h, rate, power, soc in zip(self.time_h, self.rate_kw, self.grid_power_kw,
+                                            self.soc_rows()):
+            yield StepRow(time_h, rate, power, () if soc is None else tuple(soc.tolist()))
 
 
 @dataclass(slots=True)
@@ -205,7 +284,7 @@ def export_run(record: RunRecord, path) -> None:
             )
     steps = record.steps
     for time_h, rate, power, soc in zip(steps.time_h, steps.rate_kw, steps.grid_power_kw,
-                                        steps.soc):
+                                        steps.soc_rows()):
         soc = "" if soc is None else ";".join(repr(s) for s in soc.tolist())
         lines.append(f"step,,,,,,,{time_h!r},{rate!r},{power!r},{soc},")
     with open(path, "w", newline="") as fh:

@@ -59,19 +59,25 @@ def to_units_array(values: np.ndarray, unit_bits: int = DEFAULT_UNIT_BITS) -> np
 
 
 def check_headroom(units: np.ndarray) -> None:
-    """Raise ProtocolError unless rows * max|units| < 2**63.
+    """Raise ProtocolError unless every column's sum of |units| is below 2**63.
 
-    Every masked value is a row's kept share plus shares received, and every
-    column total a sum over rows, each term at most max|units| in magnitude;
-    so under this bound neither can wrap.
+    A row keeps ``rint(f * u)`` of its value ``u`` and sends the rest, so
+    both shares lie between 0 and ``u``; every masked value, column total
+    and partial sum of one is therefore bounded by its column's sum of
+    |units|, and under this bound none can wrap.
     """
     if units.size == 0:
         return
-    peak = max(int(units.max()), -int(units.min()))
-    if units.shape[0] * peak >= 1 << 63:
-        raise ProtocolError(
-            f"{units.shape[0]} reports of up to {peak} units could overflow int64 totals"
-        )
+    spans = np.abs(units).sum(axis=0, dtype=float)
+    # the float sums are far closer than a factor 2 to the exact ones:
+    # only a column near the bound needs the exact integer sum
+    for h in np.flatnonzero(spans >= 2.0**62).tolist():
+        span = sum(abs(u) for u in units[:, h].tolist())
+        if span >= 1 << 63:
+            raise ProtocolError(
+                f"candidate {h}: {units.shape[0]} reports sum to {span} units in magnitude, "
+                "beyond the int64 wire"
+            )
 
 
 def from_units_array(units: np.ndarray, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:

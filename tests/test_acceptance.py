@@ -212,7 +212,7 @@ def test_criterion_7_grid_power_identity():
     instance = build_instance(CONFIG)
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=CONFIG.dt_h, horizon_h=3.0,
-        m_whales=CONFIG.m_whales, k_max=CONFIG.k_max, seed=CONFIG.seed, record_soc=True,
+        m_whales=CONFIG.m_whales, k_max=CONFIG.k_max, seed=CONFIG.seed,
     )
     fresh = build_instance(CONFIG).fleet
     exact = all(
@@ -242,7 +242,7 @@ def test_criterion_8_fleet_dynamics():
     soc_floor = [ev.soc_min for ev in instance.fleet.evs]
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=CONFIG.dt_h, horizon_h=CONFIG.horizon_h,
-        m_whales=CONFIG.m_whales, k_max=CONFIG.k_max, seed=CONFIG.seed, record_soc=True,
+        m_whales=CONFIG.m_whales, k_max=CONFIG.k_max, seed=CONFIG.seed,
     )
     monotone = True
     permanent = True

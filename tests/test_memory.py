@@ -46,8 +46,9 @@ def test_five_default_epoch_records_are_compact():
     assert size < 25 * KB, size
 
 
-def test_scenario_record_without_soc_is_compact():
-    # 1000 EVs, 100 steps, a quarter of the fleet leaving at each of 0.25/0.5/0.75 h
+def test_scenario_record_is_compact():
+    # 1000 EVs, 100 steps, a quarter of the fleet leaving at each of 0.25/0.5/0.75 h;
+    # every EV's SOC is recorded at every step (800 KB as plain float64 rows)
     config = ScenarioConfig(n_evs=1000, horizon_h=1.0, dt_h=0.01)
     events = tuple(DepartureEvent(time_h=0.25 * (q + 1), ev_ids=tuple(range(250 * q, 250 * (q + 1))))
                    for q in range(3))

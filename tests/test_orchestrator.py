@@ -51,12 +51,24 @@ def test_select_best_rejects_non_finite_totals():
 
 
 def test_iteration_beyond_int64_headroom_rejected():
-    # each aggregator value (~3000 currency at 48 bits) fits int64 alone, but
-    # 13 agents' worth of it does not: totals would wrap
-    cfg = ScenarioConfig(n_evs=12, seed=5, m_whales=4, k_max=5, gen_c=3000.0, unit_bits=48)
+    # at 48 bits each EV value (~2000 currency, ~5.6e17 units) and the
+    # aggregator's (~3000, ~8.4e17) fit int64, but 16 EVs plus the aggregator
+    # sum to ~9.9e18 units per candidate, past 2**63: the totals would wrap
+    cfg = ScenarioConfig(n_evs=16, seed=5, m_whales=4, k_max=5, gen_c=3000.0, unit_bits=48,
+                         other_range=(2000.0, 2001.0))
     inst = build_instance(cfg)
     with pytest.raises(ProtocolError):
         run_optimization(inst.fleet, inst.costs, m_whales=4, k_max=5, seed=0, unit_bits=48)
+
+
+def test_large_fleet_within_int64_headroom_runs():
+    # the aggregator row grows as N**2 (~2.8e3 currency, ~3.1e15 units at
+    # N = 4000): N + 1 times the largest value passes 2**63, yet every
+    # column sum stays far below it, so the epoch is exact
+    inst = build_instance(ScenarioConfig(n_evs=4000, seed=5))
+    rate, record = run_optimization(inst.fleet, inst.costs, m_whales=4, k_max=2, seed=0)
+    assert 0.0 <= rate <= 6.6
+    assert len(record.iterations) == 2
 
 
 def test_run_optimization_converges_to_grid_oracle(instance):
@@ -165,7 +177,7 @@ def test_scenario_departure_triggers_reoptimization(instance):
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=0.1, horizon_h=0.6,
         events=(DepartureEvent(time_h=0.3, ev_ids=half),),
-        m_whales=4, k_max=40, seed=8, record_soc=True,
+        m_whales=4, k_max=40, seed=8,
     )
     epochs = sorted({row.epoch for row in record.iterations})
     assert epochs == [0, 1]
@@ -185,7 +197,7 @@ def test_scenario_departure_triggers_reoptimization(instance):
 def test_scenario_grid_power_identity(instance):
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=0.25, horizon_h=1.0,
-        m_whales=4, k_max=30, seed=9, record_soc=True,
+        m_whales=4, k_max=30, seed=9,
     )
     fresh = build_instance(CFG).fleet  # same sampling, pre-discharge states
     soc_min = [ev.soc_min for ev in fresh.evs]
@@ -200,7 +212,7 @@ def test_scenario_grid_power_identity(instance):
 def test_scenario_soc_monotone_and_time_grid(instance):
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=0.2, horizon_h=1.0,
-        m_whales=4, k_max=30, seed=10, record_soc=True,
+        m_whales=4, k_max=30, seed=10,
     )
     times = [row.time_h for row in record.steps]
     assert times == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8])

@@ -1,11 +1,13 @@
 """Run-record CSV schema, row counts, and byte-exact round-trips."""
 
+import numpy as np
 import pytest
 
 from v2gdispatch.records import (
     FORMAT_TAG,
     IterationRow,
     RunRecord,
+    StepLog,
     StepRow,
     export_run,
     import_run,
@@ -108,3 +110,34 @@ def test_extend_merges_traces():
     assert len(a.iterations) == n_iter + 1
     assert len(a.steps) == n_step
     assert a.oracle_calls_ev == 7 and a.oracle_calls_agg == 3
+
+
+def test_step_soc_is_kept_bit_for_bit():
+    # rows of changing width, steps without SOC, and values whose bit
+    # patterns wrap when differenced: -0.0, negatives, inf, nan, subnormals
+    rng = np.random.default_rng(3)
+    odd = np.array([-0.0, -1.5, float("inf"), float("nan"), 5e-324, 1.0])
+    rows = [rng.uniform(0.0, 1.0, 4) for _ in range(3)] + [None, None]
+    rows += [odd, odd[::-1].copy(), odd, None, rng.uniform(0.0, 1.0, 4)]
+    ramp = 0.9 - np.arange(40)[:, None] * (6.6 * 0.01 / np.array([15.0, 22.0, 30.0]))
+    rows += list(np.maximum(ramp, 0.0))
+    log = StepLog()
+    for t, soc in enumerate(rows):
+        log.add(float(t), 0.0, 0.0, soc)
+    expected = [() if soc is None else tuple(np.asarray(soc).tolist()) for soc in rows]
+    as_bits = lambda socs: [np.array(s, dtype=float).view(np.uint64).tolist() for s in socs]
+    assert as_bits(row.soc for row in log) == as_bits(expected)
+    assert as_bits(log[i].soc for i in range(len(rows))) == as_bits(expected)
+    assert list(log.soc_rows())[3] is None
+
+
+def test_steady_discharge_soc_costs_no_bytes_per_step():
+    # a constant drop inside one binade repeats the same bit-pattern step, so
+    # only the first step's change is stored
+    log = StepLog()
+    soc = np.full(1000, 0.9)
+    for t in range(50):
+        log.add(float(t), 1.0, 1.0, soc)
+        soc = soc - 1e-4
+    (series,) = log._soc_runs
+    assert len(series.ids) == 1000

@@ -9,6 +9,7 @@ from v2gdispatch.shuffle import (
     ProtocolError,
     audit_rows,
     candidate_totals,
+    check_headroom,
     from_units,
     from_units_array,
     masking_check,
@@ -194,3 +195,13 @@ def test_audit_rows_materialize_mappings():
         CandidateMapping(index=0, rate_kw=1.0, value=5.0),
         CandidateMapping(index=1, rate_kw=2.0, value=10.0),
     ]
+
+
+def test_check_headroom_bounds_each_column_sum():
+    big = 1 << 62
+    check_headroom(np.array([[big, 1], [big - 1, 1]], dtype=np.int64))  # 2**63 - 1
+    check_headroom(np.array([[big, big], [-big + 1, 0]], dtype=np.int64))
+    with pytest.raises(ProtocolError):
+        check_headroom(np.array([[big, 1], [big, 1]], dtype=np.int64))
+    with pytest.raises(ProtocolError):
+        check_headroom(np.array([[1, -big], [1, -big]], dtype=np.int64))
