@@ -27,7 +27,6 @@ from .costs import (
     consensus_objective,
     ev_net_cost,
     grid_search_rate,
-    oracle_evaluate,
     sample_ev_cost_params,
 )
 from .dwoa import (
@@ -37,7 +36,6 @@ from .dwoa import (
     alpha_schedule,
     clamp_to_bounds,
     init_pool,
-    minimize_scalar,
     update_position,
 )
 from .fleet import (
@@ -48,7 +46,6 @@ from .fleet import (
     available_ids,
     distance_histogram,
     distance_home_km,
-    export_fleet_snapshot,
     grid_power_kw,
     sample_fleet,
 )
@@ -69,21 +66,9 @@ from .orchestrator import (
     run_scenario,
 )
 from .records import IterationRow, RunRecord, StepRow, export_run, import_run
-from .shuffle import (
-    CandidateMapping,
-    ProtocolError,
-    SplitShares,
-    candidate_totals,
-    from_units,
-    masking_check,
-    shuffle_round,
-    split_units,
-    split_value,
-    to_units,
-)
+from .shuffle import ProtocolError, candidate_totals, shuffle_round
 from .topology import (
     AGGREGATOR_ID,
-    ECN_ID,
     AgentId,
     AgentKind,
     Envelope,
@@ -92,8 +77,6 @@ from .topology import (
     build_topology,
     deliver_round,
     ev_agent,
-    export_topology,
-    reroute,
 )
 
 __version__ = "0.1.0"

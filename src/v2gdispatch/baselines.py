@@ -14,11 +14,11 @@ Fitness callables accept a (pop, dim) matrix and return one value per row
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .costs import AggCostParams, CostSet, EvCostParams
+from .costs import AggCostParams, CostSet, EvCostTable
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,15 @@ def consensus_spread(rates) -> float:
 
 
 def make_penalized_fitness(
-    ev_params: Sequence[EvCostParams],
+    ev_params: EvCostTable,
     agg_params: AggCostParams,
     penalty: PenaltyConfig,
     lower: float,
     upper: float,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized objective + graded consensus penalty over rate matrices."""
-    alpha = np.array([p.alpha_deg for p in ev_params])
-    beta = np.array([p.beta_deg for p in ev_params])
-    const = np.array([p.gamma_deg + p.other_ops for p in ev_params])
-    price = np.array([p.price for p in ev_params])
+    alpha, beta, gamma, other, price = ev_params.columns()
+    const = gamma + other
     eta = agg_params.eta_array
     if len(eta) != len(ev_params):
         raise ValueError(f"{len(ev_params)} EV params but {len(eta)} efficiencies")

@@ -9,9 +9,11 @@ optimization epoch.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
+import math
+import types
+import typing
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -95,16 +97,25 @@ class ScenarioConfig:
         )
 
 
-_RANGE_KEYS = (
-    "soc_range",
-    "soc_min_range",
-    "capacity_range_kwh",
-    "eta_range",
-    "alpha_range",
-    "beta_range",
-    "gamma_range",
-    "other_range",
-)
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+_RANGE_KEYS = tuple(key for key, hint in _FIELD_TYPES.items() if hint == tuple[float, float])
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a field type: an int is no bool, a float is
+    any number but a bool, a tuple is a list or tuple of conforming items."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_conforms(value, h) for h in args)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _validate(config: ScenarioConfig) -> ScenarioConfig:
@@ -144,6 +155,11 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"dt_h: must be > 0, got {config.dt_h}")
     if config.horizon_h <= 0.0:
         raise ConfigError(f"horizon_h: must be > 0, got {config.horizon_h}")
+    steps = config.horizon_h / config.dt_h
+    if not math.isclose(steps, round(steps), rel_tol=1e-9):
+        raise ConfigError(
+            f"horizon_h: {config.horizon_h} is not a whole number of {config.dt_h} h steps"
+        )
     if config.km_per_kwh <= 0.0:
         raise ConfigError(f"km_per_kwh: must be > 0, got {config.km_per_kwh}")
     for i, spec in enumerate(config.departures):
@@ -151,6 +167,9 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(f"departures[{i}]: needs a time_h")
         if ("ids" in spec) == ("count" in spec):
             raise ConfigError(f"departures[{i}]: give exactly one of ids/count")
+        count = spec.get("count", 0)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ConfigError(f"departures[{i}]: count must be an int >= 0, got {count!r}")
     try:
         config.penalty()
     except ValueError as exc:
@@ -158,30 +177,22 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
-def _coerce(key: str, value):
-    if key in _RANGE_KEYS:
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise ConfigError(f"{key}: expected a [lo, hi] pair")
-        return (float(value[0]), float(value[1]))
-    if key == "departures":
-        if not isinstance(value, list):
-            raise ConfigError("departures: expected a list of events")
-        return tuple(value)
-    return value
-
-
 def parse_config(data: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a plain dict."""
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(data) - known
+    """Build and validate a ScenarioConfig from a plain dict; every value
+    must fit its field's type."""
+    unknown = set(data) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
-    kwargs = {key: _coerce(key, value) for key, value in data.items()}
-    try:
-        config = ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return _validate(config)
+    kwargs = {}
+    for key, value in data.items():
+        hint = _FIELD_TYPES[key]
+        if not _conforms(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{key}: expected {name}, got {value!r}")
+        if key in _RANGE_KEYS:
+            value = (float(value[0]), float(value[1]))
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    return _validate(ScenarioConfig(**kwargs))
 
 
 def load_config(path) -> ScenarioConfig:

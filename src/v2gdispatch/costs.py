@@ -324,11 +324,6 @@ class CostOracle:
         return cls(lambda rate: agg_consensus_cost(rate, params))
 
 
-def oracle_evaluate(oracle: CostOracle, x) -> float:
-    """Evaluate through the oracle, incrementing its call counter by one."""
-    return oracle.evaluate(x)
-
-
 def sample_ev_cost_params(
     n: int,
     rng,

@@ -15,7 +15,7 @@ best-so-far objective non-increasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,30 +148,3 @@ def advance_pool(pool: WhalePool, rng) -> None:
         new_positions[h] = update_position(h, pool, coeffs, rng)
     pool.positions = new_positions
     pool.k += 1
-
-
-def minimize_scalar(
-    fn,
-    lower: float,
-    upper: float,
-    m: int,
-    k_max: int,
-    rng,
-) -> tuple[float, float, list[tuple[int, float, float]]]:
-    """Drive the pool directly against a vectorized scalar objective.
-
-    Convenience solver for tests and standalone use; the full protocol loop
-    lives in the orchestrator. ``k_max=0`` evaluates the initial pool once
-    and returns its best. Returns (best_rate, best_value, trace) with one
-    (k, best_rate, best_value) triple per iteration.
-    """
-    rng = np.random.default_rng(rng)
-    pool = init_pool(m, lower, upper, k_max if k_max > 0 else 1, rng)
-    trace = []
-    for k in range(max(k_max, 1)):
-        values = np.asarray(fn(pool.positions), dtype=float)
-        pool.record_evaluation(values)
-        trace.append((k, pool.best_rate, pool.best_value))
-        if k_max > 0:
-            advance_pool(pool, rng)
-    return pool.best_rate, pool.best_value, trace

@@ -12,7 +12,6 @@ id (ids are dense from 0). ``fleet.evs[i]`` is an ``EvState`` view of row
 
 from __future__ import annotations
 
-import csv
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 DEFAULT_KM_PER_KWH = 8.26
 
-# per-EV float columns, in EvState constructor order
+# per-EV float columns
 _FLOAT_FIELDS = ("capacity_kwh", "soc", "soc_min", "rate_min_kw", "rate_max_kw", "eta")
 
 
@@ -53,46 +52,24 @@ class FleetDistributions:
 
 def _column(name: str) -> property:
     def get(self) -> float:
-        return float(getattr(self._fleet, name)[self._row])
+        return float(getattr(self._fleet, name)[self.id])
 
     def set(self, value: float) -> None:
-        getattr(self._fleet, name)[self._row] = value
+        getattr(self._fleet, name)[self.id] = value
 
     return property(get, set, doc=f"``{name}`` of this EV, held in the fleet's column.")
 
 
 class EvState:
-    """One vehicle's battery and discharge-point state: a view of one fleet row.
+    """One vehicle's battery and discharge-point state: a view of one fleet
+    row, as ``fleet.evs[i]`` builds it. The row is the EV's id."""
 
-    Constructed directly, an EvState owns a one-row fleet of its own;
-    ``Fleet(evs=[...])`` copies such states into the fleet's columns.
-    """
-
-    __slots__ = ("id", "_fleet", "_row")
-
-    def __init__(
-        self,
-        id: int,
-        capacity_kwh: float,
-        soc: float,
-        soc_min: float,
-        rate_min_kw: float,
-        rate_max_kw: float,
-        eta: float,
-        departed: bool = False,
-    ):
-        self.id = id
-        self._fleet = Fleet.from_columns(
-            capacity_kwh=[capacity_kwh], soc=[soc], soc_min=[soc_min],
-            rate_min_kw=[rate_min_kw], rate_max_kw=[rate_max_kw], eta=[eta],
-            departed=[departed],
-        )
-        self._row = 0
+    __slots__ = ("id", "_fleet")
 
     @classmethod
     def _view(cls, fleet: "Fleet", row: int) -> "EvState":
         ev = cls.__new__(cls)
-        ev.id, ev._fleet, ev._row = row, fleet, row
+        ev.id, ev._fleet = row, fleet
         return ev
 
     capacity_kwh = _column("capacity_kwh")
@@ -104,11 +81,11 @@ class EvState:
 
     @property
     def departed(self) -> bool:
-        return bool(self._fleet.departed[self._row])
+        return bool(self._fleet.departed[self.id])
 
     @departed.setter
     def departed(self, value: bool) -> None:
-        self._fleet.departed[self._row] = value
+        self._fleet.departed[self.id] = value
 
     @property
     def available(self) -> bool:
@@ -129,7 +106,8 @@ class EvState:
 
     def __repr__(self) -> str:
         names = ("id",) + _FLOAT_FIELDS + ("departed",)
-        return "EvState(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields())) + ")"
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
 class _EvViews(Sequence):
@@ -174,32 +152,21 @@ class Fleet:
 
     __slots__ = _FLOAT_FIELDS + ("departed", "time_h")
 
-    def __init__(self, evs: Sequence[EvState], time_h: float = 0.0):
-        evs = list(evs)
-        if [ev.id for ev in evs] != list(range(len(evs))):
-            raise ValueError("EV ids must be dense and ordered from 0")
-        for name in _FLOAT_FIELDS:
-            setattr(self, name, np.array([getattr(ev, name) for ev in evs], dtype=float))
-        self.departed = np.array([ev.departed for ev in evs], dtype=bool)
-        self.time_h = time_h
-
-    @classmethod
-    def from_columns(
-        cls, *, capacity_kwh, soc, soc_min, rate_min_kw, rate_max_kw, eta,
+    def __init__(
+        self, *, capacity_kwh, soc, soc_min, rate_min_kw, rate_max_kw, eta,
         departed=None, time_h: float = 0.0,
-    ) -> "Fleet":
-        """A fleet whose columns are copies of the given per-EV sequences."""
-        fleet = cls.__new__(cls)
+    ):
+        """A fleet whose columns are copies of the given per-EV sequences;
+        ``departed`` defaults to all False."""
         values = (capacity_kwh, soc, soc_min, rate_min_kw, rate_max_kw, eta)
         for name, column in zip(_FLOAT_FIELDS, values):
-            setattr(fleet, name, np.array(column, dtype=float))
-        n = len(fleet.soc)
-        if any(len(getattr(fleet, name)) != n for name in _FLOAT_FIELDS):
+            setattr(self, name, np.array(column, dtype=float))
+        n = len(self.soc)
+        self.departed = (np.zeros(n, dtype=bool) if departed is None
+                         else np.array(departed, dtype=bool))
+        if any(len(getattr(self, name)) != n for name in _FLOAT_FIELDS + ("departed",)):
             raise ValueError("fleet columns differ in length")
-        fleet.departed = (np.zeros(n, dtype=bool) if departed is None
-                          else np.array(departed, dtype=bool))
-        fleet.time_h = time_h
-        return fleet
+        self.time_h = time_h
 
     @property
     def evs(self) -> _EvViews:
@@ -225,7 +192,7 @@ def sample_fleet(n: int, rng, dist: FleetDistributions = FleetDistributions()) -
     bounds = (dist.capacity_kwh, dist.soc, dist.soc_min, dist.eta)
     lows, highs = zip(*bounds)
     capacity, soc, soc_min, eta = rng.uniform(lows, highs, size=(n, len(bounds))).T
-    return Fleet.from_columns(
+    return Fleet(
         capacity_kwh=capacity, soc=soc, soc_min=soc_min,
         rate_min_kw=np.full(n, dist.rate_min_kw), rate_max_kw=np.full(n, dist.rate_max_kw),
         eta=eta,
@@ -315,12 +282,3 @@ def distance_histogram(
         key = (k * bin_km, (k + 1) * bin_km)
         counts[key] = counts.get(key, 0) + 1
     return dict(sorted(counts.items()))
-
-
-def export_fleet_snapshot(fleet: Fleet, path) -> None:
-    """Write one CSV row per EV: id, soc, availability."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "soc", "available"])
-        for ev in fleet.evs:
-            writer.writerow([ev.id, repr(ev.soc), int(ev.available)])

@@ -21,7 +21,7 @@ from .config import Instance, ScenarioConfig, build_instance
 from .costs import consensus_objective, grid_search_rate
 from .fleet import available_ids, common_rate_bounds
 from .orchestrator import run_optimization
-from .records import IterationRow, RunRecord, export_run
+from .records import export_run
 
 SWEEPABLE = ("k_max", "m_whales")
 
@@ -124,25 +124,6 @@ def oracle_rate(instance: Instance, step: float = 1e-4) -> tuple[float, float]:
     costs = instance.costs.restrict(avail)
     lower, upper = common_rate_bounds(instance.fleet, avail)
     return grid_search_rate(costs.ev, costs.agg, lower, upper, step)
-
-
-def baseline_trace_record(trace, n_available: int, epoch: int = 0) -> RunRecord:
-    """Wrap a baseline solver's best-fitness trace in the run-record schema.
-
-    The iteration rows carry the penalized objective per iteration so a
-    baseline's convergence overlays directly on a protocol trace; the rate
-    column is NaN because the baseline's best is a vector, not one rate.
-    """
-    record = RunRecord()
-    for k, value in enumerate(trace):
-        record.iterations.append(
-            IterationRow(
-                epoch=epoch, k=k, selected_index=0,
-                best_rate_kw=float("nan"), best_total_cost=float(value),
-                n_available=n_available,
-            )
-        )
-    return record
 
 
 @dataclass(frozen=True)

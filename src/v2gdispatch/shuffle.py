@@ -22,7 +22,6 @@ round over an agent-keyed mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,18 +34,9 @@ _INT64_BOUND = 2.0**63  # magnitudes at or beyond this do not fit int64
 
 
 class ProtocolError(RuntimeError):
-    """Agents disagree on the candidate keys, a report is incomplete, or a
-    value does not fit the int64 wire."""
-
-
-def to_units(value: float, unit_bits: int = DEFAULT_UNIT_BITS) -> int:
-    """Quantize a currency value to integer grid units."""
-    return int(round(value * (1 << unit_bits)))
-
-
-def from_units(units: int, unit_bits: int = DEFAULT_UNIT_BITS) -> float:
-    """Exact float value of integer grid units (scaling by a power of two)."""
-    return float(units) * 2.0 ** -unit_bits
+    """Agents disagree on the candidate keys, a report is incomplete, a
+    value does not fit the int64 wire, or a forced split fraction lies
+    outside [0, 1]."""
 
 
 def to_units_array(values: np.ndarray, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
@@ -84,53 +74,6 @@ def from_units_array(units: np.ndarray, unit_bits: int = DEFAULT_UNIT_BITS) -> n
     return np.asarray(units, dtype=float) * 2.0 ** -unit_bits
 
 
-@dataclass(frozen=True)
-class CandidateMapping:
-    """One (broadcast candidate rate, evaluated-or-masked cost) pair."""
-
-    index: int
-    rate_kw: float
-    value: float
-
-
-@dataclass(frozen=True)
-class SplitShares:
-    """Two additive shares of one cost value; keep + send == the value."""
-
-    keep: float
-    send: float
-
-
-def split_units(units: int, rng, fraction: float | None = None) -> tuple[int, int]:
-    """Split integer units into (keep, send); ``fraction`` is the kept share
-    of the value, drawn uniformly on [0, 1] unless forced. Fraction 1.0 is the
-    identity split (keep everything, send nothing)."""
-    if fraction is None:
-        fraction = float(rng.random())
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    keep = int(round(fraction * units))
-    return keep, units - keep
-
-
-def split_value(
-    value: float,
-    rng,
-    fraction: float | None = None,
-    unit_bits: int = DEFAULT_UNIT_BITS,
-) -> SplitShares:
-    """Split a currency value into two shares summing exactly to its
-    quantized representation (exact for values already on the unit grid)."""
-    units = to_units(value, unit_bits)
-    keep, send = split_units(units, rng, fraction)
-    return SplitShares(keep=from_units(keep, unit_bits), send=from_units(send, unit_bits))
-
-
-def masking_check(original, masked) -> bool:
-    """True iff the shuffled value no longer equals the original."""
-    return bool(masked != original)
-
-
 def _stacked(values_by_agent: Mapping[AgentId, np.ndarray]) -> tuple[list[AgentId], np.ndarray]:
     """Agents in sort order and their unit-values stacked as matrix rows."""
     if not values_by_agent:
@@ -158,7 +101,8 @@ def draw_split(
     fractions, then, for a row with several out-edges, one out-edge per
     candidate. A run of single-edge rows draws its fractions in one call,
     which consumes ``rng`` exactly as row-by-row draws would. ``forced``
-    maps a row to fractions used instead of drawn ones.
+    maps a row to fractions used instead of drawn ones; each must lie in
+    [0, 1], so that both shares of a value lie between 0 and the value.
     """
     n_rows = len(topology.rows)
     destinations = np.empty((n_rows, m), dtype=np.intp)
@@ -166,6 +110,9 @@ def draw_split(
     fractions = np.empty((n_rows, m))
     stops = topology.multi_edge_rows
     if forced:
+        for r, f in forced.items():
+            if not np.all((0.0 <= f) & (f <= 1.0)):
+                raise ProtocolError(f"forced fractions for row {r} must lie in [0, 1]")
         stops = sorted(set(stops) | set(forced))
     start = 0
     for r in stops:
@@ -238,16 +185,3 @@ def candidate_totals(units) -> np.ndarray:
     if isinstance(units, Mapping):
         units = _stacked(units)[1]
     return np.asarray(units, dtype=np.int64).sum(axis=0)
-
-
-def audit_rows(
-    agent: AgentId,
-    rates: Sequence[float],
-    units: np.ndarray,
-    unit_bits: int = DEFAULT_UNIT_BITS,
-) -> list[CandidateMapping]:
-    """Materialize one agent's mappings for an audit log."""
-    return [
-        CandidateMapping(index=h, rate_kw=float(rates[h]), value=from_units(int(units[h]), unit_bits))
-        for h in range(len(rates))
-    ]

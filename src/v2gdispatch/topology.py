@@ -1,9 +1,9 @@
 """Simulated communication graph and synchronous message transport.
 
-Agents are EVs, one aggregator and one coordination node (ECN). Edges are
-out-edges: ``out_edges[a]`` lists the agents ``a`` may send shares to. Links
-are lossless and instantaneous; a round is a barrier (all sends complete
-before any receive is observed).
+Agents are EVs and one aggregator. Edges are out-edges: ``out_edges[a]``
+lists the agents ``a`` may send shares to. Links are lossless and
+instantaneous; a round is a barrier (all sends complete before any receive
+is observed).
 
 A graph is held as index arrays over rows, one row per agent in agent order.
 A built topology has the aggregator in row 0 and the available EVs in rows
@@ -12,7 +12,6 @@ A built topology has the aggregator in row 0 and the available EVs in rows
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -30,7 +29,6 @@ class TopologyError(ValueError):
 class AgentKind(enum.Enum):
     EV = "ev"
     AGGREGATOR = "aggregator"
-    ECN = "ecn"
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,6 @@ class AgentId:
 
 
 AGGREGATOR_ID = AgentId(AgentKind.AGGREGATOR, 0)
-ECN_ID = AgentId(AgentKind.ECN, 0)
 
 
 @lru_cache(maxsize=None)
@@ -190,32 +187,6 @@ def _validate_edges(edges: dict[AgentId, tuple[AgentId, ...]]) -> None:
                 raise TopologyError(f"edge {agent} -> {t} points outside the graph")
 
 
-def reroute(topology: NeighborMap, fleet: Fleet, rng=None) -> NeighborMap:
-    """Reassign edges after a fleet shrink so none dangle.
-
-    EVs whose target departed get a fresh uniform draw over the remaining
-    valid targets; the aggregator's out-edges are refreshed to the available
-    set. The input map is not modified.
-    """
-    avail = available_ids(fleet)
-    if not avail:
-        raise TopologyError("no available EVs to connect")
-    rng = np.random.default_rng(rng)
-    alive = {ev_agent(i) for i in avail} | {AGGREGATOR_ID}
-    old_edges = topology.out_edges
-    edges: dict[AgentId, tuple[AgentId, ...]] = {}
-    for i in avail:
-        agent = ev_agent(i)
-        old = old_edges.get(agent, ())
-        kept = tuple(t for t in old if t in alive)
-        if not kept:
-            targets = [ev_agent(j) for j in avail if j != i] + [AGGREGATOR_ID]
-            kept = (targets[int(rng.integers(len(targets)))],)
-        edges[agent] = kept
-    edges[AGGREGATOR_ID] = tuple(ev_agent(i) for i in avail)
-    return NeighborMap.from_edges(edges)
-
-
 def deliver_round(
     envelopes: Iterable[Envelope],
     agents: Sequence[AgentId] | None = None,
@@ -243,14 +214,3 @@ def deliver_round(
     for _, _, env in ordered:
         inboxes.setdefault(env.recipient, []).append(env)
     return inboxes
-
-
-def export_topology(topology: NeighborMap, path) -> None:
-    """Dump the edge list to CSV for audit."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["from", "to"])
-        edges = topology.out_edges
-        for agent in topology.agents():
-            for target in edges[agent]:
-                writer.writerow([str(agent), str(target)])

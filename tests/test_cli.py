@@ -74,6 +74,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_value_of_wrong_type_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n_evs": "5"}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "n_evs" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL))

@@ -87,6 +87,13 @@ def test_schema_version_checked():
         ({"alpha_range": [0.0, 0.1]}, "alpha_range"),
         ({"penalty_cap": 0.0}, "penalty"),
         ({"soc_range": [0.8, 1.2]}, "fleet bounds"),
+        ({"n_evs": "5"}, "n_evs"),
+        ({"seed": 1.5}, "seed"),
+        ({"shuffle_enabled": "no"}, "shuffle_enabled"),
+        ({"k_max": True}, "k_max"),
+        ({"price": True}, "price"),
+        ({"soc_range": [0.8, "0.9"]}, "soc_range"),
+        ({"horizon_h": 0.3, "dt_h": 0.25}, "horizon_h"),
     ],
 )
 def test_validation_names_offending_key(data, key):
@@ -101,6 +108,16 @@ def test_departure_specs_validated():
         parse_config({"departures": [{"time_h": 1.0}]})  # neither ids nor count
     with pytest.raises(ConfigError, match="departures"):
         parse_config({"departures": [{"time_h": 1.0, "ids": [1], "count": 2}]})
+    for count in (-3, 2.5, "2", True):
+        with pytest.raises(ConfigError, match="departures"):
+            parse_config({"departures": [{"time_h": 1.0, "count": count}]})
+
+
+def test_horizon_of_whole_steps_accepted():
+    assert parse_config({}).horizon_h == 6.0  # 60 steps of 0.1 h, not exact in binary
+    assert parse_config({"horizon_h": 1.0, "dt_h": 0.01}).dt_h == 0.01
+    with pytest.raises(ConfigError, match="horizon_h"):
+        parse_config({"horizon_h": 0.05, "dt_h": 0.1})  # under one step
 
 
 def test_range_shape_checked():

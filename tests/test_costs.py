@@ -13,7 +13,6 @@ from v2gdispatch.costs import (
     consensus_objective,
     ev_net_cost,
     grid_search_rate,
-    oracle_evaluate,
     sample_ev_cost_params,
 )
 
@@ -174,7 +173,7 @@ def test_cost_set_validation_and_restrict():
 def test_oracle_counts_every_evaluation():
     oracle = CostOracle.for_ev(EV)
     assert oracle.call_count == 0
-    oracle_evaluate(oracle, 1.0)
+    oracle.evaluate(1.0)
     assert oracle.call_count == 1
     oracle.evaluate_many(np.array([0.5, 1.5, 2.5]))
     assert oracle.call_count == 4

@@ -12,7 +12,6 @@ from v2gdispatch.dwoa import (
     alpha_schedule,
     clamp_to_bounds,
     init_pool,
-    minimize_scalar,
     update_position,
 )
 
@@ -156,20 +155,32 @@ def test_record_evaluation_tie_breaks_to_lowest_index():
     assert pool.best_rate == 2.0
 
 
+def _drive_pool(fn, m, k_max, seed, lower=0.0, upper=6.6):
+    """(best rate, best value) after each iteration of a pool moved against
+    ``fn`` as ``run_optimization`` moves it: ``k_max=0`` evaluates the
+    initial pool once."""
+    rng = np.random.default_rng(seed)
+    pool = init_pool(m, lower, upper, max(k_max, 1), rng)
+    trace = []
+    for _ in range(max(k_max, 1)):
+        pool.record_evaluation(fn(pool.positions))
+        trace.append((pool.best_rate, pool.best_value))
+        if k_max > 0:
+            advance_pool(pool, rng)
+    return trace
+
+
 def test_elitist_best_non_increasing():
     fn = lambda x: (x - 3.0) ** 2
-    _, _, trace = minimize_scalar(fn, 0.0, 6.6, m=4, k_max=80, rng=11)
-    values = [v for _, _, v in trace]
+    values = [v for _, v in _drive_pool(fn, m=4, k_max=80, seed=11)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_kmax_zero_returns_best_of_initial_pool():
     fn = lambda x: (x - 2.0) ** 2
-    rng = np.random.default_rng(9)
-    best_rate, best_value, trace = minimize_scalar(fn, 0.0, 6.6, m=5, k_max=0, rng=9)
+    ((best_rate, best_value),) = _drive_pool(fn, m=5, k_max=0, seed=9)
     init = np.random.default_rng(9).uniform(0.0, 6.6, 5)
     expected_idx = int(np.argmin(fn(init)))
-    assert len(trace) == 1
     assert best_rate == init[expected_idx]
     assert best_value == fn(init)[expected_idx]
 
@@ -178,11 +189,11 @@ def test_single_whale_pool_still_evolves_and_converges():
     fn = lambda x: (x - 3.1) ** 2
     moved = 0
     for seed in range(10):
-        best_rate, _, trace = minimize_scalar(fn, 0.0, 6.6, m=1, k_max=150, rng=seed)
-        first = trace[0][1]
-        if any(abs(r - first) > 1e-12 for _, r, _ in trace[1:]):
+        trace = _drive_pool(fn, m=1, k_max=150, seed=seed)
+        first = trace[0][0]
+        if any(abs(r - first) > 1e-12 for r, _ in trace[1:]):
             moved += 1
-        assert abs(best_rate - 3.1) <= 1e-2
+        assert abs(trace[-1][0] - 3.1) <= 1e-2
     assert moved == 10
 
 

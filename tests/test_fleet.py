@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 
 from v2gdispatch.fleet import (
-    EvState,
     Fleet,
     FleetDistributions,
     apply_discharge,
     available_ids,
     distance_histogram,
     distance_home_km,
-    export_fleet_snapshot,
     eta_sum_available,
     grid_power_kw,
     sample_fleet,
 )
 
 
-def _ev(soc=0.8, soc_min=0.2, capacity=20.0, eta=1.0, ev_id=0, departed=False):
-    return EvState(
-        id=ev_id, capacity_kwh=capacity, soc=soc, soc_min=soc_min,
-        rate_min_kw=0.0, rate_max_kw=6.6, eta=eta, departed=departed,
+def _fleet(n=1, soc=0.8, soc_min=0.2, capacity=20.0, eta=1.0, departed=False):
+    """``n`` EVs on 0-6.6 kW points; each field is one value for every EV or
+    a list of ``n``."""
+    return Fleet(
+        capacity_kwh=np.broadcast_to(capacity, n), soc=np.broadcast_to(soc, n),
+        soc_min=np.broadcast_to(soc_min, n), rate_min_kw=np.zeros(n),
+        rate_max_kw=np.full(n, 6.6), eta=np.broadcast_to(eta, n),
+        departed=np.broadcast_to(departed, n),
     )
 
 
@@ -59,16 +61,19 @@ def test_inverted_bounds_rejected():
         FleetDistributions(rate_min_kw=7.0)
 
 
-def test_fleet_requires_dense_ids():
+def test_fleet_columns_must_match_in_length():
+    columns = dict(capacity_kwh=[20.0, 15.0], soc=[0.8, 0.7], soc_min=[0.2, 0.1],
+                   rate_min_kw=[0.0, 0.0], rate_max_kw=[6.6, 6.6], eta=[1.0, 0.9])
+    assert len(Fleet(**columns)) == 2
     with pytest.raises(ValueError):
-        Fleet(evs=[_ev(ev_id=1)])
+        Fleet(**{**columns, "soc": [0.8]})
+    with pytest.raises(ValueError):
+        Fleet(**columns, departed=[False])
 
 
 def test_availability_rules():
-    below = _ev(soc=0.15, soc_min=0.2, ev_id=0)
-    boundary = _ev(soc=0.2, soc_min=0.2, ev_id=1)
-    gone = _ev(soc=0.8, departed=True, ev_id=2)
-    fleet = Fleet(evs=[below, boundary, gone])
+    # below its floor, exactly at its floor, departed
+    fleet = _fleet(3, soc=[0.15, 0.2, 0.8], departed=[False, False, True])
     assert available_ids(fleet) == [1]
 
 
@@ -78,27 +83,27 @@ def test_fresh_default_fleet_fully_available():
 
 
 def test_apply_discharge_basic_accounting():
-    fleet = Fleet(evs=[_ev(soc=0.8, capacity=20.0)])
+    fleet = _fleet(soc=0.8, capacity=20.0)
     apply_discharge(fleet, 4.0, 0.5)  # 2 kWh out of 20 kWh
     assert fleet.evs[0].soc == pytest.approx(0.7, abs=1e-12)
     assert fleet.time_h == pytest.approx(0.5)
 
 
 def test_apply_discharge_skips_unavailable():
-    fleet = Fleet(evs=[_ev(soc=0.1, soc_min=0.2), _ev(soc=0.8, ev_id=1)])
+    fleet = _fleet(2, soc=[0.1, 0.8])
     apply_discharge(fleet, 4.0, 0.5)
     assert fleet.evs[0].soc == 0.1  # rate forced to zero
     assert fleet.evs[1].soc < 0.8
 
 
 def test_apply_discharge_floors_soc_at_zero():
-    fleet = Fleet(evs=[_ev(soc=0.05, soc_min=0.0, capacity=15.0)])
+    fleet = _fleet(soc=0.05, soc_min=0.0, capacity=15.0)
     apply_discharge(fleet, 6.6, 1.0)
     assert fleet.evs[0].soc == 0.0
 
 
 def test_apply_discharge_validates_inputs():
-    fleet = Fleet(evs=[_ev()])
+    fleet = _fleet()
     with pytest.raises(ValueError):
         apply_discharge(fleet, 7.0, 0.1)
     with pytest.raises(ValueError):
@@ -108,7 +113,7 @@ def test_apply_discharge_validates_inputs():
 
 
 def test_soc_monotone_and_exclusion_permanent():
-    fleet = Fleet(evs=[_ev(soc=0.3, soc_min=0.25, capacity=15.0)])
+    fleet = _fleet(soc=0.3, soc_min=0.25, capacity=15.0)
     last = fleet.evs[0].soc
     frozen = None
     for _ in range(20):
@@ -124,8 +129,7 @@ def test_soc_monotone_and_exclusion_permanent():
 
 
 def test_grid_power_identity_with_unit_efficiency():
-    evs = [_ev(ev_id=i, eta=1.0) for i in range(100)]
-    fleet = Fleet(evs=evs)
+    fleet = _fleet(100, eta=1.0)
     assert grid_power_kw(fleet, 4.5) == 450.0
 
 
@@ -139,13 +143,13 @@ def test_grid_power_is_rate_times_available_eta_sum():
 
 
 def test_distance_home_reserve_basis():
-    ev = _ev(soc_min=0.2, capacity=20.0)
+    ev = _fleet(soc_min=0.2, capacity=20.0).evs[0]
     assert distance_home_km(ev) == pytest.approx(33.04, abs=1e-12)
-    assert distance_home_km(_ev(soc_min=0.0)) == 0.0
+    assert distance_home_km(_fleet(soc_min=0.0).evs[0]) == 0.0
 
 
 def test_distance_home_current_basis_and_errors():
-    ev = _ev(soc=0.5, soc_min=0.2, capacity=20.0)
+    ev = _fleet(soc=0.5, soc_min=0.2, capacity=20.0).evs[0]
     assert distance_home_km(ev, basis="current") == pytest.approx(0.5 * 20.0 * 8.26)
     with pytest.raises(ValueError):
         distance_home_km(ev, km_per_kwh=0.0)
@@ -162,13 +166,3 @@ def test_distance_histogram_counts_by_enumeration():
         manual = sum(1 for ev in fleet.evs if lo <= distance_home_km(ev) < hi)
         assert manual == n
 
-
-def test_export_fleet_snapshot(tmp_path):
-    fleet = sample_fleet(5, 2)
-    fleet.evs[2].departed = True
-    path = tmp_path / "fleet.csv"
-    export_fleet_snapshot(fleet, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "id,soc,available"
-    assert len(lines) == 6
-    assert lines[3].endswith(",0")  # departed EV flagged unavailable

@@ -6,7 +6,6 @@ import pytest
 from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.harness import (
     StatsRow,
-    baseline_trace_record,
     compare_solvers,
     export_comparison,
     export_stats,
@@ -17,7 +16,7 @@ from v2gdispatch.harness import (
 from v2gdispatch.costs import grid_search_rate
 from v2gdispatch.fleet import available_ids
 from v2gdispatch.orchestrator import run_optimization
-from v2gdispatch.records import export_run, import_run
+from v2gdispatch.records import import_run
 
 CFG = ScenarioConfig(n_evs=8, seed=19, m_whales=3, k_max=20)
 
@@ -89,15 +88,6 @@ def test_stats_recomputable_from_per_run_traces(tmp_path):
     assert rows[0].mean_rate_kw == float(np.mean(finals))
     assert rows[0].std_rate_kw == float(np.std(finals))
 
-
-def test_baseline_trace_record_uses_run_schema(tmp_path):
-    record = baseline_trace_record([3.0, 2.5, 2.5], n_available=8)
-    assert [r.best_total_cost for r in record.iterations] == [3.0, 2.5, 2.5]
-    path = tmp_path / "baseline.csv"
-    export_run(record, path)
-    back = import_run(path)
-    assert [r.best_total_cost for r in back.iterations] == [3.0, 2.5, 2.5]
-    assert all(np.isnan(r.best_rate_kw) for r in back.iterations)
 
 
 def test_oracle_rate_matches_direct_grid_search():

@@ -5,26 +5,21 @@ import pytest
 
 from v2gdispatch.fleet import sample_fleet
 from v2gdispatch.shuffle import (
-    CandidateMapping,
     ProtocolError,
-    audit_rows,
     candidate_totals,
     check_headroom,
-    from_units,
+    draw_split,
     from_units_array,
-    masking_check,
+    mask_units,
     shuffle_round,
-    split_units,
-    split_value,
-    to_units,
     to_units_array,
 )
 from v2gdispatch.topology import AGGREGATOR_ID, build_topology, ev_agent
 
 
 def test_unit_grid_round_trip():
-    for v in (0.0, 1.0, -3.5, 12.75, 0.0009765625):
-        assert from_units(to_units(v)) == v
+    values = np.array([0.0, 1.0, -3.5, 12.75, 0.0009765625])
+    assert np.array_equal(from_units_array(to_units_array(values)), values)
 
 
 def test_to_units_array_rejects_values_int64_cannot_hold():
@@ -38,36 +33,57 @@ def test_to_units_array_rejects_values_int64_cannot_hold():
     assert to_units_array(np.array([2.0**22]), 40)[0] == 2**62
 
 
+def _split(units, fractions):
+    """(keep, send) of one masking round in which row 0 keeps ``fractions``
+    of ``units`` and sends the rest to row 1, which holds 0 and keeps it."""
+    units = np.vstack([units, np.zeros_like(units)])
+    fractions = np.vstack([fractions, np.ones_like(fractions)])
+    destinations = np.vstack([np.ones(units.shape[1], dtype=np.intp),
+                              np.zeros(units.shape[1], dtype=np.intp)])
+    keep, send = mask_units(units, fractions, destinations)
+    return keep, send
+
+
 def test_split_value_forced_fractions():
-    shares = split_value(5.0, rng=None, fraction=0.4)
-    assert (shares.keep, shares.send) == (2.0, 3.0)
+    keep, send = _split(to_units_array(np.array([5.0])), np.array([0.4]))
+    assert (from_units_array(keep)[0], from_units_array(send)[0]) == (2.0, 3.0)
 
 
 def test_split_value_identity_fraction_keeps_everything():
-    shares = split_value(7.25, rng=None, fraction=1.0)
-    assert (shares.keep, shares.send) == (7.25, 0.0)
+    keep, send = _split(to_units_array(np.array([7.25])), np.array([1.0]))
+    assert (from_units_array(keep)[0], from_units_array(send)[0]) == (7.25, 0.0)
 
 
 def test_split_fraction_validated():
-    with pytest.raises(ValueError):
-        split_value(1.0, rng=None, fraction=1.5)
+    i, j, topo = _two_agents_topology()
+    values = {
+        i: to_units_array(np.array([5.0, 10.0])),
+        j: to_units_array(np.array([7.0, 20.0])),
+    }
+    for bad in (1.5, -0.25, float("nan"), float("inf")):
+        with pytest.raises(ProtocolError):
+            shuffle_round(values, topo, rng=0, fractions={i: [0.5, bad]})
+        with pytest.raises(ProtocolError):
+            draw_split(topo, 2, np.random.default_rng(0), {1: np.array([bad, 0.5])})
 
 
 def test_random_splits_sum_back_exactly():
     rng = np.random.default_rng(23)
-    for _ in range(1000):
-        # arbitrary on-grid currency value, negative values included
-        value = from_units(int(rng.integers(-(2**50), 2**50)))
-        shares = split_value(value, rng)
-        assert shares.keep + shares.send - value == 0.0
+    # arbitrary on-grid currency values, negative values included
+    units = rng.integers(-(2**50), 2**50, size=1000)
+    values = from_units_array(units)
+    assert np.array_equal(to_units_array(values), units)
+    keep, send = _split(units, rng.random(1000))
+    assert np.all(from_units_array(keep) + from_units_array(send) - values == 0.0)
 
 
 def test_split_units_negative_values():
     rng = np.random.default_rng(2)
-    for _ in range(100):
-        units = -int(rng.integers(1, 2**40))
-        keep, send = split_units(units, rng)
-        assert keep + send == units
+    units = -rng.integers(1, 2**40, size=100)
+    keep, send = _split(units, rng.random(100))
+    assert np.array_equal(keep + send, units)
+    # both shares lie between the value and 0, as check_headroom assumes
+    assert np.all((units <= keep) & (keep <= 0) & (units <= send) & (send <= 0))
 
 
 def _two_agents_topology():
@@ -94,8 +110,13 @@ def test_worked_two_ev_exchange_bit_for_bit():
 
 
 def test_masking_on_worked_exchange():
-    assert masking_check(5.0, 7.0)
-    assert not masking_check(5.0, 5.0)
+    i, j, topo = _two_agents_topology()
+    values = {
+        i: to_units_array(np.array([5.0, 10.0])),
+        j: to_units_array(np.array([7.0, 20.0])),
+    }
+    masked = shuffle_round(values, topo, rng=0, fractions={i: [2 / 5, 7 / 10], j: [2 / 7, 5 / 20]})
+    assert np.all(masked[i] != values[i]) and np.all(masked[j] != values[j])
 
 
 def test_degenerate_splits_leave_values_unmasked():
@@ -148,7 +169,7 @@ def test_masked_fraction_is_tiny_under_continuous_splits():
         for a in agents:
             for h in range(3):
                 total += 1
-                if not masking_check(int(values[a][h]), int(masked[a][h])):
+                if values[a][h] == masked[a][h]:
                     unmasked += 1
     assert unmasked / total < 0.001
 
@@ -186,15 +207,6 @@ def test_multi_neighbor_routing_conserves_totals():
     values = {a: to_units_array(rng.uniform(-2.0, 2.0, 8)) for a in agents}
     masked = shuffle_round(values, topo, rng)
     assert np.array_equal(candidate_totals(values), candidate_totals(masked))
-
-
-def test_audit_rows_materialize_mappings():
-    units = to_units_array(np.array([5.0, 10.0]))
-    rows = audit_rows(ev_agent(0), [1.0, 2.0], units)
-    assert rows == [
-        CandidateMapping(index=0, rate_kw=1.0, value=5.0),
-        CandidateMapping(index=1, rate_kw=2.0, value=10.0),
-    ]
 
 
 def test_check_headroom_bounds_each_column_sum():

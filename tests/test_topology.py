@@ -16,8 +16,6 @@ from v2gdispatch.topology import (
     build_topology,
     deliver_round,
     ev_agent,
-    export_topology,
-    reroute,
 )
 
 
@@ -97,28 +95,6 @@ def test_custom_edges_validated():
         )
 
 
-def test_reroute_leaves_no_dangling_edges():
-    fleet = sample_fleet(20, 6)
-    topo = build_topology(fleet, "one-random-neighbor", 5)
-    for i in (3, 7, 11):
-        fleet.evs[i].departed = True
-    new = reroute(topo, fleet, 9)
-    alive = {ev_agent(i) for i in range(20) if fleet.evs[i].available} | {AGGREGATOR_ID}
-    for agent, targets in new.out_edges.items():
-        assert agent in alive
-        for t in targets:
-            assert t in alive
-    assert new.out_edges[AGGREGATOR_ID] == tuple(
-        ev_agent(i) for i in range(20) if fleet.evs[i].available
-    )
-    # EVs whose target survived keep it
-    for i in range(20):
-        if not fleet.evs[i].available:
-            continue
-        old_target = topo.out_edges[ev_agent(i)][0]
-        if old_target in alive:
-            assert new.out_edges[ev_agent(i)] == (old_target,)
-
 
 def test_deliver_round_empty():
     agents = [ev_agent(0), ev_agent(1), AGGREGATOR_ID]
@@ -167,15 +143,6 @@ def test_unknown_recipient_rejected():
             [Envelope(ev_agent(0), ev_agent(9), "x")], agents=[ev_agent(0)]
         )
 
-
-def test_export_topology(tmp_path):
-    fleet = sample_fleet(4, 2)
-    topo = build_topology(fleet, "ring", 0)
-    path = tmp_path / "edges.csv"
-    export_topology(topo, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "from,to"
-    assert len(lines) == 1 + 4 + 4  # ring edges plus aggregator fan-out
 
 
 def test_agent_ids_hash_and_sort():
