@@ -31,12 +31,10 @@ from .costs import (
 )
 from .dwoa import (
     WhalePool,
-    WoaCoefficients,
     advance_pool,
     alpha_schedule,
     clamp_to_bounds,
     init_pool,
-    update_position,
 )
 from .fleet import (
     EvState,

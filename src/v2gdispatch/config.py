@@ -165,8 +165,16 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
     for i, spec in enumerate(config.departures):
         if not isinstance(spec, dict) or "time_h" not in spec:
             raise ConfigError(f"departures[{i}]: needs a time_h")
+        time_h = spec["time_h"]
+        if (isinstance(time_h, bool) or not isinstance(time_h, (int, float))
+                or not math.isfinite(time_h)):
+            raise ConfigError(f"departures[{i}]: time_h must be a finite number, got {time_h!r}")
         if ("ids" in spec) == ("count" in spec):
             raise ConfigError(f"departures[{i}]: give exactly one of ids/count")
+        ids = spec.get("ids", ())
+        if not isinstance(ids, (list, tuple)) or any(
+                isinstance(j, bool) or not isinstance(j, int) for j in ids):
+            raise ConfigError(f"departures[{i}]: ids must be a list of ints, got {ids!r}")
         count = spec.get("count", 0)
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ConfigError(f"departures[{i}]: count must be an int >= 0, got {count!r}")

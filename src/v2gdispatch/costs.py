@@ -16,7 +16,8 @@ term sums raw rates while the generation term sums efficiency-scaled rates.
 
 Both models support scalar rates or numpy arrays of rates elementwise.
 Per-EV coefficients of a whole fleet are held as columns (``EvCostTable``),
-so every EV's cost at every candidate rate is one broadcast expression.
+so every agent's cost at every candidate rate is a few broadcast operations
+into one matrix (``CostMatrix``).
 """
 
 from __future__ import annotations
@@ -116,18 +117,6 @@ def ev_net_cost(rate, params: EvCostParams):
                     params.other_ops, params.price)
 
 
-def ev_net_cost_matrix(rates, table: "EvCostTable") -> np.ndarray:
-    """Net cost of every EV in ``table`` at every rate: an (N, M) matrix.
-
-    Row i equals ``ev_net_cost(rates, table[i])`` bit for bit: the same
-    elementwise operations, broadcast over column-vector coefficients.
-    """
-    rates = np.asarray(rates, dtype=float)
-    if _any_negative(rates):
-        raise ValueError("discharge rate must be >= 0")
-    return _ev_cost(rates, *(column[:, None] for column in table.columns()))
-
-
 def _ev_cost(rate, alpha, beta, gamma, other, price):
     degradation = alpha * rate * rate + beta * rate + gamma
     revenue = price * rate
@@ -163,6 +152,66 @@ def agg_consensus_cost(rate, params: AggCostParams):
     raw = n * rate
     generation = params.gen_a * delivered * delivered + params.gen_b * delivered + params.gen_c
     return generation - params.omega * np.log(raw + 1.0)
+
+
+class CostMatrix:
+    """Every agent's net cost at M common candidate rates, as one matrix.
+
+    Row 0 is the aggregator's ``agg_consensus_cost`` and rows 1..N the
+    ``ev_net_cost`` of the EVs of ``ev`` in order, bit for bit: the same
+    elementwise operations in the same order. What is fixed across calls is
+    set up once: the aggregator's constants, the EV coefficients spread to
+    (N, M) arrays (contiguous operands keep each operation one flat loop
+    rather than N short broadcast ones) and the (N+1) x M output. Each call
+    refills and returns the same ``values`` array. Rates must be >= 0,
+    which is not checked per call.
+    """
+
+    __slots__ = ("values", "_ev_coefficients", "_agg_constants", "_rates", "_ev_work",
+                 "_agg_work")
+
+    def __init__(self, ev: "EvCostTable", agg: AggCostParams, m: int):
+        if len(ev) != len(agg.eta_array):
+            raise ValueError(f"{len(ev)} EV cost params but {len(agg.eta_array)} efficiencies")
+        shape = (len(ev), m)
+        self._ev_coefficients = tuple(np.repeat(column[:, None], m, axis=1)
+                                      for column in ev.columns())
+        self._agg_constants = (agg.eta_sum, len(agg.eta_array), agg.gen_a, agg.gen_b, agg.gen_c,
+                               agg.omega)
+        self.values = np.empty((len(ev) + 1, m))
+        self._rates = np.empty(shape)
+        self._ev_work = np.empty(shape)
+        self._agg_work = np.empty((2, m))
+
+    def __call__(self, rates: np.ndarray) -> np.ndarray:
+        agg, ev = self.values[0], self.values[1:]
+        # agg_consensus_cost
+        eta_sum, n, gen_a, gen_b, gen_c, omega = self._agg_constants
+        delivered, work = self._agg_work
+        np.multiply(eta_sum, rates, out=delivered)
+        np.multiply(gen_a, delivered, out=agg)
+        agg *= delivered
+        np.multiply(gen_b, delivered, out=work)
+        agg += work
+        agg += gen_c
+        np.multiply(n, rates, out=work)
+        work += 1.0
+        np.log(work, out=work)
+        np.multiply(omega, work, out=work)
+        agg -= work
+        # _ev_cost, row by row
+        alpha, beta, gamma, other, price = self._ev_coefficients
+        tiled, work = self._rates, self._ev_work
+        tiled[...] = rates
+        np.multiply(alpha, tiled, out=ev)
+        ev *= tiled
+        np.multiply(beta, tiled, out=work)
+        ev += work
+        ev += gamma
+        ev += other
+        np.multiply(price, tiled, out=work)
+        ev -= work
+        return self.values
 
 
 _EV_COST_FIELDS = ("alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price")

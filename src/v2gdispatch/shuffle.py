@@ -42,8 +42,10 @@ class ProtocolError(RuntimeError):
 def to_units_array(values: np.ndarray, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
     """Quantize currency values to int64 grid units; raises ProtocolError for
     a value whose units int64 cannot hold (or that is not finite)."""
-    scaled = np.rint(np.asarray(values, dtype=float) * float(1 << unit_bits))
-    if not np.all(np.abs(scaled) < _INT64_BOUND):
+    scaled = np.asarray(values, dtype=float) * float(1 << unit_bits)
+    np.rint(scaled, out=scaled)
+    # the largest magnitude is NaN when any value is
+    if not np.abs(scaled).max(initial=0.0) < _INT64_BOUND:
         raise ProtocolError(f"value beyond the int64 wire at {unit_bits} unit bits")
     return scaled.astype(np.int64)
 
@@ -58,7 +60,13 @@ def check_headroom(units: np.ndarray) -> None:
     """
     if units.size == 0:
         return
-    spans = np.abs(units).sum(axis=0, dtype=float)
+    # as uint64, since int64 cannot hold |-2**63|
+    magnitudes = np.abs(units).view(np.uint64)
+    # rows times the largest magnitude bounds every column's sum: almost
+    # always far below the bound, which settles every column at once
+    if units.shape[0] * int(magnitudes.max()) < 1 << 62:
+        return
+    spans = magnitudes.sum(axis=0, dtype=float)
     # the float sums are far closer than a factor 2 to the exact ones:
     # only a column near the bound needs the exact integer sum
     for h in np.flatnonzero(spans >= 2.0**62).tolist():
@@ -93,21 +101,29 @@ def draw_split(
     m: int,
     rng,
     forced: Mapping[int, np.ndarray] | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kept fractions and share destinations for one round over ``m`` candidates.
 
     Returns two (rows, m) arrays: the fraction of each value its row keeps,
-    and the row its send share goes to. Rows draw in row order: m uniform
-    fractions, then, for a row with several out-edges, one out-edge per
-    candidate. A run of single-edge rows draws its fractions in one call,
-    which consumes ``rng`` exactly as row-by-row draws would. ``forced``
-    maps a row to fractions used instead of drawn ones; each must lie in
-    [0, 1], so that both shares of a value lie between 0 and the value.
+    and the slot its send share goes to, as the flat index ``t * m + h`` of
+    row t's entry for the same candidate h. Rows draw in row order: m
+    uniform fractions, then, for a row with several out-edges, one out-edge
+    per candidate (``integers(degree, size=m)``). A run of single-edge rows
+    draws its fractions in one call, which consumes ``rng`` exactly as
+    row-by-row draws would. ``forced`` maps a row to fractions used instead
+    of drawn ones; each must lie in [0, 1], so that both shares of a value
+    lie between 0 and the value.
+
+    ``out`` takes the pair an earlier draw over the same topology and ``m``
+    returned, and refills it in place: a single-edge row's destinations
+    never change, so a round redraws only the fractions and the multi-edge
+    rows' destinations.
     """
     n_rows = len(topology.rows)
-    destinations = np.empty((n_rows, m), dtype=np.intp)
-    destinations[:] = topology.only_target[:, None]
-    fractions = np.empty((n_rows, m))
+    if out is None:
+        out = np.empty((n_rows, m)), topology.share_slots(m)
+    fractions, destinations = out
     stops = topology.multi_edge_rows
     if forced:
         for r, f in forced.items():
@@ -117,30 +133,35 @@ def draw_split(
     start = 0
     for r in stops:
         if r > start:
-            fractions[start:r] = rng.random((r - start, m))
-        fractions[r] = forced[r] if forced and r in forced else rng.random(m)
+            rng.random(out=fractions[start:r])
+        if forced and r in forced:
+            fractions[r] = forced[r]
+        else:
+            rng.random(out=fractions[r])
         first, last = topology.indptr[r], topology.indptr[r + 1]
         if last - first == 0:
             raise TopologyError(f"agent {topology.rows[r]} has no out-edges")
         if last - first > 1:
-            destinations[r] = topology.targets[first + rng.integers(last - first, size=m)]
+            picked = topology.targets[first + rng.integers(last - first, size=m)]
+            np.add(picked * m, np.arange(m), out=destinations[r])
         start = r + 1
     if start < n_rows:
-        fractions[start:] = rng.random((n_rows - start, m))
-    return fractions, destinations
+        rng.random(out=fractions[start:])
+    return out
 
 
 def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarray) -> np.ndarray:
     """Additive split of every value of an int64 (rows, m) unit matrix.
 
     Row r keeps ``rint(fraction * units)`` of candidate h and sends the rest
-    to row ``destinations[r, h]``; each row reports what it kept plus what
-    it received. Column sums are conserved exactly. The input is unchanged.
+    to the flat slot ``destinations[r, h]`` (see ``draw_split``); each row
+    reports what it kept plus what it received. Column sums are conserved
+    exactly. The input is unchanged.
     """
-    masked = np.rint(fractions * units).astype(np.int64)
+    kept = fractions * units
+    masked = np.rint(kept, out=kept).astype(np.int64)
     sends = units - masked
-    m = units.shape[1]
-    np.add.at(masked.reshape(-1), (destinations * m + np.arange(m)).reshape(-1), sends.reshape(-1))
+    np.add.at(masked.reshape(-1), destinations.reshape(-1), sends.reshape(-1))
     return masked
 
 

@@ -107,6 +107,12 @@ class NeighborMap:
         only[degree == 1] = self.targets[self.indptr[:-1][degree == 1]]
         return only
 
+    def share_slots(self, m: int) -> np.ndarray:
+        """A fresh (rows, m) array: for a single-edge row, the flat index
+        ``t * m + h`` of its target row t's entry for each candidate h; a
+        row with no or several out-edges holds no valid slot."""
+        return self.only_target[:, None] * m + np.arange(m)
+
     @cached_property
     def multi_edge_rows(self) -> list[int]:
         """Rows with no or several out-edges, ascending."""

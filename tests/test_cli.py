@@ -81,6 +81,14 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys):
     assert "n_evs" in capsys.readouterr().err
 
 
+def test_bad_departure_spec_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for spec in ({"time_h": "soon", "count": 2}, {"time_h": 0.5, "ids": [1.7, True]}):
+        path.write_text(json.dumps({**SMALL, "departures": [spec]}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "departures[0]" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL))

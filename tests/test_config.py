@@ -111,6 +111,14 @@ def test_departure_specs_validated():
     for count in (-3, 2.5, "2", True):
         with pytest.raises(ConfigError, match="departures"):
             parse_config({"departures": [{"time_h": 1.0, "count": count}]})
+    for time_h in ("soon", None, True, float("nan"), float("inf"), [0.5]):
+        with pytest.raises(ConfigError, match=r"departures\[0\]"):
+            parse_config({"departures": [{"time_h": time_h, "count": 2}]})
+    for ids in ([1.7, True], [True], [1, "2"], "12", 3, [None]):
+        with pytest.raises(ConfigError, match=r"departures\[1\]"):
+            parse_config({"departures": [{"time_h": 0.5, "ids": [0]}, {"time_h": 0.5, "ids": ids}]})
+    config = parse_config({"departures": [{"time_h": 1, "ids": [3, 4]}, {"time_h": 0.5, "count": 0}]})
+    assert config.departures[0]["ids"] == [3, 4]
 
 
 def test_horizon_of_whole_steps_accepted():

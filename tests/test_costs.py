@@ -5,6 +5,7 @@ import pytest
 
 from v2gdispatch.costs import (
     AggCostParams,
+    CostMatrix,
     CostOracle,
     CostSet,
     EvCostParams,
@@ -134,6 +135,21 @@ def _toy_cost_set(n=5, seed=3):
     eta = tuple(rng.uniform(0.85, 0.95, n))
     agg = AggCostParams(gen_a=5e-6, gen_b=0.001, gen_c=0.5, omega=0.1, eta=eta)
     return CostSet(ev=ev, agg=agg)
+
+
+def test_cost_matrix_rows_equal_the_agent_costs_bit_for_bit():
+    costs = _toy_cost_set(n=40, seed=8)
+    rng = np.random.default_rng(4)
+    matrix = CostMatrix(costs.ev, costs.agg, 6)
+    for _ in range(5):  # each call refills the same buffer
+        rates = np.concatenate(([0.0], rng.uniform(0.0, 6.6, 5)))
+        values = matrix(rates)
+        assert values is matrix.values and values.shape == (41, 6)
+        assert values[0].tobytes() == agg_consensus_cost(rates, costs.agg).tobytes()
+        for i, params in enumerate(costs.ev):
+            assert values[i + 1].tobytes() == ev_net_cost(rates, params).tobytes()
+    with pytest.raises(ValueError):
+        CostMatrix(costs.ev, costs.agg.restrict(range(39)), 6)
 
 
 def test_consensus_objective_minimizer_matches_grid_oracle():

@@ -1,18 +1,22 @@
-"""Whale pool update rules, schedule, clamping, and scalar convergence."""
+"""Whale pool update rules, schedule, clamping, and scalar convergence.
+
+``advance_pool`` is checked against a scalar reference kept here: one
+``WoaCoefficients.draw`` and one ``update_position`` per whale, three scalar
+draws and then the reference draw, as the module's stream contract states.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from v2gdispatch.dwoa import (
     WhalePool,
-    WoaCoefficients,
     advance_pool,
     alpha_schedule,
     clamp_to_bounds,
     init_pool,
-    update_position,
 )
 
 
@@ -39,6 +43,59 @@ def test_clamp_examples():
         clamp_to_bounds(1.0, 2.0, 1.0)
 
 
+@dataclass(frozen=True)
+class WoaCoefficients:
+    """Reference: per-whale random control numbers for one update."""
+
+    alpha: float
+    r: float       # in [0, 1]
+    l: float       # in [-1, 1], spiral shape
+    p_rand: float  # in [0, 1], branch selector
+
+    @property
+    def A(self) -> float:
+        return 2.0 * self.alpha * self.r - self.alpha
+
+    @property
+    def C(self) -> float:
+        return 2.0 * self.r
+
+    @classmethod
+    def draw(cls, alpha: float, rng) -> "WoaCoefficients":
+        r = float(rng.random())
+        l = 2.0 * float(rng.random()) - 1.0
+        p_rand = float(rng.random())
+        return cls(alpha=alpha, r=r, l=l, p_rand=p_rand)
+
+
+def update_position(h: int, pool: WhalePool, coeffs: WoaCoefficients, rng) -> float:
+    """Reference: whale ``h``'s new position from the pool's pre-update state,
+    one scalar draw at a time."""
+    cur = float(pool.positions[h])
+    if coeffs.p_rand < 0.5:
+        if abs(coeffs.A) < 1.0:
+            ref = pool.best_rate
+        elif pool.size > 1:
+            ref = float(pool.positions[int(rng.integers(pool.size))])
+        else:
+            ref = pool.lower + (pool.upper - pool.lower) * float(rng.random())
+        new = ref - coeffs.A * abs(coeffs.C * ref - cur)
+    else:
+        dist = abs(pool.best_rate - cur)
+        new = dist * math.exp(coeffs.l) * math.cos(2.0 * math.pi * coeffs.l) + pool.best_rate
+    return clamp_to_bounds(new, pool.lower, pool.upper)
+
+
+def reference_advance(pool: WhalePool, rng) -> None:
+    alpha = alpha_schedule(pool.k, pool.k_max)
+    new_positions = np.empty_like(pool.positions)
+    for h in range(pool.size):
+        coeffs = WoaCoefficients.draw(alpha, rng)
+        new_positions[h] = update_position(h, pool, coeffs, rng)
+    pool.positions = new_positions
+    pool.k += 1
+
+
 def test_coefficient_invariants():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -49,92 +106,119 @@ def test_coefficient_invariants():
         assert 0.0 <= c.r <= 1.0
         assert -1.0 <= c.l <= 1.0
         assert 0.0 <= c.p_rand <= 1.0
+        # the search branch needs |A| >= 1, out of reach once alpha < 1
+        assert abs(c.A) <= alpha
 
 
-def _pool(positions, best_rate, lower=0.0, upper=6.6, k_max=100):
+@pytest.mark.parametrize("m", [1, 2, 10, 30])
+def test_advance_pool_matches_scalar_reference(m):
+    # same positions bit for bit and the same generator state after every
+    # pass of a full schedule, through both halves (alpha >= 1 and < 1)
+    for seed in range(3):
+        pools, rngs = [], []
+        for _ in range(2):
+            rng = np.random.default_rng(seed)
+            pool = init_pool(m, 0.5, 6.6, 150, rng)
+            pools.append(pool)
+            rngs.append(rng)
+        for _ in range(150):
+            for pool in pools:
+                positions = pool.positions
+                pool.record_evaluation((positions - 3.1) ** 2 + 0.01 * np.sin(7.0 * positions))
+            advance_pool(pools[0], rngs[0])
+            reference_advance(pools[1], rngs[1])
+            assert pools[0].positions.tobytes() == pools[1].positions.tobytes()
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert pools[0].k == pools[1].k == 150
+
+
+def _pool(positions, best_rate, lower=0.0, upper=6.6, k_max=100, k=0):
     pool = WhalePool(
         positions=np.asarray(positions, dtype=float),
         lower=lower,
         upper=upper,
         k_max=k_max,
+        k=k,
     )
     pool.best_rate = best_rate
     pool.best_value = 0.0
     return pool
 
 
-class _StubRng:
-    """Deterministic stand-in driving the update's reference draws."""
+class _ScriptedRng:
+    """Stand-in generator: scripted (r, l', p) triples per whale, with
+    l = 2l' - 1, a fixed reference index and a fixed uniform reference."""
 
-    def __init__(self, integer=0, uniform=0.5):
+    def __init__(self, triples, integer=0, uniform=0.5):
+        self._triples = list(triples)
         self._integer = integer
         self._uniform = uniform
+
+    def random(self, size=None):
+        if size is None:
+            return self._uniform
+        if size == 3:
+            return np.array(self._triples.pop(0))
+        return np.array([self._triples.pop(0) for _ in range(size[0])])
 
     def integers(self, n):
         return self._integer % n
 
-    def random(self):
-        return self._uniform
-
 
 def test_encircle_with_zero_step_snaps_to_best():
     # r = 0.5 makes A = 0 and C = 1: the move collapses onto the best
-    coeffs = WoaCoefficients(alpha=1.7, r=0.5, l=0.3, p_rand=0.1)
     pool = _pool([5.5, 1.0], best_rate=4.0)
-    for h in (0, 1):
-        assert update_position(h, pool, coeffs, _StubRng()) == 4.0
+    advance_pool(pool, _ScriptedRng([(0.5, 0.65, 0.1)] * 2))
+    assert pool.positions.tolist() == [4.0, 4.0]
 
 
 def test_spiral_at_best_is_fixed_point():
-    coeffs = WoaCoefficients(alpha=1.0, r=0.9, l=-0.4, p_rand=0.9)
     pool = _pool([4.0, 2.0], best_rate=4.0)
-    assert update_position(0, pool, coeffs, _StubRng()) == 4.0
+    advance_pool(pool, _ScriptedRng([(0.9, 0.3, 0.9)] * 2))
+    assert pool.positions[0] == 4.0
 
 
 def test_update_requires_an_evaluated_best():
     pool = WhalePool(positions=np.array([1.0]), lower=0.0, upper=6.6, k_max=10)
-    coeffs = WoaCoefficients(alpha=1.0, r=0.2, l=0.0, p_rand=0.1)
     with pytest.raises(ValueError):
-        update_position(0, pool, coeffs, _StubRng())
+        advance_pool(pool, _ScriptedRng([(0.2, 0.5, 0.1)]))
 
 
 def test_update_matches_independent_formulas():
-    # every branch re-derived inline and compared over random draws
+    # every branch re-derived inline and compared over random draws, with
+    # alpha on both sides of 1
     rng = np.random.default_rng(17)
     for _ in range(100):
         m = int(rng.integers(2, 6))
         positions = rng.uniform(0.0, 6.6, m)
         best = float(rng.uniform(0.0, 6.6))
-        pool = _pool(positions, best)
-        coeffs = WoaCoefficients(
-            alpha=float(rng.uniform(0.0, 2.0)),
-            r=float(rng.random()),
-            l=float(rng.uniform(-1.0, 1.0)),
-            p_rand=float(rng.random()),
-        )
-        h = int(rng.integers(m))
+        k = int(rng.integers(0, 100))
+        pool = _pool(positions, best, k=k)
+        triples = rng.random((m, 3))
         h_ref = int(rng.integers(m))
-        got = update_position(h, pool, coeffs, _StubRng(integer=h_ref))
-        cur = positions[h]
-        A, C = coeffs.A, coeffs.C
-        if coeffs.p_rand < 0.5:
-            ref = best if abs(A) < 1.0 else positions[h_ref]
-            expected = ref - A * abs(C * ref - cur)
-        else:
-            d = abs(best - cur)
-            expected = d * math.exp(coeffs.l) * math.cos(2.0 * math.pi * coeffs.l) + best
-        assert got == min(max(expected, 0.0), 6.6)
+        advance_pool(pool, _ScriptedRng(triples.tolist(), integer=h_ref))
+        alpha = 2.0 * (1.0 - k / 100)
+        for h, (r, l, p) in enumerate(triples.tolist()):
+            l = 2.0 * l - 1.0
+            A, C, cur = 2.0 * alpha * r - alpha, 2.0 * r, positions[h]
+            if p < 0.5:
+                ref = best if abs(A) < 1.0 else positions[h_ref]
+                expected = ref - A * abs(C * ref - cur)
+            else:
+                d = abs(best - cur)
+                expected = d * math.exp(l) * math.cos(2.0 * math.pi * l) + best
+            assert pool.positions[h] == min(max(expected, 0.0), 6.6)
+        assert pool.k == k + 1
 
 
 def test_single_whale_search_branch_uses_uniform_reference():
     # |A| >= 1 with a one-whale pool: the random reference is a fresh
     # uniform point, not the whale itself
-    coeffs = WoaCoefficients(alpha=2.0, r=1.0, l=0.0, p_rand=0.1)  # A=2, C=2
-    pool = _pool([1.0], best_rate=1.0)
-    got = update_position(0, pool, coeffs, _StubRng(uniform=0.5))
+    pool = _pool([1.0], best_rate=1.0)  # alpha = 2; r = 1 gives A = 2, C = 2
+    advance_pool(pool, _ScriptedRng([(1.0, 0.5, 0.1)], uniform=0.5))
     ref = 0.0 + 6.6 * 0.5
     expected = ref - 2.0 * abs(2.0 * ref - 1.0)
-    assert got == min(max(expected, 0.0), 6.6)
+    assert pool.positions[0] == min(max(expected, 0.0), 6.6)
 
 
 def test_positions_stay_in_bounds_every_iteration():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from v2gdispatch import harness
 from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.harness import (
     StatsRow,
@@ -16,7 +17,7 @@ from v2gdispatch.harness import (
 from v2gdispatch.costs import grid_search_rate
 from v2gdispatch.fleet import available_ids
 from v2gdispatch.orchestrator import run_optimization
-from v2gdispatch.records import import_run
+from v2gdispatch.records import RunRecord, import_run
 
 CFG = ScenarioConfig(n_evs=8, seed=19, m_whales=3, k_max=20)
 
@@ -88,6 +89,23 @@ def test_stats_recomputable_from_per_run_traces(tmp_path):
     assert rows[0].mean_rate_kw == float(np.mean(finals))
     assert rows[0].std_rate_kw == float(np.std(finals))
 
+
+def test_sweep_timing_is_interleaved_across_values(monkeypatch):
+    # every stub epoch does the same work, one time unit, but the machine
+    # runs at half speed for the second half of the sweep: timed value by
+    # value, the later value would read slower; interleaved, both alike
+    clock = {"now": 0.0, "epochs": 0}
+    runs, values = 4, [1, 3]
+
+    def stub_epoch(fleet, costs, seed, **kwargs):
+        clock["epochs"] += 1
+        clock["now"] += 1.0 if clock["epochs"] <= runs * len(values) // 2 else 2.0
+        return 1.0, RunRecord()
+
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: clock["now"])
+    monkeypatch.setattr(harness, "run_optimization", stub_epoch)
+    rows = stats_harness(CFG, "m_whales", values, runs=runs, instance=build_instance(CFG))
+    assert [row.mean_time_s for row in rows] == [1.5, 1.5]
 
 
 def test_oracle_rate_matches_direct_grid_search():

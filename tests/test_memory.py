@@ -11,8 +11,10 @@ import tracemalloc
 from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.harness import run_seed
 from v2gdispatch.orchestrator import DepartureEvent, run_optimization, run_scenario
+from v2gdispatch.records import export_run, import_run
 
 KB = 1024
+MB = 1024 * KB
 
 
 def _retained_bytes(make) -> int:
@@ -46,17 +48,41 @@ def test_five_default_epoch_records_are_compact():
     assert size < 25 * KB, size
 
 
-def test_scenario_record_is_compact():
+def _scenario_record():
     # 1000 EVs, 100 steps, a quarter of the fleet leaving at each of 0.25/0.5/0.75 h;
     # every EV's SOC is recorded at every step (800 KB as plain float64 rows)
     config = ScenarioConfig(n_evs=1000, horizon_h=1.0, dt_h=0.01)
     events = tuple(DepartureEvent(time_h=0.25 * (q + 1), ev_ids=tuple(range(250 * q, 250 * (q + 1))))
                    for q in range(3))
+    instance = build_instance(config)
+    return run_scenario(instance.fleet, instance.costs, dt_h=config.dt_h,
+                        horizon_h=config.horizon_h, events=events, seed=config.seed)
 
-    def record():
-        instance = build_instance(config)
-        return run_scenario(instance.fleet, instance.costs, dt_h=config.dt_h,
-                            horizon_h=config.horizon_h, events=events, seed=config.seed)
 
-    size = _retained_bytes(record)
+def test_scenario_record_is_compact():
+    size = _retained_bytes(_scenario_record)
     assert size < 100 * KB, size
+
+
+def _peak_bytes(call) -> int:
+    """Traced peak during ``call()`` above the memory allocated before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def test_record_export_and_import_stream(tmp_path):
+    # the record above is a 1.9 MB CSV: writing and reading it holds one
+    # row at a time, not the whole text or a list of its lines
+    record = _scenario_record()
+    path = tmp_path / "run.csv"
+    export_run(record, path)  # warm-up
+    assert _peak_bytes(lambda: export_run(record, path)) < MB
+    assert path.stat().st_size > MB
+    assert _peak_bytes(lambda: import_run(path)) < MB

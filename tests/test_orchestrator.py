@@ -160,6 +160,14 @@ def test_infeasible_bounds_rejected(instance):
         run_optimization(instance.fleet, instance.costs, seed=0)
 
 
+def test_negative_rate_bound_rejected(instance):
+    # candidates are drawn in [lower, upper]: a negative lower bound is
+    # refused before any candidate is scored
+    instance.fleet.rate_min_kw[:] = -1.0
+    with pytest.raises(ValueError, match=">= 0"):
+        run_optimization(instance.fleet, instance.costs, seed=0)
+
+
 def test_scenario_constant_rate_without_events(instance):
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=0.1, horizon_h=0.5,

@@ -38,8 +38,8 @@ def _split(units, fractions):
     of ``units`` and sends the rest to row 1, which holds 0 and keeps it."""
     units = np.vstack([units, np.zeros_like(units)])
     fractions = np.vstack([fractions, np.ones_like(fractions)])
-    destinations = np.vstack([np.ones(units.shape[1], dtype=np.intp),
-                              np.zeros(units.shape[1], dtype=np.intp)])
+    m = units.shape[1]
+    destinations = np.vstack([m + np.arange(m), np.arange(m)])  # flat slots in the other row
     keep, send = mask_units(units, fractions, destinations)
     return keep, send
 
@@ -209,6 +209,36 @@ def test_multi_neighbor_routing_conserves_totals():
     assert np.array_equal(candidate_totals(values), candidate_totals(masked))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_draw_split_stream_contract(n):
+    # row 0, the aggregator, draws random(m) then integers(n, size=m) when it
+    # has several out-edges; the EV rows then draw random((n, m)) at once.
+    # A refill through ``out`` consumes the stream the same way.
+    m = 7
+    topo = build_topology(sample_fleet(n, n), "one-random-neighbor", 3)
+    rng = np.random.default_rng(n)
+    ref = np.random.default_rng(n)
+    split = None
+    for _ in range(3):
+        split = draw_split(topo, m, rng, out=split)
+        fractions, destinations = split
+        if n > 1:
+            agg_fractions = ref.random(m)
+            agg_targets = topo.targets[ref.integers(n, size=m)]
+            expected_fractions = np.vstack([agg_fractions, ref.random((n, m))])
+        else:  # the aggregator's one out-edge is the one EV: no integers draw
+            expected_fractions = ref.random((2, m))
+            agg_targets = np.full(m, topo.targets[0])
+        assert np.array_equal(fractions, expected_fractions)
+        ev_targets = topo.only_target[1:, None].repeat(m, axis=1)
+        expected_rows = np.vstack([agg_targets, ev_targets])
+        assert np.array_equal(destinations, expected_rows * m + np.arange(m))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    fresh = draw_split(topo, m, np.random.default_rng(5))
+    refilled = draw_split(topo, m, np.random.default_rng(5), out=split)
+    assert all(np.array_equal(a, b) for a, b in zip(fresh, refilled))
+
+
 def test_check_headroom_bounds_each_column_sum():
     big = 1 << 62
     check_headroom(np.array([[big, 1], [big - 1, 1]], dtype=np.int64))  # 2**63 - 1
@@ -217,3 +247,5 @@ def test_check_headroom_bounds_each_column_sum():
         check_headroom(np.array([[big, 1], [big, 1]], dtype=np.int64))
     with pytest.raises(ProtocolError):
         check_headroom(np.array([[1, -big], [1, -big]], dtype=np.int64))
+    with pytest.raises(ProtocolError):  # |-2**63| alone reaches the bound
+        check_headroom(np.array([[0, -(2**63)]], dtype=np.int64))
