@@ -21,11 +21,8 @@ from .costs import (
     AggCostParams,
     CostOracle,
     CostSet,
-    EvCostParams,
     agg_consensus_cost,
-    agg_net_cost,
     consensus_objective,
-    ev_net_cost,
     grid_search_rate,
     sample_ev_cost_params,
 )
@@ -33,7 +30,6 @@ from .dwoa import (
     WhalePool,
     advance_pool,
     alpha_schedule,
-    clamp_to_bounds,
     init_pool,
 )
 from .fleet import (

@@ -15,39 +15,20 @@ proxy) and ``R = sum(c_i)`` the raw DC power (utility term). Note the utility
 term sums raw rates while the generation term sums efficiency-scaled rates.
 
 Both models support scalar rates or numpy arrays of rates elementwise.
-Per-EV coefficients of a whole fleet are held as columns (``EvCostTable``),
-so every agent's cost at every candidate rate is a few broadcast operations
-into one matrix (``CostMatrix``).
+Per-EV coefficients are held only as columns, one row per EV
+(``EvCostTable``), so every agent's cost at every candidate rate is a few
+broadcast operations into one matrix (``CostMatrix``). The one-EV and
+per-EV-rate aggregator formulas above live in the tests, as references the
+column forms are checked against.
 """
 
 from __future__ import annotations
 
-import math
-import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class EvCostParams:
-    """Coefficients of one EV's net discharge cost (currency units)."""
-
-    alpha_deg: float  # currency/kW^2, strictly positive (convex degradation)
-    beta_deg: float   # currency/kW
-    gamma_deg: float  # currency
-    other_ops: float  # currency, lumped non-degradation operating cost
-    price: float      # currency/kW, fixed for the whole pricing period
-
-    def __post_init__(self) -> None:
-        if not self.alpha_deg > 0.0:
-            raise ValueError(f"alpha_deg must be > 0, got {self.alpha_deg}")
-        if self.other_ops < 0.0:
-            raise ValueError(f"other_ops must be >= 0, got {self.other_ops}")
-        if self.price < 0.0:
-            raise ValueError(f"price must be >= 0, got {self.price}")
 
 
 class AggCostParams:
@@ -109,41 +90,17 @@ def _any_negative(rate) -> bool:
     return rate < 0.0
 
 
-def ev_net_cost(rate, params: EvCostParams):
-    """Net cost of one EV discharging at ``rate`` kW (scalar or array)."""
-    if _any_negative(rate):
-        raise ValueError("discharge rate must be >= 0")
-    return _ev_cost(rate, params.alpha_deg, params.beta_deg, params.gamma_deg,
-                    params.other_ops, params.price)
-
-
 def _ev_cost(rate, alpha, beta, gamma, other, price):
     degradation = alpha * rate * rate + beta * rate + gamma
     revenue = price * rate
     return degradation + other - revenue
 
 
-def agg_net_cost(rates, params: AggCostParams):
-    """Aggregator net cost for one per-EV rate vector."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 1 or rates.shape[0] != len(params.eta_array):
-        raise ValueError(
-            f"expected {len(params.eta_array)} rates, got shape {rates.shape}"
-        )
-    if np.any(rates < 0.0):
-        raise ValueError("discharge rates must be >= 0")
-    delivered = float(np.dot(params.eta_array, rates))
-    raw = float(np.sum(rates))
-    generation = params.gen_a * delivered * delivered + params.gen_b * delivered + params.gen_c
-    utility = params.omega * math.log(raw + 1.0)
-    return generation - utility
-
-
 def agg_consensus_cost(rate, params: AggCostParams):
     """Aggregator net cost when every EV discharges at the same ``rate``.
 
-    Equivalent to ``agg_net_cost([rate] * n, params)`` up to float summation
-    order; vectorized over arrays of candidate rates.
+    The module's ``Agg`` at per-EV rates all equal to ``rate``, up to float
+    summation order; vectorized over arrays of candidate rates.
     """
     if _any_negative(rate):
         raise ValueError("discharge rate must be >= 0")
@@ -157,8 +114,8 @@ def agg_consensus_cost(rate, params: AggCostParams):
 class CostMatrix:
     """Every agent's net cost at M common candidate rates, as one matrix.
 
-    Row 0 is the aggregator's ``agg_consensus_cost`` and rows 1..N the
-    ``ev_net_cost`` of the EVs of ``ev`` in order, bit for bit: the same
+    Row 0 is the aggregator's ``agg_consensus_cost`` and rows 1..N the net
+    costs ``f`` of the EVs of ``ev`` in order, bit for bit: the same
     elementwise operations in the same order. What is fixed across calls is
     set up once: the aggregator's constants, the EV coefficients spread to
     (N, M) arrays (contiguous operands keep each operation one flat loop
@@ -217,12 +174,14 @@ class CostMatrix:
 _EV_COST_FIELDS = ("alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price")
 
 
-class EvCostTable(Sequence):
+class EvCostTable:
     """Per-EV cost coefficients as numpy columns, one row per EV.
 
-    A sequence of ``EvCostParams``: indexing builds the row's parameters on
-    access, slicing and ``take`` give sub-tables. The columns carry the
-    same constraints as ``EvCostParams``.
+    Columns, in order: ``alpha_deg`` (currency/kW^2, > 0: convex
+    degradation), ``beta_deg`` (currency/kW), ``gamma_deg`` (currency),
+    ``other_ops`` (currency, >= 0, lumped non-degradation operating cost) and
+    ``price`` (currency/kW, >= 0, fixed for the whole pricing period).
+    ``take`` gives the sub-table of some EVs.
     """
 
     __slots__ = _EV_COST_FIELDS
@@ -239,11 +198,6 @@ class EvCostTable(Sequence):
         if not np.all(self.price >= 0.0):
             raise ValueError("price must be >= 0")
 
-    @classmethod
-    def from_params(cls, params: Iterable[EvCostParams]) -> "EvCostTable":
-        rows = [(p.alpha_deg, p.beta_deg, p.gamma_deg, p.other_ops, p.price) for p in params]
-        return cls(*(zip(*rows) if rows else ((),) * len(_EV_COST_FIELDS)))
-
     def columns(self) -> tuple[np.ndarray, ...]:
         """(alpha_deg, beta_deg, gamma_deg, other_ops, price), one entry per EV."""
         return tuple(getattr(self, name) for name in _EV_COST_FIELDS)
@@ -254,19 +208,6 @@ class EvCostTable(Sequence):
 
     def __len__(self) -> int:
         return len(self.alpha_deg)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
-        i = operator.index(index)
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"EV index {index} out of range for {n} EVs")
-        return EvCostParams(*(float(column[i]) for column in self.columns()))
-
-    def __iter__(self):
-        for row in zip(*(column.tolist() for column in self.columns())):
-            yield EvCostParams(*row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvCostTable):
@@ -281,18 +222,12 @@ class EvCostTable(Sequence):
 
 @dataclass(frozen=True)
 class CostSet:
-    """One scenario instance's cost functions: per-EV params plus aggregator.
-
-    ``ev`` may be given as any sequence of ``EvCostParams``; it is held as an
-    ``EvCostTable``.
-    """
+    """One scenario instance's cost functions: per-EV columns plus aggregator."""
 
     ev: EvCostTable
     agg: AggCostParams
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ev, EvCostTable):
-            object.__setattr__(self, "ev", EvCostTable.from_params(self.ev))
         if len(self.ev) != len(self.agg.eta_array):
             raise ValueError(
                 f"{len(self.ev)} EV cost params but {len(self.agg.eta_array)} efficiencies"
@@ -302,17 +237,20 @@ class CostSet:
         return CostSet(ev=self.ev.take(ids), agg=self.agg.restrict(ids))
 
 
-def consensus_objective(rate, ev_params: Sequence[EvCostParams], agg_params: AggCostParams):
-    """Total net cost when all EVs share one common rate (scalar or array)."""
-    total = agg_consensus_cost(rate, agg_params)
-    for p in ev_params:
-        total = total + ev_net_cost(rate, p)
+def consensus_objective(rate, ev: EvCostTable, agg: AggCostParams):
+    """Total net cost when all EVs share one common rate (scalar or array).
+
+    The aggregator's cost, then each EV's in order, added one at a time.
+    """
+    total = agg_consensus_cost(rate, agg)
+    for row in zip(*(column.tolist() for column in ev.columns())):
+        total = total + _ev_cost(rate, *row)
     return total
 
 
 def grid_search_rate(
-    ev_params: Sequence[EvCostParams],
-    agg_params: AggCostParams,
+    ev: EvCostTable,
+    agg: AggCostParams,
     lower: float,
     upper: float,
     step: float = 1e-4,
@@ -326,7 +264,7 @@ def grid_search_rate(
         raise ValueError(f"need lower <= upper, got [{lower}, {upper}]")
     n_points = int(round((upper - lower) / step)) + 1
     grid = np.linspace(lower, upper, n_points)
-    values = consensus_objective(grid, ev_params, agg_params)
+    values = consensus_objective(grid, ev, agg)
     i = int(np.argmin(values))
     return float(grid[i]), float(values[i])
 
@@ -358,19 +296,6 @@ class CostOracle:
         out = np.asarray(self._fn(xs), dtype=float)
         self._calls += xs.shape[0]
         return out
-
-    @classmethod
-    def for_ev(cls, params: EvCostParams) -> "CostOracle":
-        return cls(lambda rate: ev_net_cost(rate, params))
-
-    @classmethod
-    def for_aggregator(cls, params: AggCostParams) -> "CostOracle":
-        return cls(lambda rates: agg_net_cost(rates, params))
-
-    @classmethod
-    def for_aggregator_consensus(cls, params: AggCostParams) -> "CostOracle":
-        """Oracle over one common rate applied to every EV in ``params.eta``."""
-        return cls(lambda rate: agg_consensus_cost(rate, params))
 
 
 def sample_ev_cost_params(

@@ -41,13 +41,6 @@ def alpha_schedule(k: int, k_max: int) -> float:
     return 2.0 * (1.0 - k / k_max)
 
 
-def clamp_to_bounds(rate: float, lower: float, upper: float) -> float:
-    """Amend a position that left the search space."""
-    if lower > upper:
-        raise ValueError(f"need lower <= upper, got [{lower}, {upper}]")
-    return min(max(rate, lower), upper)
-
-
 @dataclass
 class WhalePool:
     """The M candidate rates plus selection bookkeeping, owned by the ECN."""

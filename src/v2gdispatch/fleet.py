@@ -91,9 +91,6 @@ class EvState:
     def available(self) -> bool:
         return not self.departed and self.soc >= self.soc_min
 
-    def energy_kwh(self) -> float:
-        return self.soc * self.capacity_kwh
-
     def _fields(self) -> tuple:
         return (self.id,) + tuple(getattr(self, name) for name in _FLOAT_FIELDS) + (self.departed,)
 
@@ -147,7 +144,7 @@ class Fleet:
 
     Columns (numpy, one entry per EV id): ``capacity_kwh``, ``soc``,
     ``soc_min``, ``rate_min_kw``, ``rate_max_kw``, ``eta`` (float) and
-    ``departed`` (bool).
+    ``departed`` (bool). Each EV needs 0 <= ``rate_min_kw`` <= ``rate_max_kw``.
     """
 
     __slots__ = _FLOAT_FIELDS + ("departed", "time_h")
@@ -166,6 +163,11 @@ class Fleet:
                          else np.array(departed, dtype=bool))
         if any(len(getattr(self, name)) != n for name in _FLOAT_FIELDS + ("departed",)):
             raise ValueError("fleet columns differ in length")
+        bad = np.flatnonzero(~((0.0 <= self.rate_min_kw) & (self.rate_min_kw <= self.rate_max_kw)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"EV {i}: need 0 <= rate_min_kw <= rate_max_kw, got "
+                             f"[{float(self.rate_min_kw[i])}, {float(self.rate_max_kw[i])}]")
         self.time_h = time_h
 
     @property

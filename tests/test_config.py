@@ -1,8 +1,11 @@
 """Config loading, validation, defaults, and instance assembly."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from v2gdispatch.config import (
     ConfigError,
@@ -12,6 +15,7 @@ from v2gdispatch.config import (
     parse_config,
     resolve_departures,
 )
+from v2gdispatch.topology import POLICIES
 
 
 def _write(tmp_path, data) -> str:
@@ -182,3 +186,62 @@ def test_resolve_departures_by_ids_and_range_check():
     bad = ScenarioConfig(n_evs=5, seed=3, departures=({"time_h": 0.5, "ids": [9]},))
     with pytest.raises(ConfigError, match="out of range"):
         resolve_departures(bad, build_instance(bad).fleet)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _pair(lo, hi):
+    return st.lists(_finite(lo, hi), min_size=2, max_size=2).map(lambda p: tuple(sorted(p)))
+
+
+@st.composite
+def _valid_configs(draw):
+    soc_min_lo, soc_min_hi, soc_lo, soc_hi = sorted(draw(st.lists(_finite(0.0, 1.0), min_size=4,
+                                                                   max_size=4)))
+    rate_min, rate_max = draw(_pair(0.0, 1e3))
+    dt_h = draw(_finite(1e-3, 10.0))
+    time_h = st.integers(-10, 10) | _finite(-1e3, 1e3)
+    departure = (st.fixed_dictionaries({"time_h": time_h,
+                                        "ids": st.lists(st.integers(-5, 10**6), max_size=4)})
+                 | st.fixed_dictionaries({"time_h": time_h, "count": st.integers(0, 10**6)}))
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**64)),
+        n_evs=draw(st.integers(1, 10**6)),
+        soc_range=(soc_lo, soc_hi),
+        soc_min_range=(soc_min_lo, soc_min_hi),
+        capacity_range_kwh=draw(_pair(1e-3, 1e3)),
+        eta_range=draw(_pair(1e-3, 1.0)),
+        rate_min_kw=rate_min,
+        rate_max_kw=rate_max,
+        price=draw(_finite(0.0, 1e3)),
+        alpha_range=draw(_pair(1e-9, 1e3)),
+        beta_range=draw(_pair(-1e3, 1e3)),
+        gamma_range=draw(_pair(-1e3, 1e3)),
+        other_range=draw(_pair(0.0, 1e3)),
+        gen_a=draw(_finite(1e-12, 1e3)),
+        gen_b=draw(_finite(-1e3, 1e3)),
+        gen_c=draw(_finite(-1e3, 1e3)),
+        omega=draw(_finite(0.0, 1e3)),
+        m_whales=draw(st.integers(1, 100)),
+        k_max=draw(st.integers(0, 10**4)),
+        shuffle_enabled=draw(st.booleans()),
+        unit_bits=draw(st.integers(8, 48)),
+        topology_policy=draw(st.sampled_from(POLICIES)),
+        dt_h=dt_h,
+        horizon_h=dt_h * draw(st.integers(1, 1000)),
+        km_per_kwh=draw(_finite(1e-3, 1e3)),
+        departures=tuple(draw(st.lists(departure, max_size=3))),
+        penalty_cap=draw(_finite(1e-6, 1e3)),
+        penalty_tolerance_kw=draw(_finite(0.0, 1e3)),
+        penalty_spread_scale_kw=draw(st.none() | _finite(1e-6, 1e3)),
+        out_dir=draw(st.text(max_size=12)),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(config=_valid_configs())
+@example(config=ScenarioConfig())
+def test_valid_config_round_trips_through_json(config):
+    assert parse_config(json.loads(json.dumps(dataclasses.asdict(config)))) == config

@@ -1,4 +1,12 @@
-"""Cost-model tests: closed forms, convexity, the grid oracle, the call-counting wrapper."""
+"""Cost-model tests: closed forms, convexity, the grid oracle, the call-counting wrapper.
+
+The scalar per-EV cost ``ev_net_cost`` and the per-EV-rate aggregator cost
+``agg_net_cost`` are kept here as references: ``src`` holds per-EV
+coefficients only as ``EvCostTable`` columns, and its matrix and consensus
+forms are checked against these formulas.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,48 +16,106 @@ from v2gdispatch.costs import (
     CostMatrix,
     CostOracle,
     CostSet,
-    EvCostParams,
+    EvCostTable,
     agg_consensus_cost,
-    agg_net_cost,
     consensus_objective,
-    ev_net_cost,
     grid_search_rate,
     sample_ev_cost_params,
 )
 
-EV = EvCostParams(alpha_deg=0.1, beta_deg=0.05, gamma_deg=0.1, other_ops=0.2, price=0.02)
+
+def ev_net_cost(rate, params):
+    """Reference: net cost of one EV discharging at ``rate`` kW (scalar or
+    array). ``params`` is its (alpha_deg, beta_deg, gamma_deg, other_ops,
+    price) row."""
+    alpha, beta, gamma, other, price = params
+    if np.any(np.asarray(rate) < 0.0):
+        raise ValueError("discharge rate must be >= 0")
+    degradation = alpha * rate * rate + beta * rate + gamma
+    revenue = price * rate
+    return degradation + other - revenue
+
+
+def agg_net_cost(rates, params: AggCostParams):
+    """Reference: aggregator net cost for one per-EV rate vector."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 1 or rates.shape[0] != len(params.eta_array):
+        raise ValueError(f"expected {len(params.eta_array)} rates, got shape {rates.shape}")
+    if np.any(rates < 0.0):
+        raise ValueError("discharge rates must be >= 0")
+    delivered = float(np.dot(params.eta_array, rates))
+    raw = float(np.sum(rates))
+    generation = params.gen_a * delivered * delivered + params.gen_b * delivered + params.gen_c
+    return generation - params.omega * math.log(raw + 1.0)
+
+
+def rows(ev: EvCostTable):
+    """Each EV's coefficient row, as Python floats, in EV order."""
+    return list(zip(*(column.tolist() for column in ev.columns())))
+
+
+def reference_consensus_objective(rate, ev: EvCostTable, agg: AggCostParams):
+    """Reference: the aggregator's consensus cost plus each EV's, one at a time."""
+    total = agg_consensus_cost(rate, agg)
+    for params in rows(ev):
+        total = total + ev_net_cost(rate, params)
+    return total
+
+
+EV = (0.1, 0.05, 0.1, 0.2, 0.02)  # alpha_deg, beta_deg, gamma_deg, other_ops, price
+UNIT_AGG = AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.0,))
+
+
+def one_ev_table(params=EV) -> EvCostTable:
+    return EvCostTable(*([value] for value in params))
+
+
+def one_ev_costs(rates, params=EV) -> np.ndarray:
+    """The EV row of a one-EV ``CostMatrix``: its net cost at each rate."""
+    rates = np.atleast_1d(np.asarray(rates, dtype=float))
+    return CostMatrix(one_ev_table(params), UNIT_AGG, len(rates))(rates)[1]
 
 
 def test_ev_net_cost_zero_rate_all_terms_vanish():
-    p = EvCostParams(alpha_deg=1.0, beta_deg=0.0, gamma_deg=0.0, other_ops=0.0, price=0.02)
+    p = (1.0, 0.0, 0.0, 0.0, 0.02)
+    assert one_ev_costs(0.0, p)[0] == 0.0
     assert ev_net_cost(0.0, p) == 0.0
 
 
 def test_ev_net_cost_direct_substitution():
     # 0.1*4 + 0.05*2 + 0.1 + 0.2 - 0.02*2
+    assert one_ev_costs(2.0)[0] == pytest.approx(0.76, abs=1e-12)
     assert ev_net_cost(2.0, EV) == pytest.approx(0.76, abs=1e-12)
 
 
 def test_ev_net_cost_rejects_negative_rate():
+    table = one_ev_table()
+    with pytest.raises(ValueError):
+        consensus_objective(-0.1, table, UNIT_AGG)
+    with pytest.raises(ValueError):
+        consensus_objective(np.array([1.0, -0.5]), table, UNIT_AGG)
     with pytest.raises(ValueError):
         ev_net_cost(-0.1, EV)
-    with pytest.raises(ValueError):
-        ev_net_cost(np.array([1.0, -0.5]), EV)
 
 
 def test_ev_net_cost_vectorized_matches_scalar():
     rates = np.linspace(0.0, 6.6, 7)
-    vec = ev_net_cost(rates, EV)
+    table = one_ev_table()
+    vec = consensus_objective(rates, table, UNIT_AGG)
     for r, v in zip(rates, vec):
-        assert ev_net_cost(float(r), EV) == v
+        assert consensus_objective(float(r), table, UNIT_AGG) == v
+    row = one_ev_costs(rates)
+    for r, v in zip(rates, row):
+        assert one_ev_costs(float(r))[0] == v
 
 
 def test_ev_argmin_matches_brute_force_grid():
     # analytic vertex of the 1-EV net cost, projected onto [0, 6.6]
     grid = np.linspace(0.0, 6.6, 66001)
-    values = ev_net_cost(grid, EV)
+    values = one_ev_costs(grid)
     brute = float(grid[np.argmin(values)])
-    vertex = (EV.price - EV.beta_deg) / (2.0 * EV.alpha_deg)
+    alpha, beta, _, _, price = EV
+    vertex = (price - beta) / (2.0 * alpha)
     expected = min(max(vertex, 0.0), 6.6)
     assert abs(brute - expected) <= 1e-4
 
@@ -60,18 +126,21 @@ def test_ev_net_cost_strictly_convex():
         r1, r2 = rng.uniform(0.0, 6.6, 2)
         if abs(r1 - r2) < 1e-9:
             continue
-        mid = ev_net_cost((r1 + r2) / 2.0, EV)
-        chord = 0.5 * (ev_net_cost(r1, EV) + ev_net_cost(r2, EV))
-        assert mid < chord
+        at_r1, at_r2, mid = one_ev_costs([r1, r2, (r1 + r2) / 2.0])
+        assert mid < 0.5 * (at_r1 + at_r2)
 
 
 def test_ev_params_validation():
     with pytest.raises(ValueError):
-        EvCostParams(alpha_deg=0.0, beta_deg=0.0, gamma_deg=0.0, other_ops=0.0, price=0.0)
+        one_ev_table((0.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        EvCostParams(alpha_deg=1.0, beta_deg=0.0, gamma_deg=0.0, other_ops=-1.0, price=0.0)
+        one_ev_table((1.0, 0.0, 0.0, -1.0, 0.0))
     with pytest.raises(ValueError):
-        EvCostParams(alpha_deg=1.0, beta_deg=0.0, gamma_deg=0.0, other_ops=0.0, price=-0.1)
+        one_ev_table((1.0, 0.0, 0.0, 0.0, -0.1))
+    with pytest.raises(ValueError):  # the check covers every row, not just the first
+        EvCostTable([1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        EvCostTable([1.0, 1.0], [0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
 
 AGG = AggCostParams(gen_a=0.01, gen_b=0.5, gen_c=2.0, omega=1.5, eta=(0.9, 0.8, 1.0))
@@ -80,11 +149,12 @@ AGG = AggCostParams(gen_a=0.01, gen_b=0.5, gen_c=2.0, omega=1.5, eta=(0.9, 0.8, 
 def test_agg_net_cost_all_zero_rates_is_constant_term():
     # log(0 + 1) = 0: no delivery means no utility and no generation cost
     assert agg_net_cost([0.0, 0.0, 0.0], AGG) == AGG.gen_c
+    assert agg_consensus_cost(0.0, AGG) == AGG.gen_c
 
 
 def test_agg_net_cost_single_unit():
-    p = AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.0,))
-    assert agg_net_cost([1.0], p) == 1.0
+    assert agg_net_cost([1.0], UNIT_AGG) == 1.0
+    assert agg_consensus_cost(1.0, UNIT_AGG) == 1.0
 
 
 def test_agg_net_cost_utility_sums_raw_generation_sums_scaled():
@@ -100,6 +170,10 @@ def test_agg_net_cost_rejects_bad_input():
         agg_net_cost([1.0, 2.0], AGG)  # length mismatch
     with pytest.raises(ValueError):
         agg_net_cost([1.0, -2.0, 3.0], AGG)
+    with pytest.raises(ValueError):
+        agg_consensus_cost(-2.0, AGG)
+    with pytest.raises(ValueError):
+        agg_consensus_cost(np.array([1.0, -2.0]), AGG)
 
 
 def test_agg_generation_non_decreasing_in_every_rate():
@@ -146,10 +220,22 @@ def test_cost_matrix_rows_equal_the_agent_costs_bit_for_bit():
         values = matrix(rates)
         assert values is matrix.values and values.shape == (41, 6)
         assert values[0].tobytes() == agg_consensus_cost(rates, costs.agg).tobytes()
-        for i, params in enumerate(costs.ev):
+        for i, params in enumerate(rows(costs.ev)):
             assert values[i + 1].tobytes() == ev_net_cost(rates, params).tobytes()
     with pytest.raises(ValueError):
         CostMatrix(costs.ev, costs.agg.restrict(range(39)), 6)
+
+
+@pytest.mark.parametrize("n", [1, 5, 100])
+def test_consensus_objective_matches_per_ev_reference_bit_for_bit(n):
+    costs = _toy_cost_set(n=n, seed=n)
+    grid = np.linspace(0.0, 6.6, 66001)
+    assert (consensus_objective(grid, costs.ev, costs.agg).tobytes()
+            == reference_consensus_objective(grid, costs.ev, costs.agg).tobytes())
+    for rate in (0.0, 1e-4, 3.3, float(np.random.default_rng(n).uniform(0.0, 6.6)), 6.6):
+        value = consensus_objective(rate, costs.ev, costs.agg)
+        reference = reference_consensus_objective(rate, costs.ev, costs.agg)
+        assert np.float64(value).tobytes() == np.float64(reference).tobytes()
 
 
 def test_consensus_objective_minimizer_matches_grid_oracle():
@@ -164,9 +250,9 @@ def test_consensus_objective_minimizer_matches_grid_oracle():
 
 def test_grid_search_breaks_ties_toward_lowest_rate():
     # symmetric single-EV objective around 3.3: grid argmin picks the first hit
-    p = EvCostParams(alpha_deg=1.0, beta_deg=-6.6, gamma_deg=0.0, other_ops=0.0, price=0.0)
+    ev = one_ev_table((1.0, -6.6, 0.0, 0.0, 0.0))
     agg = AggCostParams(gen_a=1e-12, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.0,))
-    rate, _ = grid_search_rate([p], agg, 0.0, 6.6, step=0.1)
+    rate, _ = grid_search_rate(ev, agg, 0.0, 6.6, step=0.1)
     assert rate == pytest.approx(3.3)
 
 
@@ -180,14 +266,18 @@ def test_cost_set_validation_and_restrict():
     costs = _toy_cost_set()
     sub = costs.restrict([0, 2, 4])
     assert len(sub.ev) == 3
-    assert sub.ev[1] == costs.ev[2]
+    assert rows(sub.ev) == [rows(costs.ev)[i] for i in (0, 2, 4)]
     assert sub.agg.eta == (costs.agg.eta[0], costs.agg.eta[2], costs.agg.eta[4])
     with pytest.raises(ValueError):
-        CostSet(ev=costs.ev[:2], agg=costs.agg)
+        CostSet(ev=costs.ev.take([0, 1]), agg=costs.agg)
+
+
+def _ev_oracle() -> CostOracle:
+    return CostOracle(lambda rate: ev_net_cost(rate, EV))
 
 
 def test_oracle_counts_every_evaluation():
-    oracle = CostOracle.for_ev(EV)
+    oracle = _ev_oracle()
     assert oracle.call_count == 0
     oracle.evaluate(1.0)
     assert oracle.call_count == 1
@@ -196,29 +286,29 @@ def test_oracle_counts_every_evaluation():
 
 
 def test_oracle_matches_closed_form_on_random_rates():
-    oracle = CostOracle.for_ev(EV)
+    oracle = _ev_oracle()
     rng = np.random.default_rng(5)
     for rate in rng.uniform(0.0, 6.6, 100):
         assert oracle.evaluate(rate) == ev_net_cost(float(rate), EV)
 
 
 def test_two_oracles_same_params_are_deterministic():
-    a = CostOracle.for_ev(EV)
-    b = CostOracle.for_ev(EV)
+    a = _ev_oracle()
+    b = _ev_oracle()
     rng = np.random.default_rng(6)
     rates = rng.uniform(0.0, 6.6, 20)
     assert list(a.evaluate_many(rates)) == list(b.evaluate_many(rates))
 
 
 def test_oracle_propagates_domain_errors():
-    oracle = CostOracle.for_ev(EV)
+    oracle = _ev_oracle()
     with pytest.raises(ValueError):
         oracle.evaluate(-1.0)
 
 
 def test_aggregator_oracle_variants():
-    vec = CostOracle.for_aggregator(AGG)
-    cons = CostOracle.for_aggregator_consensus(AGG)
+    vec = CostOracle(lambda rates: agg_net_cost(rates, AGG))
+    cons = CostOracle(lambda rate: agg_consensus_cost(rate, AGG))
     assert vec.evaluate([1.0, 1.0, 1.0]) == pytest.approx(cons.evaluate(1.0), rel=1e-12)
     assert vec.call_count == 1 and cons.call_count == 1
 
@@ -227,9 +317,7 @@ def test_sample_ev_cost_params_ranges_and_determinism():
     a = sample_ev_cost_params(50, np.random.default_rng(9), price=0.02)
     b = sample_ev_cost_params(50, np.random.default_rng(9), price=0.02)
     assert a == b
-    for p in a:
-        assert 0.001 <= p.alpha_deg <= 0.002
-        assert 0.001 <= p.beta_deg <= 0.003
-        assert 0.005 <= p.gamma_deg <= 0.015
-        assert 0.005 <= p.other_ops <= 0.02
-        assert p.price == 0.02
+    for column, (lo, hi) in zip(a.columns(), ((0.001, 0.002), (0.001, 0.003), (0.005, 0.015),
+                                              (0.005, 0.02), (0.02, 0.02))):
+        assert len(column) == 50
+        assert np.all((lo <= column) & (column <= hi))

@@ -2,7 +2,8 @@
 
 ``advance_pool`` is checked against a scalar reference kept here: one
 ``WoaCoefficients.draw`` and one ``update_position`` per whale, three scalar
-draws and then the reference draw, as the module's stream contract states.
+draws and then the reference draw, as the module's stream contract states,
+with ``clamp_to_bounds`` amending a position that left [lower, upper].
 """
 
 import math
@@ -15,7 +16,6 @@ from v2gdispatch.dwoa import (
     WhalePool,
     advance_pool,
     alpha_schedule,
-    clamp_to_bounds,
     init_pool,
 )
 
@@ -33,6 +33,13 @@ def test_alpha_schedule_domain_errors():
         alpha_schedule(-1, 100)
     with pytest.raises(ValueError):
         alpha_schedule(0, 0)
+
+
+def clamp_to_bounds(rate: float, lower: float, upper: float) -> float:
+    """Reference: amend a position that left the search space."""
+    if lower > upper:
+        raise ValueError(f"need lower <= upper, got [{lower}, {upper}]")
+    return min(max(rate, lower), upper)
 
 
 def test_clamp_examples():

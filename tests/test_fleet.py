@@ -71,6 +71,17 @@ def test_fleet_columns_must_match_in_length():
         Fleet(**columns, departed=[False])
 
 
+def test_fleet_rate_bounds_checked_per_ev():
+    columns = dict(capacity_kwh=[20.0, 15.0], soc=[0.8, 0.7], soc_min=[0.2, 0.1],
+                   rate_min_kw=[0.0, 0.0], rate_max_kw=[6.6, 6.6], eta=[1.0, 0.9])
+    assert len(Fleet(**{**columns, "rate_min_kw": [6.6, 0.0]})) == 2
+    for bad in (-1.0, float("nan"), 7.0):
+        with pytest.raises(ValueError, match="EV 1"):
+            Fleet(**{**columns, "rate_min_kw": [0.0, bad]})
+    with pytest.raises(ValueError, match="EV 0"):
+        Fleet(**{**columns, "rate_max_kw": [float("nan"), -1.0]})
+
+
 def test_availability_rules():
     # below its floor, exactly at its floor, departed
     fleet = _fleet(3, soc=[0.15, 0.2, 0.8], departed=[False, False, True])

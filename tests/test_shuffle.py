@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from v2gdispatch.fleet import sample_fleet
 from v2gdispatch.shuffle import (
@@ -249,3 +252,35 @@ def test_check_headroom_bounds_each_column_sum():
         check_headroom(np.array([[1, -big], [1, -big]], dtype=np.int64))
     with pytest.raises(ProtocolError):  # |-2**63| alone reaches the bound
         check_headroom(np.array([[0, -(2**63)]], dtype=np.int64))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_mask_units_conserves_columns_and_bounds_kept_shares(data):
+    n = data.draw(st.integers(1, 6), label="rows")
+    m = data.draw(st.integers(1, 4), label="candidates")
+    unit_bits = data.draw(st.integers(8, 48), label="unit_bits")
+    # each column's sum of |units| is at most about 2**exponent
+    exponent = data.draw(st.floats(0.0, 63.0, exclude_max=True)
+                         | st.sampled_from([62.0, 62.5, 62.99]), label="exponent")
+    x = data.draw(hnp.arrays(np.float64, (n, m), elements=st.floats(-1.0, 1.0)), label="x")
+    fractions = data.draw(hnp.arrays(np.float64, (n, m), elements=st.floats(0.0, 1.0)),
+                          label="fractions")
+    targets = data.draw(hnp.arrays(np.int64, (n, m), elements=st.integers(0, n - 1)),
+                        label="targets")
+    try:
+        units = to_units_array(x * (2.0**exponent / n) / 2.0**unit_bits, unit_bits)
+        check_headroom(units)
+    except ProtocolError:
+        reject()
+    before = units.copy()
+    masked = mask_units(units, fractions, targets * m + np.arange(m))
+    assert np.array_equal(units, before)
+    assert ([sum(column) for column in masked.T.tolist()]
+            == [sum(column) for column in units.T.tolist()])
+    # every row sends to an extra row that holds 0, so rows 0..n-1 report
+    # exactly the share they kept
+    sink_units = np.vstack([units, np.zeros((1, m), dtype=np.int64)])
+    sink_fractions = np.vstack([fractions, np.ones((1, m))])
+    kept = mask_units(sink_units, sink_fractions, np.tile(n * m + np.arange(m), (n + 1, 1)))[:n]
+    assert np.all((np.minimum(units, 0) <= kept) & (kept <= np.maximum(units, 0)))
