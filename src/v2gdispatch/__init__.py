@@ -2,7 +2,6 @@
 
 from .baselines import (
     PenaltyConfig,
-    consensus_spread,
     cwoa_solve,
     gwo_solve,
     make_penalized_fitness,

@@ -118,11 +118,21 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _non_finite(value) -> bool:
+    if isinstance(value, tuple):
+        return any(map(_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 def _validate(config: ScenarioConfig) -> ScenarioConfig:
     if config.schema_version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version: expected {CONFIG_SCHEMA_VERSION}, got {config.schema_version}"
         )
+    for key in _FIELD_TYPES:
+        value = getattr(config, key)
+        if _non_finite(value):
+            raise ConfigError(f"{key}: must be finite, got {value!r}")
     if config.n_evs < 1:
         raise ConfigError(f"n_evs: must be >= 1, got {config.n_evs}")
     for key in _RANGE_KEYS:

@@ -5,7 +5,6 @@ import pytest
 
 from v2gdispatch.baselines import (
     PenaltyConfig,
-    consensus_spread,
     cwoa_solve,
     gwo_solve,
     make_penalized_fitness,
@@ -72,11 +71,6 @@ def test_penalty_grades_with_spread(small):
     assert pen_narrow == pytest.approx(10.0 * 0.5 / 6.6)
 
 
-def test_consensus_spread():
-    assert consensus_spread([2.0, 2.0, 2.0]) == 0.0
-    assert consensus_spread([1.0, 4.0, 2.5]) == 3.0
-
-
 def test_vector_length_checked(small):
     with pytest.raises(ValueError):
         penalized_fitness(np.ones(5), small, PEN, 0.0, 6.6)
@@ -134,6 +128,18 @@ def test_solver_argument_validation(one_dim):
         gwo_solve(0, fitness)
     with pytest.raises(ValueError):
         gwo_solve(1, fitness, pack_size=2)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        cwoa_solve(1, fitness, m=0)
+    for solve in (cwoa_solve, gwo_solve):
+        with pytest.raises(ValueError, match="k_max"):
+            solve(1, fitness, k_max=-1)
+        with pytest.raises(ValueError, match="lower"):
+            solve(1, fitness, lower=2.0, upper=1.0)
+        for lower, upper in ((float("nan"), 6.6), (0.0, float("inf")), (float("-inf"), 0.0)):
+            with pytest.raises(ValueError, match="lower"):
+                solve(1, fitness, lower=lower, upper=upper)
+        best, trace = solve(1, fitness, k_max=0, seed=4)
+        assert trace == [] and 0.0 <= best[0] <= 6.6
 
 
 def test_solutions_respect_bounds(small):
@@ -142,3 +148,108 @@ def test_solutions_respect_bounds(small):
     best_g, _ = gwo_solve(8, fitness, pack_size=10, k_max=40, seed=3)
     for vec in (best_c, best_g):
         assert np.all(vec >= 0.0) and np.all(vec <= 6.6)
+
+
+# Per-whale and per-leader forms of the two solvers. They fix the random
+# stream and the arithmetic, which the array forms must reproduce bit for bit.
+
+
+def cwoa_reference(dim, fitness, m, k_max, seed, lower=0.0, upper=6.6):
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(lower, upper, (m, dim))
+    fit = np.asarray(fitness(pos), dtype=float)
+    leader = int(np.argmin(fit))
+    best_x = pos[leader].copy()
+    best_f = float(fit[leader])
+    trace = []
+    for k in range(k_max):
+        a = 2.0 * (1.0 - k / k_max)
+        for i in range(m):
+            r1 = rng.random(dim)
+            r2 = rng.random(dim)
+            A = 2.0 * a * r1 - a
+            C = 2.0 * r2
+            p = rng.random()
+            if p < 0.5:
+                encircle = best_x - A * np.abs(C * best_x - pos[i])
+                other = pos[int(rng.integers(m))]
+                search = other - A * np.abs(C * other - pos[i])
+                pos[i] = np.where(np.abs(A) < 1.0, encircle, search)
+            else:
+                l = 2.0 * rng.random() - 1.0
+                dist = np.abs(best_x - pos[i])
+                pos[i] = dist * np.exp(l) * np.cos(2.0 * np.pi * l) + best_x
+        np.clip(pos, lower, upper, out=pos)
+        fit = np.asarray(fitness(pos), dtype=float)
+        leader = int(np.argmin(fit))
+        if fit[leader] < best_f:
+            best_f = float(fit[leader])
+            best_x = pos[leader].copy()
+        trace.append(best_f)
+    return best_x, trace
+
+
+def gwo_reference(dim, fitness, pack_size, k_max, seed, lower=0.0, upper=6.6):
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(lower, upper, (pack_size, dim))
+    fit = np.asarray(fitness(pos), dtype=float)
+    order = np.argsort(fit)
+    leaders = pos[order[:3]].copy()
+    best_x = pos[order[0]].copy()
+    best_f = float(fit[order[0]])
+    trace = []
+    for k in range(k_max):
+        a = 2.0 * (1.0 - k / k_max)
+        pulls = np.empty((3, pack_size, dim))
+        for j in range(3):
+            r1 = rng.random((pack_size, dim))
+            r2 = rng.random((pack_size, dim))
+            A = 2.0 * a * r1 - a
+            C = 2.0 * r2
+            pulls[j] = leaders[j] - A * np.abs(C * leaders[j] - pos)
+        pos = pulls.mean(axis=0)
+        np.clip(pos, lower, upper, out=pos)
+        fit = np.asarray(fitness(pos), dtype=float)
+        order = np.argsort(fit)
+        leaders = pos[order[:3]].copy()
+        if fit[order[0]] < best_f:
+            best_f = float(fit[order[0]])
+            best_x = pos[order[0]].copy()
+        trace.append(best_f)
+    return best_x, trace
+
+
+GRID_DIMS = (1, 2, 5, 100)
+GRID_K_MAX = (0, 1, 7, 60)
+GRID_SEEDS = (0, 1)
+
+
+@pytest.fixture(scope="module")
+def fitness_by_dim():
+    costs = {dim: build_instance(ScenarioConfig(n_evs=dim, seed=50 + dim)).costs
+             for dim in GRID_DIMS}
+    return {dim: make_penalized_fitness(c.ev, c.agg, PEN, 0.0, 6.6) for dim, c in costs.items()}
+
+
+@pytest.mark.parametrize("dim", GRID_DIMS)
+@pytest.mark.parametrize("m", [1, 2, 3, 30])
+def test_cwoa_matches_per_whale_reference_bit_for_bit(fitness_by_dim, dim, m):
+    fitness = fitness_by_dim[dim]
+    for k_max in GRID_K_MAX:
+        for seed in GRID_SEEDS:
+            want_x, want_trace = cwoa_reference(dim, fitness, m, k_max, seed)
+            got_x, got_trace = cwoa_solve(dim, fitness, m=m, k_max=k_max, seed=seed)
+            assert got_x.tobytes() == want_x.tobytes(), (k_max, seed)
+            assert got_trace == want_trace, (k_max, seed)
+
+
+@pytest.mark.parametrize("dim", GRID_DIMS)
+@pytest.mark.parametrize("pack_size", [3, 4, 30])
+def test_gwo_matches_per_leader_reference_bit_for_bit(fitness_by_dim, dim, pack_size):
+    fitness = fitness_by_dim[dim]
+    for k_max in GRID_K_MAX:
+        for seed in GRID_SEEDS:
+            want_x, want_trace = gwo_reference(dim, fitness, pack_size, k_max, seed)
+            got_x, got_trace = gwo_solve(dim, fitness, pack_size=pack_size, k_max=k_max, seed=seed)
+            assert got_x.tobytes() == want_x.tobytes(), (k_max, seed)
+            assert got_trace == want_trace, (k_max, seed)

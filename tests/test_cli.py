@@ -89,6 +89,14 @@ def test_bad_departure_spec_exits_1(tmp_path, capsys):
         assert "departures[0]" in capsys.readouterr().err
 
 
+def test_non_finite_config_value_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for key, value in (("price", "NaN"), ("horizon_h", "Infinity"), ("dt_h", "Infinity")):
+        path.write_text(f'{{"{key}": {value}}}')
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"{key}: must be finite" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL))

@@ -98,6 +98,16 @@ def test_schema_version_checked():
         ({"price": True}, "price"),
         ({"soc_range": [0.8, "0.9"]}, "soc_range"),
         ({"horizon_h": 0.3, "dt_h": 0.25}, "horizon_h"),
+        ({"price": float("nan")}, "price: must be finite"),
+        ({"horizon_h": float("inf")}, "horizon_h: must be finite"),
+        ({"dt_h": float("inf")}, "dt_h: must be finite"),
+        ({"gen_b": float("-inf")}, "gen_b: must be finite"),
+        ({"omega": float("nan")}, "omega: must be finite"),
+        ({"rate_max_kw": float("inf")}, "rate_max_kw: must be finite"),
+        ({"km_per_kwh": float("inf")}, "km_per_kwh: must be finite"),
+        ({"soc_range": [float("nan"), 0.9]}, "soc_range: must be finite"),
+        ({"capacity_range_kwh": [15.0, float("inf")]}, "capacity_range_kwh: must be finite"),
+        ({"penalty_spread_scale_kw": float("inf")}, "penalty_spread_scale_kw: must be finite"),
     ],
 )
 def test_validation_names_offending_key(data, key):
