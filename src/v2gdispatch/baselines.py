@@ -47,7 +47,7 @@ class PenaltyConfig:
     def __post_init__(self) -> None:
         if not self.cap > 0.0:
             raise ValueError(f"penalty cap must be > 0, got {self.cap}")
-        if self.tolerance_kw < 0.0:
+        if not self.tolerance_kw >= 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance_kw}")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import PenaltyConfig
 from .costs import AggCostParams, CostSet, sample_ev_cost_params
-from .fleet import DEFAULT_KM_PER_KWH, Fleet, FleetDistributions, available_ids, sample_fleet
+from .fleet import Fleet, FleetDistributions, available_ids, sample_fleet
 from .orchestrator import DepartureEvent
 from .topology import POLICIES
 
@@ -68,7 +68,6 @@ class ScenarioConfig:
     # time loop
     dt_h: float = 0.1
     horizon_h: float = 6.0
-    km_per_kwh: float = DEFAULT_KM_PER_KWH
     # each entry: {"time_h": t, "ids": [...]} or {"time_h": t, "count": n}
     departures: tuple[dict, ...] = ()
 
@@ -170,8 +169,6 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(
             f"horizon_h: {config.horizon_h} is not a whole number of {config.dt_h} h steps"
         )
-    if config.km_per_kwh <= 0.0:
-        raise ConfigError(f"km_per_kwh: must be > 0, got {config.km_per_kwh}")
     for i, spec in enumerate(config.departures):
         if not isinstance(spec, dict) or "time_h" not in spec:
             raise ConfigError(f"departures[{i}]: needs a time_h")

@@ -44,7 +44,7 @@ class AggCostParams:
     def __init__(self, gen_a: float, gen_b: float, gen_c: float, omega: float, eta):
         if not gen_a > 0.0:
             raise ValueError(f"gen_a must be > 0, got {gen_a}")
-        if omega < 0.0:
+        if not omega >= 0.0:
             raise ValueError(f"omega must be >= 0, got {omega}")
         eta_array = np.array(eta, dtype=float).reshape(-1)
         bad = np.flatnonzero(~((eta_array > 0.0) & (eta_array <= 1.0)))
@@ -262,6 +262,8 @@ def grid_search_rate(
     """
     if not lower <= upper:
         raise ValueError(f"need lower <= upper, got [{lower}, {upper}]")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be a finite number > 0, got {step}")
     n_points = int(round((upper - lower) / step)) + 1
     grid = np.linspace(lower, upper, n_points)
     values = consensus_objective(grid, ev, agg)

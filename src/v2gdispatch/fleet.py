@@ -219,7 +219,7 @@ def apply_discharge(fleet: Fleet, rate_kw: float, dt_h: float) -> Fleet:
     below their floor mid-step keep the step's discharge and become
     unavailable from the next step on. Unavailable EVs are untouched.
     """
-    if dt_h <= 0.0:
+    if not dt_h > 0.0:
         raise ValueError(f"dt_h must be > 0, got {dt_h}")
     avail = fleet.available()
     outside = avail & ~((fleet.rate_min_kw <= rate_kw) & (rate_kw <= fleet.rate_max_kw))

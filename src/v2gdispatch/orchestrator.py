@@ -175,9 +175,9 @@ def run_scenario(
     fresh optimization epoch whose random streams are spawned in sequence
     from ``seed``, keeping whole-run determinism.
     """
-    if horizon_h <= 0.0:
+    if not horizon_h > 0.0:
         raise ValueError(f"horizon_h must be > 0, got {horizon_h}")
-    if dt_h <= 0.0:
+    if not dt_h > 0.0:
         raise ValueError(f"dt_h must be > 0, got {dt_h}")
 
     parent_ss = _as_seed_sequence(seed)

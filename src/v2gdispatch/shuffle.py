@@ -15,9 +15,11 @@ silent wrap.
 
 One round works on the whole (agents x candidates) unit matrix: row 0 is the
 aggregator and rows 1..N are the EVs in ascending id order (the rows of a
-built ``NeighborMap``). ``draw_split`` draws every kept fraction and share
-destination, ``mask_units`` applies them. ``shuffle_round`` is the same
-round over an agent-keyed mapping.
+built ``NeighborMap``, whose ``ids`` hold each row's EV id, or ``-1 - index``
+for an aggregator). ``draw_split`` draws every kept fraction and share
+destination from the graph's integer arrays, ``mask_units`` applies them;
+neither holds an ``AgentId``. ``shuffle_round`` is the same round over an
+agent-keyed mapping.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def draw_split(
     never change, so a round redraws only the fractions and the multi-edge
     rows' destinations.
     """
-    n_rows = len(topology.rows)
+    n_rows = len(topology.ids)
     if out is None:
         out = np.empty((n_rows, m)), topology.share_slots(m)
     fractions, destinations = out
@@ -192,7 +194,8 @@ def shuffle_round(
             forced[r] = np.asarray(fractions[agent], dtype=float)
             if forced[r].shape != (m,):
                 raise ProtocolError(f"forced fractions for {agent} must have length {m}")
-    graph = NeighborMap.from_edges({a: topology.neighbors_of(a) for a in agents})
+    edges = topology.out_edges
+    graph = NeighborMap.from_edges({a: edges.get(a, ()) for a in agents})
     split = draw_split(graph, m, np.random.default_rng(rng), forced)
     return dict(zip(agents, mask_units(units, *split)))
 

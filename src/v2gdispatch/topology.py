@@ -5,16 +5,19 @@ lists the agents ``a`` may send shares to. Links are lossless and
 instantaneous; a round is a barrier (all sends complete before any receive
 is observed).
 
-A graph is held as index arrays over rows, one row per agent in agent order.
-A built topology has the aggregator in row 0 and the available EVs in rows
-1..N in ascending id order: the row order of the protocol's value matrix.
+A graph is held as integer arrays over rows, one row per agent in agent
+order; ``ids[r]`` names row r's agent as an integer: the EV id (>= 0), or
+``-1 - index`` for an aggregator. A built topology has the aggregator in
+row 0 (id -1) and the available EVs in rows 1..N in ascending id order: the
+row order of the protocol's value matrix. The protocol path works on these
+arrays alone and holds no ``AgentId``; agent-keyed views are built on access.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,17 +39,8 @@ class AgentId:
     kind: AgentKind
     index: int
 
-    def __post_init__(self) -> None:
-        # cached: AgentIds key every hot-loop dict
-        key = (self.kind.value, self.index)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
     def sort_key(self) -> tuple[str, int]:
-        return self._key
-
-    def __hash__(self) -> int:
-        return self._hash
+        return (self.kind.value, self.index)
 
     def __str__(self) -> str:
         return f"{self.kind.value}{self.index}"
@@ -55,7 +49,6 @@ class AgentId:
 AGGREGATOR_ID = AgentId(AgentKind.AGGREGATOR, 0)
 
 
-@lru_cache(maxsize=None)
 def ev_agent(index: int) -> AgentId:
     return AgentId(AgentKind.EV, index)
 
@@ -71,39 +64,47 @@ class Envelope:
 
 @dataclass(frozen=True, eq=False)
 class NeighborMap:
-    """Per-agent out-edges as compressed index arrays over rows.
+    """Per-agent out-edges as three integer arrays over rows.
 
-    ``rows[r]`` is the agent of row r (rows in agent sort order), and row r
-    may send to the rows ``targets[indptr[r]:indptr[r + 1]]``. Every
-    participating EV keeps at least one out-edge. ``out_edges`` gives the
-    same graph keyed by agent, built on access.
+    ``ids[r]`` is the agent of row r (rows in agent sort order): an EV id,
+    or ``-1 - index`` for an aggregator. Row r may send to the rows
+    ``targets[indptr[r]:indptr[r + 1]]``. Every participating EV keeps at
+    least one out-edge. ``rows`` (the ``AgentId`` of each row) and
+    ``out_edges`` (the same graph keyed by agent) are built on access.
     """
 
-    rows: tuple[AgentId, ...]
+    ids: np.ndarray
     indptr: np.ndarray
     targets: np.ndarray
 
     @classmethod
     def from_edges(cls, edges: Mapping[AgentId, Sequence[AgentId]]) -> "NeighborMap":
-        """Index form of an agent-keyed edge map; targets must be keys too."""
-        rows = tuple(sorted(edges, key=AgentId.sort_key))
+        """Index form of an agent-keyed edge map; targets must be keys too,
+        and every EV needs an out-edge."""
+        rows = sorted(edges, key=AgentId.sort_key)
         row_of = {agent: r for r, agent in enumerate(rows)}
         try:
             targets = [row_of[t] for agent in rows for t in edges[agent]]
         except KeyError as exc:
             raise TopologyError(f"edge to {exc.args[0]} points outside the graph") from None
+        for agent in rows:
+            if agent.kind is AgentKind.EV and not edges[agent]:
+                raise TopologyError(f"EV agent {agent} needs at least one out-edge")
+        ids = [a.index if a.kind is AgentKind.EV else -1 - a.index for a in rows]
         degree = [len(edges[agent]) for agent in rows]
-        return cls(rows, np.cumsum([0] + degree), np.array(targets, dtype=np.intp))
+        return cls(np.array(ids, dtype=np.intp), np.cumsum([0] + degree),
+                   np.array(targets, dtype=np.intp))
 
     @cached_property
-    def _row_of(self) -> dict[AgentId, int]:
-        return {agent: r for r, agent in enumerate(self.rows)}
+    def rows(self) -> tuple[AgentId, ...]:
+        return tuple(AgentId(AgentKind.EV, i) if i >= 0 else AgentId(AgentKind.AGGREGATOR, -1 - i)
+                     for i in self.ids.tolist())
 
     @cached_property
     def only_target(self) -> np.ndarray:
         """Per row, its one out-edge's row; -1 for a row with none or several."""
         degree = np.diff(self.indptr)
-        only = np.full(len(self.rows), -1, dtype=np.intp)
+        only = np.full(len(self.ids), -1, dtype=np.intp)
         only[degree == 1] = self.targets[self.indptr[:-1][degree == 1]]
         return only
 
@@ -126,15 +127,6 @@ class NeighborMap:
             for r, agent in enumerate(rows)
         }
 
-    def neighbors_of(self, agent: AgentId) -> tuple[AgentId, ...]:
-        r = self._row_of.get(agent)
-        if r is None:
-            raise TopologyError(f"agent {agent} has no out-edges")
-        return tuple(self.rows[t] for t in self.targets[self.indptr[r]:self.indptr[r + 1]].tolist())
-
-    def agents(self) -> list[AgentId]:
-        return list(self.rows)
-
 
 POLICIES = ("one-random-neighbor", "ring")
 
@@ -154,9 +146,7 @@ def build_topology(
     Deterministic for a fixed seed; O(N), and the fleet is not modified.
     """
     if custom_edges is not None:
-        edges = dict(custom_edges)
-        _validate_edges(edges)
-        return NeighborMap.from_edges(edges)
+        return NeighborMap.from_edges(custom_edges)
 
     avail = available_ids(fleet)
     if not avail:
@@ -177,20 +167,10 @@ def build_topology(
     else:
         raise TopologyError(f"unknown topology policy {policy!r}")
 
-    rows = (AGGREGATOR_ID,) + tuple(map(ev_agent, avail))
+    ids = np.array([-1] + avail, dtype=np.intp)
     indptr = np.concatenate(([0], np.arange(n, 2 * n + 1)))  # aggregator: n edges, EVs: 1
     targets = np.concatenate((np.arange(1, n + 1), ev_targets)).astype(np.intp)
-    return NeighborMap(rows, indptr, targets)
-
-
-def _validate_edges(edges: dict[AgentId, tuple[AgentId, ...]]) -> None:
-    agents = set(edges)
-    for agent, targets in edges.items():
-        if agent.kind is AgentKind.EV and not targets:
-            raise TopologyError(f"EV agent {agent} needs at least one out-edge")
-        for t in targets:
-            if t not in agents:
-                raise TopologyError(f"edge {agent} -> {t} points outside the graph")
+    return NeighborMap(ids, indptr, targets)
 
 
 def deliver_round(

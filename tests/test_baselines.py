@@ -29,6 +29,8 @@ def test_penalty_config_validation():
         PenaltyConfig(cap=0.0)
     with pytest.raises(ValueError):
         PenaltyConfig(tolerance_kw=-1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        PenaltyConfig(tolerance_kw=float("nan"))
 
 
 def test_consensus_vector_gets_no_penalty(small):

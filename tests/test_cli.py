@@ -97,6 +97,12 @@ def test_non_finite_config_value_exits_1(tmp_path, capsys):
         assert f"{key}: must be finite" in capsys.readouterr().err
 
 
+def test_oracle_step_that_is_not_finite_and_positive_exits_2(config_path, capsys):
+    for step in ("0", "nan", "-0.1", "inf"):
+        assert main(["oracle", "--config", str(config_path), "--step", step]) == 2
+        assert "error: step must be a finite number > 0" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL))

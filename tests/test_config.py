@@ -104,7 +104,7 @@ def test_schema_version_checked():
         ({"gen_b": float("-inf")}, "gen_b: must be finite"),
         ({"omega": float("nan")}, "omega: must be finite"),
         ({"rate_max_kw": float("inf")}, "rate_max_kw: must be finite"),
-        ({"km_per_kwh": float("inf")}, "km_per_kwh: must be finite"),
+        ({"penalty_tolerance_kw": float("nan")}, "penalty_tolerance_kw: must be finite"),
         ({"soc_range": [float("nan"), 0.9]}, "soc_range: must be finite"),
         ({"capacity_range_kwh": [15.0, float("inf")]}, "capacity_range_kwh: must be finite"),
         ({"penalty_spread_scale_kw": float("inf")}, "penalty_spread_scale_kw: must be finite"),
@@ -241,7 +241,6 @@ def _valid_configs(draw):
         topology_policy=draw(st.sampled_from(POLICIES)),
         dt_h=dt_h,
         horizon_h=dt_h * draw(st.integers(1, 1000)),
-        km_per_kwh=draw(_finite(1e-3, 1e3)),
         departures=tuple(draw(st.lists(departure, max_size=3))),
         penalty_cap=draw(_finite(1e-6, 1e3)),
         penalty_tolerance_kw=draw(_finite(0.0, 1e3)),

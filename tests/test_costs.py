@@ -194,6 +194,8 @@ def test_agg_params_validation():
         AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.2,))
     with pytest.raises(ValueError):
         AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(0.0,))
+    with pytest.raises(ValueError, match="omega"):
+        AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=float("nan"), eta=(1.0,))
 
 
 def test_agg_consensus_matches_vector_form():
@@ -260,6 +262,13 @@ def test_grid_search_rejects_inverted_interval():
     costs = _toy_cost_set()
     with pytest.raises(ValueError):
         grid_search_rate(costs.ev, costs.agg, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
+def test_grid_search_rejects_a_step_that_is_not_finite_and_positive(step):
+    costs = _toy_cost_set()
+    with pytest.raises(ValueError, match="step"):
+        grid_search_rate(costs.ev, costs.agg, 0.0, 6.6, step)
 
 
 def test_cost_set_validation_and_restrict():

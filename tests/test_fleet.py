@@ -121,6 +121,9 @@ def test_apply_discharge_validates_inputs():
         apply_discharge(fleet, -0.1, 0.1)
     with pytest.raises(ValueError):
         apply_discharge(fleet, 3.0, 0.0)
+    with pytest.raises(ValueError, match="dt_h"):
+        apply_discharge(fleet, 1.0, float("nan"))
+    assert fleet.time_h == 0.0 and not np.isnan(fleet.soc).any()
 
 
 def test_soc_monotone_and_exclusion_permanent():

@@ -9,9 +9,11 @@ import gc
 import tracemalloc
 
 from v2gdispatch.config import ScenarioConfig, build_instance
+from v2gdispatch.fleet import sample_fleet
 from v2gdispatch.harness import run_seed
 from v2gdispatch.orchestrator import DepartureEvent, run_optimization, run_scenario
 from v2gdispatch.records import export_run, import_run
+from v2gdispatch.topology import build_topology
 
 KB = 1024
 MB = 1024 * KB
@@ -62,6 +64,27 @@ def _scenario_record():
 def test_scenario_record_is_compact():
     size = _retained_bytes(_scenario_record)
     assert size < 100 * KB, size
+
+
+def test_topology_is_integer_rows_and_leaves_nothing_behind():
+    # 20 000 EVs: ids, indptr and targets are about 0.64 MB; no per-EV
+    # object is built, so none is cached for later epochs either
+    fleet = sample_fleet(20_000, 0)
+    build_topology(sample_fleet(10, 0), rng=0)  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        topology = build_topology(fleet, rng=0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        del topology
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < MB, held
+    assert left < 64 * KB, left
 
 
 def _peak_bytes(call) -> int:

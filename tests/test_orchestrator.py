@@ -234,6 +234,10 @@ def test_scenario_validates_horizon(instance):
         run_scenario(instance.fleet, instance.costs, horizon_h=0.0)
     with pytest.raises(ValueError):
         run_scenario(instance.fleet, instance.costs, dt_h=-0.1)
+    with pytest.raises(ValueError, match="dt_h"):
+        run_scenario(instance.fleet, instance.costs, dt_h=float("nan"))
+    with pytest.raises(ValueError, match="horizon_h"):
+        run_scenario(instance.fleet, instance.costs, horizon_h=float("nan"))
 
 
 def test_scenario_rides_through_full_depletion():

@@ -9,9 +9,11 @@ import pytest
 from v2gdispatch.fleet import sample_fleet
 from v2gdispatch.topology import (
     AGGREGATOR_ID,
+    POLICIES,
     AgentId,
     AgentKind,
     Envelope,
+    NeighborMap,
     TopologyError,
     build_topology,
     deliver_round,
@@ -93,6 +95,34 @@ def test_custom_edges_validated():
             sample_fleet(1, 0),
             custom_edges={ev_agent(0): (ev_agent(5),), AGGREGATOR_ID: ()},
         )
+    with pytest.raises(TopologyError, match="ev1 needs at least one out-edge"):
+        build_topology(
+            sample_fleet(2, 0),
+            custom_edges={ev_agent(0): (AGGREGATOR_ID,), ev_agent(1): (), AGGREGATOR_ID: ()},
+        )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("n", [1, 2, 17, 100])
+def test_agent_keyed_edges_rebuild_the_same_arrays(policy, n):
+    # n available EVs, ids 0..n with EV n // 2 departed
+    fleet = sample_fleet(n + 1, n)
+    fleet.evs[n // 2].departed = True
+    topo = build_topology(fleet, policy, 7)
+    assert topo.ids.tolist() == [-1] + [i for i in range(n + 1) if i != n // 2]
+    again = NeighborMap.from_edges(topo.out_edges)
+    for name in ("ids", "indptr", "targets"):
+        built, rebuilt = getattr(topo, name), getattr(again, name)
+        assert built.dtype == rebuilt.dtype and np.array_equal(built, rebuilt), name
+
+
+def test_second_aggregator_round_trips_through_the_arrays():
+    other = AgentId(AgentKind.AGGREGATOR, 3)
+    edges = {ev_agent(4): (other,), other: (ev_agent(4),), AGGREGATOR_ID: ()}
+    topo = NeighborMap.from_edges(edges)
+    assert topo.ids.tolist() == [-1, -4, 4]
+    assert topo.rows == (AGGREGATOR_ID, other, ev_agent(4))
+    assert topo.out_edges == edges
 
 
 
