@@ -5,7 +5,6 @@ from .baselines import (
     cwoa_solve,
     gwo_solve,
     make_penalized_fitness,
-    penalized_fitness,
 )
 from .config import (
     ConfigError,

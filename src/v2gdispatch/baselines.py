@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import AggCostParams, CostSet, EvCostTable
+from .costs import AggCostParams, EvCostTable
 
 
 @dataclass(frozen=True)
@@ -91,21 +91,6 @@ def make_penalized_fitness(
         return out if np.asarray(rates).ndim > 1 else out[0]
 
     return fitness
-
-
-def penalized_fitness(
-    rates,
-    costs: CostSet,
-    penalty: PenaltyConfig,
-    lower: float,
-    upper: float,
-) -> float:
-    """True total objective of one rate vector plus the consensus penalty."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 1 or rates.shape[0] != len(costs.ev):
-        raise ValueError(f"expected {len(costs.ev)} rates, got shape {rates.shape}")
-    fn = make_penalized_fitness(costs.ev, costs.agg, penalty, lower, upper)
-    return float(fn(rates))
 
 
 def _check_box(dim: int, k_max: int, lower: float, upper: float) -> None:

@@ -61,7 +61,7 @@ def _cmd_run(args) -> int:
     )
     path = _out_path(config, args.out, "run.csv")
     export_run(record, path)
-    last_rate = record.steps[-1].rate_kw if record.steps else 0.0
+    last_rate = record.steps.rate_kw[-1] if record.steps else 0.0
     print(f"wrote {path} ({len(record.iterations)} iteration rows, "
           f"{len(record.steps)} step rows; final rate {last_rate:.4f} kW)")
     return 0

@@ -43,14 +43,17 @@ def alpha_schedule(k: int, k_max: int) -> float:
 
 @dataclass
 class WhalePool:
-    """The M candidate rates plus selection bookkeeping, owned by the ECN."""
+    """The M candidate rates plus the elitist best, owned by the ECN.
+
+    The ECN's own selection (``orchestrator.ecn_select_best``) supplies the
+    index of each iteration's best candidate; the pool only keeps the best.
+    """
 
     positions: np.ndarray
     lower: float
     upper: float
     k_max: int
     k: int = 0
-    best_index: int = 0
     best_rate: float = math.nan
     best_value: float = math.inf
 
@@ -60,24 +63,12 @@ class WhalePool:
         if self.lower > self.upper:
             raise ValueError(f"need lower <= upper, got [{self.lower}, {self.upper}]")
 
-    @property
-    def size(self) -> int:
-        return len(self.positions)
-
-    def record_evaluation(self, values, index: int | None = None) -> int:
-        """Note this iteration's evaluated totals; keep the elitist best.
-
-        ``index`` overrides the argmin (the coordinator's own selection);
-        ties resolve to the lowest candidate index either way.
-        """
-        values = np.asarray(values, dtype=float)
-        if index is None:
-            index = int(np.argmin(values))
-        self.best_index = index
+    def record_evaluation(self, values, index: int) -> None:
+        """Note this iteration's totals and the selected candidate's index;
+        keep the elitist best."""
         if values[index] < self.best_value:
             self.best_value = float(values[index])
             self.best_rate = float(self.positions[index])
-        return index
 
 
 def init_pool(m: int, lower: float, upper: float, k_max: int, rng) -> WhalePool:

@@ -12,6 +12,7 @@ id (ids are dense from 0). ``fleet.evs[i]`` is an ``EvState`` view of row
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -151,10 +152,10 @@ class Fleet:
 
     def __init__(
         self, *, capacity_kwh, soc, soc_min, rate_min_kw, rate_max_kw, eta,
-        departed=None, time_h: float = 0.0,
+        departed=None,
     ):
         """A fleet whose columns are copies of the given per-EV sequences;
-        ``departed`` defaults to all False."""
+        ``departed`` defaults to all False and the clock starts at 0.0."""
         values = (capacity_kwh, soc, soc_min, rate_min_kw, rate_max_kw, eta)
         for name, column in zip(_FLOAT_FIELDS, values):
             setattr(self, name, np.array(column, dtype=float))
@@ -168,7 +169,7 @@ class Fleet:
             i = int(bad[0])
             raise ValueError(f"EV {i}: need 0 <= rate_min_kw <= rate_max_kw, got "
                              f"[{float(self.rate_min_kw[i])}, {float(self.rate_max_kw[i])}]")
-        self.time_h = time_h
+        self.time_h = 0.0
 
     @property
     def evs(self) -> _EvViews:
@@ -217,10 +218,11 @@ def apply_discharge(fleet: Fleet, rate_kw: float, dt_h: float) -> Fleet:
 
     SOC drops by rate*dt/capacity, floored at zero; EVs whose SOC crosses
     below their floor mid-step keep the step's discharge and become
-    unavailable from the next step on. Unavailable EVs are untouched.
+    unavailable from the next step on. Unavailable EVs are untouched; with
+    none available the step only advances the clock.
     """
-    if not dt_h > 0.0:
-        raise ValueError(f"dt_h must be > 0, got {dt_h}")
+    if not 0.0 < dt_h < math.inf:
+        raise ValueError(f"dt_h must be finite and > 0, got {dt_h}")
     avail = fleet.available()
     outside = avail & ~((fleet.rate_min_kw <= rate_kw) & (rate_kw <= fleet.rate_max_kw))
     if outside.any():
@@ -249,37 +251,23 @@ def grid_power_kw(fleet: Fleet, rate_kw: float) -> float:
     return rate_kw * eta_sum_available(fleet)
 
 
-def distance_home_km(
-    ev: EvState,
-    km_per_kwh: float = DEFAULT_KM_PER_KWH,
-    basis: str = "reserve",
-) -> float:
-    """Driving distance covered by the EV's energy floor.
-
-    ``basis="reserve"`` uses the user-specified SOC floor (the energy kept for
-    the trip home); ``basis="current"`` uses the present SOC instead.
-    """
-    if km_per_kwh <= 0.0:
-        raise ValueError(f"km_per_kwh must be > 0, got {km_per_kwh}")
-    if basis == "reserve":
-        soc = ev.soc_min
-    elif basis == "current":
-        soc = ev.soc
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return soc * ev.capacity_kwh * km_per_kwh
+def distance_home_km(ev: EvState, km_per_kwh: float = DEFAULT_KM_PER_KWH) -> float:
+    """Driving distance covered by the EV's user-specified SOC floor, the
+    energy kept for the trip home."""
+    if not 0.0 < km_per_kwh < math.inf:
+        raise ValueError(f"km_per_kwh must be finite and > 0, got {km_per_kwh}")
+    return ev.soc_min * ev.capacity_kwh * km_per_kwh
 
 
 def distance_histogram(
     fleet: Fleet,
     bin_km: float = 10.0,
     km_per_kwh: float = DEFAULT_KM_PER_KWH,
-    basis: str = "reserve",
 ) -> dict[tuple[float, float], int]:
     """Counts of EVs per distance bin [k*bin_km, (k+1)*bin_km)."""
     counts: dict[tuple[float, float], int] = {}
     for ev in fleet.evs:
-        d = distance_home_km(ev, km_per_kwh, basis)
+        d = distance_home_km(ev, km_per_kwh)
         k = int(d // bin_km)
         key = (k * bin_km, (k + 1) * bin_km)
         counts[key] = counts.get(key, 0) + 1

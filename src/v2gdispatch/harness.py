@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import cwoa_solve, gwo_solve, make_penalized_fitness, penalized_fitness
+from .baselines import cwoa_solve, gwo_solve, make_penalized_fitness
 from .config import Instance, ScenarioConfig, build_instance
 from .costs import consensus_objective, grid_search_rate
 from .fleet import available_ids, common_rate_bounds
@@ -189,8 +189,8 @@ def compare_solvers(
             CompareRow(
                 seed=s,
                 decentralized_objective=dwoa_obj,
-                cwoa_objective=penalized_fitness(cwoa_vec, costs, config.penalty(), lower, upper),
-                gwo_objective=penalized_fitness(gwo_vec, costs, config.penalty(), lower, upper),
+                cwoa_objective=float(fitness(cwoa_vec)),
+                gwo_objective=float(fitness(gwo_vec)),
             )
         )
     _, oracle_objective = oracle_rate(instance)

@@ -175,10 +175,10 @@ def run_scenario(
     fresh optimization epoch whose random streams are spawned in sequence
     from ``seed``, keeping whole-run determinism.
     """
-    if not horizon_h > 0.0:
-        raise ValueError(f"horizon_h must be > 0, got {horizon_h}")
-    if not dt_h > 0.0:
-        raise ValueError(f"dt_h must be > 0, got {dt_h}")
+    if not 0.0 < horizon_h < math.inf:
+        raise ValueError(f"horizon_h must be finite and > 0, got {horizon_h}")
+    if not 0.0 < dt_h < math.inf:
+        raise ValueError(f"dt_h must be finite and > 0, got {dt_h}")
 
     parent_ss = _as_seed_sequence(seed)
     record = RunRecord()
@@ -214,10 +214,6 @@ def run_scenario(
             epoch += 1
             last_avail = avail
 
-        applied = rate if avail else 0.0
-        record.steps.add(now, applied, grid_power_kw(fleet, applied), fleet.soc)
-        if avail:
-            apply_discharge(fleet, applied, dt_h)
-        else:
-            fleet.time_h += dt_h
+        record.steps.add(now, rate, grid_power_kw(fleet, rate), fleet.soc)
+        apply_discharge(fleet, rate, dt_h)
     return record

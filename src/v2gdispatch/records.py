@@ -6,7 +6,8 @@ consecutive iterations of an epoch (selected index, best rate, best total),
 steps as time, rate and grid power, plus every EV's SOC (by id) at each
 step, held losslessly in ``SocSeries`` (a step's SOC costs bytes only where
 the discharge pattern changes). Rows are
-``IterationRow`` / ``StepRow`` objects built on access. The CSV is
+``IterationRow`` / ``StepRow`` objects built on access; step rows are built
+only by iterating a ``StepLog``, which is written through ``add``. The CSV is
 append-ordered, versioned and fully deterministic: floats are written with
 repr (shortest exact round-trip), so export -> import -> export reproduces
 the file byte for byte; a step without SOC has an empty soc field.
@@ -112,12 +113,8 @@ class IterationLog(Sequence):
             self.segments.append(last)
         last.append(row.selected_index, row.best_rate_kw, row.best_total_cost)
 
-    def extend(self, rows) -> None:
-        if isinstance(rows, IterationLog):
-            self.segments.extend(segment.copy() for segment in rows.segments)
-        else:
-            for row in rows:
-                self.append(row)
+    def extend(self, other: "IterationLog") -> None:
+        self.segments.extend(segment.copy() for segment in other.segments)
 
     def __len__(self) -> int:
         return sum(len(segment) for segment in self.segments)
@@ -182,7 +179,7 @@ class SocSeries:
             yield bits.view(np.float64)
 
 
-class StepLog(Sequence):
+class StepLog:
     """A record's step rows as columns; per-EV SOC as runs of ``SocSeries``."""
 
     __slots__ = ("time_h", "rate_kw", "grid_power_kw", "_soc_runs", "_run_steps")
@@ -210,12 +207,10 @@ class StepLog(Sequence):
             self._soc_runs.append(None if row is None else SocSeries(row))
             self._run_steps.append(1)
 
-    def append(self, row: StepRow) -> None:
-        self.add(row.time_h, row.rate_kw, row.grid_power_kw, row.soc)
-
-    def extend(self, rows) -> None:
-        for row in rows:
-            self.append(row)
+    def extend(self, other: "StepLog") -> None:
+        for time_h, rate, power, soc in zip(other.time_h, other.rate_kw, other.grid_power_kw,
+                                            other.soc_rows()):
+            self.add(time_h, rate, power, soc)
 
     def __len__(self) -> int:
         return len(self.time_h)
@@ -227,23 +222,6 @@ class StepLog(Sequence):
                 yield from (None,) * n
             else:
                 yield from series.rows()
-
-    def _soc_tuple(self, i: int) -> tuple[float, ...]:
-        for series, n in zip(self._soc_runs, self._run_steps):
-            if i < n:
-                if series is None:
-                    return ()
-                for j, soc in enumerate(series.rows()):
-                    if j == i:
-                        return tuple(soc.tolist())
-            i -= n
-        raise AssertionError("unreachable")
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = _locate(index, len(self))
-        return StepRow(self.time_h[i], self.rate_kw[i], self.grid_power_kw[i], self._soc_tuple(i))
 
     def __iter__(self):
         for time_h, rate, power, soc in zip(self.time_h, self.rate_kw, self.grid_power_kw,

@@ -8,7 +8,6 @@ from v2gdispatch.baselines import (
     cwoa_solve,
     gwo_solve,
     make_penalized_fitness,
-    penalized_fitness,
 )
 from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.costs import consensus_objective, grid_search_rate
@@ -35,7 +34,7 @@ def test_penalty_config_validation():
 
 def test_consensus_vector_gets_no_penalty(small):
     vec = np.full(8, 3.7)
-    fitness = penalized_fitness(vec, small, PEN, 0.0, 6.6)
+    fitness = float(make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)(vec))
     true_obj = float(consensus_objective(3.7, small.ev, small.agg))
     assert fitness == pytest.approx(true_obj, rel=1e-12)
 
@@ -43,19 +42,20 @@ def test_consensus_vector_gets_no_penalty(small):
 def test_maximal_spread_adds_full_cap(small):
     vec = np.array([0.0, 6.6] * 4)
     lenient = PenaltyConfig(cap=10.0, tolerance_kw=1e9)  # never triggers
-    without = penalized_fitness(vec, small, lenient, 0.0, 6.6)
-    with_pen = penalized_fitness(vec, small, PEN, 0.0, 6.6)
+    without = make_penalized_fitness(small.ev, small.agg, lenient, 0.0, 6.6)(vec)
+    with_pen = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)(vec)
     assert with_pen - without == 10.0
 
 
 def test_fitness_never_below_true_objective(small):
     rng = np.random.default_rng(3)
-    lenient = PenaltyConfig(cap=10.0, tolerance_kw=1e9)
+    fitness = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)
+    lenient = make_penalized_fitness(
+        small.ev, small.agg, PenaltyConfig(cap=10.0, tolerance_kw=1e9), 0.0, 6.6
+    )
     for _ in range(1000):
         vec = rng.uniform(0.0, 6.6, 8)
-        assert penalized_fitness(vec, small, PEN, 0.0, 6.6) >= penalized_fitness(
-            vec, small, lenient, 0.0, 6.6
-        )
+        assert fitness(vec) >= lenient(vec)
 
 
 def test_penalty_grades_with_spread(small):
@@ -75,7 +75,7 @@ def test_penalty_grades_with_spread(small):
 
 def test_vector_length_checked(small):
     with pytest.raises(ValueError):
-        penalized_fitness(np.ones(5), small, PEN, 0.0, 6.6)
+        make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)(np.ones(5))
 
 
 def test_batch_matches_single_rows(small):

@@ -18,6 +18,12 @@ from v2gdispatch.dwoa import (
     alpha_schedule,
     init_pool,
 )
+from v2gdispatch.orchestrator import ecn_select_best
+
+
+def _evaluate(pool: WhalePool, values) -> None:
+    """Record ``values`` at the candidate the ECN selects, as an iteration does."""
+    pool.record_evaluation(values, ecn_select_best(np.asarray(values).tolist()))
 
 
 def test_alpha_schedule_endpoints_and_midpoint():
@@ -82,8 +88,8 @@ def update_position(h: int, pool: WhalePool, coeffs: WoaCoefficients, rng) -> fl
     if coeffs.p_rand < 0.5:
         if abs(coeffs.A) < 1.0:
             ref = pool.best_rate
-        elif pool.size > 1:
-            ref = float(pool.positions[int(rng.integers(pool.size))])
+        elif len(pool.positions) > 1:
+            ref = float(pool.positions[int(rng.integers(len(pool.positions)))])
         else:
             ref = pool.lower + (pool.upper - pool.lower) * float(rng.random())
         new = ref - coeffs.A * abs(coeffs.C * ref - cur)
@@ -96,7 +102,7 @@ def update_position(h: int, pool: WhalePool, coeffs: WoaCoefficients, rng) -> fl
 def reference_advance(pool: WhalePool, rng) -> None:
     alpha = alpha_schedule(pool.k, pool.k_max)
     new_positions = np.empty_like(pool.positions)
-    for h in range(pool.size):
+    for h in range(len(pool.positions)):
         coeffs = WoaCoefficients.draw(alpha, rng)
         new_positions[h] = update_position(h, pool, coeffs, rng)
     pool.positions = new_positions
@@ -131,7 +137,7 @@ def test_advance_pool_matches_scalar_reference(m):
         for _ in range(150):
             for pool in pools:
                 positions = pool.positions
-                pool.record_evaluation((positions - 3.1) ** 2 + 0.01 * np.sin(7.0 * positions))
+                _evaluate(pool, (positions - 3.1) ** 2 + 0.01 * np.sin(7.0 * positions))
             advance_pool(pools[0], rngs[0])
             reference_advance(pools[1], rngs[1])
             assert pools[0].positions.tobytes() == pools[1].positions.tobytes()
@@ -231,18 +237,24 @@ def test_single_whale_search_branch_uses_uniform_reference():
 def test_positions_stay_in_bounds_every_iteration():
     rng = np.random.default_rng(5)
     pool = init_pool(8, 1.0, 5.0, 60, rng)
-    pool.record_evaluation(rng.uniform(0.0, 1.0, 8))
+    _evaluate(pool, rng.uniform(0.0, 1.0, 8))
     for _ in range(60):
         advance_pool(pool, rng)
         assert np.all(pool.positions >= 1.0)
         assert np.all(pool.positions <= 5.0)
-        pool.record_evaluation((pool.positions - 3.0) ** 2)
+        _evaluate(pool, (pool.positions - 3.0) ** 2)
 
 
 def test_record_evaluation_tie_breaks_to_lowest_index():
     pool = WhalePool(positions=np.array([2.0, 1.0, 1.5]), lower=0.0, upper=6.6, k_max=5)
-    idx = pool.record_evaluation(np.array([4.0, 4.0, 9.0]))
+    values = np.array([4.0, 4.0, 9.0])
+    idx = ecn_select_best(values.tolist())
+    pool.record_evaluation(values, idx)
     assert idx == 0
+    assert pool.best_rate == 2.0
+    # an equal total later does not displace the incumbent
+    pool.positions = np.array([3.0, 1.0, 1.5])
+    pool.record_evaluation(values, 0)
     assert pool.best_rate == 2.0
 
 
@@ -254,7 +266,7 @@ def _drive_pool(fn, m, k_max, seed, lower=0.0, upper=6.6):
     pool = init_pool(m, lower, upper, max(k_max, 1), rng)
     trace = []
     for _ in range(max(k_max, 1)):
-        pool.record_evaluation(fn(pool.positions))
+        _evaluate(pool, fn(pool.positions))
         trace.append((pool.best_rate, pool.best_value))
         if k_max > 0:
             advance_pool(pool, rng)

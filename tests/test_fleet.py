@@ -123,7 +123,9 @@ def test_apply_discharge_validates_inputs():
         apply_discharge(fleet, 3.0, 0.0)
     with pytest.raises(ValueError, match="dt_h"):
         apply_discharge(fleet, 1.0, float("nan"))
-    assert fleet.time_h == 0.0 and not np.isnan(fleet.soc).any()
+    with pytest.raises(ValueError, match="dt_h"):
+        apply_discharge(fleet, 1.0, float("inf"))
+    assert fleet.time_h == 0.0 and fleet.soc.tolist() == [0.8]
 
 
 def test_soc_monotone_and_exclusion_permanent():
@@ -162,13 +164,12 @@ def test_distance_home_reserve_basis():
     assert distance_home_km(_fleet(soc_min=0.0).evs[0]) == 0.0
 
 
-def test_distance_home_current_basis_and_errors():
+def test_distance_home_ignores_current_soc_and_checks_km_per_kwh():
     ev = _fleet(soc=0.5, soc_min=0.2, capacity=20.0).evs[0]
-    assert distance_home_km(ev, basis="current") == pytest.approx(0.5 * 20.0 * 8.26)
-    with pytest.raises(ValueError):
-        distance_home_km(ev, km_per_kwh=0.0)
-    with pytest.raises(ValueError):
-        distance_home_km(ev, basis="nope")
+    assert distance_home_km(ev) == distance_home_km(_fleet(soc=0.9, soc_min=0.2).evs[0])
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="km_per_kwh"):
+            distance_home_km(ev, km_per_kwh=bad)
 
 
 def test_distance_histogram_counts_by_enumeration():

@@ -189,15 +189,16 @@ def test_scenario_departure_triggers_reoptimization(instance):
     )
     epochs = sorted({row.epoch for row in record.iterations})
     assert epochs == [0, 1]
-    early = {row.rate_kw for row in record.steps[:3]}
-    late = {row.rate_kw for row in record.steps[3:]}
+    steps = list(record.steps)
+    early = {row.rate_kw for row in steps[:3]}
+    late = {row.rate_kw for row in steps[3:]}
     assert len(early) == 1 and len(late) == 1
     assert early != late
     counts = {row.epoch: row.n_available for row in record.iterations}
     assert counts[0] == 12 and counts[1] == 6
     # departed EVs stop discharging: their soc freezes after the event
-    soc_at_event = record.steps[3].soc
-    soc_end = record.steps[-1].soc
+    soc_at_event = steps[3].soc
+    soc_end = steps[-1].soc
     for i in half:
         assert soc_end[i] == soc_at_event[i]
 
@@ -238,6 +239,11 @@ def test_scenario_validates_horizon(instance):
         run_scenario(instance.fleet, instance.costs, dt_h=float("nan"))
     with pytest.raises(ValueError, match="horizon_h"):
         run_scenario(instance.fleet, instance.costs, horizon_h=float("nan"))
+    with pytest.raises(ValueError, match="dt_h"):
+        run_scenario(instance.fleet, instance.costs, dt_h=float("inf"))
+    with pytest.raises(ValueError, match="horizon_h"):
+        run_scenario(instance.fleet, instance.costs, horizon_h=float("inf"))
+    assert instance.fleet.time_h == 0.0
 
 
 def test_scenario_rides_through_full_depletion():
@@ -250,5 +256,26 @@ def test_scenario_rides_through_full_depletion():
         m_whales=2, k_max=15, seed=1,
     )
     assert len(record.steps) == 4
-    assert record.steps[-1].rate_kw == 0.0
-    assert record.steps[-1].grid_power_kw == 0.0
+    last = list(record.steps)[-1]
+    assert last.rate_kw == 0.0
+    assert last.grid_power_kw == 0.0
+
+
+def test_scenario_clock_advances_through_empty_steps():
+    # the fleet empties after its first step; the clock keeps going and the
+    # empty steps record no rate, no power and frozen SOC
+    cfg = ScenarioConfig(n_evs=6, seed=13, m_whales=2, k_max=15)
+    instance = build_instance(cfg)
+    fleet = instance.fleet
+    fleet.soc[:] = fleet.soc_min + 0.005
+    record = run_scenario(fleet, instance.costs, dt_h=0.5, horizon_h=2.0,
+                          m_whales=2, k_max=15, seed=1)
+    assert record.steps.time_h.tolist() == [0.0, 0.5, 1.0, 1.5]
+    assert fleet.time_h == 2.0
+    steps = list(record.steps)
+    empty = [j for j, row in enumerate(steps)
+             if not any(soc >= floor for soc, floor in zip(row.soc, fleet.soc_min))]
+    assert empty and empty == list(range(empty[0], len(steps)))
+    for row in steps[empty[0]:]:
+        assert row.rate_kw == 0.0 and row.grid_power_kw == 0.0
+        assert row.soc == steps[empty[0]].soc

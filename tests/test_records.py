@@ -8,7 +8,6 @@ from v2gdispatch.records import (
     IterationRow,
     RunRecord,
     StepLog,
-    StepRow,
     export_run,
     import_run,
 )
@@ -25,13 +24,7 @@ def _record():
             )
         )
     for s in range(10):
-        rec.steps.append(
-            StepRow(
-                time_h=s * 0.1, rate_kw=4.5,
-                grid_power_kw=4.5 * 90.123456789,
-                soc=(0.8 - s * 0.01, 1 / 3, 0.9),
-            )
-        )
+        rec.steps.add(s * 0.1, 4.5, 4.5 * 90.123456789, (0.8 - s * 0.01, 1 / 3, 0.9))
     return rec
 
 
@@ -106,9 +99,11 @@ def test_extend_merges_traces():
         IterationRow(epoch=1, k=0, selected_index=0, best_rate_kw=5.0,
                      best_total_cost=0.0, n_available=50)
     )
+    b.steps.add(1.0, 5.0, 4.5, (0.7, 1 / 3, 0.9))
     a.extend(b)
     assert len(a.iterations) == n_iter + 1
-    assert len(a.steps) == n_step
+    assert len(a.steps) == n_step + 1
+    assert list(a.steps)[-1] == list(b.steps)[0]
     assert a.oracle_calls_ev == 7 and a.oracle_calls_agg == 3
 
 
@@ -127,7 +122,6 @@ def test_step_soc_is_kept_bit_for_bit():
     expected = [() if soc is None else tuple(np.asarray(soc).tolist()) for soc in rows]
     as_bits = lambda socs: [np.array(s, dtype=float).view(np.uint64).tolist() for s in socs]
     assert as_bits(row.soc for row in log) == as_bits(expected)
-    assert as_bits(log[i].soc for i in range(len(rows))) == as_bits(expected)
     assert list(log.soc_rows())[3] is None
 
 
