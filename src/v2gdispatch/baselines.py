@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import AggCostParams, EvCostTable
+from .costs import AggCostParams, EvCostTable, agg_cost_of_power
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,7 @@ def make_penalized_fitness(
         if pop.shape[1] != len(eta):
             raise ValueError(f"expected {len(eta)} rates per row, got {pop.shape[1]}")
         ev_cost = (pop * pop) @ alpha + pop @ (beta - price) + const.sum()
-        delivered = pop @ eta
-        raw = pop.sum(axis=1)
-        agg_cost = (
-            agg_params.gen_a * delivered * delivered
-            + agg_params.gen_b * delivered
-            + agg_params.gen_c
-            - agg_params.omega * np.log(raw + 1.0)
-        )
+        agg_cost = agg_cost_of_power(pop @ eta, pop.sum(axis=1), agg_params)
         spread = pop.max(axis=1) - pop.min(axis=1)
         pen = np.where(
             spread > penalty.tolerance_kw,

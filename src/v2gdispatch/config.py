@@ -165,6 +165,10 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
     if config.horizon_h <= 0.0:
         raise ConfigError(f"horizon_h: must be > 0, got {config.horizon_h}")
     steps = config.horizon_h / config.dt_h
+    if steps == math.inf:
+        raise ConfigError(
+            f"horizon_h: {config.horizon_h} h is too many {config.dt_h} h steps to count"
+        )
     if not math.isclose(steps, round(steps), rel_tol=1e-9):
         raise ConfigError(
             f"horizon_h: {config.horizon_h} is not a whole number of {config.dt_h} h steps"

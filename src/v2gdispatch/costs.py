@@ -13,6 +13,10 @@ revenue from selling the power. The aggregator's net cost over per-EV rates
 with ``D = sum(eta_i * c_i)`` the AC power actually delivered (generation-cost
 proxy) and ``R = sum(c_i)`` the raw DC power (utility term). Note the utility
 term sums raw rates while the generation term sums efficiency-scaled rates.
+``agg_cost_of_power`` is the one allocating form of ``Agg``, from D and R;
+``agg_consensus_cost`` and the centralized baselines' fitness both call it.
+``CostMatrix`` keeps an in-place copy of the same operations, so the
+per-iteration path allocates nothing.
 
 Both models support scalar rates or numpy arrays of rates elementwise.
 Per-EV coefficients are held only as columns, one row per EV
@@ -104,9 +108,14 @@ def agg_consensus_cost(rate, params: AggCostParams):
     """
     if _any_negative(rate):
         raise ValueError("discharge rate must be >= 0")
-    n = len(params.eta_array)
-    delivered = params.eta_sum * rate
-    raw = n * rate
+    return agg_cost_of_power(params.eta_sum * rate, len(params.eta_array) * rate, params)
+
+
+def agg_cost_of_power(delivered, raw, params: AggCostParams):
+    """The module's ``Agg`` from its two power sums: ``delivered`` D and ``raw`` R.
+
+    Scalar or elementwise over arrays; rates are not checked here.
+    """
     generation = params.gen_a * delivered * delivered + params.gen_b * delivered + params.gen_c
     return generation - params.omega * np.log(raw + 1.0)
 
@@ -142,7 +151,7 @@ class CostMatrix:
 
     def __call__(self, rates: np.ndarray) -> np.ndarray:
         agg, ev = self.values[0], self.values[1:]
-        # agg_consensus_cost
+        # agg_consensus_cost: agg_cost_of_power in place
         eta_sum, n, gen_a, gen_b, gen_c, omega = self._agg_constants
         delivered, work = self._agg_work
         np.multiply(eta_sum, rates, out=delivered)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_KM_PER_KWH = 8.26
+KM_PER_KWH = 8.26  # driving range per kWh of the reserve
+BIN_KM = 10.0  # width of a distance_histogram bin
 
 # per-EV float columns
 _FLOAT_FIELDS = ("capacity_kwh", "soc", "soc_min", "rate_min_kw", "rate_max_kw", "eta")
@@ -251,24 +252,18 @@ def grid_power_kw(fleet: Fleet, rate_kw: float) -> float:
     return rate_kw * eta_sum_available(fleet)
 
 
-def distance_home_km(ev: EvState, km_per_kwh: float = DEFAULT_KM_PER_KWH) -> float:
+def distance_home_km(ev: EvState) -> float:
     """Driving distance covered by the EV's user-specified SOC floor, the
     energy kept for the trip home."""
-    if not 0.0 < km_per_kwh < math.inf:
-        raise ValueError(f"km_per_kwh must be finite and > 0, got {km_per_kwh}")
-    return ev.soc_min * ev.capacity_kwh * km_per_kwh
+    return ev.soc_min * ev.capacity_kwh * KM_PER_KWH
 
 
-def distance_histogram(
-    fleet: Fleet,
-    bin_km: float = 10.0,
-    km_per_kwh: float = DEFAULT_KM_PER_KWH,
-) -> dict[tuple[float, float], int]:
-    """Counts of EVs per distance bin [k*bin_km, (k+1)*bin_km)."""
+def distance_histogram(fleet: Fleet) -> dict[tuple[float, float], int]:
+    """Counts of EVs per distance bin [k*BIN_KM, (k+1)*BIN_KM)."""
     counts: dict[tuple[float, float], int] = {}
     for ev in fleet.evs:
-        d = distance_home_km(ev, km_per_kwh)
-        k = int(d // bin_km)
-        key = (k * bin_km, (k + 1) * bin_km)
+        d = distance_home_km(ev)
+        k = int(d // BIN_KM)
+        key = (k * BIN_KM, (k + 1) * BIN_KM)
         counts[key] = counts.get(key, 0) + 1
     return dict(sorted(counts.items()))

@@ -179,6 +179,8 @@ def run_scenario(
         raise ValueError(f"horizon_h must be finite and > 0, got {horizon_h}")
     if not 0.0 < dt_h < math.inf:
         raise ValueError(f"dt_h must be finite and > 0, got {dt_h}")
+    if horizon_h / dt_h == math.inf:
+        raise ValueError(f"horizon_h = {horizon_h} is too many dt_h = {dt_h} steps to count")
 
     parent_ss = _as_seed_sequence(seed)
     record = RunRecord()

@@ -87,6 +87,41 @@ def test_batch_matches_single_rows(small):
         assert fitness(row) == value
 
 
+def penalized_fitness_reference(ev, agg, penalty, lower, upper, rates):
+    """The fitness with its aggregator term written out in full."""
+    alpha, beta, gamma, other, price = ev.columns()
+    pop = np.atleast_2d(np.asarray(rates, dtype=float))
+    ev_cost = (pop * pop) @ alpha + pop @ (beta - price) + (gamma + other).sum()
+    delivered = pop @ agg.eta_array
+    raw = pop.sum(axis=1)
+    agg_cost = (
+        agg.gen_a * delivered * delivered
+        + agg.gen_b * delivered
+        + agg.gen_c
+        - agg.omega * np.log(raw + 1.0)
+    )
+    scale = upper - lower
+    spread = pop.max(axis=1) - pop.min(axis=1)
+    pen = np.where(spread > penalty.tolerance_kw, penalty.cap * np.minimum(1.0, spread / scale), 0.0)
+    out = ev_cost + agg_cost + pen
+    return out if np.asarray(rates).ndim > 1 else out[0]
+
+
+@pytest.mark.parametrize("dim", [1, 8, 100])
+@pytest.mark.parametrize("tolerance_kw", [1e-6, 1e9])  # penalty on, off
+def test_fitness_matches_written_out_reference_bit_for_bit(dim, tolerance_kw):
+    costs = build_instance(ScenarioConfig(n_evs=dim, seed=70 + dim)).costs
+    penalty = PenaltyConfig(cap=10.0, tolerance_kw=tolerance_kw)
+    fitness = make_penalized_fitness(costs.ev, costs.agg, penalty, 0.0, 6.6)
+    rng = np.random.default_rng(dim)
+    cases = [np.full(dim, 3.7), rng.uniform(0.0, 6.6, dim), rng.uniform(0.0, 6.6, (30, dim))]
+    for rates in cases:
+        want = penalized_fitness_reference(costs.ev, costs.agg, penalty, 0.0, 6.6, rates)
+        got = fitness(rates)
+        assert np.shape(got) == np.shape(want)
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.fixture(scope="module")
 def one_dim():
     instance = build_instance(ScenarioConfig(n_evs=1, seed=33))

@@ -108,6 +108,7 @@ def test_schema_version_checked():
         ({"soc_range": [float("nan"), 0.9]}, "soc_range: must be finite"),
         ({"capacity_range_kwh": [15.0, float("inf")]}, "capacity_range_kwh: must be finite"),
         ({"penalty_spread_scale_kw": float("inf")}, "penalty_spread_scale_kw: must be finite"),
+        ({"dt_h": 1e-300, "horizon_h": 1e10}, "horizon_h"),
     ],
 )
 def test_validation_names_offending_key(data, key):

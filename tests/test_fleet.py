@@ -164,12 +164,9 @@ def test_distance_home_reserve_basis():
     assert distance_home_km(_fleet(soc_min=0.0).evs[0]) == 0.0
 
 
-def test_distance_home_ignores_current_soc_and_checks_km_per_kwh():
+def test_distance_home_ignores_current_soc():
     ev = _fleet(soc=0.5, soc_min=0.2, capacity=20.0).evs[0]
     assert distance_home_km(ev) == distance_home_km(_fleet(soc=0.9, soc_min=0.2).evs[0])
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="km_per_kwh"):
-            distance_home_km(ev, km_per_kwh=bad)
 
 
 def test_distance_histogram_counts_by_enumeration():

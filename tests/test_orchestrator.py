@@ -1,8 +1,5 @@
 """Protocol loop: selection, epochs, determinism, and the scenario time loop."""
 
-import copy
-
-import numpy as np
 import pytest
 
 from v2gdispatch.config import ScenarioConfig, build_instance
@@ -243,6 +240,8 @@ def test_scenario_validates_horizon(instance):
         run_scenario(instance.fleet, instance.costs, dt_h=float("inf"))
     with pytest.raises(ValueError, match="horizon_h"):
         run_scenario(instance.fleet, instance.costs, horizon_h=float("inf"))
+    with pytest.raises(ValueError, match="horizon_h.*dt_h"):
+        run_scenario(instance.fleet, instance.costs, dt_h=1e-300, horizon_h=1e10)
     assert instance.fleet.time_h == 0.0
 
 
