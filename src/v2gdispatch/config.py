@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import PenaltyConfig
 from .costs import AggCostParams, CostSet, sample_ev_cost_params
 from .fleet import Fleet, FleetDistributions, available_ids, sample_fleet
-from .orchestrator import DepartureEvent
+from .orchestrator import MAX_STEPS, DepartureEvent
 from .topology import POLICIES
 
 CONFIG_SCHEMA_VERSION = 1
@@ -165,9 +165,10 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
     if config.horizon_h <= 0.0:
         raise ConfigError(f"horizon_h: must be > 0, got {config.horizon_h}")
     steps = config.horizon_h / config.dt_h
-    if steps == math.inf:
+    if not steps < MAX_STEPS:
         raise ConfigError(
-            f"horizon_h: {config.horizon_h} h is too many {config.dt_h} h steps to count"
+            f"horizon_h: {config.horizon_h} h is too many {config.dt_h} h steps to count "
+            "(2**53 or more)"
         )
     if not math.isclose(steps, round(steps), rel_tol=1e-9):
         raise ConfigError(

@@ -15,8 +15,11 @@ proxy) and ``R = sum(c_i)`` the raw DC power (utility term). Note the utility
 term sums raw rates while the generation term sums efficiency-scaled rates.
 ``agg_cost_of_power`` is the one allocating form of ``Agg``, from D and R;
 ``agg_consensus_cost`` and the centralized baselines' fitness both call it.
-``CostMatrix`` keeps an in-place copy of the same operations, so the
-per-iteration path allocates nothing.
+``CostMatrix`` computes the same operations in place, so the per-iteration
+path allocates nothing: at a common rate ``r`` the generation term is the
+EV formula ``f`` at D = eta_sum * r with coefficients (gen_a, gen_b, gen_c,
+0, 0), so the aggregator is row 0 of the matrix operations every EV row
+runs, and only its utility term is computed apart.
 
 Both models support scalar rates or numpy arrays of rates elementwise.
 Per-EV coefficients are held only as columns, one row per EV
@@ -125,59 +128,55 @@ class CostMatrix:
 
     Row 0 is the aggregator's ``agg_consensus_cost`` and rows 1..N the net
     costs ``f`` of the EVs of ``ev`` in order, bit for bit: the same
-    elementwise operations in the same order. What is fixed across calls is
-    set up once: the aggregator's constants, the EV coefficients spread to
-    (N, M) arrays (contiguous operands keep each operation one flat loop
-    rather than N short broadcast ones) and the (N+1) x M output. Each call
+    elementwise operations in the same order. Row 0 runs the EV operations
+    on the delivered power with the coefficients (gen_a, gen_b, gen_c, 0,
+    0): ``gen_a > 0`` and D >= 0 keep the sum before ``+ 0.0`` from being
+    -0.0, so adding 0 and subtracting ``0.0 * D`` change no bit. Then its
+    utility term is subtracted. What is fixed across calls is set up once:
+    the coefficients spread to (N+1, M) arrays (contiguous operands keep
+    each operation one flat loop rather than N short broadcast ones), the
+    aggregator's utility constants and the (N+1) x M output. Each call
     refills and returns the same ``values`` array. Rates must be >= 0,
     which is not checked per call.
     """
 
-    __slots__ = ("values", "_ev_coefficients", "_agg_constants", "_rates", "_ev_work",
-                 "_agg_work")
+    __slots__ = ("values", "_coefficients", "_utility", "_rates", "_work")
 
     def __init__(self, ev: "EvCostTable", agg: AggCostParams, m: int):
         if len(ev) != len(agg.eta_array):
             raise ValueError(f"{len(ev)} EV cost params but {len(agg.eta_array)} efficiencies")
-        shape = (len(ev), m)
-        self._ev_coefficients = tuple(np.repeat(column[:, None], m, axis=1)
-                                      for column in ev.columns())
-        self._agg_constants = (agg.eta_sum, len(agg.eta_array), agg.gen_a, agg.gen_b, agg.gen_c,
-                               agg.omega)
-        self.values = np.empty((len(ev) + 1, m))
+        shape = (len(ev) + 1, m)
+        generation = (agg.gen_a, agg.gen_b, agg.gen_c, 0.0, 0.0)
+        self._coefficients = tuple(np.repeat(np.concatenate(([a], column))[:, None], m, axis=1)
+                                   for a, column in zip(generation, ev.columns()))
+        self._utility = (agg.eta_sum, len(agg.eta_array), agg.omega)
+        self.values = np.empty(shape)
         self._rates = np.empty(shape)
-        self._ev_work = np.empty(shape)
-        self._agg_work = np.empty((2, m))
+        self._work = np.empty(shape)
 
     def __call__(self, rates: np.ndarray) -> np.ndarray:
-        agg, ev = self.values[0], self.values[1:]
-        # agg_consensus_cost: agg_cost_of_power in place
-        eta_sum, n, gen_a, gen_b, gen_c, omega = self._agg_constants
-        delivered, work = self._agg_work
-        np.multiply(eta_sum, rates, out=delivered)
-        np.multiply(gen_a, delivered, out=agg)
-        agg *= delivered
-        np.multiply(gen_b, delivered, out=work)
-        agg += work
-        agg += gen_c
-        np.multiply(n, rates, out=work)
-        work += 1.0
-        np.log(work, out=work)
-        np.multiply(omega, work, out=work)
-        agg -= work
-        # _ev_cost, row by row
-        alpha, beta, gamma, other, price = self._ev_coefficients
-        tiled, work = self._rates, self._ev_work
-        tiled[...] = rates
-        np.multiply(alpha, tiled, out=ev)
-        ev *= tiled
+        eta_sum, n, omega = self._utility
+        alpha, beta, gamma, other, price = self._coefficients
+        values, tiled, work = self.values, self._rates, self._work
+        np.multiply(eta_sum, rates, out=tiled[0])  # the delivered power D
+        tiled[1:] = rates
+        # _ev_cost, every row at once; row 0 is the generation term
+        np.multiply(alpha, tiled, out=values)
+        values *= tiled
         np.multiply(beta, tiled, out=work)
-        ev += work
-        ev += gamma
-        ev += other
+        values += work
+        values += gamma
+        values += other
         np.multiply(price, tiled, out=work)
-        ev -= work
-        return self.values
+        values -= work
+        # the aggregator's utility term, as agg_cost_of_power has it
+        utility = work[0]
+        np.multiply(n, rates, out=utility)
+        utility += 1.0
+        np.log(utility, out=utility)
+        np.multiply(omega, utility, out=utility)
+        values[0] -= utility
+        return values
 
 
 _EV_COST_FIELDS = ("alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price")

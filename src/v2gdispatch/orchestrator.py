@@ -12,13 +12,21 @@ matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
 order, quantized once, masked by one ``draw_split`` / ``mask_units`` round and
 summed per column.
 
-What an epoch fixes is set up once, before its iterations: the available
-EVs' cost coefficients spread to (N, M) columns, the aggregator's constants
-and the (N+1) x M cost buffer (``costs.CostMatrix``); the split buffers,
-whose single-edge rows keep their share destinations, so a round draws only
-the fractions and the aggregator's M destinations; and one check that the
-rate bounds are non-negative, which covers every candidate. Per iteration
-run only the arithmetic and the draws.
+What an epoch fixes is set up once, before its iterations:
+- the cost coefficients spread to (N+1) x M arrays, the aggregator's row 0
+  among them, and the (N+1) x M cost buffer (``costs.CostMatrix``);
+- the wire buffers (``shuffle.WireBuffers``): the scaled values, the int64
+  units and the masked units, whose largest magnitude the quantisation
+  hands to the headroom check; the mask reuses the first two for the kept
+  shares and the sends;
+- the split buffers, whose single-edge rows keep their share destinations,
+  and the split plan cached on the topology (``NeighborMap.split_plan``):
+  each multi-edge row's degree and target slots, so a round draws only the
+  fractions and the aggregator's M destinations;
+- one check that the rate bounds are non-negative, which covers every
+  candidate.
+Per iteration run only the arithmetic and the draws, each array touched
+once.
 
 A scenario run repeats epochs over simulated time: whenever the available set
 changes (scheduled departures or SOC floors crossed), a fresh epoch
@@ -40,6 +48,7 @@ from .records import IterationSegment, RunRecord
 from .shuffle import (
     DEFAULT_UNIT_BITS,
     ProtocolError,
+    WireBuffers,
     candidate_totals,
     check_headroom,
     draw_split,
@@ -49,6 +58,10 @@ from .shuffle import (
 )
 from .shuffle import shuffle_round  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .topology import build_topology
+
+# time is a step index; from 2**53 steps on, float64 cannot tell consecutive
+# step times (nor step counts) apart
+MAX_STEPS = 2**53
 
 
 def ecn_select_best(totals) -> int:
@@ -127,20 +140,18 @@ def run_optimization(
     topology = build_topology(fleet, topology_policy, np.random.default_rng(topo_ss))
 
     cost_matrix = CostMatrix(costs.ev.take(avail), costs.agg.restrict(avail), m_whales)
-    ev_values = len(avail) * m_whales  # EV cost values scored per iteration
+    wire = WireBuffers(cost_matrix.values.shape)
     split = None
     n_iterations = max(k_max, 1)
     pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
     trace = []  # (selected index, best rate, best total) per iteration
     for k in range(n_iterations):
         values = cost_matrix(pool.positions)
-        record.oracle_calls_agg += m_whales
-        record.oracle_calls_ev += ev_values
-        units = to_units_array(values, unit_bits)
-        check_headroom(units)
+        units = to_units_array(values, unit_bits, out=wire)
+        check_headroom(units, wire.peak)
         if shuffle_enabled:
             split = draw_split(topology, m_whales, shuffle_rng, out=split)
-            units = mask_units(units, *split)
+            units = mask_units(units, *split, out=wire)
         totals = from_units_array(candidate_totals(units), unit_bits)
         selected = ecn_select_best(totals.tolist())
         pool.record_evaluation(totals, selected)
@@ -148,6 +159,8 @@ def run_optimization(
         if k_max > 0:
             advance_pool(pool, dwoa_rng)
 
+    record.oracle_calls_agg += m_whales * n_iterations
+    record.oracle_calls_ev += len(avail) * m_whales * n_iterations
     record.iterations.segments.append(IterationSegment(epoch, len(avail), 0, *zip(*trace)))
     return pool.best_rate, record
 
@@ -179,8 +192,9 @@ def run_scenario(
         raise ValueError(f"horizon_h must be finite and > 0, got {horizon_h}")
     if not 0.0 < dt_h < math.inf:
         raise ValueError(f"dt_h must be finite and > 0, got {dt_h}")
-    if horizon_h / dt_h == math.inf:
-        raise ValueError(f"horizon_h = {horizon_h} is too many dt_h = {dt_h} steps to count")
+    if not horizon_h / dt_h < MAX_STEPS:
+        raise ValueError(f"horizon_h = {horizon_h} is too many dt_h = {dt_h} steps to count "
+                         "(2**53 or more)")
 
     parent_ss = _as_seed_sequence(seed)
     record = RunRecord()

@@ -20,6 +20,10 @@ for an aggregator). ``draw_split`` draws every kept fraction and share
 destination from the graph's integer arrays, ``mask_units`` applies them;
 neither holds an ``AgentId``. ``shuffle_round`` is the same round over an
 agent-keyed mapping.
+
+A run of rounds over one matrix shape can pass the same ``WireBuffers`` to
+``to_units_array``, ``check_headroom`` and ``mask_units``, so each round
+touches each matrix once and allocates none.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 # deliver_round stays bound here: perfbench/tracer.py wraps shuffle.deliver_round
-from .topology import AgentId, NeighborMap, TopologyError, deliver_round  # noqa: F401
+from .topology import AgentId, NeighborMap, deliver_round  # noqa: F401
 
 DEFAULT_UNIT_BITS = 40
 _INT64_BOUND = 2.0**63  # magnitudes at or beyond this do not fit int64
@@ -41,34 +45,65 @@ class ProtocolError(RuntimeError):
     outside [0, 1]."""
 
 
-def to_units_array(values: np.ndarray, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
+class WireBuffers:
+    """The matrices of one round on the wire, reused by every round of a run.
+
+    ``to_units_array(values, out=wire)`` leaves ``rint(values * 2**unit_bits)``
+    in ``scaled`` (whole numbers, held exactly as floats), their int64 cast
+    in ``units`` and their largest magnitude in ``peak``, which
+    ``check_headroom`` takes instead of scanning the units again.
+    ``mask_units(wire.units, ..., out=wire)`` then overwrites ``scaled``
+    with the kept shares and ``units`` with the sends, and returns
+    ``masked``.
+    """
+
+    __slots__ = ("scaled", "units", "masked", "peak")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.scaled = np.empty(shape)
+        self.units = np.empty(shape, dtype=np.int64)
+        self.masked = np.empty(shape, dtype=np.int64)
+        self.peak = 0.0
+
+
+def to_units_array(values, unit_bits: int = DEFAULT_UNIT_BITS,
+                   out: WireBuffers | None = None) -> np.ndarray:
     """Quantize currency values to int64 grid units; raises ProtocolError for
-    a value whose units int64 cannot hold (or that is not finite)."""
-    scaled = np.asarray(values, dtype=float) * float(1 << unit_bits)
+    a value whose units int64 cannot hold (or that is not finite), before
+    any value is cast. ``out`` (of the values' shape) receives the units,
+    see ``WireBuffers``; without it, fresh buffers do."""
+    if out is None:
+        out = WireBuffers(np.shape(values))
+    scaled = np.multiply(values, float(1 << unit_bits), out=out.scaled)
     np.rint(scaled, out=scaled)
     # the largest magnitude is NaN when any value is
-    if not np.abs(scaled).max(initial=0.0) < _INT64_BOUND:
+    peak = np.abs(scaled).max(initial=0.0)
+    if not peak < _INT64_BOUND:
         raise ProtocolError(f"value beyond the int64 wire at {unit_bits} unit bits")
-    return scaled.astype(np.int64)
+    out.peak = peak
+    out.units[...] = scaled
+    return out.units
 
 
-def check_headroom(units: np.ndarray) -> None:
+def check_headroom(units: np.ndarray, peak: float | None = None) -> None:
     """Raise ProtocolError unless every column's sum of |units| is below 2**63.
 
     A row keeps ``rint(f * u)`` of its value ``u`` and sends the rest, so
     both shares lie between 0 and ``u``; every masked value, column total
     and partial sum of one is therefore bounded by its column's sum of
-    |units|, and under this bound none can wrap.
+    |units|, and under this bound none can wrap. ``peak`` is the largest
+    |unit| when the caller has it already (``WireBuffers.peak``).
     """
     if units.size == 0:
         return
-    # as uint64, since int64 cannot hold |-2**63|
-    magnitudes = np.abs(units).view(np.uint64)
+    if peak is None:
+        # as uint64, since int64 cannot hold |-2**63|
+        peak = np.abs(units).view(np.uint64).max()
     # rows times the largest magnitude bounds every column's sum: almost
     # always far below the bound, which settles every column at once
-    if units.shape[0] * int(magnitudes.max()) < 1 << 62:
+    if units.shape[0] * int(peak) < 1 << 62:
         return
-    spans = magnitudes.sum(axis=0, dtype=float)
+    spans = np.abs(units).view(np.uint64).sum(axis=0, dtype=float)
     # the float sums are far closer than a factor 2 to the exact ones:
     # only a column near the bound needs the exact integer sum
     for h in np.flatnonzero(spans >= 2.0**62).tolist():
@@ -80,8 +115,8 @@ def check_headroom(units: np.ndarray) -> None:
             )
 
 
-def from_units_array(units: np.ndarray, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
-    return np.asarray(units, dtype=float) * 2.0 ** -unit_bits
+def from_units_array(units, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
+    return np.multiply(units, 2.0 ** -unit_bits)
 
 
 def _stacked(values_by_agent: Mapping[AgentId, np.ndarray]) -> tuple[list[AgentId], np.ndarray]:
@@ -120,49 +155,55 @@ def draw_split(
     ``out`` takes the pair an earlier draw over the same topology and ``m``
     returned, and refills it in place: a single-edge row's destinations
     never change, so a round redraws only the fractions and the multi-edge
-    rows' destinations.
+    rows' destinations, picked from the topology's ``split_plan`` (which
+    raises TopologyError for a row with no out-edge).
     """
-    n_rows = len(topology.ids)
     if out is None:
-        out = np.empty((n_rows, m)), topology.share_slots(m)
+        out = np.empty((len(topology.ids), m)), topology.share_slots(m)
     fractions, destinations = out
-    stops = topology.multi_edge_rows
+    columns, picks = topology.split_plan(m)
     if forced:
         for r, f in forced.items():
             if not np.all((0.0 <= f) & (f <= 1.0)):
                 raise ProtocolError(f"forced fractions for row {r} must lie in [0, 1]")
-        stops = sorted(set(stops) | set(forced))
+        multi = {r: (degree, slots) for r, degree, slots in picks}
+        picks = [(r, *multi.get(r, (1, None))) for r in sorted(multi.keys() | forced.keys())]
     start = 0
-    for r in stops:
+    for r, degree, slots in picks:
         if r > start:
             rng.random(out=fractions[start:r])
         if forced and r in forced:
             fractions[r] = forced[r]
         else:
             rng.random(out=fractions[r])
-        first, last = topology.indptr[r], topology.indptr[r + 1]
-        if last - first == 0:
-            raise TopologyError(f"agent {topology.rows[r]} has no out-edges")
-        if last - first > 1:
-            picked = topology.targets[first + rng.integers(last - first, size=m)]
-            np.add(picked * m, np.arange(m), out=destinations[r])
+        if degree > 1:
+            np.add(slots[rng.integers(degree, size=m)], columns, out=destinations[r])
         start = r + 1
-    if start < n_rows:
+    if start < len(fractions):
         rng.random(out=fractions[start:])
     return out
 
 
-def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarray) -> np.ndarray:
+def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarray,
+               out: WireBuffers | None = None) -> np.ndarray:
     """Additive split of every value of an int64 (rows, m) unit matrix.
 
     Row r keeps ``rint(fraction * units)`` of candidate h and sends the rest
     to the flat slot ``destinations[r, h]`` (see ``draw_split``); each row
     reports what it kept plus what it received. Column sums are conserved
-    exactly. The input is unchanged.
+    exactly. Without ``out`` the input is unchanged. ``out`` is the
+    ``WireBuffers`` that ``to_units_array`` filled with these units: the
+    round then works in its buffers and returns ``out.masked``.
     """
-    kept = fractions * units
-    masked = np.rint(kept, out=kept).astype(np.int64)
-    sends = units - masked
+    if out is None:
+        out = WireBuffers(units.shape)
+        out.scaled[...] = units
+    # the float product rounds just as ``fractions * units`` would
+    kept = np.multiply(fractions, out.scaled, out=out.scaled)
+    np.rint(kept, out=kept)
+    masked = out.masked
+    masked[...] = kept  # whole floats no larger than |units|: the cast is exact
+    sends = np.subtract(units, masked, out=out.units)
     np.add.at(masked.reshape(-1), destinations.reshape(-1), sends.reshape(-1))
     return masked
 
@@ -206,6 +247,6 @@ def candidate_totals(units) -> np.ndarray:
     ``units`` is an int64 (agents x candidates) matrix, or an agent-keyed
     mapping of unit-values.
     """
-    if isinstance(units, Mapping):
-        units = _stacked(units)[1]
-    return np.asarray(units, dtype=np.int64).sum(axis=0)
+    if not isinstance(units, np.ndarray):
+        units = _stacked(units)[1] if isinstance(units, Mapping) else np.asarray(units, np.int64)
+    return np.add.reduce(units, axis=0, dtype=np.int64)

@@ -104,6 +104,13 @@ def test_step_count_overflow_exits_1(tmp_path, capsys):
     assert "horizon_h" in capsys.readouterr().err
 
 
+def test_step_count_of_2_to_the_53_or_more_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dt_h": 1e-290, "horizon_h": 1e10}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "horizon_h" in capsys.readouterr().err
+
+
 def test_oracle_step_that_is_not_finite_and_positive_exits_2(config_path, capsys):
     for step in ("0", "nan", "-0.1", "inf"):
         assert main(["oracle", "--config", str(config_path), "--step", step]) == 2

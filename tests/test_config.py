@@ -109,6 +109,8 @@ def test_schema_version_checked():
         ({"capacity_range_kwh": [15.0, float("inf")]}, "capacity_range_kwh: must be finite"),
         ({"penalty_spread_scale_kw": float("inf")}, "penalty_spread_scale_kw: must be finite"),
         ({"dt_h": 1e-300, "horizon_h": 1e10}, "horizon_h"),
+        ({"dt_h": 1e-290, "horizon_h": 1e10}, "horizon_h"),  # 1e300 steps: finite, uncountable
+        ({"dt_h": 1.0, "horizon_h": 2.0**53}, "horizon_h"),
     ],
 )
 def test_validation_names_offending_key(data, key):

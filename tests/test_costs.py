@@ -228,6 +228,24 @@ def test_cost_matrix_rows_equal_the_agent_costs_bit_for_bit():
         CostMatrix(costs.ev, costs.agg.restrict(range(39)), 6)
 
 
+@pytest.mark.parametrize("n", [1, 100, 1000])
+def test_cost_matrix_aggregator_row_is_bit_exact_at_zero_rates_and_any_sign(n):
+    # row 0 runs the EV operations with coefficients (gen_a, gen_b, gen_c,
+    # 0, 0): adding 0 and subtracting 0 * D must change no bit, also at
+    # zero rates and with a negative or signed-zero gen_b and gen_c
+    rng = np.random.default_rng(n)
+    ev = sample_ev_cost_params(n, rng, price=0.02)
+    for _ in range(40):
+        gen_b, gen_c = rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0)], size=2)
+        agg = AggCostParams(gen_a=rng.uniform(1e-7, 1e-2), gen_b=float(gen_b),
+                            gen_c=float(gen_c), omega=rng.uniform(0.0, 1.0),
+                            eta=rng.uniform(0.85, 1.0, n))
+        matrix = CostMatrix(ev, agg, 10)
+        for _ in range(5):
+            rates = np.where(rng.random(10) < 0.3, 0.0, rng.uniform(0.0, 6.6, 10))
+            assert matrix(rates)[0].tobytes() == agg_consensus_cost(rates, agg).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 5, 100])
 def test_consensus_objective_matches_per_ev_reference_bit_for_bit(n):
     costs = _toy_cost_set(n=n, seed=n)

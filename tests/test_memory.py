@@ -109,3 +109,18 @@ def test_record_export_and_import_stream(tmp_path):
     assert _peak_bytes(lambda: export_run(record, path)) < MB
     assert path.stat().st_size > MB
     assert _peak_bytes(lambda: import_run(path)) < MB
+
+
+def test_epoch_peak_is_bounded():
+    # one epoch at N = 2 000, M = 10, where one (N+1) x M matrix is 160 KB:
+    # the cost matrix holds eight, the wire three and the split two, and an
+    # iteration may add about one more. 2.3 MB at the time of writing; two
+    # more wire buffers (separate kept shares and sends) take it to 2.6 MB
+    instance = build_instance(ScenarioConfig(n_evs=2000))
+
+    def epoch():
+        return run_optimization(instance.fleet, instance.costs, k_max=20, seed=0)
+
+    epoch()  # warm-up
+    peak = _peak_bytes(epoch)
+    assert peak <= 2.5 * MB, peak

@@ -1,10 +1,16 @@
 """Protocol loop: selection, epochs, determinism, and the scenario time loop."""
 
+import warnings
+from array import array
+
+import numpy as np
 import pytest
 
+from v2gdispatch import orchestrator
 from v2gdispatch.config import ScenarioConfig, build_instance
-from v2gdispatch.costs import grid_search_rate
-from v2gdispatch.fleet import available_ids
+from v2gdispatch.costs import agg_consensus_cost, grid_search_rate
+from v2gdispatch.dwoa import advance_pool, init_pool
+from v2gdispatch.fleet import available_ids, common_rate_bounds
 from v2gdispatch.orchestrator import (
     DepartureEvent,
     ecn_select_best,
@@ -12,6 +18,7 @@ from v2gdispatch.orchestrator import (
     run_scenario,
 )
 from v2gdispatch.shuffle import ProtocolError
+from v2gdispatch.topology import build_topology
 
 # small instance keeps the protocol tests fast
 CFG = ScenarioConfig(n_evs=12, seed=5, m_whales=4, k_max=40)
@@ -242,6 +249,8 @@ def test_scenario_validates_horizon(instance):
         run_scenario(instance.fleet, instance.costs, horizon_h=float("inf"))
     with pytest.raises(ValueError, match="horizon_h.*dt_h"):
         run_scenario(instance.fleet, instance.costs, dt_h=1e-300, horizon_h=1e10)
+    with pytest.raises(ValueError, match="horizon_h.*dt_h"):  # 1e300 steps would never end
+        run_scenario(instance.fleet, instance.costs, dt_h=1e-290, horizon_h=1e10)
     assert instance.fleet.time_h == 0.0
 
 
@@ -278,3 +287,110 @@ def test_scenario_clock_advances_through_empty_steps():
     for row in steps[empty[0]:]:
         assert row.rate_kw == 0.0 and row.grid_power_kw == 0.0
         assert row.soc == steps[empty[0]].soc
+
+
+def _reference_round(units, topology, m, rng):
+    """One split / mask round written out row by row, allocating as it goes:
+    each row draws m kept fractions, then, with several out-edges, one
+    out-edge per candidate; it keeps rint(f * u) and sends the rest."""
+    rows, indptr, targets = len(topology.ids), topology.indptr.tolist(), topology.targets
+    fractions = np.empty((rows, m))
+    destinations = np.empty((rows, m), dtype=np.int64)
+    for r in range(rows):
+        fractions[r] = rng.random(m)
+        first, degree = indptr[r], indptr[r + 1] - indptr[r]
+        picked = targets[first + rng.integers(degree, size=m)] if degree > 1 else targets[first]
+        destinations[r] = picked * m + np.arange(m)
+    kept = np.rint(fractions * units).astype(np.int64)
+    masked = kept.copy()
+    np.add.at(masked.reshape(-1), destinations.reshape(-1), (units - kept).reshape(-1))
+    return masked
+
+
+def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit_bits):
+    """One epoch with each step separate and freshly allocated: costs,
+    quantisation, the exact per-column headroom check, one round, column
+    sums. Returns the rate, the record columns, the oracle calls and the
+    reported matrix of every iteration."""
+    avail = available_ids(fleet)
+    lower, upper = common_rate_bounds(fleet, avail)
+    topo_ss, dwoa_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(3)
+    dwoa_rng, shuffle_rng = np.random.default_rng(dwoa_ss), np.random.default_rng(shuffle_ss)
+    topology = build_topology(fleet, policy, np.random.default_rng(topo_ss))
+    ev, agg = costs.ev.take(avail), costs.agg.restrict(avail)
+    alpha, beta, gamma, other, price = (column[:, None] for column in ev.columns())
+    n_iterations = max(k_max, 1)
+    pool = init_pool(m, lower, upper, n_iterations, dwoa_rng)
+    columns = (array("i"), array("d"), array("d"))
+    reported = []
+    for _ in range(n_iterations):
+        r = pool.positions
+        ev_values = alpha * r * r + beta * r + gamma + other - price * r
+        values = np.vstack([agg_consensus_cost(r, agg), ev_values])
+        scaled = np.rint(values * 2.0**unit_bits)
+        if not np.abs(scaled).max() < 2.0**63:
+            raise ProtocolError("beyond the int64 wire")
+        units = scaled.astype(np.int64)
+        if any(sum(abs(u) for u in column) >= 2**63 for column in units.T.tolist()):
+            raise ProtocolError("beyond the int64 headroom")
+        if shuffle_enabled:
+            units = _reference_round(units, topology, m, shuffle_rng)
+        reported.append(units.tobytes())
+        totals = units.sum(axis=0) * 2.0**-unit_bits
+        selected = ecn_select_best(totals.tolist())
+        pool.record_evaluation(totals, selected)
+        for column, value in zip(columns, (selected, pool.best_rate, pool.best_value)):
+            column.append(value)
+        if k_max > 0:
+            advance_pool(pool, dwoa_rng)
+    calls = (len(avail) * m * n_iterations, m * n_iterations)
+    return pool.best_rate, columns, calls, reported
+
+
+_SIZES = [(n, m) for n in (1, 2, 5, 100, 1000) for m in (1, 2, 10, 30)]
+
+
+@pytest.mark.parametrize(
+    "n, m, unit_bits", [(n, m, (16, 40, 48)[i % 3]) for i, (n, m) in enumerate(_SIZES)]
+)
+def test_epoch_matches_the_written_out_reference(n, m, unit_bits, monkeypatch):
+    # the epoch runs in buffers it holds; the reference allocates every step.
+    # Both must agree on every reported matrix, not only on the totals the
+    # record sees: the masking draws never reach the record.
+    instance = build_instance(ScenarioConfig(n_evs=n, seed=n + m))
+    reported = []
+    totals = orchestrator.candidate_totals
+
+    def recording_totals(units):
+        reported.append(units.tobytes())
+        return totals(units)
+
+    monkeypatch.setattr(orchestrator, "candidate_totals", recording_totals)
+    for policy in ("one-random-neighbor", "ring"):
+        for shuffle_enabled in (True, False):
+            for seed in range(3):
+                args = (m, 6, seed, shuffle_enabled, policy, unit_bits)
+                rate, columns, calls, expected = _reference_epoch(
+                    instance.fleet, instance.costs, *args)
+                reported.clear()
+                got, record = run_optimization(
+                    instance.fleet, instance.costs, m_whales=m, k_max=6, seed=seed,
+                    shuffle_enabled=shuffle_enabled, topology_policy=policy,
+                    unit_bits=unit_bits)
+                assert got == rate
+                (segment,) = record.iterations.segments
+                assert [c.tobytes() for c in (segment.selected_index, segment.best_rate_kw,
+                                              segment.best_total_cost)] == [
+                    c.tobytes() for c in columns]
+                assert (record.oracle_calls_ev, record.oracle_calls_agg) == calls
+                assert reported == expected
+
+
+def test_nan_cost_raises_protocol_error_without_a_warning():
+    # the wire check runs before the int64 cast, which would warn on NaN
+    instance = build_instance(CFG)
+    instance.costs.ev.gamma_deg[3] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProtocolError):
+            run_optimization(instance.fleet, instance.costs, m_whales=4, k_max=3, seed=0)
