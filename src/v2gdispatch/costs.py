@@ -31,6 +31,7 @@ column forms are checked against.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -41,14 +42,17 @@ import numpy as np
 class AggCostParams:
     """Aggregator net-cost coefficients plus per-EV conversion efficiencies.
 
-    ``eta`` (DC-to-AC efficiency per EV, each in (0, 1]) reads as a tuple
-    built on access; it is held as one numpy column, ``eta_array``.
-    Immutable by convention, compared by value.
+    The coefficients are finite floats; ``eta`` (DC-to-AC efficiency per EV,
+    each in (0, 1]) is held as one numpy column, ``eta_array``. Immutable by
+    convention, compared by value.
     """
 
     __slots__ = ("gen_a", "gen_b", "gen_c", "omega", "eta_array", "eta_sum")
 
     def __init__(self, gen_a: float, gen_b: float, gen_c: float, omega: float, eta):
+        for name, value in (("gen_a", gen_a), ("gen_b", gen_b), ("gen_c", gen_c), ("omega", omega)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not gen_a > 0.0:
             raise ValueError(f"gen_a must be > 0, got {gen_a}")
         if not omega >= 0.0:
@@ -67,28 +71,23 @@ class AggCostParams:
         # power figure built on it expects
         self.eta_sum = sum(eta_array.tolist())
 
-    @property
-    def eta(self) -> tuple[float, ...]:
-        return tuple(self.eta_array.tolist())
-
     def restrict(self, ids: Sequence[int]) -> "AggCostParams":
         """Same coefficients, efficiency list restricted to the given EV ids."""
         return AggCostParams(self.gen_a, self.gen_b, self.gen_c, self.omega,
                              self.eta_array[np.asarray(ids, dtype=np.intp)])
 
-    def _key(self) -> tuple:
-        return (self.gen_a, self.gen_b, self.gen_c, self.omega, self.eta)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AggCostParams):
             return NotImplemented
-        return self._key() == other._key()
+        return ((self.gen_a, self.gen_b, self.gen_c, self.omega)
+                == (other.gen_a, other.gen_b, other.gen_c, other.omega)
+                and np.array_equal(self.eta_array, other.eta_array))
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return (f"AggCostParams(gen_a={self.gen_a!r}, gen_b={self.gen_b!r}, "
-                f"gen_c={self.gen_c!r}, omega={self.omega!r}, eta={self.eta!r})")
+                f"gen_c={self.gen_c!r}, omega={self.omega!r}, eta=<{len(self.eta_array)} EVs>)")
 
 
 def _any_negative(rate) -> bool:
@@ -185,7 +184,7 @@ _EV_COST_FIELDS = ("alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price")
 class EvCostTable:
     """Per-EV cost coefficients as numpy columns, one row per EV.
 
-    Columns, in order: ``alpha_deg`` (currency/kW^2, > 0: convex
+    Columns, in order, all finite: ``alpha_deg`` (currency/kW^2, > 0: convex
     degradation), ``beta_deg`` (currency/kW), ``gamma_deg`` (currency),
     ``other_ops`` (currency, >= 0, lumped non-degradation operating cost) and
     ``price`` (currency/kW, >= 0, fixed for the whole pricing period).
@@ -199,6 +198,9 @@ class EvCostTable:
             setattr(self, name, np.array(column, dtype=float).reshape(-1))
         if len({len(c) for c in self.columns()}) != 1:
             raise ValueError("cost columns differ in length")
+        for name, column in zip(_EV_COST_FIELDS, self.columns()):
+            if not np.isfinite(column).all():
+                raise ValueError(f"{name} must be finite")
         if not np.all(self.alpha_deg > 0.0):
             raise ValueError("alpha_deg must be > 0")
         if not np.all(self.other_ops >= 0.0):
@@ -211,8 +213,12 @@ class EvCostTable:
         return tuple(getattr(self, name) for name in _EV_COST_FIELDS)
 
     def take(self, ids) -> "EvCostTable":
+        """The rows of the given EVs; rows of a checked table are not checked again."""
         ids = np.asarray(ids, dtype=np.intp)
-        return EvCostTable(*(column[ids] for column in self.columns()))
+        table = EvCostTable.__new__(EvCostTable)
+        for name, column in zip(_EV_COST_FIELDS, self.columns()):
+            setattr(table, name, column[ids])
+        return table
 
     def __len__(self) -> int:
         return len(self.alpha_deg)

@@ -6,15 +6,15 @@ counts as available). Once unavailable its discharge rate is forced to zero,
 so within a discharging-only run availability is never regained.
 
 A fleet is a struct of arrays: one numpy column per EV field, indexed by EV
-id (ids are dense from 0). ``fleet.evs[i]`` is an ``EvState`` view of row
-``i`` built on access; reads and writes through it go to the columns.
+id (ids are dense from 0), and every function here reads and writes the
+columns. ``fleet.evs`` is a tuple of ``EvState`` views, one per row, built on
+access for per-EV reads and writes: an ``id`` and one property per column,
+nothing more.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,27 +52,24 @@ class FleetDistributions:
             raise ValueError("need 0 <= rate_min_kw <= rate_max_kw")
 
 
-def _column(name: str) -> property:
-    def get(self) -> float:
-        return float(getattr(self._fleet, name)[self.id])
+def _column(name: str, kind=float) -> property:
+    def get(self):
+        return kind(getattr(self._fleet, name)[self.id])
 
-    def set(self, value: float) -> None:
+    def set(self, value) -> None:
         getattr(self._fleet, name)[self.id] = value
 
     return property(get, set, doc=f"``{name}`` of this EV, held in the fleet's column.")
 
 
 class EvState:
-    """One vehicle's battery and discharge-point state: a view of one fleet
-    row, as ``fleet.evs[i]`` builds it. The row is the EV's id."""
+    """One vehicle's row of the fleet, as ``fleet.evs[i]`` gives it: reads
+    and writes go to the fleet's columns. The row is the EV's id."""
 
     __slots__ = ("id", "_fleet")
 
-    @classmethod
-    def _view(cls, fleet: "Fleet", row: int) -> "EvState":
-        ev = cls.__new__(cls)
-        ev.id, ev._fleet = row, fleet
-        return ev
+    def __init__(self, fleet: "Fleet", row: int):
+        self.id, self._fleet = row, fleet
 
     capacity_kwh = _column("capacity_kwh")
     soc = _column("soc")
@@ -80,65 +77,7 @@ class EvState:
     rate_min_kw = _column("rate_min_kw")
     rate_max_kw = _column("rate_max_kw")
     eta = _column("eta")
-
-    @property
-    def departed(self) -> bool:
-        return bool(self._fleet.departed[self.id])
-
-    @departed.setter
-    def departed(self, value: bool) -> None:
-        self._fleet.departed[self.id] = value
-
-    @property
-    def available(self) -> bool:
-        return not self.departed and self.soc >= self.soc_min
-
-    def _fields(self) -> tuple:
-        return (self.id,) + tuple(getattr(self, name) for name in _FLOAT_FIELDS) + (self.departed,)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EvState):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        names = ("id",) + _FLOAT_FIELDS + ("departed",)
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
-        return f"{type(self).__name__}({fields})"
-
-
-class _EvViews(Sequence):
-    """``fleet.evs``: EvState views of the fleet's rows, built on access."""
-
-    __slots__ = ("_fleet",)
-
-    def __init__(self, fleet: "Fleet"):
-        self._fleet = fleet
-
-    def __len__(self) -> int:
-        return len(self._fleet.soc)
-
-    def __getitem__(self, index) -> EvState:
-        n = len(self)
-        i = operator.index(index)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"EV index {index} out of range for {n} EVs")
-        return EvState._view(self._fleet, i)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield EvState._view(self._fleet, i)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
+    departed = _column("departed", bool)
 
 
 class Fleet:
@@ -173,8 +112,9 @@ class Fleet:
         self.time_h = 0.0
 
     @property
-    def evs(self) -> _EvViews:
-        return _EvViews(self)
+    def evs(self) -> tuple[EvState, ...]:
+        """One ``EvState`` view per EV, in id order, built on access."""
+        return tuple(EvState(self, i) for i in range(len(self)))
 
     def available(self) -> np.ndarray:
         """Boolean mask of the EVs currently allowed to discharge."""
@@ -252,18 +192,14 @@ def grid_power_kw(fleet: Fleet, rate_kw: float) -> float:
     return rate_kw * eta_sum_available(fleet)
 
 
-def distance_home_km(ev: EvState) -> float:
-    """Driving distance covered by the EV's user-specified SOC floor, the
+def distance_home_km(fleet: Fleet) -> np.ndarray:
+    """Driving distance per EV covered by its user-specified SOC floor, the
     energy kept for the trip home."""
-    return ev.soc_min * ev.capacity_kwh * KM_PER_KWH
+    return fleet.soc_min * fleet.capacity_kwh * KM_PER_KWH
 
 
 def distance_histogram(fleet: Fleet) -> dict[tuple[float, float], int]:
     """Counts of EVs per distance bin [k*BIN_KM, (k+1)*BIN_KM)."""
-    counts: dict[tuple[float, float], int] = {}
-    for ev in fleet.evs:
-        d = distance_home_km(ev)
-        k = int(d // BIN_KM)
-        key = (k * BIN_KM, (k + 1) * BIN_KM)
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))
+    bins, counts = np.unique(distance_home_km(fleet) // BIN_KM, return_counts=True)
+    return {(k * BIN_KM, (k + 1) * BIN_KM): n
+            for k, n in zip(map(int, bins.tolist()), counts.tolist())}

@@ -182,11 +182,14 @@ def run_scenario(
 
     Each step records the applied rate and the delivered grid power (rate
     times the available efficiency sum) and every EV's SOC by id, before
-    discharging the fleet by ``dt_h``. Departure events take effect at the
-    first step boundary at or after their time; SOC-floor crossings take
-    effect at the next step. Every change of the available set starts a
-    fresh optimization epoch whose random streams are spawned in sequence
-    from ``seed``, keeping whole-run determinism.
+    discharging the fleet by ``dt_h``. A departure event takes effect at
+    step ``ceil(time_h / dt_h - 1e-9)``, the first step boundary at or after
+    its time, counted by index rather than on the summed clock; an event
+    with a non-finite time or an EV id outside [0, N) raises ValueError
+    before any step. SOC-floor crossings take effect at the next step.
+    Every change of the available set starts a fresh optimization epoch
+    whose random streams are spawned in sequence from ``seed``, keeping
+    whole-run determinism.
     """
     if not 0.0 < horizon_h < math.inf:
         raise ValueError(f"horizon_h must be finite and > 0, got {horizon_h}")
@@ -196,18 +199,29 @@ def run_scenario(
         raise ValueError(f"horizon_h = {horizon_h} is too many dt_h = {dt_h} steps to count "
                          "(2**53 or more)")
 
+    n_steps = int(round(horizon_h / dt_h))
+    pending = []  # (step, ids), resolved once; compared with the step index
+    for event in events:
+        if not math.isfinite(event.time_h):
+            raise ValueError(f"{event}: time_h must be finite")
+        ids = np.asarray(event.ev_ids, dtype=np.intp)
+        if ((ids < 0) | (ids >= len(fleet))).any():
+            raise ValueError(f"{event}: EV ids must lie in [0, {len(fleet)})")
+        step = event.time_h / dt_h - 1e-9
+        if step < n_steps:
+            pending.append((math.ceil(step), ids))
+    pending.sort(key=lambda p: p[0])
+
     parent_ss = _as_seed_sequence(seed)
     record = RunRecord()
-    pending = sorted(events, key=lambda e: e.time_h)
-    n_steps = int(round(horizon_h / dt_h))
     rate = 0.0
     last_avail: list[int] | None = None
     epoch = 0
 
-    for _ in range(n_steps):
+    for k in range(n_steps):
         now = fleet.time_h
-        while pending and pending[0].time_h <= now + 1e-12:
-            fleet.departed[np.asarray(pending.pop(0).ev_ids, dtype=np.intp)] = True
+        while pending and pending[0][0] <= k:
+            fleet.departed[pending.pop(0)[1]] = True
 
         avail = available_ids(fleet)
         if avail != last_avail:

@@ -150,14 +150,14 @@ def test_range_shape_checked():
         parse_config({"soc_range": [0.8]})
 
 
-def test_build_instance_is_deterministic_and_consistent():
+def test_build_instance_is_deterministic_and_consistent(assert_same_fleet):
     cfg = ScenarioConfig(n_evs=17, seed=77)
     a = build_instance(cfg)
     b = build_instance(cfg)
-    assert a.fleet.evs == b.fleet.evs
+    assert_same_fleet(a.fleet, b.fleet)
     assert a.costs == b.costs
     assert len(a.costs.ev) == 17
-    assert a.costs.agg.eta == tuple(ev.eta for ev in a.fleet.evs)
+    assert a.costs.agg.eta_array.tolist() == a.fleet.eta.tolist()
 
 
 def test_resolve_departures_by_count_takes_top_ids():

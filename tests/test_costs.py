@@ -143,6 +143,19 @@ def test_ev_params_validation():
         EvCostTable([1.0, 1.0], [0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price"])
+def test_ev_params_reject_non_finite_coefficients(field, value):
+    columns = dict(alpha_deg=[1.0, 1.0], beta_deg=[0.0, 0.0], gamma_deg=[0.0, 0.0],
+                   other_ops=[0.0, 0.0], price=[0.0, 0.0])
+    columns[field] = [columns[field][0], value]  # the second row
+    with pytest.raises(ValueError, match=field):
+        EvCostTable(**columns)
+
+
 AGG = AggCostParams(gen_a=0.01, gen_b=0.5, gen_c=2.0, omega=1.5, eta=(0.9, 0.8, 1.0))
 
 
@@ -196,6 +209,14 @@ def test_agg_params_validation():
         AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(0.0,))
     with pytest.raises(ValueError, match="omega"):
         AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=float("nan"), eta=(1.0,))
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["gen_a", "gen_b", "gen_c", "omega"])
+def test_agg_params_reject_non_finite_coefficients(field, value):
+    coefficients = dict(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0)
+    with pytest.raises(ValueError, match=field):
+        AggCostParams(**{**coefficients, field: value}, eta=(1.0,))
 
 
 def test_agg_consensus_matches_vector_form():
@@ -294,7 +315,7 @@ def test_cost_set_validation_and_restrict():
     sub = costs.restrict([0, 2, 4])
     assert len(sub.ev) == 3
     assert rows(sub.ev) == [rows(costs.ev)[i] for i in (0, 2, 4)]
-    assert sub.agg.eta == (costs.agg.eta[0], costs.agg.eta[2], costs.agg.eta[4])
+    assert sub.agg.eta_array.tolist() == [costs.agg.eta_array[i] for i in (0, 2, 4)]
     with pytest.raises(ValueError):
         CostSet(ev=costs.ev.take([0, 1]), agg=costs.agg)
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from v2gdispatch.fleet import (
+    BIN_KM,
+    KM_PER_KWH,
+    EvState,
     Fleet,
     FleetDistributions,
     apply_discharge,
@@ -39,10 +42,32 @@ def test_default_sampling_stays_in_bounds():
         assert ev.rate_max_kw == 6.6
 
 
-def test_same_seed_samples_identical_fleet():
+def test_same_seed_samples_identical_fleet(assert_same_fleet):
     a = sample_fleet(40, 99)
     b = sample_fleet(40, 99)
-    assert a.evs == b.evs
+    assert_same_fleet(a, b)
+    b.soc[39] = 0.5
+    with pytest.raises(AssertionError, match="soc"):
+        assert_same_fleet(a, b)
+
+
+def test_ev_views_read_and_write_their_row():
+    fleet = _fleet(3, soc=[0.8, 0.7, 0.6], departed=[False, True, False])
+    evs = fleet.evs
+    assert type(evs) is tuple and [ev.id for ev in evs] == [0, 1, 2]
+    ev = evs[1]
+    assert isinstance(ev, EvState)
+    assert (ev.soc, ev.soc_min, ev.capacity_kwh) == (0.7, 0.2, 20.0)
+    assert (ev.rate_min_kw, ev.rate_max_kw, ev.eta) == (0.0, 6.6, 1.0)
+    assert type(ev.soc) is float and ev.departed is True and evs[0].departed is False
+    ev.soc, ev.eta, ev.departed = 0.5, 0.9, False
+    ev.capacity_kwh, ev.soc_min, ev.rate_min_kw, ev.rate_max_kw = 30.0, 0.1, 1.0, 5.0
+    assert fleet.soc.tolist() == [0.8, 0.5, 0.6] and fleet.eta.tolist() == [1.0, 0.9, 1.0]
+    assert fleet.capacity_kwh.tolist() == [20.0, 30.0, 20.0]
+    assert fleet.soc_min.tolist() == [0.2, 0.1, 0.2]
+    assert fleet.rate_min_kw.tolist() == [0.0, 1.0, 0.0]
+    assert fleet.rate_max_kw.tolist() == [6.6, 5.0, 6.6]
+    assert not fleet.departed.any()
 
 
 def test_sample_fleet_rejects_bad_n():
@@ -133,7 +158,7 @@ def test_soc_monotone_and_exclusion_permanent():
     last = fleet.evs[0].soc
     frozen = None
     for _ in range(20):
-        if fleet.evs[0].available:
+        if fleet.available()[0]:
             apply_discharge(fleet, 5.0, 0.1)
         else:
             frozen = fleet.evs[0].soc if frozen is None else frozen
@@ -141,7 +166,7 @@ def test_soc_monotone_and_exclusion_permanent():
         assert fleet.evs[0].soc <= last
         last = fleet.evs[0].soc
     assert frozen is not None and fleet.evs[0].soc == frozen
-    assert not fleet.evs[0].available
+    assert not fleet.available()[0]
 
 
 def test_grid_power_identity_with_unit_efficiency():
@@ -153,20 +178,23 @@ def test_grid_power_is_rate_times_available_eta_sum():
     fleet = sample_fleet(30, 5)
     fleet.evs[3].departed = True
     fleet.evs[10].soc = 0.0
-    expected = 3.7 * sum(ev.eta for ev in fleet.evs if ev.available)
+    avail = fleet.available()
+    assert not avail[3] and not avail[10] and avail.sum() == 28
+    expected = 3.7 * sum(ev.eta for ev in fleet.evs if avail[ev.id])
     assert grid_power_kw(fleet, 3.7) == expected
-    assert eta_sum_available(fleet) == sum(ev.eta for ev in fleet.evs if ev.available)
+    assert eta_sum_available(fleet) == sum(ev.eta for ev in fleet.evs if avail[ev.id])
 
 
 def test_distance_home_reserve_basis():
-    ev = _fleet(soc_min=0.2, capacity=20.0).evs[0]
-    assert distance_home_km(ev) == pytest.approx(33.04, abs=1e-12)
-    assert distance_home_km(_fleet(soc_min=0.0).evs[0]) == 0.0
+    distance = distance_home_km(_fleet(2, soc_min=[0.2, 0.0], capacity=20.0))
+    assert distance[0] == pytest.approx(33.04, abs=1e-12)
+    assert distance[1] == 0.0
 
 
 def test_distance_home_ignores_current_soc():
-    ev = _fleet(soc=0.5, soc_min=0.2, capacity=20.0).evs[0]
-    assert distance_home_km(ev) == distance_home_km(_fleet(soc=0.9, soc_min=0.2).evs[0])
+    fleet = _fleet(2, soc=[0.5, 0.9], soc_min=0.2, capacity=20.0)
+    low, high = distance_home_km(fleet)
+    assert low == high
 
 
 def test_distance_histogram_counts_by_enumeration():
@@ -174,7 +202,29 @@ def test_distance_histogram_counts_by_enumeration():
     hist = distance_histogram(fleet)
     assert sum(hist.values()) == 200
     # independent recount
+    distances = distance_home_km(fleet).tolist()
     for (lo, hi), n in hist.items():
-        manual = sum(1 for ev in fleet.evs if lo <= distance_home_km(ev) < hi)
+        manual = sum(1 for d in distances if lo <= d < hi)
         assert manual == n
+
+
+@pytest.mark.parametrize("seed", [0, 1, 31, 77, 2024])
+def test_distance_histogram_matches_a_scalar_reference(seed):
+    # wide ranges spread the EVs over many bins; EV 0 sits at 0 km, and EVs
+    # 1-4 on bin edges that soc_min * (capacity * KM_PER_KWH) would cross
+    dist = FleetDistributions(soc=(0.6, 1.0), soc_min=(0.0, 0.6), capacity_kwh=(5.0, 100.0))
+    fleet = sample_fleet(500, seed, dist)
+    fleet.soc_min[:5] = [0.0, 0.56057377196546, 0.47020349236477255, 0.23806018395378475,
+                         0.016290342678153564]
+    fleet.capacity_kwh[1:5] = [62.630398697882086, 56.64437418921517, 86.45340627581909,
+                               74.31726741084469]
+    expected = {}
+    for soc_min, capacity in zip(fleet.soc_min.tolist(), fleet.capacity_kwh.tolist()):
+        k = int(soc_min * capacity * KM_PER_KWH // BIN_KM)
+        key = (k * BIN_KM, (k + 1) * BIN_KM)
+        expected[key] = expected.get(key, 0) + 1
+    hist = distance_histogram(fleet)
+    assert hist == expected and len(hist) > 20
+    assert list(hist) == sorted(expected) and list(hist)[0] == (0.0, 10.0)
+    assert all(type(n) is int for n in hist.values())
 

@@ -1,5 +1,6 @@
 """Protocol loop: selection, epochs, determinism, and the scenario time loop."""
 
+import re
 import warnings
 from array import array
 
@@ -287,6 +288,38 @@ def test_scenario_clock_advances_through_empty_steps():
     for row in steps[empty[0]:]:
         assert row.rate_kw == 0.0 and row.grid_power_kw == 0.0
         assert row.soc == steps[empty[0]].soc
+
+
+@pytest.mark.parametrize("dt_h, time_h, step", [
+    (0.1, 292.0, 2920),  # where the summed clock reads 291.9999999999979
+    (0.01, 0.07, 7),  # 0.07 / 0.01 reads 7.000000000000001
+])
+def test_departure_fires_at_its_step(dt_h, time_h, step):
+    instance = build_instance(ScenarioConfig(n_evs=2, seed=3, m_whales=2, k_max=2))
+    fleet = instance.fleet
+    fleet.rate_min_kw[:] = fleet.rate_max_kw[:] = 0.001  # pinned: the power tracks departures
+    record = run_scenario(fleet, instance.costs, dt_h=dt_h, horizon_h=(step + 2) * dt_h,
+                          events=(DepartureEvent(time_h=time_h, ev_ids=(1,)),),
+                          m_whales=2, k_max=2, seed=1)
+    power = record.steps.grid_power_kw.tolist()
+    assert len(power) == step + 2
+    assert power[step - 2] == power[step - 1] > power[step] == power[step + 1]
+    assert {row.epoch: row.n_available for row in record.iterations} == {0: 2, 1: 1}
+
+
+@pytest.mark.parametrize("event, problem", [
+    (DepartureEvent(0.2, (-1,)), r"\[0, 12\)"),
+    (DepartureEvent(0.2, (12,)), r"\[0, 12\)"),
+    (DepartureEvent(0.2, (0, 12)), r"\[0, 12\)"),
+    (DepartureEvent(float("nan"), (3,)), "finite"),
+    (DepartureEvent(float("inf"), (3,)), "finite"),
+    (DepartureEvent(-float("inf"), (3,)), "finite"),
+], ids=["id-1", "id-N", "ids-0-N", "nan", "inf", "-inf"])
+def test_scenario_rejects_a_bad_departure_event(instance, event, problem):
+    with pytest.raises(ValueError, match=re.escape(str(event)) + ".*" + problem):
+        run_scenario(instance.fleet, instance.costs, dt_h=0.1, horizon_h=0.5,
+                     events=(event,), m_whales=4, k_max=5, seed=7)
+    assert instance.fleet.time_h == 0.0 and not instance.fleet.departed.any()
 
 
 def _reference_round(units, topology, m, rng):

@@ -43,12 +43,12 @@ def test_one_random_neighbor_matches_scalar_reference():
             assert topo.out_edges[ev_agent(i)] == (targets[int(rng.integers(len(targets)))],)
 
 
-def test_build_topology_leaves_the_fleet_unchanged():
+def test_build_topology_leaves_the_fleet_unchanged(assert_same_fleet):
     fleet = sample_fleet(20, 6)
     before = copy.deepcopy(fleet)
     for policy in ("one-random-neighbor", "ring"):
         build_topology(fleet, policy, 5)
-        assert fleet.evs == before.evs
+        assert_same_fleet(fleet, before)
 
 
 def test_single_ev_gets_the_aggregator():
