@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import PenaltyConfig
 from .costs import AggCostParams, CostSet, sample_ev_cost_params
-from .fleet import Fleet, FleetDistributions, available_ids, sample_fleet
+from .fleet import Fleet, FleetDistributions, sample_fleet
 from .orchestrator import MAX_STEPS, DepartureEvent
 from .topology import POLICIES
 
@@ -138,6 +138,8 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         lo, hi = getattr(config, key)
         if lo > hi:
             raise ConfigError(f"{key}: inverted bounds ({lo}, {hi})")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"{key}: bounds ({lo}, {hi}) too far apart to sample between")
     try:
         config.fleet_distributions()
     except ValueError as exc:
@@ -268,26 +270,34 @@ def build_instance(config: ScenarioConfig) -> Instance:
 def resolve_departures(config: ScenarioConfig, fleet: Fleet) -> tuple[DepartureEvent, ...]:
     """Turn config departure specs into concrete id lists, in config order.
 
-    Specs are resolved in time order (ties in config order). A ``count``
-    spec removes that many EVs from the top of the ids still present: those
-    available now and not removed by an earlier event (deterministic and
-    independent of sampling order).
+    Specs are resolved in time order (ties in config order) against one
+    boolean mask of the EVs still present: those available now and not
+    removed by an earlier event. An ``ids`` spec keeps its ids as given,
+    duplicates and ids already gone included, after one range test over
+    them. A ``count`` spec takes the ``count`` highest ids still present
+    (all of them when fewer are left), so it is deterministic and does not
+    depend on sampling order. Either way the event's ids leave the mask.
+    Each event's ``ev_ids`` is a tuple of Python ints.
     """
-    present = available_ids(fleet)
+    n = len(fleet)
+    present = fleet.available()  # a fresh mask, cleared event by event
     order = sorted(range(len(config.departures)),
                    key=lambda j: float(config.departures[j]["time_h"]))
     events: list[DepartureEvent | None] = [None] * len(order)
     for j in order:
         spec = config.departures[j]
         if "ids" in spec:
-            ids = tuple(int(i) for i in spec["ids"])
+            try:
+                ids = np.array(spec["ids"], dtype=np.intp)
+                in_range = bool(((0 <= ids) & (ids < n)).all())
+            except OverflowError:  # an id beyond intp, which JSON allows
+                in_range = False
+            if not in_range:
+                i = next(i for i in map(int, spec["ids"]) if not 0 <= i < n)
+                raise ConfigError(f"departures[{j}]: EV id {i} out of range [0, {n})")
         else:
-            count = int(spec["count"])
-            ids = tuple(present[-count:]) if count > 0 else ()
-        for i in ids:
-            if not 0 <= i < len(fleet):
-                raise ConfigError(f"departures: EV id {i} out of range")
-        gone = set(ids)
-        present = [i for i in present if i not in gone]
-        events[j] = DepartureEvent(time_h=float(spec["time_h"]), ev_ids=ids)
+            still = np.flatnonzero(present)
+            ids = still[max(still.size - int(spec["count"]), 0):]
+        present[ids] = False
+        events[j] = DepartureEvent(time_h=float(spec["time_h"]), ev_ids=tuple(ids.tolist()))
     return tuple(events)

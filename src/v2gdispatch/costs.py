@@ -67,9 +67,10 @@ class AggCostParams:
         self.gen_c = gen_c  # currency
         self.omega = omega  # currency, weight of the log-utility term
         self.eta_array = eta_array
-        # a left-to-right Python sum in ascending EV order, as every cost and
-        # power figure built on it expects
-        self.eta_sum = sum(eta_array.tolist())
+        # a left-to-right sum in ascending EV order, as every cost and power
+        # figure built on it expects: the last running total of a sequential
+        # accumulate, never numpy's pairwise sum
+        self.eta_sum = float(np.add.accumulate(eta_array)[-1]) if eta_array.size else 0.0
 
     def restrict(self, ids: Sequence[int]) -> "AggCostParams":
         """Same coefficients, efficiency list restricted to the given EV ids."""
@@ -325,11 +326,13 @@ def sample_ev_cost_params(
 ) -> EvCostTable:
     """Draw per-EV cost coefficients uniformly from the configured ranges.
 
-    Per EV, in order: alpha, beta, gamma, other; one uniform draw each (one
-    vectorised draw consumes the stream in that order).
+    One ``rng.random((n, 4))`` block, row i for EV i, its columns alpha,
+    beta, gamma and other, each scaled as ``low + (high - low) * u``. That
+    consumes the stream and gives the bits of ``rng.uniform`` over the same
+    bounds and shape.
     """
     rng = np.random.default_rng(rng)
     bounds = (alpha_range, beta_range, gamma_range, other_range)
-    lows, highs = zip(*bounds)
-    alpha, beta, gamma, other = rng.uniform(lows, highs, size=(n, len(bounds))).T
+    draws = rng.random((n, len(bounds))).T  # draws[k]: every EV's draw for bounds[k]
+    alpha, beta, gamma, other = (lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws))
     return EvCostTable(alpha, beta, gamma, other, np.full(n, price))

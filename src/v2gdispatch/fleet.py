@@ -42,6 +42,8 @@ class FleetDistributions:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name}: inverted bounds ({lo}, {hi})")
+        if not self.capacity_kwh[0] > 0.0:
+            raise ValueError(f"capacity_kwh: lower bound must be > 0, got {self.capacity_kwh}")
         if not 0.0 <= self.soc_min[0] <= self.soc_min[1] <= self.soc[0]:
             raise ValueError("soc_min range must sit below the soc range in [0, 1]")
         if self.soc[1] > 1.0:
@@ -85,7 +87,8 @@ class Fleet:
 
     Columns (numpy, one entry per EV id): ``capacity_kwh``, ``soc``,
     ``soc_min``, ``rate_min_kw``, ``rate_max_kw``, ``eta`` (float) and
-    ``departed`` (bool). Each EV needs 0 <= ``rate_min_kw`` <= ``rate_max_kw``.
+    ``departed`` (bool). Each EV needs 0 <= ``rate_min_kw`` <= ``rate_max_kw``,
+    a finite ``capacity_kwh`` > 0 and a finite ``soc`` and ``soc_min``.
     """
 
     __slots__ = _FLOAT_FIELDS + ("departed", "time_h")
@@ -109,6 +112,14 @@ class Fleet:
             i = int(bad[0])
             raise ValueError(f"EV {i}: need 0 <= rate_min_kw <= rate_max_kw, got "
                              f"[{float(self.rate_min_kw[i])}, {float(self.rate_max_kw[i])}]")
+        cap = self.capacity_kwh
+        bad = np.flatnonzero(~((0.0 < cap) & (cap < math.inf)
+                               & np.isfinite(self.soc) & np.isfinite(self.soc_min)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"EV {i}: need a finite capacity_kwh > 0 and a finite soc and "
+                             f"soc_min, got capacity_kwh={float(cap[i])}, "
+                             f"soc={float(self.soc[i])}, soc_min={float(self.soc_min[i])}")
         self.time_h = 0.0
 
     @property
@@ -127,15 +138,17 @@ class Fleet:
 def sample_fleet(n: int, rng, dist: FleetDistributions = FleetDistributions()) -> Fleet:
     """Sample ``n`` EVs; deterministic for a fixed seed.
 
-    Per EV, in id order: capacity, soc, soc floor, efficiency, one uniform
-    draw each (one vectorised draw consumes the stream in that order).
+    One ``rng.random((n, 4))`` block, row i for EV i, its columns capacity,
+    soc, soc floor and efficiency, each scaled as ``low + (high - low) * u``.
+    That consumes the stream and gives the bits of ``rng.uniform`` over the
+    same bounds and shape.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(rng)
     bounds = (dist.capacity_kwh, dist.soc, dist.soc_min, dist.eta)
-    lows, highs = zip(*bounds)
-    capacity, soc, soc_min, eta = rng.uniform(lows, highs, size=(n, len(bounds))).T
+    draws = rng.random((n, len(bounds))).T  # draws[k]: every EV's draw for bounds[k]
+    capacity, soc, soc_min, eta = (lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws))
     return Fleet(
         capacity_kwh=capacity, soc=soc, soc_min=soc_min,
         rate_min_kw=np.full(n, dist.rate_min_kw), rate_max_kw=np.full(n, dist.rate_max_kw),
@@ -181,10 +194,11 @@ def apply_discharge(fleet: Fleet, rate_kw: float, dt_h: float) -> Fleet:
 def eta_sum_available(fleet: Fleet) -> float:
     """Sum of conversion efficiencies over available EVs, in ascending id order.
 
-    A Python sum, left to right, so the float result does not depend on
-    numpy's pairwise summation.
+    Left to right, the last running total of a sequential accumulate, so the
+    float result does not depend on numpy's pairwise summation.
     """
-    return sum(fleet.eta[fleet.available()].tolist())
+    eta = fleet.eta[fleet.available()]
+    return float(np.add.accumulate(eta)[-1]) if eta.size else 0.0
 
 
 def grid_power_kw(fleet: Fleet, rate_kw: float) -> float:

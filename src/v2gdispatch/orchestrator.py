@@ -204,8 +204,12 @@ def run_scenario(
     for event in events:
         if not math.isfinite(event.time_h):
             raise ValueError(f"{event}: time_h must be finite")
-        ids = np.asarray(event.ev_ids, dtype=np.intp)
-        if ((ids < 0) | (ids >= len(fleet))).any():
+        try:
+            ids = np.asarray(event.ev_ids, dtype=np.intp)
+            in_range = not ((ids < 0) | (ids >= len(fleet))).any()
+        except OverflowError:  # an id beyond intp
+            in_range = False
+        if not in_range:
             raise ValueError(f"{event}: EV ids must lie in [0, {len(fleet)})")
         step = event.time_h / dt_h - 1e-9
         if step < n_steps:

@@ -83,10 +83,18 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys):
 
 def test_bad_departure_spec_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for spec in ({"time_h": "soon", "count": 2}, {"time_h": 0.5, "ids": [1.7, True]}):
+    for spec in ({"time_h": "soon", "count": 2}, {"time_h": 0.5, "ids": [1.7, True]},
+                 {"time_h": 0.2, "ids": [0, -1]}, {"time_h": 0.2, "ids": [0, 2**70]}):
         path.write_text(json.dumps({**SMALL, "departures": [spec]}))
         assert main(["run", "--config", str(path)]) == 1
         assert "departures[0]" in capsys.readouterr().err
+
+
+def test_zero_capacity_range_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SMALL, "capacity_range_kwh": [0.0, 0.0]}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "capacity_kwh: lower bound must be > 0, got (0.0, 0.0)" in capsys.readouterr().err
 
 
 def test_non_finite_config_value_exits_1(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from v2gdispatch.config import (
     parse_config,
     resolve_departures,
 )
+from v2gdispatch.fleet import Fleet
+from v2gdispatch.orchestrator import DepartureEvent
 from v2gdispatch.topology import POLICIES
 
 
@@ -111,6 +114,9 @@ def test_schema_version_checked():
         ({"dt_h": 1e-300, "horizon_h": 1e10}, "horizon_h"),
         ({"dt_h": 1e-290, "horizon_h": 1e10}, "horizon_h"),  # 1e300 steps: finite, uncountable
         ({"dt_h": 1.0, "horizon_h": 2.0**53}, "horizon_h"),
+        ({"capacity_range_kwh": [0.0, 0.0]}, "capacity_kwh: lower bound must be > 0"),
+        ({"capacity_range_kwh": [-5.0, 30.0]}, "capacity_kwh: lower bound must be > 0"),
+        ({"beta_range": [-1e308, 1e308]}, "beta_range: bounds .* too far apart"),
     ],
 )
 def test_validation_names_offending_key(data, key):
@@ -199,6 +205,72 @@ def test_resolve_departures_by_ids_and_range_check():
     bad = ScenarioConfig(n_evs=5, seed=3, departures=({"time_h": 0.5, "ids": [9]},))
     with pytest.raises(ConfigError, match="out of range"):
         resolve_departures(bad, build_instance(bad).fleet)
+
+
+@pytest.mark.parametrize("bad_id", [-1, 5, 2**63, 2**70, -(2**70)])
+def test_departure_id_out_of_range_names_the_event_and_the_id(bad_id):
+    # JSON holds any integer, so ids past int64 must come out as a ConfigError too
+    data = {"n_evs": 5, "departures": [{"time_h": 0.2, "ids": [1]},
+                                       {"time_h": 0.1, "ids": [0, 4, bad_id, 7]}]}
+    config = parse_config(json.loads(json.dumps(data)))
+    with pytest.raises(ConfigError, match=rf"departures\[1\]: EV id {bad_id} out of range"):
+        resolve_departures(config, build_instance(config).fleet)
+
+
+def _resolve_by_lists(config, fleet):
+    """Reference: the departure resolution as a loop over Python id lists."""
+    present = np.flatnonzero(fleet.available()).tolist()
+    order = sorted(range(len(config.departures)),
+                   key=lambda j: float(config.departures[j]["time_h"]))
+    events = [None] * len(order)
+    for j in order:
+        spec = config.departures[j]
+        if "ids" in spec:
+            ids = tuple(int(i) for i in spec["ids"])
+        else:
+            count = int(spec["count"])
+            ids = tuple(present[-count:]) if count > 0 else ()
+        for i in ids:
+            if not 0 <= i < len(fleet):
+                raise ConfigError(f"departures: EV id {i} out of range")
+        gone = set(ids)
+        present = [i for i in present if i not in gone]
+        events[j] = DepartureEvent(time_h=float(spec["time_h"]), ev_ids=ids)
+    return tuple(events)
+
+
+@st.composite
+def _fleets_and_departures(draw):
+    n = draw(st.integers(1, 12))
+    soc = draw(st.lists(st.sampled_from((0.05, 0.2, 0.8)), min_size=n, max_size=n))
+    departed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    fleet = Fleet(capacity_kwh=np.full(n, 20.0), soc=soc, soc_min=np.full(n, 0.2),
+                  rate_min_kw=np.zeros(n), rate_max_kw=np.full(n, 6.6), eta=np.full(n, 0.9),
+                  departed=departed)
+    time_h = st.sampled_from((0.5, 1, 1.0, 2.5))  # equal times, as int and float too
+    ids = st.lists(st.integers(0, n - 1), max_size=2 * n)  # duplicates, ids already gone
+    if draw(st.booleans()):
+        ids = st.lists(st.integers(-2, n + 2), max_size=4)  # sometimes out of range
+    departure = (st.fixed_dictionaries({"time_h": time_h, "ids": ids})
+                 | st.fixed_dictionaries({"time_h": time_h, "count": st.integers(0, n + 3)}))
+    return fleet, tuple(draw(st.lists(departure, max_size=5)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=_fleets_and_departures())
+def test_resolve_departures_matches_the_list_loop(case):
+    fleet, departures = case
+    config = ScenarioConfig(n_evs=len(fleet), departures=departures)
+    try:
+        expected = _resolve_by_lists(config, fleet)
+    except ConfigError:
+        with pytest.raises(ConfigError, match="out of range"):
+            resolve_departures(config, fleet)
+        return
+    events = resolve_departures(config, fleet)
+    assert events == expected
+    assert all(type(i) is int for event in events for i in event.ev_ids)
+    assert all(type(event.time_h) is float for event in events)
 
 
 def _finite(lo, hi):

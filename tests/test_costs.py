@@ -369,3 +369,35 @@ def test_sample_ev_cost_params_ranges_and_determinism():
                                               (0.005, 0.02), (0.02, 0.02))):
         assert len(column) == 50
         assert np.all((lo <= column) & (column <= hi))
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
+def test_sample_ev_cost_params_draws_the_bits_of_one_uniform_call(n, seed):
+    bounds = ((0.001, 0.002), (-0.5, 0.003), (0.005, 0.015), (0.0, 20.0))
+    reference = np.random.default_rng(seed)
+    lows, highs = zip(*bounds)
+    expected = reference.uniform(lows, highs, size=(n, len(bounds)))
+    rng = np.random.default_rng(seed)
+    table = sample_ev_cost_params(n, rng, price=0.03, alpha_range=bounds[0], beta_range=bounds[1],
+                                  gamma_range=bounds[2], other_range=bounds[3])
+    for k, column in enumerate(table.columns()[:4]):
+        assert column.tobytes() == np.ascontiguousarray(expected[:, k]).tobytes()
+    assert table.price.tobytes() == np.full(n, 0.03).tobytes()
+    assert rng.random() == reference.random()  # the stream continues where uniform's would
+
+
+def _left_to_right(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_eta_sum_is_a_left_to_right_sum(n):
+    eta = np.random.default_rng(n).uniform(1e-3, 1.0, n)
+    params = AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=eta)
+    assert params.eta_sum == _left_to_right(eta.tolist()) and type(params.eta_sum) is float
+    odd = params.restrict(range(1, n, 2))
+    assert odd.eta_sum == _left_to_right(eta[1::2].tolist())

@@ -84,6 +84,9 @@ def test_inverted_bounds_rejected():
         FleetDistributions(eta=(0.0, 0.9))
     with pytest.raises(ValueError):
         FleetDistributions(rate_min_kw=7.0)
+    for capacity in ((0.0, 0.0), (-1.0, 15.0)):
+        with pytest.raises(ValueError, match="capacity_kwh: lower bound must be > 0"):
+            FleetDistributions(capacity_kwh=capacity)
 
 
 def test_fleet_columns_must_match_in_length():
@@ -105,6 +108,37 @@ def test_fleet_rate_bounds_checked_per_ev():
             Fleet(**{**columns, "rate_min_kw": [0.0, bad]})
     with pytest.raises(ValueError, match="EV 0"):
         Fleet(**{**columns, "rate_max_kw": [float("nan"), -1.0]})
+
+
+@pytest.mark.parametrize("column,bad", [
+    ("capacity_kwh", 0.0), ("capacity_kwh", -20.0), ("capacity_kwh", float("inf")),
+    ("capacity_kwh", float("nan")), ("soc", float("nan")), ("soc", float("inf")),
+    ("soc_min", float("nan")), ("soc_min", float("-inf")),
+])
+def test_fleet_rejects_capacity_not_finite_above_zero_and_soc_not_finite(column, bad):
+    columns = dict(capacity_kwh=[20.0, 15.0, 25.0], soc=[0.8, 0.7, 0.9],
+                   soc_min=[0.2, 0.1, 0.2], rate_min_kw=[0.0] * 3, rate_max_kw=[6.6] * 3,
+                   eta=[1.0, 0.9, 0.95])
+    values = list(columns[column])
+    values[1] = values[2] = bad  # the first offending EV is named
+    with pytest.raises(ValueError, match=f"EV 1: .*{column}={bad}"):
+        Fleet(**{**columns, column: values})
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
+def test_sample_fleet_draws_the_bits_of_one_uniform_call(n, seed):
+    dist = FleetDistributions(capacity_kwh=(10.0, 80.0), soc=(0.5, 1.0), soc_min=(0.05, 0.3),
+                              eta=(0.8, 1.0))
+    bounds = (dist.capacity_kwh, dist.soc, dist.soc_min, dist.eta)
+    reference = np.random.default_rng(seed)
+    lows, highs = zip(*bounds)
+    expected = reference.uniform(lows, highs, size=(n, len(bounds)))
+    rng = np.random.default_rng(seed)
+    fleet = sample_fleet(n, rng, dist)
+    for k, name in enumerate(("capacity_kwh", "soc", "soc_min", "eta")):
+        assert getattr(fleet, name).tobytes() == np.ascontiguousarray(expected[:, k]).tobytes()
+    assert rng.random() == reference.random()  # the stream continues where uniform's would
 
 
 def test_availability_rules():
@@ -180,9 +214,14 @@ def test_grid_power_is_rate_times_available_eta_sum():
     fleet.evs[10].soc = 0.0
     avail = fleet.available()
     assert not avail[3] and not avail[10] and avail.sum() == 28
-    expected = 3.7 * sum(ev.eta for ev in fleet.evs if avail[ev.id])
-    assert grid_power_kw(fleet, 3.7) == expected
-    assert eta_sum_available(fleet) == sum(ev.eta for ev in fleet.evs if avail[ev.id])
+    total = 0.0
+    for ev in fleet.evs:  # left to right in id order, on any Python version
+        if avail[ev.id]:
+            total += ev.eta
+    assert grid_power_kw(fleet, 3.7) == 3.7 * total
+    assert eta_sum_available(fleet) == total
+    fleet.departed[:] = True
+    assert eta_sum_available(fleet) == 0.0 and grid_power_kw(fleet, 3.7) == 0.0
 
 
 def test_distance_home_reserve_basis():

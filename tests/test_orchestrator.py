@@ -311,10 +311,11 @@ def test_departure_fires_at_its_step(dt_h, time_h, step):
     (DepartureEvent(0.2, (-1,)), r"\[0, 12\)"),
     (DepartureEvent(0.2, (12,)), r"\[0, 12\)"),
     (DepartureEvent(0.2, (0, 12)), r"\[0, 12\)"),
+    (DepartureEvent(0.2, (0, 2**70)), r"\[0, 12\)"),
     (DepartureEvent(float("nan"), (3,)), "finite"),
     (DepartureEvent(float("inf"), (3,)), "finite"),
     (DepartureEvent(-float("inf"), (3,)), "finite"),
-], ids=["id-1", "id-N", "ids-0-N", "nan", "inf", "-inf"])
+], ids=["id-1", "id-N", "ids-0-N", "id-2**70", "nan", "inf", "-inf"])
 def test_scenario_rejects_a_bad_departure_event(instance, event, problem):
     with pytest.raises(ValueError, match=re.escape(str(event)) + ".*" + problem):
         run_scenario(instance.fleet, instance.costs, dt_h=0.1, horizon_h=0.5,
