@@ -88,7 +88,8 @@ class Fleet:
     Columns (numpy, one entry per EV id): ``capacity_kwh``, ``soc``,
     ``soc_min``, ``rate_min_kw``, ``rate_max_kw``, ``eta`` (float) and
     ``departed`` (bool). Each EV needs 0 <= ``rate_min_kw`` <= ``rate_max_kw``,
-    a finite ``capacity_kwh`` > 0 and a finite ``soc`` and ``soc_min``.
+    a finite ``capacity_kwh`` > 0, a finite ``soc`` and ``soc_min`` and an
+    ``eta`` in (0, 1].
     """
 
     __slots__ = _FLOAT_FIELDS + ("departed", "time_h")
@@ -120,6 +121,10 @@ class Fleet:
             raise ValueError(f"EV {i}: need a finite capacity_kwh > 0 and a finite soc and "
                              f"soc_min, got capacity_kwh={float(cap[i])}, "
                              f"soc={float(self.soc[i])}, soc_min={float(self.soc_min[i])}")
+        bad = np.flatnonzero(~((0.0 < self.eta) & (self.eta <= 1.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"EV {i}: need 0 < eta <= 1, got eta={float(self.eta[i])}")
         self.time_h = 0.0
 
     @property

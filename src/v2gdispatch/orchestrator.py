@@ -144,7 +144,7 @@ def run_optimization(
     split = None
     n_iterations = max(k_max, 1)
     pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
-    trace = []  # (selected index, best rate, best total) per iteration
+    segment = IterationSegment(epoch, len(avail))
     for k in range(n_iterations):
         values = cost_matrix(pool.positions)
         units = to_units_array(values, unit_bits, out=wire)
@@ -155,13 +155,13 @@ def run_optimization(
         totals = from_units_array(candidate_totals(units), unit_bits)
         selected = ecn_select_best(totals.tolist())
         pool.record_evaluation(totals, selected)
-        trace.append((selected, pool.best_rate, pool.best_value))
+        segment.append(selected, pool.best_rate, pool.best_value)
         if k_max > 0:
             advance_pool(pool, dwoa_rng)
 
     record.oracle_calls_agg += m_whales * n_iterations
     record.oracle_calls_ev += len(avail) * m_whales * n_iterations
-    record.iterations.segments.append(IterationSegment(epoch, len(avail), 0, *zip(*trace)))
+    record.iterations.segments.append(segment)
     return pool.best_rate, record
 
 
@@ -242,7 +242,9 @@ def run_scenario(
                     unit_bits=unit_bits,
                     epoch=epoch,
                 )
-                record.extend(epoch_record)
+                record.iterations.segments += epoch_record.iterations.segments
+                record.oracle_calls_ev += epoch_record.oracle_calls_ev
+                record.oracle_calls_agg += epoch_record.oracle_calls_agg
             else:
                 rate = 0.0
             epoch += 1

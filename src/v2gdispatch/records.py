@@ -1,16 +1,19 @@
 """Run traces and their CSV round-trip.
 
 A RunRecord holds one row per optimization iteration and one row per
-simulated time step, stored as columns: iterations in one segment per run of
-consecutive iterations of an epoch (selected index, best rate, best total),
-steps as time, rate and grid power, plus every EV's SOC (by id) at each
-step, held losslessly in ``SocSeries`` (a step's SOC costs bytes only where
-the discharge pattern changes). Rows are
-``IterationRow`` / ``StepRow`` objects built on access; step rows are built
-only by iterating a ``StepLog``, which is written through ``add``. The CSV is
-append-ordered, versioned and fully deterministic: floats are written with
-repr (shortest exact round-trip), so export -> import -> export reproduces
-the file byte for byte; a step without SOC has an empty soc field.
+simulated time step, stored as columns. Iterations live in one
+``IterationSegment`` per run of consecutive iterations of an epoch (selected
+index, best rate, best total), and ``IterationSegment.append`` is the one way
+they get there: an epoch fills its segment and hands it over, and
+``import_run`` fills segments line by line. Steps are time, rate and grid
+power, plus every EV's SOC (by id) at each step, held losslessly in one
+``SocSeries`` (a step's SOC costs bytes only where the discharge pattern
+changes) whose width the first step fixes; width 0 means no SOC. Rows are
+``IterationRow`` / ``StepRow`` read views built on access; step rows are
+built only by iterating a ``StepLog``, which is written through ``add``. The
+CSV is append-ordered, versioned and fully deterministic: floats are written
+with repr (shortest exact round-trip), so export -> import -> export
+reproduces the file byte for byte; a step without SOC has an empty soc field.
 """
 
 from __future__ import annotations
@@ -57,19 +60,16 @@ class StepRow:
 class IterationSegment:
     """Iterations k0, k0 + 1, ... of one epoch at one fleet size, as columns.
 
-    Columns given at construction are copied into exactly sized arrays.
+    Starts empty; ``append`` is the only way an iteration enters a record.
     """
 
     __slots__ = ("epoch", "n_available", "k0", "selected_index", "best_rate_kw", "best_total_cost")
 
-    def __init__(self, epoch: int, n_available: int, k0: int = 0,
-                 selected_index=(), best_rate_kw=(), best_total_cost=()):
+    def __init__(self, epoch: int, n_available: int, k0: int = 0):
         self.epoch, self.n_available, self.k0 = epoch, n_available, k0
-        self.selected_index = array("i", selected_index)  # a candidate index
-        self.best_rate_kw = array("d", best_rate_kw)
-        self.best_total_cost = array("d", best_total_cost)
-        if not len(self.selected_index) == len(self.best_rate_kw) == len(self.best_total_cost):
-            raise ValueError("iteration columns differ in length")
+        self.selected_index = array("i")  # a candidate index
+        self.best_rate_kw = array("d")
+        self.best_total_cost = array("d")
 
     def append(self, selected_index: int, best_rate_kw: float, best_total_cost: float) -> None:
         self.selected_index.append(selected_index)
@@ -82,10 +82,6 @@ class IterationSegment:
     def row(self, j: int) -> IterationRow:
         return IterationRow(self.epoch, self.k0 + j, self.selected_index[j],
                             self.best_rate_kw[j], self.best_total_cost[j], self.n_available)
-
-    def copy(self) -> "IterationSegment":
-        return IterationSegment(self.epoch, self.n_available, self.k0, self.selected_index,
-                                self.best_rate_kw, self.best_total_cost)
 
 
 def _locate(index, n: int) -> int:
@@ -104,17 +100,6 @@ class IterationLog(Sequence):
 
     def __init__(self):
         self.segments: list[IterationSegment] = []
-
-    def append(self, row: IterationRow) -> None:
-        last = self.segments[-1] if self.segments else None
-        if (last is None or (last.epoch, last.n_available) != (row.epoch, row.n_available)
-                or row.k != last.k0 + len(last)):
-            last = IterationSegment(row.epoch, row.n_available, row.k)
-            self.segments.append(last)
-        last.append(row.selected_index, row.best_rate_kw, row.best_total_cost)
-
-    def extend(self, other: "IterationLog") -> None:
-        self.segments.extend(segment.copy() for segment in other.segments)
 
     def __len__(self) -> int:
         return sum(len(segment) for segment in self.segments)
@@ -154,9 +139,6 @@ class SocSeries:
         self._last = self.first
         self._step = np.zeros_like(self.first)
 
-    def __len__(self) -> int:
-        return len(self.ptr)
-
     def append(self, row: np.ndarray) -> None:
         bits = row.view(np.uint64)
         step = bits - self._last
@@ -180,53 +162,47 @@ class SocSeries:
 
 
 class StepLog:
-    """A record's step rows as columns; per-EV SOC as runs of ``SocSeries``."""
+    """A record's step rows as columns; per-EV SOC as one ``SocSeries``.
 
-    __slots__ = ("time_h", "rate_kw", "grid_power_kw", "_soc_runs", "_run_steps")
+    The first step fixes the SOC width: every later step must give as many
+    values, and a log whose steps carry no SOC has width 0.
+    """
+
+    __slots__ = ("time_h", "rate_kw", "grid_power_kw", "soc")
 
     def __init__(self):
         self.time_h = array("d")
         self.rate_kw = array("d")
         self.grid_power_kw = array("d")
-        self._soc_runs: list[SocSeries | None] = []  # None: steps without SOC
-        self._run_steps = array("q")
+        self.soc: SocSeries | None = None  # None until the first step
 
     def add(self, time_h: float, rate_kw: float, grid_power_kw: float, soc=None) -> None:
-        """Append one step; ``soc`` is every EV's SOC by id (copied), or None."""
+        """Append one step; ``soc`` is every EV's SOC by id (copied), or None
+        when not recorded. A width other than the first step's raises
+        ValueError and leaves the log as it was."""
+        row = np.array(() if soc is None else soc, dtype=float).reshape(-1)
+        if self.soc is None:
+            self.soc = SocSeries(row)
+        elif len(row) != len(self.soc.first):
+            raise ValueError(f"step has {len(row)} SOC values, earlier steps "
+                             f"{len(self.soc.first)}")
+        else:
+            self.soc.append(row)
         self.time_h.append(time_h)
         self.rate_kw.append(rate_kw)
         self.grid_power_kw.append(grid_power_kw)
-        row = np.array(soc, dtype=float).reshape(-1) if soc is not None and len(soc) else None
-        last = self._soc_runs[-1] if self._soc_runs else False
-        if row is None and last is None:
-            self._run_steps[-1] += 1
-        elif row is not None and isinstance(last, SocSeries) and len(last.first) == len(row):
-            last.append(row)
-            self._run_steps[-1] += 1
-        else:
-            self._soc_runs.append(None if row is None else SocSeries(row))
-            self._run_steps.append(1)
-
-    def extend(self, other: "StepLog") -> None:
-        for time_h, rate, power, soc in zip(other.time_h, other.rate_kw, other.grid_power_kw,
-                                            other.soc_rows()):
-            self.add(time_h, rate, power, soc)
 
     def __len__(self) -> int:
         return len(self.time_h)
 
     def soc_rows(self):
-        """Every step's SOC in order: a float64 array updated in place, or None."""
-        for series, n in zip(self._soc_runs, self._run_steps):
-            if series is None:
-                yield from (None,) * n
-            else:
-                yield from series.rows()
+        """Every step's SOC in order, as one float64 array updated in place."""
+        return iter(()) if self.soc is None else self.soc.rows()
 
     def __iter__(self):
         for time_h, rate, power, soc in zip(self.time_h, self.rate_kw, self.grid_power_kw,
                                             self.soc_rows()):
-            yield StepRow(time_h, rate, power, () if soc is None else tuple(soc.tolist()))
+            yield StepRow(time_h, rate, power, tuple(soc.tolist()))
 
 
 @dataclass(slots=True)
@@ -238,13 +214,6 @@ class RunRecord:
     empty_fleet: bool = False
     oracle_calls_ev: int = 0
     oracle_calls_agg: int = 0
-
-    def extend(self, other: "RunRecord") -> None:
-        self.iterations.extend(other.iterations)
-        self.steps.extend(other.steps)
-        self.oracle_calls_ev += other.oracle_calls_ev
-        self.oracle_calls_agg += other.oracle_calls_agg
-        self.empty_fleet = self.empty_fleet or other.empty_fleet
 
 
 def export_run(record: RunRecord, path) -> None:
@@ -266,7 +235,7 @@ def export_run(record: RunRecord, path) -> None:
         steps = record.steps
         for time_h, rate, power, soc in zip(steps.time_h, steps.rate_kw, steps.grid_power_kw,
                                             steps.soc_rows()):
-            soc = "" if soc is None else ";".join(map(repr, soc.tolist()))
+            soc = ";".join(map(repr, soc.tolist()))
             write(f"step,,,,,,,{time_h!r},{rate!r},{power!r},{soc},\n")
 
 
@@ -274,9 +243,11 @@ def import_run(path) -> RunRecord:
     """Parse a CSV written by export_run back into a RunRecord.
 
     The file is read one line at a time; lines split as ``str.splitlines``
-    splits them.
+    splits them. A line that does not parse, or a step whose SOC width
+    differs from the first step's, raises ValueError naming ``path:lineno``.
     """
     record = RunRecord()
+    segment = None  # the segment the next iteration row may continue
     with open(path, "r", newline="") as fh:
         lines = (line for chunk in fh for line in chunk.splitlines())
         if next(lines, None) != FORMAT_TAG:
@@ -286,29 +257,27 @@ def import_run(path) -> RunRecord:
         for lineno, line in enumerate(lines, start=3):
             if not line:
                 continue
-            fields = line.split(",")
-            if len(fields) != _N_COLS:
-                raise ValueError(f"{path}:{lineno}: expected {_N_COLS} fields")
-            kind = fields[0]
-            if kind == "flag":
-                if fields[11] == "empty_fleet":
+            try:
+                fields = line.split(",")
+                if len(fields) != _N_COLS:
+                    raise ValueError(f"expected {_N_COLS} fields")
+                kind = fields[0]
+                if kind == "flag":
+                    if fields[11] != "empty_fleet":
+                        raise ValueError(f"unknown flag {fields[11]!r}")
                     record.empty_fleet = True
+                elif kind == "iter":
+                    epoch, k, n_available = int(fields[1]), int(fields[2]), int(fields[6])
+                    if segment is None or (segment.epoch, segment.n_available,
+                                           segment.k0 + len(segment)) != (epoch, n_available, k):
+                        segment = IterationSegment(epoch, n_available, k)
+                        record.iterations.segments.append(segment)
+                    segment.append(int(fields[3]), float(fields[4]), float(fields[5]))
+                elif kind == "step":
+                    soc = [float(s) for s in fields[10].split(";")] if fields[10] else None
+                    record.steps.add(float(fields[7]), float(fields[8]), float(fields[9]), soc)
                 else:
-                    raise ValueError(f"{path}:{lineno}: unknown flag {fields[11]!r}")
-            elif kind == "iter":
-                record.iterations.append(
-                    IterationRow(
-                        epoch=int(fields[1]),
-                        k=int(fields[2]),
-                        selected_index=int(fields[3]),
-                        best_rate_kw=float(fields[4]),
-                        best_total_cost=float(fields[5]),
-                        n_available=int(fields[6]),
-                    )
-                )
-            elif kind == "step":
-                soc = [float(s) for s in fields[10].split(";")] if fields[10] else None
-                record.steps.add(float(fields[7]), float(fields[8]), float(fields[9]), soc)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown row kind {kind!r}")
+                    raise ValueError(f"unknown row kind {kind!r}")
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the column
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return record

@@ -125,6 +125,15 @@ def test_fleet_rejects_capacity_not_finite_above_zero_and_soc_not_finite(column,
         Fleet(**{**columns, column: values})
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_fleet_rejects_eta_outside_zero_to_one(bad):
+    columns = dict(capacity_kwh=[20.0, 15.0, 25.0], soc=[0.8, 0.7, 0.9],
+                   soc_min=[0.2, 0.1, 0.2], rate_min_kw=[0.0] * 3, rate_max_kw=[6.6] * 3)
+    assert len(Fleet(**columns, eta=[1.0, 1e-9, 0.9])) == 3
+    with pytest.raises(ValueError, match=f"EV 1: .*eta={bad}"):
+        Fleet(**columns, eta=[1.0, bad, bad])  # the first offending EV is named
+
+
 @pytest.mark.parametrize("n", [1, 7, 100, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
 def test_sample_fleet_draws_the_bits_of_one_uniform_call(n, seed):

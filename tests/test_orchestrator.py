@@ -208,6 +208,32 @@ def test_scenario_departure_triggers_reoptimization(instance):
         assert soc_end[i] == soc_at_event[i]
 
 
+def test_scenario_record_is_its_epochs_in_order(instance, monkeypatch):
+    # two departures, three epochs: the scenario's iteration rows are the
+    # epochs' rows back to back and its oracle calls are their sums
+    epochs = []
+    optimize = orchestrator.run_optimization
+
+    def capture(*args, **kwargs):
+        rate, record = optimize(*args, **kwargs)
+        epochs.append((rate, record))
+        return rate, record
+
+    monkeypatch.setattr(orchestrator, "run_optimization", capture)
+    record = run_scenario(
+        instance.fleet, instance.costs, dt_h=0.1, horizon_h=0.6,
+        events=(DepartureEvent(time_h=0.2, ev_ids=(0, 1, 2)),
+                DepartureEvent(time_h=0.4, ev_ids=(3, 4))),
+        m_whales=4, k_max=40, seed=8,
+    )
+    assert len(epochs) == 3
+    assert list(record.iterations) == [row for _, e in epochs for row in e.iterations]
+    assert [row.epoch for row in record.iterations] == [0] * 40 + [1] * 40 + [2] * 40
+    assert record.oracle_calls_ev == sum(e.oracle_calls_ev for _, e in epochs) > 0
+    assert record.oracle_calls_agg == sum(e.oracle_calls_agg for _, e in epochs) > 0
+    assert list(record.steps.rate_kw) == [rate for rate, _ in epochs for _ in range(2)]
+
+
 def test_scenario_grid_power_identity(instance):
     record = run_scenario(
         instance.fleet, instance.costs, dt_h=0.25, horizon_h=1.0,

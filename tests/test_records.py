@@ -1,11 +1,14 @@
 """Run-record CSV schema, row counts, and byte-exact round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
 from v2gdispatch.records import (
     FORMAT_TAG,
-    IterationRow,
+    HEADER,
+    IterationSegment,
     RunRecord,
     StepLog,
     export_run,
@@ -15,14 +18,10 @@ from v2gdispatch.records import (
 
 def _record():
     rec = RunRecord()
+    segment = IterationSegment(epoch=0, n_available=100)
     for k in range(150):
-        rec.iterations.append(
-            IterationRow(
-                epoch=0, k=k, selected_index=k % 3,
-                best_rate_kw=4.4 + k * 1e-3, best_total_cost=-1.7 + 1.0 / (k + 1),
-                n_available=100,
-            )
-        )
+        segment.append(k % 3, 4.4 + k * 1e-3, -1.7 + 1.0 / (k + 1))
+    rec.iterations.segments.append(segment)
     for s in range(10):
         rec.steps.add(s * 0.1, 4.5, 4.5 * 90.123456789, (0.8 - s * 0.01, 1 / 3, 0.9))
     return rec
@@ -91,38 +90,68 @@ def test_import_rejects_unknown_row_kind(tmp_path):
         import_run(path)
 
 
-def test_extend_merges_traces():
-    a = _record()
-    n_iter, n_step = len(a.iterations), len(a.steps)
-    b = RunRecord(oracle_calls_ev=7, oracle_calls_agg=3)
-    b.iterations.append(
-        IterationRow(epoch=1, k=0, selected_index=0, best_rate_kw=5.0,
-                     best_total_cost=0.0, n_available=50)
-    )
-    b.steps.add(1.0, 5.0, 4.5, (0.7, 1 / 3, 0.9))
-    a.extend(b)
-    assert len(a.iterations) == n_iter + 1
-    assert len(a.steps) == n_step + 1
-    assert list(a.steps)[-1] == list(b.steps)[0]
-    assert a.oracle_calls_ev == 7 and a.oracle_calls_agg == 3
-
-
 def test_step_soc_is_kept_bit_for_bit():
-    # rows of changing width, steps without SOC, and values whose bit
-    # patterns wrap when differenced: -0.0, negatives, inf, nan, subnormals
+    # values whose bit patterns wrap when differenced: -0.0, negatives, inf,
+    # nan, subnormals; then a discharge ramp that crosses binades and floors at 0
     rng = np.random.default_rng(3)
     odd = np.array([-0.0, -1.5, float("inf"), float("nan"), 5e-324, 1.0])
-    rows = [rng.uniform(0.0, 1.0, 4) for _ in range(3)] + [None, None]
-    rows += [odd, odd[::-1].copy(), odd, None, rng.uniform(0.0, 1.0, 4)]
-    ramp = 0.9 - np.arange(40)[:, None] * (6.6 * 0.01 / np.array([15.0, 22.0, 30.0]))
+    rows = [rng.uniform(0.0, 1.0, 6) for _ in range(3)]
+    rows += [odd, odd[::-1].copy(), odd, -odd, rng.uniform(0.0, 1.0, 6)]
+    ramp = 0.9 - np.arange(40)[:, None] * (
+        6.6 * 0.01 / np.array([15.0, 22.0, 30.0, 0.9, 18.0, 25.0]))
     rows += list(np.maximum(ramp, 0.0))
     log = StepLog()
     for t, soc in enumerate(rows):
         log.add(float(t), 0.0, 0.0, soc)
-    expected = [() if soc is None else tuple(np.asarray(soc).tolist()) for soc in rows]
     as_bits = lambda socs: [np.array(s, dtype=float).view(np.uint64).tolist() for s in socs]
-    assert as_bits(row.soc for row in log) == as_bits(expected)
-    assert list(log.soc_rows())[3] is None
+    assert as_bits(row.soc for row in log) == as_bits(rows)
+
+
+def test_step_soc_width_is_fixed_by_the_first_step():
+    log = StepLog()
+    log.add(0.0, 1.0, 1.0, (0.5, 0.6))
+    for soc in ((0.5,), (0.5, 0.6, 0.7), None, ()):
+        with pytest.raises(ValueError, match="1 SOC values|3 SOC values|0 SOC values"):
+            log.add(1.0, 1.0, 1.0, soc)
+    assert len(log) == 1 and [row.soc for row in log] == [(0.5, 0.6)]
+    empty = StepLog()
+    empty.add(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="1 SOC values, earlier steps 0"):
+        empty.add(1.0, 1.0, 1.0, (0.5,))
+
+
+def test_steps_without_soc_export_empty_fields_and_round_trip(tmp_path):
+    rec = RunRecord()
+    for s in range(3):
+        rec.steps.add(s * 0.5, 2.0, 1.5, None if s else ())
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    export_run(rec, a)
+    assert a.read_text().splitlines()[2:] == [
+        f"step,,,,,,,{s * 0.5!r},2.0,1.5,," for s in range(3)
+    ]
+    back = import_run(a)
+    assert [row.soc for row in back.steps] == [()] * 3
+    export_run(back, b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("line", [
+    "iter,0,0,1,zz,-1.5,100,,,,,",
+    "iter,x,0,1,4.5,-1.5,100,,,,,",
+    "iter,0,0,4294967296,4.5,-1.5,100,,,,,",
+    "step,,,,,,,0.1,4.5,4.1,0.5;;0.6,",
+    "step,,,,,,,0.1,4.5,4.1,0.5,",
+    "step,,,,,,,0.1,4.5,4.1,,",
+    "step,,,,,,,0.1,4.5,4.1,0.5;0.6;0.7,",
+    "step,,,,,,,0.1,4.5,4.1,0.5;0.6",
+    "flag,,,,,,,,,,,nonsense",
+])
+def test_import_names_the_file_and_line_of_a_bad_line(tmp_path, line):
+    path = tmp_path / "bad.csv"
+    good = "step,,,,,,,0.0,4.5,4.1,0.5;0.6,"
+    path.write_text(f"{FORMAT_TAG}\n{HEADER}\n{good}\n\n{line}\n{good}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: "):
+        import_run(path)
 
 
 def test_steady_discharge_soc_costs_no_bytes_per_step():
@@ -133,5 +162,4 @@ def test_steady_discharge_soc_costs_no_bytes_per_step():
     for t in range(50):
         log.add(float(t), 1.0, 1.0, soc)
         soc = soc - 1e-4
-    (series,) = log._soc_runs
-    assert len(series.ids) == 1000
+    assert len(log.soc.ids) == 1000
