@@ -60,7 +60,8 @@ def make_penalized_fitness(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized objective + graded consensus penalty over rate matrices."""
     alpha, beta, gamma, other, price = ev_params.columns()
-    const = gamma + other
+    linear = beta - price
+    const = (gamma + other).sum()
     eta = agg_params.eta_array
     if len(eta) != len(ev_params):
         raise ValueError(f"{len(ev_params)} EV params but {len(eta)} efficiencies")
@@ -72,7 +73,7 @@ def make_penalized_fitness(
         pop = np.atleast_2d(np.asarray(rates, dtype=float))
         if pop.shape[1] != len(eta):
             raise ValueError(f"expected {len(eta)} rates per row, got {pop.shape[1]}")
-        ev_cost = (pop * pop) @ alpha + pop @ (beta - price) + const.sum()
+        ev_cost = (pop * pop) @ alpha + pop @ linear + const
         agg_cost = agg_cost_of_power(pop @ eta, pop.sum(axis=1), agg_params)
         spread = pop.max(axis=1) - pop.min(axis=1)
         pen = np.where(

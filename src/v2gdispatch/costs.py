@@ -27,6 +27,13 @@ Per-EV coefficients are held only as columns, one row per EV
 broadcast operations into one matrix (``CostMatrix``). The one-EV and
 per-EV-rate aggregator formulas above live in the tests, as references the
 column forms are checked against.
+
+The ground-truth oracle ``grid_search_rate`` evaluates ``consensus_objective``
+on a uniform grid of common rates, ``_GRID_BLOCK`` points at a time; per
+block, each EV's cost is computed in place into two buffers and added into
+the running total. Its working memory is the grid plus a few 128 KiB
+buffers, 1.3 MB on the default 66 001-point grid, at any N; every value is
+bit for bit what one pass over the whole grid gives.
 """
 
 from __future__ import annotations
@@ -256,11 +263,35 @@ def consensus_objective(rate, ev: EvCostTable, agg: AggCostParams):
     """Total net cost when all EVs share one common rate (scalar or array).
 
     The aggregator's cost, then each EV's in order, added one at a time.
+    For an array of rates each EV's cost is ``_ev_cost``'s operations run in
+    place, in its order, into two buffers the size of ``rate``, and added
+    into the running total; no other array is made per EV. A scalar rate
+    takes ``_ev_cost`` itself on Python floats: the same bits, and at
+    N = 1 000 about 1 ms where the in-place loop on a 0-d array takes 16.
     """
     total = agg_consensus_cost(rate, agg)
-    for row in zip(*(column.tolist() for column in ev.columns())):
-        total = total + _ev_cost(rate, *row)
+    rows = zip(*(column.tolist() for column in ev.columns()))
+    if np.ndim(rate) == 0:
+        for row in rows:
+            total = total + _ev_cost(rate, *row)
+        return total
+    cost, work = np.empty_like(total), np.empty_like(total)
+    for alpha, beta, gamma, other, price in rows:
+        np.multiply(alpha, rate, out=cost)
+        cost *= rate
+        np.multiply(beta, rate, out=work)
+        cost += work
+        cost += gamma
+        cost += other
+        np.multiply(price, rate, out=work)
+        cost -= work
+        total += cost
     return total
+
+
+# Grid points per consensus_objective call in grid_search_rate: its buffers
+# are 128 KiB each, and a 66 001-point grid takes five calls
+_GRID_BLOCK = 16_384
 
 
 def grid_search_rate(
@@ -273,7 +304,12 @@ def grid_search_rate(
     """Brute-force minimizer of the consensus objective on a uniform grid.
 
     Ground truth for every convergence check; ties resolve to the lowest rate.
-    Returns (best_rate, best_value).
+    Returns (best_rate, best_value). The grid is one ``np.linspace``; the
+    objective is evaluated on it ``_GRID_BLOCK`` points at a time, each point
+    with the same operations as over the whole grid at once, and a block's
+    minimum replaces the best only when strictly lower, so the result is
+    ``np.argmin``'s over the full grid, bit for bit. Working memory is the
+    grid (8 bytes a point) plus a few block-sized buffers.
     """
     if not lower <= upper:
         raise ValueError(f"need lower <= upper, got [{lower}, {upper}]")
@@ -281,9 +317,13 @@ def grid_search_rate(
         raise ValueError(f"step must be a finite number > 0, got {step}")
     n_points = int(round((upper - lower) / step)) + 1
     grid = np.linspace(lower, upper, n_points)
-    values = consensus_objective(grid, ev, agg)
-    i = int(np.argmin(values))
-    return float(grid[i]), float(values[i])
+    best, best_value = 0, np.inf
+    for start in range(0, n_points, _GRID_BLOCK):
+        values = consensus_objective(grid[start:start + _GRID_BLOCK], ev, agg)
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best, best_value = start + i, values[i]
+    return float(grid[best]), float(best_value)
 
 
 class CostOracle:

@@ -243,8 +243,10 @@ def import_run(path) -> RunRecord:
     """Parse a CSV written by export_run back into a RunRecord.
 
     The file is read one line at a time; lines split as ``str.splitlines``
-    splits them. A line that does not parse, or a step whose SOC width
-    differs from the first step's, raises ValueError naming ``path:lineno``.
+    splits them. A line that does not parse, a step whose SOC width differs
+    from the first step's, or a row order ``export_run`` never writes (a flag
+    beside other rows, an iteration after a step) raises ValueError naming
+    ``path:lineno``.
     """
     record = RunRecord()
     segment = None  # the segment the next iteration row may continue
@@ -262,11 +264,17 @@ def import_run(path) -> RunRecord:
                 if len(fields) != _N_COLS:
                     raise ValueError(f"expected {_N_COLS} fields")
                 kind = fields[0]
+                if record.empty_fleet:
+                    raise ValueError("the empty_fleet flag must be the only row")
                 if kind == "flag":
                     if fields[11] != "empty_fleet":
                         raise ValueError(f"unknown flag {fields[11]!r}")
+                    if record.iterations.segments or len(record.steps):
+                        raise ValueError("the empty_fleet flag must be the only row")
                     record.empty_fleet = True
                 elif kind == "iter":
+                    if len(record.steps):
+                        raise ValueError("iter line after a step line")
                     epoch, k, n_available = int(fields[1]), int(fields[2]), int(fields[6])
                     if segment is None or (segment.epoch, segment.n_available,
                                            segment.k0 + len(segment)) != (epoch, n_available, k):
@@ -274,7 +282,7 @@ def import_run(path) -> RunRecord:
                         record.iterations.segments.append(segment)
                     segment.append(int(fields[3]), float(fields[4]), float(fields[5]))
                 elif kind == "step":
-                    soc = [float(s) for s in fields[10].split(";")] if fields[10] else None
+                    soc = np.array(fields[10].split(";"), dtype=float) if fields[10] else None
                     record.steps.add(float(fields[7]), float(fields[8]), float(fields[9]), soc)
                 else:
                     raise ValueError(f"unknown row kind {kind!r}")

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from v2gdispatch import costs as costs_module
 from v2gdispatch.costs import (
     AggCostParams,
     CostMatrix,
@@ -277,6 +278,54 @@ def test_consensus_objective_matches_per_ev_reference_bit_for_bit(n):
         value = consensus_objective(rate, costs.ev, costs.agg)
         reference = reference_consensus_objective(rate, costs.ev, costs.agg)
         assert np.float64(value).tobytes() == np.float64(reference).tobytes()
+
+
+@pytest.mark.parametrize("length", [1, costs_module._GRID_BLOCK - 1, costs_module._GRID_BLOCK,
+                                    costs_module._GRID_BLOCK + 1, 2 * costs_module._GRID_BLOCK + 1])
+def test_consensus_objective_matches_the_reference_at_block_edges(length):
+    costs = _toy_cost_set(n=20, seed=length)
+    rates = np.random.default_rng(length).uniform(0.0, 6.6, length)
+    assert (consensus_objective(rates, costs.ev, costs.agg).tobytes()
+            == reference_consensus_objective(rates, costs.ev, costs.agg).tobytes())
+    rate = float(rates[0])
+    assert (np.float64(consensus_objective(rate, costs.ev, costs.agg)).tobytes()
+            == np.float64(reference_consensus_objective(rate, costs.ev, costs.agg)).tobytes())
+
+
+def _full_grid_argmin(ev, agg, lower, upper, step):
+    grid = np.linspace(lower, upper, int(round((upper - lower) / step)) + 1)
+    values = consensus_objective(grid, ev, agg)
+    i = int(np.argmin(values))
+    return float(grid[i]), float(values[i])
+
+
+@pytest.mark.parametrize("block", [2, 7, 64])
+def test_blocked_grid_search_is_the_full_grid_argmin(monkeypatch, block):
+    monkeypatch.setattr(costs_module, "_GRID_BLOCK", block)
+    tie = one_ev_table((1.0, -6.6, 0.0, 0.0, 0.0))
+    tie_agg = AggCostParams(gen_a=1e-12, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.0,))
+    assert grid_search_rate(tie, tie_agg, 0.0, 6.6, 0.1) == _full_grid_argmin(tie, tie_agg, 0.0, 6.6, 0.1)
+    rng = np.random.default_rng(block)
+    for _ in range(20):
+        costs = _toy_cost_set(n=int(rng.integers(1, 30)), seed=int(rng.integers(1 << 30)))
+        lower = float(rng.uniform(0.0, 3.0))
+        upper = lower + float(rng.uniform(0.0, 3.6))
+        step = float(rng.choice([0.01, 0.05, 0.1]))
+        assert (grid_search_rate(costs.ev, costs.agg, lower, upper, step)
+                == _full_grid_argmin(costs.ev, costs.agg, lower, upper, step))
+
+
+def test_blocked_grid_search_keeps_the_first_of_equal_minima_across_blocks(monkeypatch):
+    # a floor of equal values from about 3.21 to 3.39 spans several 4-point blocks
+    monkeypatch.setattr(costs_module, "_GRID_BLOCK", 4)
+    monkeypatch.setattr(costs_module, "consensus_objective",
+                        lambda rate, ev, agg: np.floor(np.abs(rate - 3.3) * 10.0))
+    costs = _toy_cost_set()
+    rate, value = grid_search_rate(costs.ev, costs.agg, 0.0, 6.6, 0.01)
+    grid = np.linspace(0.0, 6.6, 661)
+    values = np.floor(np.abs(grid - 3.3) * 10.0)
+    assert np.count_nonzero(values == 0.0) > 8
+    assert (rate, value) == (float(grid[np.argmin(values)]), 0.0)
 
 
 def test_consensus_objective_minimizer_matches_grid_oracle():

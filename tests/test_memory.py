@@ -9,6 +9,7 @@ import gc
 import tracemalloc
 
 from v2gdispatch.config import ScenarioConfig, build_instance
+from v2gdispatch.costs import grid_search_rate
 from v2gdispatch.fleet import sample_fleet
 from v2gdispatch.harness import run_seed
 from v2gdispatch.orchestrator import DepartureEvent, run_optimization, run_scenario
@@ -124,3 +125,17 @@ def test_epoch_peak_is_bounded():
     epoch()  # warm-up
     peak = _peak_bytes(epoch)
     assert peak <= 2.5 * MB, peak
+
+
+def test_grid_oracle_peak_is_the_grid_plus_block_buffers():
+    # N = 1 000 on [0, 6.6]: the 66 001-point grid is 528 KB, and the
+    # objective runs on 16 384-point blocks, so each of its buffers is
+    # 128 KiB. 1.32 MB at the time of writing
+    costs = build_instance(ScenarioConfig(n_evs=1000)).costs
+
+    def oracle():
+        return grid_search_rate(costs.ev, costs.agg, 0.0, 6.6)
+
+    oracle()  # warm-up
+    peak = _peak_bytes(oracle)
+    assert peak <= 1.5 * MB, peak

@@ -154,6 +154,28 @@ def test_import_names_the_file_and_line_of_a_bad_line(tmp_path, line):
         import_run(path)
 
 
+FLAG = "flag,,,,,,,,,,,empty_fleet"
+ITER = "iter,0,0,1,4.5,-1.5,100,,,,,"
+STEP = "step,,,,,,,0.0,4.5,4.1,0.5;0.6,"
+
+
+@pytest.mark.parametrize("rows, bad_line", [
+    ((FLAG, STEP, ITER), 4),
+    ((FLAG, FLAG), 4),
+    ((ITER, FLAG), 4),
+    ((STEP, FLAG), 4),
+    ((STEP, ITER), 4),
+    ((ITER, STEP, ITER), 5),
+])
+def test_import_rejects_a_row_order_export_never_writes(tmp_path, rows, bad_line):
+    # the export writes the flag only as the sole row, and every iteration
+    # before every step; any other order would not come back out the same
+    path = tmp_path / "order.csv"
+    path.write_text("\n".join((FORMAT_TAG, HEADER) + rows) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{bad_line}: "):
+        import_run(path)
+
+
 def test_steady_discharge_soc_costs_no_bytes_per_step():
     # a constant drop inside one binade repeats the same bit-pattern step, so
     # only the first step's change is stored
