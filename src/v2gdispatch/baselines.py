@@ -24,6 +24,21 @@ each of the three leaders in turn. The spiral applies numpy's ``exp`` and
 numpy on each l alone. ``math.exp`` would not do: it differs from numpy's
 in the last bit on 949 of 2·10⁴ uniform inputs in [-1, 1] (numpy 2.4.6,
 AVX-512), and one such bit moves a whale, and so the comparison.
+
+Each solve allocates its work arrays once and refills them in place every
+iteration. It applies the same operations in the same order as the plain
+expressions, so the bits are those of the per-whale and per-leader
+references in the tests. Only the positions handed to the fitness are a new
+array each iteration: no population is written after it is passed on.
+CWOA keeps A, C, the encircle and search moves and the |A| < 1 mask in
+(m, dim) arrays, and each whale's search reference and wave in Python
+lists. Once a < 1, |A| <= a < 1 in every coordinate, so no whale takes a
+search move: the solver skips the gather of the references and the search
+arithmetic, and every wave is 0. GWO refills one (3, 2, pack, dim) draw
+array with ``random(out=...)``, the same stream as a fresh block, forms A
+and C = 2·r2 in its two halves, and builds the pulls in one (3, pack, dim)
+array that starts as a contiguous copy of the leaders; the mean is
+numpy's, ``add.reduce`` over the leaders and then ``/ 3``.
 """
 
 from __future__ import annotations
@@ -45,10 +60,13 @@ class PenaltyConfig:
     spread_scale_kw: float | None = None  # None: use the search range width
 
     def __post_init__(self) -> None:
+        # each message starts with the field's name
         if not self.cap > 0.0:
-            raise ValueError(f"penalty cap must be > 0, got {self.cap}")
+            raise ValueError(f"cap must be > 0, got {self.cap}")
         if not self.tolerance_kw >= 0.0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance_kw}")
+            raise ValueError(f"tolerance_kw must be >= 0, got {self.tolerance_kw}")
+        if self.spread_scale_kw is not None and not self.spread_scale_kw > 0.0:
+            raise ValueError(f"spread_scale_kw must be None or > 0, got {self.spread_scale_kw}")
 
 
 def make_penalized_fitness(
@@ -124,36 +142,61 @@ def cwoa_solve(
 
     draws = np.empty((m, 2 * dim + 1))  # per whale: r1, r2, then p
     rows = list(draws)
-    ref = np.zeros(m, dtype=np.intp)  # search reference, p < 0.5
-    ell = np.zeros(m)  # spiral draw, p >= 0.5
-    wave = np.zeros(m, dtype=np.intp)
+    A, C, encircle, search = (np.empty((m, dim)) for _ in range(4))
+    near = np.empty((m, dim), dtype=bool)  # |A| < 1: encircle, else search
+    ref = [0] * m  # search reference, p < 0.5
+    wave = [0] * m
     for k in range(k_max):
         a = 2.0 * (1.0 - k / k_max)
         chained = a >= 1.0  # below 1, |A| < 1 and no whale takes a search move
+        spiral, ell, waves = [], [], []
         for i, row in enumerate(rows):
             rng.random(out=row)
             if row[-1] < 0.5:
-                j = ref[i] = rng.integers(m)
-                wave[i] = wave[j] + 1 if chained and j < i else 0
+                j = ref[i] = int(rng.integers(m))
+                level = wave[i] = wave[j] + 1 if chained and j < i else 0
+                if level > len(waves):
+                    waves.append([])
+                if level:
+                    waves[level - 1].append(i)
             else:
-                ell[i] = rng.random()
+                spiral.append(i)
+                ell.append(rng.random())
                 wave[i] = 0
-        A = 2.0 * a * draws[:, :dim] - a
-        C = 2.0 * draws[:, dim:-1]
-        encircle = best_x - A * np.abs(C * best_x - pos)
-        other = pos[ref]
-        new = np.where(np.abs(A) < 1.0, encircle, other - A * np.abs(C * other - pos))
-        spiral = np.flatnonzero(draws[:, -1] >= 0.5)
-        l = 2.0 * ell[spiral] - 1.0
-        dist = np.abs(best_x - pos[spiral])
-        new[spiral] = dist * np.exp(l)[:, None] * np.cos(2.0 * np.pi * l)[:, None] + best_x
+        np.multiply(draws[:, :dim], 2.0 * a, out=A)
+        A -= a
+        np.multiply(draws[:, dim:-1], 2.0, out=C)
+        np.multiply(C, best_x, out=encircle)
+        encircle -= pos
+        np.abs(encircle, out=encircle)
+        encircle *= A
+        np.subtract(best_x, encircle, out=encircle)
+        if chained:
+            np.less(np.abs(A, out=search), 1.0, out=near)
+            new = pos[ref]
+            np.multiply(C, new, out=search)
+            search -= pos
+            np.abs(search, out=search)
+            search *= A
+            np.subtract(new, search, out=new)
+            np.copyto(new, encircle, where=near)
+        else:
+            new = encircle.copy()
+        if spiral:
+            l = 2.0 * np.array(ell) - 1.0
+            dist = np.abs(best_x - pos[spiral])
+            new[spiral] = dist * np.exp(l)[:, None] * np.cos(2.0 * np.pi * l)[:, None] + best_x
         # A search move toward an earlier whale sees that whale's new
         # position: wave w reads the final positions of waves before it.
-        for level in range(1, int(wave.max()) + 1):
-            w = np.flatnonzero(wave == level)
-            other = new[ref[w]]
-            search = other - A[w] * np.abs(C[w] * other - pos[w])
-            new[w] = np.where(np.abs(A[w]) < 1.0, encircle[w], search)
+        for w in waves:
+            other = new[[ref[i] for i in w]]
+            moved = C[w] * other
+            moved -= pos[w]
+            np.abs(moved, out=moved)
+            moved *= A[w]
+            np.subtract(other, moved, out=other)
+            np.copyto(other, encircle[w], where=near[w])
+            new[w] = other
         pos = np.clip(new, lower, upper, out=new)
         fit = np.asarray(fitness(pos), dtype=float)
         leader = int(np.argmin(fit))
@@ -187,14 +230,25 @@ def gwo_solve(
     best_f = float(fit[order[0]])
     trace = []
 
+    draws = np.empty((3, 2, pack_size, dim))  # per leader: r1, r2
+    A, C = draws[:, 0], draws[:, 1]
+    pulls = np.empty((3, pack_size, dim))
     for k in range(k_max):
         a = 2.0 * (1.0 - k / k_max)
-        r = rng.random((3, 2, pack_size, dim))  # per leader: r1, r2
-        A = 2.0 * a * r[:, 0] - a
-        C = 2.0 * r[:, 1]
-        lead = leaders[:, None, :]
-        pulls = lead - A * np.abs(C * lead - pos)
-        pos = pulls.mean(axis=0)
+        rng.random(out=draws)
+        A *= 2.0 * a
+        A -= a
+        C *= 2.0
+        # a contiguous copy of the leaders: in place, a broadcast operand
+        # on these strided views makes numpy copy through its buffers
+        np.copyto(pulls, leaders[:, None, :])
+        C *= pulls
+        C -= pos
+        np.abs(C, out=C)
+        C *= A
+        np.subtract(pulls, C, out=pulls)
+        pos = np.add.reduce(pulls, axis=0)  # the mean, as numpy forms it
+        pos /= 3
         np.clip(pos, lower, upper, out=pos)
         fit = np.asarray(fitness(pos), dtype=float)
         order = np.argsort(fit)

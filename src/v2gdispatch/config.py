@@ -194,8 +194,8 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(f"departures[{i}]: count must be an int >= 0, got {count!r}")
     try:
         config.penalty()
-    except ValueError as exc:
-        raise ConfigError(f"penalty: {exc}") from exc
+    except ValueError as exc:  # names a PenaltyConfig field: the key without "penalty_"
+        raise ConfigError(f"penalty_{exc}") from exc
     return config
 
 

@@ -155,6 +155,8 @@ def compare_solvers(
     (equal to the true objective once the vector reaches consensus). Returns
     the per-seed rows plus the grid-oracle optimum objective.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if instance is None:
         instance = build_instance(config)
     avail = available_ids(instance.fleet)

@@ -187,6 +187,24 @@ def test_solutions_respect_bounds(small):
         assert np.all(vec >= 0.0) and np.all(vec <= 6.6)
 
 
+@pytest.mark.parametrize("solve, size", [(cwoa_solve, "m"), (gwo_solve, "pack_size")])
+def test_solvers_hand_fitness_fresh_populations(small, solve, size):
+    # the solvers keep per-solve buffers; no population they pass on may be
+    # overwritten later, and the returned best must be a copy of its own
+    fitness = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)
+    seen = []
+
+    def keeping(pop):
+        seen.append((pop, pop.copy()))
+        return fitness(pop)
+
+    best, _ = solve(8, keeping, **{size: 5}, k_max=30, seed=6)
+    assert len(seen) == 31
+    for pop, copy in seen:
+        assert np.array_equal(pop, copy)
+        assert not np.shares_memory(best, pop)
+
+
 # Per-whale and per-leader forms of the two solvers. They fix the random
 # stream and the arithmetic, which the array forms must reproduce bit for bit.
 

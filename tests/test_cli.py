@@ -67,6 +67,23 @@ def test_compare_writes_csv(config_path, tmp_path, capsys):
     assert "oracle objective" in capsys.readouterr().out
 
 
+def test_compare_seed_count_below_1_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    code = main(["compare", "--config", str(config_path), "--seeds", "-1", "--out", str(out)])
+    assert code == 2
+    assert "n_seeds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_positive_spread_scale_exits_1_from_every_verb(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for scale in (0.0, -1.0):
+        path.write_text(json.dumps({**SMALL, "penalty_spread_scale_kw": scale}))
+        for verb in ("run", "sweep", "oracle", "compare"):
+            assert main([verb, "--config", str(path)]) == 1
+            assert "penalty_spread_scale_kw" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n_evs": -3}))

@@ -117,6 +117,8 @@ def test_schema_version_checked():
         ({"capacity_range_kwh": [0.0, 0.0]}, "capacity_kwh: lower bound must be > 0"),
         ({"capacity_range_kwh": [-5.0, 30.0]}, "capacity_kwh: lower bound must be > 0"),
         ({"beta_range": [-1e308, 1e308]}, "beta_range: bounds .* too far apart"),
+        ({"penalty_spread_scale_kw": 0.0}, "penalty_spread_scale_kw must be None or > 0"),
+        ({"penalty_spread_scale_kw": -1.0}, "penalty_spread_scale_kw must be None or > 0"),
     ],
 )
 def test_validation_names_offending_key(data, key):

@@ -133,3 +133,9 @@ def test_compare_solvers_rows(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("seed,")
+
+
+def test_compare_solvers_needs_a_seed():
+    for n_seeds in (0, -1):
+        with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+            compare_solvers(CFG, n_seeds=n_seeds, k_max=5, population=4)

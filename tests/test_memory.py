@@ -8,6 +8,9 @@ any process-wide caches. Deterministic: it counts allocations, not pages.
 import gc
 import tracemalloc
 
+import pytest
+
+from v2gdispatch.baselines import PenaltyConfig, cwoa_solve, gwo_solve, make_penalized_fitness
 from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.costs import grid_search_rate
 from v2gdispatch.fleet import sample_fleet
@@ -139,3 +142,22 @@ def test_grid_oracle_peak_is_the_grid_plus_block_buffers():
     oracle()  # warm-up
     peak = _peak_bytes(oracle)
     assert peak <= 1.5 * MB, peak
+
+
+@pytest.mark.parametrize("solve, size, bound", [
+    (gwo_solve, "pack_size", 340 * KB),  # 302 KiB at the time of writing
+    (cwoa_solve, "m", 330 * KB),  # 293 KiB at the time of writing
+], ids=["gwo", "cwoa"])
+def test_baseline_solver_peak_is_bounded(solve, size, bound):
+    # population 30 in 100 dimensions, where one (30, 100) array is 23.4 KiB:
+    # GWO holds its (3, 2, 30, 100) draws (141 KiB) and the (3, 30, 100)
+    # pulls, CWOA its (30, 201) draws and four (30, 100) work arrays
+    costs = build_instance(ScenarioConfig(n_evs=100)).costs
+    fitness = make_penalized_fitness(costs.ev, costs.agg, PenaltyConfig(), 0.0, 6.6)
+
+    def run():
+        return solve(100, fitness, **{size: 30}, k_max=300, seed=0)
+
+    run()  # warm-up
+    peak = _peak_bytes(run)
+    assert peak <= bound, peak
