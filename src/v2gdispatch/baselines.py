@@ -5,7 +5,8 @@ the equal-rates requirement through a penalty added to the fitness, graded by
 how far the vector spreads: penalty = cap * min(1, spread / spread_scale)
 whenever the largest pairwise gap exceeds the tolerance. A pure all-or-nothing
 penalty would be unsatisfiable on a continuous search space, so partial
-progress toward consensus still registers.
+progress toward consensus still registers. A zero spread scale (a search range
+of zero width) makes that the full cap, the limit of the ratio.
 
 Fitness callables accept a (pop, dim) matrix and return one value per row
 (a single vector is promoted), which keeps the solvers vectorized.
@@ -84,8 +85,8 @@ def make_penalized_fitness(
     if len(eta) != len(ev_params):
         raise ValueError(f"{len(ev_params)} EV params but {len(eta)} efficiencies")
     scale = penalty.spread_scale_kw if penalty.spread_scale_kw is not None else upper - lower
-    if not scale > 0.0:
-        raise ValueError(f"spread scale must be > 0, got {scale}")
+    if not scale >= 0.0:
+        raise ValueError(f"spread scale must be >= 0, got {scale}")
 
     def fitness(rates: np.ndarray) -> np.ndarray:
         pop = np.atleast_2d(np.asarray(rates, dtype=float))
@@ -94,11 +95,10 @@ def make_penalized_fitness(
         ev_cost = (pop * pop) @ alpha + pop @ linear + const
         agg_cost = agg_cost_of_power(pop @ eta, pop.sum(axis=1), agg_params)
         spread = pop.max(axis=1) - pop.min(axis=1)
-        pen = np.where(
-            spread > penalty.tolerance_kw,
-            penalty.cap * np.minimum(1.0, spread / scale),
-            0.0,
-        )
+        # min(1, spread / scale), dividing only where that is below 1: the
+        # same bits, and a zero scale divides nowhere
+        grade = np.divide(spread, scale, out=np.ones_like(spread), where=spread < scale)
+        pen = np.where(spread > penalty.tolerance_kw, penalty.cap * grade, 0.0)
         out = ev_cost + agg_cost + pen
         return out if np.asarray(rates).ndim > 1 else out[0]
 

@@ -18,7 +18,10 @@ and after them, only for a search move, its reference: ``integers(M)``, or
 one more uniform double in a single-whale pool. A search move needs
 |A| >= 1, and |A| <= alpha, so once alpha < 1 the pass draws all M triples
 as one (M, 3) block, which consumes the generator exactly as the per-whale
-draws do. ``exp`` and ``cos`` stay per whale on the libm scalars of
+draws do; before that, each whale's triple is drawn into one reused
+3-buffer (``random(out=...)``), which consumes the generator as
+``random(3)`` does.
+``exp`` and ``cos`` stay per whale on the libm scalars of
 ``math``: numpy's SIMD exp is not correctly rounded either, and the two
 disagree in the last bit on 91 855 of 2·10⁶ uniform inputs in [-1, 1]
 (numpy 2.4.6, AVX-512); one such bit moves a whale, and so the run.
@@ -91,7 +94,9 @@ def advance_pool(pool: WhalePool, rng) -> None:
     distinct random reference, so its search step takes a uniform point in
     bounds instead (otherwise every move scales with the incumbent's
     magnitude and a whale started near zero stays trapped there). Each new
-    position is clamped to bounds. Draws follow the module's stream contract.
+    position is clamped to bounds by two comparisons, which give the bits of
+    ``min(max(new, lower), upper)`` (lower <= upper), for ±0.0 and NaN too.
+    Draws follow the module's stream contract.
     """
     alpha = alpha_schedule(pool.k, pool.k_max)
     best = pool.best_rate
@@ -100,12 +105,14 @@ def advance_pool(pool: WhalePool, rng) -> None:
     lower, upper = pool.lower, pool.upper
     positions = pool.positions.tolist()
     m = len(positions)
+    random = rng.random
     # |A| <= alpha, so below 1 no whale draws a reference and the M triples
     # lie back to back in the stream
-    triples = rng.random((m, 3)).tolist() if alpha < 1.0 else None
+    triples = random((m, 3)).tolist() if alpha < 1.0 else None
+    triple = np.empty(3)
     moved = []
     for h, cur in enumerate(positions):
-        r, l, p = triples[h] if triples is not None else rng.random(3).tolist()
+        r, l, p = triples[h] if triples is not None else random(out=triple).tolist()
         l = 2.0 * l - 1.0
         A = 2.0 * alpha * r - alpha
         if p < 0.5:
@@ -114,10 +121,14 @@ def advance_pool(pool: WhalePool, rng) -> None:
             elif m > 1:
                 ref = positions[int(rng.integers(m))]
             else:
-                ref = lower + (upper - lower) * float(rng.random())
+                ref = lower + (upper - lower) * float(random())
             new = ref - A * abs(2.0 * r * ref - cur)
         else:
             new = abs(best - cur) * math.exp(l) * math.cos(2.0 * math.pi * l) + best
-        moved.append(min(max(new, lower), upper))
+        if new < lower:
+            new = lower
+        elif new > upper:
+            new = upper
+        moved.append(new)
     pool.positions = np.array(moved)
     pool.k += 1

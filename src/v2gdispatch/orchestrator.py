@@ -10,7 +10,10 @@ the same candidate sequence and the answer is one scalar rate.
 Each iteration is whole-matrix work: the evaluations form one (N+1) x M
 matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
 order, quantized once, masked by one ``draw_split`` / ``mask_units`` round and
-summed per column.
+summed per column (``candidate_totals``, an exact int64 matvec). The ECN
+selects on the float totals, as a list that ``WhalePool.record_evaluation``
+reads too: int64 totals above 2**53 units can differ yet map to one float,
+and the tie then goes to the lower index.
 
 What an epoch fixes is set up once, before its iterations:
 - the cost coefficients spread to (N+1) x M arrays, the aggregator's row 0
@@ -18,15 +21,19 @@ What an epoch fixes is set up once, before its iterations:
 - the wire buffers (``shuffle.WireBuffers``): the scaled values, the int64
   units and the masked units, whose largest magnitude the quantisation
   hands to the headroom check; the mask reuses the first two for the kept
-  shares and the sends;
-- the split buffers, whose single-edge rows keep their share destinations,
-  and the split plan cached on the topology (``NeighborMap.split_plan``):
-  each multi-edge row's degree and target slots, so a round draws only the
-  fractions and the aggregator's M destinations;
+  shares and the sends, and adds the sends in through their flat views;
+- the split buffers (``shuffle.SplitBuffers``, built by the first round's
+  ``draw_split``): the fractions, the flat share destinations, whose
+  single-edge rows never change, and the row views and split plan
+  (``NeighborMap.split_plan``: each multi-edge row's degree and target
+  slots), so a round draws only the fractions and the aggregator's M
+  destinations;
 - one check that the rate bounds are non-negative, which covers every
   candidate.
 Per iteration run only the arithmetic and the draws, each array touched
-once.
+once. The loop calls ``candidate_totals``, ``from_units_array`` and
+``ecn_select_best`` through this module's names, where a caller can wrap
+them.
 
 A scenario run repeats epochs over simulated time: whenever the available set
 changes (scheduled departures or SOC floors crossed), a fresh epoch
@@ -151,9 +158,9 @@ def run_optimization(
         check_headroom(units, wire.peak)
         if shuffle_enabled:
             split = draw_split(topology, m_whales, shuffle_rng, out=split)
-            units = mask_units(units, *split, out=wire)
-        totals = from_units_array(candidate_totals(units), unit_bits)
-        selected = ecn_select_best(totals.tolist())
+            units = mask_units(units, split.fractions, split.destinations, out=wire)
+        totals = from_units_array(candidate_totals(units), unit_bits).tolist()
+        selected = ecn_select_best(totals)
         pool.record_evaluation(totals, selected)
         segment.append(selected, pool.best_rate, pool.best_value)
         if k_max > 0:

@@ -19,15 +19,18 @@ built ``NeighborMap``, whose ``ids`` hold each row's EV id, or ``-1 - index``
 for an aggregator). ``draw_split`` draws every kept fraction and share
 destination from the graph's integer arrays, ``mask_units`` applies them;
 neither holds an ``AgentId``. ``shuffle_round`` is the same round over an
-agent-keyed mapping.
+agent-keyed mapping. ``candidate_totals`` sums the reports per candidate.
 
 A run of rounds over one matrix shape can pass the same ``WireBuffers`` to
-``to_units_array``, ``check_headroom`` and ``mask_units``, so each round
-touches each matrix once and allocates none.
+``to_units_array``, ``check_headroom`` and ``mask_units``, and the same
+``SplitBuffers`` to ``draw_split``, so each round touches each matrix once,
+allocates none and makes its views and plan lookups not per round but once,
+when the buffers are built.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,16 +57,18 @@ class WireBuffers:
     ``check_headroom`` takes instead of scanning the units again.
     ``mask_units(wire.units, ..., out=wire)`` then overwrites ``scaled``
     with the kept shares and ``units`` with the sends, and returns
-    ``masked``.
+    ``masked``; it adds the sends in through the flat views of the two.
     """
 
-    __slots__ = ("scaled", "units", "masked", "peak")
+    __slots__ = ("scaled", "units", "masked", "peak", "flat_units", "flat_masked")
 
     def __init__(self, shape: tuple[int, ...]):
         self.scaled = np.empty(shape)
         self.units = np.empty(shape, dtype=np.int64)
         self.masked = np.empty(shape, dtype=np.int64)
         self.peak = 0.0
+        self.flat_units = self.units.reshape(-1)
+        self.flat_masked = self.masked.reshape(-1)
 
 
 def to_units_array(values, unit_bits: int = DEFAULT_UNIT_BITS,
@@ -76,8 +81,10 @@ def to_units_array(values, unit_bits: int = DEFAULT_UNIT_BITS,
         out = WireBuffers(np.shape(values))
     scaled = np.multiply(values, float(1 << unit_bits), out=out.scaled)
     np.rint(scaled, out=scaled)
-    # the largest magnitude is NaN when any value is
-    peak = np.abs(scaled).max(initial=0.0)
+    # the largest magnitude, from both extremes (no |x| temporary); it is NaN
+    # when any value is, since then both extremes are
+    peak = max(np.maximum.reduce(scaled, axis=None, initial=0.0),
+               -np.minimum.reduce(scaled, axis=None, initial=0.0))
     if not peak < _INT64_BOUND:
         raise ProtocolError(f"value beyond the int64 wire at {unit_bits} unit bits")
     out.peak = peak
@@ -133,54 +140,72 @@ def _stacked(values_by_agent: Mapping[AgentId, np.ndarray]) -> tuple[list[AgentI
     return agents, np.stack([np.asarray(values_by_agent[a], dtype=np.int64) for a in agents])
 
 
-def draw_split(
-    topology: NeighborMap,
-    m: int,
-    rng,
-    forced: Mapping[int, np.ndarray] | None = None,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kept fractions and share destinations for one round over ``m`` candidates.
+class SplitBuffers:
+    """The kept fractions and share destinations of rounds over one topology
+    and ``m`` candidates, and the views ``draw_split`` refills them through.
 
-    Returns two (rows, m) arrays: the fraction of each value its row keeps,
-    and the slot its send share goes to, as the flat index ``t * m + h`` of
-    row t's entry for the same candidate h. Rows draw in row order: m
-    uniform fractions, then, for a row with several out-edges, one out-edge
-    per candidate (``integers(degree, size=m)``). A run of single-edge rows
-    draws its fractions in one call, which consumes ``rng`` exactly as
-    row-by-row draws would. ``forced`` maps a row to fractions used instead
-    of drawn ones; each must lie in [0, 1], so that both shares of a value
-    lie between 0 and the value.
-
-    ``out`` takes the pair an earlier draw over the same topology and ``m``
-    returned, and refills it in place: a single-edge row's destinations
-    never change, so a round redraws only the fractions and the multi-edge
-    rows' destinations, picked from the topology's ``split_plan`` (which
-    raises TopologyError for a row with no out-edge).
+    ``fractions`` is (rows, m): the fraction of each value its row keeps.
+    ``destinations`` is flat, (rows * m,) in row-major order: the slot each
+    value's send share goes to, as the flat index ``t * m + h`` of row t's
+    entry for the same candidate h. A single-edge row's destinations never
+    change; a multi-edge row's are redrawn each round from its targets in
+    the topology's ``split_plan`` (which raises TopologyError for a row with
+    no out-edge). ``forced`` maps a row to fractions used instead of drawn
+    ones in every round; each must lie in [0, 1], so that both shares of a
+    value lie between 0 and the value.
     """
-    if out is None:
-        out = np.empty((len(topology.ids), m)), topology.share_slots(m)
-    fractions, destinations = out
-    columns, picks = topology.split_plan(m)
-    if forced:
+
+    __slots__ = ("fractions", "destinations", "_columns", "_draws", "_tail")
+
+    def __init__(self, topology: NeighborMap, m: int,
+                 forced: Mapping[int, np.ndarray] | None = None):
+        forced = forced or {}
         for r, f in forced.items():
             if not np.all((0.0 <= f) & (f <= 1.0)):
                 raise ProtocolError(f"forced fractions for row {r} must lie in [0, 1]")
-        multi = {r: (degree, slots) for r, degree, slots in picks}
-        picks = [(r, *multi.get(r, (1, None))) for r in sorted(multi.keys() | forced.keys())]
-    start = 0
-    for r, degree, slots in picks:
-        if r > start:
-            rng.random(out=fractions[start:r])
-        if forced and r in forced:
-            fractions[r] = forced[r]
-        else:
-            rng.random(out=fractions[r])
+        fractions = self.fractions = np.empty((len(topology.ids), m))
+        destinations = self.destinations = topology.share_slots(m).reshape(-1)
+        self._columns = np.arange(m)
+        multi = {r: (degree, slots) for r, degree, slots in topology.split_plan(m)}
+        # per row that does not just draw its fractions, in row order: the
+        # block of fractions drawn up to it (itself included unless forced),
+        # (its fractions, the forced ones) or None, and its degree, target
+        # slots and destinations
+        draws = []
+        start = 0
+        for r in sorted(multi.keys() | forced.keys()):
+            degree, slots = multi.get(r, (1, None))
+            fixed = (fractions[r], forced[r]) if r in forced else None
+            block = fractions[start:r] if fixed else fractions[start:r + 1]
+            draws.append((block, fixed, degree, slots, destinations[r * m:(r + 1) * m]))
+            start = r + 1
+        self._draws = tuple(draws)
+        self._tail = fractions[start:]
+
+
+def draw_split(topology: NeighborMap, m: int, rng,
+               out: SplitBuffers | None = None) -> SplitBuffers:
+    """Kept fractions and share destinations for one round over ``m`` candidates.
+
+    Rows draw in row order: m uniform fractions (none for a forced row),
+    then, for a row with several out-edges, one out-edge per candidate
+    (``integers(degree, size=m)``). A run of rows draws its fractions in
+    one call, which consumes ``rng`` exactly as row-by-row draws would.
+    Without ``out`` the draw fills fresh ``SplitBuffers``; ``out`` takes
+    buffers built for the same topology and ``m`` (an earlier draw's, say)
+    and refills them in place: a round redraws only the fractions and the
+    multi-edge rows' destinations.
+    """
+    if out is None:
+        out = SplitBuffers(topology, m)
+    random, integers, columns = rng.random, rng.integers, out._columns
+    for block, fixed, degree, slots, destinations in out._draws:
+        random(out=block)
+        if fixed:
+            np.copyto(*fixed)
         if degree > 1:
-            np.add(slots[rng.integers(degree, size=m)], columns, out=destinations[r])
-        start = r + 1
-    if start < len(fractions):
-        rng.random(out=fractions[start:])
+            np.add(slots[integers(degree, size=m)], columns, out=destinations)
+    random(out=out._tail)
     return out
 
 
@@ -189,11 +214,12 @@ def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarra
     """Additive split of every value of an int64 (rows, m) unit matrix.
 
     Row r keeps ``rint(fraction * units)`` of candidate h and sends the rest
-    to the flat slot ``destinations[r, h]`` (see ``draw_split``); each row
-    reports what it kept plus what it received. Column sums are conserved
-    exactly. Without ``out`` the input is unchanged. ``out`` is the
-    ``WireBuffers`` that ``to_units_array`` filled with these units: the
-    round then works in its buffers and returns ``out.masked``.
+    to the slot ``destinations[r * m + h]``, a flat (rows * m,) array (see
+    ``SplitBuffers``); each row reports what it kept plus what it received.
+    Column sums are conserved exactly. Without ``out`` the input is
+    unchanged. ``out`` is the ``WireBuffers`` that ``to_units_array``
+    filled with these units: the round then works in its buffers and
+    returns ``out.masked``.
     """
     if out is None:
         out = WireBuffers(units.shape)
@@ -203,8 +229,8 @@ def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarra
     np.rint(kept, out=kept)
     masked = out.masked
     masked[...] = kept  # whole floats no larger than |units|: the cast is exact
-    sends = np.subtract(units, masked, out=out.units)
-    np.add.at(masked.reshape(-1), destinations.reshape(-1), sends.reshape(-1))
+    np.subtract(units, masked, out=out.units)
+    np.add.at(out.flat_masked, destinations, out.flat_units)
     return masked
 
 
@@ -237,16 +263,25 @@ def shuffle_round(
                 raise ProtocolError(f"forced fractions for {agent} must have length {m}")
     edges = topology.out_edges
     graph = NeighborMap.from_edges({a: edges.get(a, ()) for a in agents})
-    split = draw_split(graph, m, np.random.default_rng(rng), forced)
-    return dict(zip(agents, mask_units(units, *split)))
+    split = draw_split(graph, m, np.random.default_rng(rng), SplitBuffers(graph, m, forced))
+    return dict(zip(agents, mask_units(units, split.fractions, split.destinations)))
+
+
+@functools.lru_cache(maxsize=16)
+def _ones(rows: int) -> np.ndarray:
+    ones = np.ones(rows, dtype=np.int64)
+    ones.flags.writeable = False
+    return ones
 
 
 def candidate_totals(units) -> np.ndarray:
     """Exact per-candidate sum of unit-values over all agents.
 
     ``units`` is an int64 (agents x candidates) matrix, or an agent-keyed
-    mapping of unit-values.
+    mapping of unit-values. The sum is one int64 matvec against a ones
+    vector held per row count: integer sums do not depend on the order of
+    the additions, so it equals ``np.add.reduce(units, axis=0)`` bit for bit.
     """
     if not isinstance(units, np.ndarray):
         units = _stacked(units)[1] if isinstance(units, Mapping) else np.asarray(units, np.int64)
-    return np.add.reduce(units, axis=0, dtype=np.int64)
+    return _ones(units.shape[0]) @ units

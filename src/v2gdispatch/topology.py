@@ -114,25 +114,17 @@ class NeighborMap:
         row with no or several out-edges holds no valid slot."""
         return self.only_target[:, None] * m + np.arange(m)
 
-    @cached_property
-    def _split_plans(self) -> dict[int, tuple]:
-        return {}
-
-    def split_plan(self, m: int) -> tuple[np.ndarray, tuple[tuple[int, int, np.ndarray], ...]]:
-        """What ``draw_split`` reads per round over ``m`` candidates, built
-        once per m: ``arange(m)``, and per row with several out-edges,
-        ascending, (row, degree, the slots ``t * m`` of its targets t).
-        Raises TopologyError for a row with no out-edge."""
-        plan = self._split_plans.get(m)
-        if plan is None:
-            degree = np.diff(self.indptr)
-            if not degree.all():
-                raise TopologyError(f"agent {self.rows[int(np.argmin(degree))]} has no out-edges")
-            starts = self.indptr.tolist()
-            picks = tuple((r, starts[r + 1] - starts[r], self.targets[starts[r]:starts[r + 1]] * m)
-                          for r in np.flatnonzero(degree > 1).tolist())
-            plan = self._split_plans[m] = (np.arange(m), picks)
-        return plan
+    def split_plan(self, m: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """What ``shuffle.SplitBuffers`` draws from for rounds over ``m``
+        candidates: per row with several out-edges, ascending, (row, degree,
+        the slots ``t * m`` of its targets t). Raises TopologyError for a row
+        with no out-edge."""
+        degree = np.diff(self.indptr)
+        if not degree.all():
+            raise TopologyError(f"agent {self.rows[int(np.argmin(degree))]} has no out-edges")
+        starts = self.indptr.tolist()
+        return tuple((r, starts[r + 1] - starts[r], self.targets[starts[r]:starts[r + 1]] * m)
+                     for r in np.flatnonzero(degree > 1).tolist())
 
     @property
     def out_edges(self) -> dict[AgentId, tuple[AgentId, ...]]:

@@ -1,5 +1,7 @@
 """Penalty fitness and the centralized baseline solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,21 @@ def test_maximal_spread_adds_full_cap(small):
     without = make_penalized_fitness(small.ev, small.agg, lenient, 0.0, 6.6)(vec)
     with_pen = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)(vec)
     assert with_pen - without == 10.0
+
+
+def test_zero_width_range_adds_full_cap_without_dividing(small):
+    # lower == upper: a consensus vector gets no penalty and any spread
+    # beyond the tolerance the whole cap, with no division by zero
+    lenient = PenaltyConfig(cap=10.0, tolerance_kw=1e9)
+    rates = np.array([np.full(8, 3.0), [3.0] * 7 + [3.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        without = make_penalized_fitness(small.ev, small.agg, lenient, 3.0, 3.0)(rates)
+        with_pen = make_penalized_fitness(small.ev, small.agg, PEN, 3.0, 3.0)(rates)
+    assert with_pen[0] == without[0]
+    assert with_pen[1] - without[1] == pytest.approx(10.0, rel=1e-12)
+    with pytest.raises(ValueError, match="spread scale"):
+        make_penalized_fitness(small.ev, small.agg, PEN, 3.0, 2.0)
 
 
 def test_fitness_never_below_true_objective(small):
@@ -114,7 +131,8 @@ def test_fitness_matches_written_out_reference_bit_for_bit(dim, tolerance_kw):
     penalty = PenaltyConfig(cap=10.0, tolerance_kw=tolerance_kw)
     fitness = make_penalized_fitness(costs.ev, costs.agg, penalty, 0.0, 6.6)
     rng = np.random.default_rng(dim)
-    cases = [np.full(dim, 3.7), rng.uniform(0.0, 6.6, dim), rng.uniform(0.0, 6.6, (30, dim))]
+    cases = [np.full(dim, 3.7), rng.uniform(0.0, 6.6, dim), rng.uniform(0.0, 6.6, (30, dim)),
+             np.linspace(0.0, 6.6, dim)]  # the last spreads over the whole range
     for rates in cases:
         want = penalized_fitness_reference(costs.ev, costs.agg, penalty, 0.0, 6.6, rates)
         got = fitness(rates)

@@ -75,6 +75,15 @@ def test_compare_seed_count_below_1_exits_2(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_width_rate_range_runs_in_every_verb(tmp_path, capsys):
+    # rate_min_kw == rate_max_kw: every solver's search range has width 0
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps({"n_evs": 6, "rate_min_kw": 3.0, "rate_max_kw": 3.0,
+                                "k_max": 5, "horizon_h": 0.2, "out_dir": str(tmp_path)}))
+    for args in (["run"], ["oracle"], ["compare", "--seeds", "2"]):
+        assert main([*args, "--config", str(path)]) == 0, capsys.readouterr().err
+
+
 def test_non_positive_spread_scale_exits_1_from_every_verb(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for scale in (0.0, -1.0):

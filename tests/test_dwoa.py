@@ -160,14 +160,18 @@ def _pool(positions, best_rate, lower=0.0, upper=6.6, k_max=100, k=0):
 
 class _ScriptedRng:
     """Stand-in generator: scripted (r, l', p) triples per whale, with
-    l = 2l' - 1, a fixed reference index and a fixed uniform reference."""
+    l = 2l' - 1, a fixed reference index and a fixed uniform reference.
+    A triple is handed out as ``random(3)`` or ``random(out=<3-buffer>)``."""
 
     def __init__(self, triples, integer=0, uniform=0.5):
         self._triples = list(triples)
         self._integer = integer
         self._uniform = uniform
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = self._triples.pop(0)
+            return out
         if size is None:
             return self._uniform
         if size == 3:
@@ -222,6 +226,31 @@ def test_update_matches_independent_formulas():
                 expected = d * math.exp(l) * math.cos(2.0 * math.pi * l) + best
             assert pool.positions[h] == min(max(expected, 0.0), 6.6)
         assert pool.k == k + 1
+
+
+@pytest.mark.parametrize("k", [0, 60])  # alpha on either side of 1
+@pytest.mark.parametrize("best", [0.0, -0.0, 6.6, 3.3, 7.5, -1.0, 1e300, -1e300])
+def test_clamp_matches_min_max_bit_for_bit(best, k):
+    # r = 0.5 gives A = 0, so whale 0's encircle move lands on the best
+    # itself: on a bound, beyond either one, or at -0.0 with lower = 0.0.
+    # Whale 1 spirals around the best from a position beyond the upper bound.
+    positions = [5.5, 8.0]
+    triples = [(0.5, 0.65, 0.1), (0.9, 0.3, 0.9)]
+    pool = _pool(positions, best, k=k)
+    advance_pool(pool, _ScriptedRng(triples))
+    expected = []
+    for cur, (r, l, p) in zip(positions, triples):
+        alpha = 2.0 * (1.0 - k / 100)
+        A = 2.0 * alpha * r - alpha
+        l = 2.0 * l - 1.0
+        if p < 0.5:
+            new = best - A * abs(2.0 * r * best - cur)
+        else:
+            new = abs(best - cur) * math.exp(l) * math.cos(2.0 * math.pi * l) + best
+        expected.append(min(max(new, 0.0), 6.6))
+    assert pool.positions.tobytes() == np.array(expected).tobytes()
+    if best == 0.0:
+        assert math.copysign(1.0, pool.positions[0]) == math.copysign(1.0, best)
 
 
 def test_single_whale_search_branch_uses_uniform_reference():

@@ -18,7 +18,7 @@ from v2gdispatch.orchestrator import (
     run_optimization,
     run_scenario,
 )
-from v2gdispatch.shuffle import ProtocolError
+from v2gdispatch.shuffle import ProtocolError, from_units_array
 from v2gdispatch.topology import build_topology
 
 # small instance keeps the protocol tests fast
@@ -38,6 +38,16 @@ def test_select_best_picks_minimal_total():
 
 def test_select_best_tie_breaks_to_lowest_index():
     assert ecn_select_best([3.0, 1.0, 1.0]) == 1
+
+
+def test_select_best_runs_on_the_float_totals():
+    # int64 totals one unit apart above 2**53 map to one float: the tie
+    # goes to the lowest index, though the units of index 1 are smaller
+    totals = np.array([2**53 + 1, 2**53], dtype=np.int64)
+    floats = from_units_array(totals, 0)
+    assert floats[0] == floats[1]
+    assert ecn_select_best(floats.tolist()) == 0
+    assert ecn_select_best(from_units_array(totals * 4, 2).tolist()) == 0
 
 
 def test_select_best_rejects_incomplete_totals():

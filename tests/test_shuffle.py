@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from v2gdispatch.fleet import sample_fleet
 from v2gdispatch.shuffle import (
     ProtocolError,
+    SplitBuffers,
     candidate_totals,
     check_headroom,
     draw_split,
@@ -42,7 +43,7 @@ def _split(units, fractions):
     units = np.vstack([units, np.zeros_like(units)])
     fractions = np.vstack([fractions, np.ones_like(fractions)])
     m = units.shape[1]
-    destinations = np.vstack([m + np.arange(m), np.arange(m)])  # flat slots in the other row
+    destinations = np.concatenate([m + np.arange(m), np.arange(m)])  # slots in the other row
     keep, send = mask_units(units, fractions, destinations)
     return keep, send
 
@@ -67,7 +68,7 @@ def test_split_fraction_validated():
         with pytest.raises(ProtocolError):
             shuffle_round(values, topo, rng=0, fractions={i: [0.5, bad]})
         with pytest.raises(ProtocolError):
-            draw_split(topo, 2, np.random.default_rng(0), {1: np.array([bad, 0.5])})
+            SplitBuffers(topo, 2, {1: np.array([bad, 0.5])})
 
 
 def test_random_splits_sum_back_exactly():
@@ -224,7 +225,7 @@ def test_draw_split_stream_contract(n):
     split = None
     for _ in range(3):
         split = draw_split(topo, m, rng, out=split)
-        fractions, destinations = split
+        fractions, destinations = split.fractions, split.destinations
         if n > 1:
             agg_fractions = ref.random(m)
             agg_targets = topo.targets[ref.integers(n, size=m)]
@@ -235,11 +236,49 @@ def test_draw_split_stream_contract(n):
         assert np.array_equal(fractions, expected_fractions)
         ev_targets = topo.only_target[1:, None].repeat(m, axis=1)
         expected_rows = np.vstack([agg_targets, ev_targets])
-        assert np.array_equal(destinations, expected_rows * m + np.arange(m))
+        assert np.array_equal(destinations, (expected_rows * m + np.arange(m)).reshape(-1))
         assert rng.bit_generator.state == ref.bit_generator.state
     fresh = draw_split(topo, m, np.random.default_rng(5))
     refilled = draw_split(topo, m, np.random.default_rng(5), out=split)
-    assert all(np.array_equal(a, b) for a, b in zip(fresh, refilled))
+    assert np.array_equal(fresh.fractions, refilled.fractions)
+    assert np.array_equal(fresh.destinations, refilled.destinations)
+
+
+@pytest.mark.parametrize("forced_rows", [(0,), (2,), (0, 5), (5,)])
+def test_forced_rows_draw_no_fractions(forced_rows):
+    # a forced row takes its fractions as given and draws none; every other
+    # row, and a forced multi-edge row's destinations, draw as unforced
+    m, n = 3, 5
+    topo = build_topology(sample_fleet(n, 2), "one-random-neighbor", 3)
+    forced = {r: np.full(m, 0.1 * (r + 1)) for r in forced_rows}
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    split = SplitBuffers(topo, m, forced)
+    for _ in range(2):
+        draw_split(topo, m, rng, split)
+        rows = []
+        for r in range(n + 1):
+            rows.append(forced[r] if r in forced else ref.random(m))
+            if r == 0:  # the aggregator's several out-edges
+                agg_targets = topo.targets[ref.integers(n, size=m)]
+        assert np.array_equal(split.fractions, np.vstack(rows))
+        assert np.array_equal(split.destinations[:m], agg_targets * m + np.arange(m))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (101, 10), (1001, 30), (7, 0)])
+def test_candidate_totals_equals_add_reduce_bit_for_bit(shape):
+    # the matvec against a ones vector is the exact int64 column sum; the
+    # columns here sum to near +2**62 and -2**62, inside the headroom bound
+    rows, m = shape
+    rng = np.random.default_rng(rows + m)
+    signs = np.where(np.arange(m) % 2 == 0, 1, -1)
+    units = signs * ((1 << 62) // rows - rng.integers(0, 1000, shape))
+    check_headroom(units)
+    totals = candidate_totals(units)
+    assert totals.dtype == np.int64 and totals.shape == (m,)
+    assert totals.tobytes() == np.add.reduce(units, axis=0, dtype=np.int64).tobytes()
+    assert totals.tolist() == [sum(column) for column in units.T.tolist()]
+    assert all(abs(t) > (1 << 62) - 1000 * rows - rows for t in totals.tolist())
 
 
 def test_check_headroom_bounds_each_column_sum():
@@ -274,7 +313,7 @@ def test_mask_units_conserves_columns_and_bounds_kept_shares(data):
     except ProtocolError:
         reject()
     before = units.copy()
-    masked = mask_units(units, fractions, targets * m + np.arange(m))
+    masked = mask_units(units, fractions, (targets * m + np.arange(m)).reshape(-1))
     assert np.array_equal(units, before)
     assert ([sum(column) for column in masked.T.tolist()]
             == [sum(column) for column in units.T.tolist()])
@@ -282,5 +321,5 @@ def test_mask_units_conserves_columns_and_bounds_kept_shares(data):
     # exactly the share they kept
     sink_units = np.vstack([units, np.zeros((1, m), dtype=np.int64)])
     sink_fractions = np.vstack([fractions, np.ones((1, m))])
-    kept = mask_units(sink_units, sink_fractions, np.tile(n * m + np.arange(m), (n + 1, 1)))[:n]
+    kept = mask_units(sink_units, sink_fractions, np.tile(n * m + np.arange(m), n + 1))[:n]
     assert np.all((np.minimum(units, 0) <= kept) & (kept <= np.maximum(units, 0)))
