@@ -16,11 +16,13 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, build_instance, load_config, resolve_departures
+from .fleet import available_ids
 from .harness import (
     compare_solvers,
     export_comparison,
     export_stats,
     oracle_rate,
+    solver_order_holds,
     stats_harness,
 )
 from .orchestrator import run_scenario
@@ -91,14 +93,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load(args)
+    instance = build_instance(config)
     rows, oracle_objective = compare_solvers(
-        config, n_seeds=args.seeds, k_max=args.iterations
+        config, n_seeds=args.seeds, k_max=args.iterations, instance=instance
     )
     path = _out_path(config, args.out, "compare.csv")
     export_comparison(rows, oracle_objective, path)
-    wins = sum(
-        r.decentralized_objective <= r.cwoa_objective <= r.gwo_objective for r in rows
-    )
+    n_evs = len(available_ids(instance.fleet))
+    wins = sum(solver_order_holds(row, n_evs) for row in rows)
     print(f"oracle objective {oracle_objective:.6f}")
     for row in rows:
         print(f"seed {row.seed}: decentralized {row.decentralized_objective:.6f}, "

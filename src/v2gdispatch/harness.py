@@ -141,6 +141,22 @@ class CompareRow:
     gwo_objective: float
 
 
+def solver_order_holds(row: CompareRow, n_evs: int) -> bool:
+    """Whether decentralized <= cwoa <= gwo holds on ``row``, up to rounding.
+
+    The protocol is scored by ``consensus_objective`` and each baseline by
+    its penalised fitness; these add the same N + 1 agent costs in another
+    order, so one and the same rate can score a few ulps apart. Each ``<=``
+    therefore holds within (N + 1) * 8 * eps * max(1, |a|, |b|).
+    """
+    def at_most(a: float, b: float) -> bool:
+        tol = (n_evs + 1) * 8 * np.finfo(float).eps * max(1.0, abs(a), abs(b))
+        return a <= b + tol
+
+    return (at_most(row.decentralized_objective, row.cwoa_objective)
+            and at_most(row.cwoa_objective, row.gwo_objective))
+
+
 def compare_solvers(
     config: ScenarioConfig,
     n_seeds: int = 20,

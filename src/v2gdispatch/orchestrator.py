@@ -126,8 +126,12 @@ def run_optimization(
     Search bounds are the intersection of the available EVs' rate limits.
     An iteration whose reports could overflow the int64 wire (see
     ``check_headroom``) raises ProtocolError. The record's oracle-call
-    counters count the cost values actually scored.
+    counters count the cost values actually scored. ``k_max`` = 0 scores
+    the initial pool once and moves it no further; ``k_max`` < 0 raises
+    ValueError.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     record = RunRecord()
     avail = available_ids(fleet)
     if not avail:

@@ -14,6 +14,10 @@ built only by iterating a ``StepLog``, which is written through ``add``. The
 CSV is append-ordered, versioned and fully deterministic: floats are written
 with repr (shortest exact round-trip), so export -> import -> export
 reproduces the file byte for byte; a step without SOC has an empty soc field.
+The export formats only the SOC values that changed since the step before,
+compared by their float64 bits (so 0.0 / -0.0 and NaN stay exact), and
+reuses the text of the others: an EV that has left keeps its SOC, and its
+text, from then on.
 """
 
 from __future__ import annotations
@@ -216,10 +220,17 @@ class RunRecord:
     oracle_calls_agg: int = 0
 
 
+# repr of each element, as Python floats format themselves; the ufunc's
+# ``where`` formats only the elements that need it
+_repr = np.frompyfunc(repr, 1, 1)
+
+
 def export_run(record: RunRecord, path) -> None:
     """Write the record to a versioned CSV; see module docstring for format.
 
-    Rows are written as they are formatted, so memory stays at one row.
+    Rows are written as they are formatted, so memory stays at one row plus
+    the text of each EV's SOC as last written, which a step reuses for every
+    value whose float64 bits did not change.
     """
     with open(path, "w", newline="") as fh:
         write = fh.write
@@ -233,10 +244,16 @@ def export_run(record: RunRecord, path) -> None:
             ):
                 write(f"iter,{seg.epoch},{k},{selected},{rate!r},{total!r},{seg.n_available},,,,,\n")
         steps = record.steps
+        texts = last = None  # each EV's SOC text as last written, and its float64 bits
         for time_h, rate, power, soc in zip(steps.time_h, steps.rate_kw, steps.grid_power_kw,
                                             steps.soc_rows()):
-            soc = ";".join(map(repr, soc.tolist()))
-            write(f"step,,,,,,,{time_h!r},{rate!r},{power!r},{soc},\n")
+            bits = soc.view(np.uint64)
+            if texts is None:
+                # bits that differ from every first-step value: that row is formatted whole
+                texts, last = np.empty(len(soc), dtype=object), ~bits
+            _repr(soc, out=texts, where=bits != last)
+            np.copyto(last, bits)
+            write(f"step,,,,,,,{time_h!r},{rate!r},{power!r},{';'.join(texts.tolist())},\n")
 
 
 def import_run(path) -> RunRecord:

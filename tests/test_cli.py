@@ -75,6 +75,25 @@ def test_compare_seed_count_below_1_exits_2(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_over_a_negative_k_max_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "stats.csv"
+    code = main(["sweep", "--config", str(config_path), "--values", "-5", "--runs", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert "k_max must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_counts_a_tie_in_the_last_bits_as_holding(tmp_path, capsys):
+    # rate_min_kw == rate_max_kw: all three solvers return 3.0 kW, and the
+    # protocol's objective and the baselines' fitness differ only in rounding
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps({"n_evs": 6, "rate_min_kw": 3.0, "rate_max_kw": 3.0,
+                                "k_max": 5, "horizon_h": 0.2, "out_dir": str(tmp_path)}))
+    assert main(["compare", "--config", str(path), "--seeds", "3"]) == 0
+    assert "decentralized <= cwoa <= gwo on 3/3 seeds" in capsys.readouterr().out
+
+
 def test_zero_width_rate_range_runs_in_every_verb(tmp_path, capsys):
     # rate_min_kw == rate_max_kw: every solver's search range has width 0
     path = tmp_path / "fixed.json"

@@ -292,6 +292,47 @@ def test_consensus_objective_matches_the_reference_at_block_edges(length):
             == np.float64(reference_consensus_objective(rate, costs.ev, costs.agg)).tobytes())
 
 
+# price columns of 31 EVs: one price; a price per EV; two prices taking turns;
+# 0.0 and -0.0 in random order, equal as floats but not in their bits
+PRICE_COLUMNS = {
+    "uniform": lambda n, rng: np.full(n, 0.02),
+    "distinct": lambda n, rng: rng.uniform(0.0, 0.05, n),
+    "alternating": lambda n, rng: np.where(np.arange(n) % 2 == 0, 0.01, 0.03),
+    "signed-zero": lambda n, rng: np.where(rng.random(n) < 0.5, 0.0, -0.0),
+}
+
+
+def _priced_cost_set(prices: str, n=31, seed=5) -> CostSet:
+    rng = np.random.default_rng(seed)
+    alpha, beta, gamma, other, _ = sample_ev_cost_params(n, rng, price=0.0).columns()
+    price = PRICE_COLUMNS[prices](n, rng)
+    eta = rng.uniform(0.85, 0.95, n)
+    agg = AggCostParams(gen_a=5e-6, gen_b=0.001, gen_c=0.5, omega=0.1, eta=eta)
+    return CostSet(ev=EvCostTable(alpha, beta, gamma, other, price), agg=agg)
+
+
+@pytest.mark.parametrize("prices", list(PRICE_COLUMNS))
+def test_consensus_objective_matches_the_reference_for_any_price_column(prices):
+    # the array path reuses one revenue row across EVs whose price has the
+    # same bits; a run of other prices must give the reference's bits
+    costs = _priced_cost_set(prices)
+    if prices == "signed-zero":
+        signs = np.signbit(costs.ev.price)
+        assert signs.any() and not signs.all()
+    rates = np.concatenate(([0.0, -0.0], np.linspace(0.0, 6.6, 6601)))
+    assert (consensus_objective(rates, costs.ev, costs.agg).tobytes()
+            == reference_consensus_objective(rates, costs.ev, costs.agg).tobytes())
+
+
+@pytest.mark.parametrize("prices", list(PRICE_COLUMNS))
+def test_grid_search_on_any_price_column_is_the_reference_argmin(prices):
+    costs = _priced_cost_set(prices)
+    grid = np.linspace(0.0, 6.6, 66001)
+    values = reference_consensus_objective(grid, costs.ev, costs.agg)
+    i = int(np.argmin(values))
+    assert grid_search_rate(costs.ev, costs.agg, 0.0, 6.6) == (float(grid[i]), float(values[i]))
+
+
 def _full_grid_argmin(ev, agg, lower, upper, step):
     grid = np.linspace(lower, upper, int(round((upper - lower) / step)) + 1)
     values = consensus_objective(grid, ev, agg)

@@ -6,12 +6,14 @@ import pytest
 from v2gdispatch import harness
 from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.harness import (
+    CompareRow,
     StatsRow,
     compare_solvers,
     export_comparison,
     export_stats,
     oracle_rate,
     run_seed,
+    solver_order_holds,
     stats_harness,
 )
 from v2gdispatch.costs import grid_search_rate
@@ -139,3 +141,15 @@ def test_compare_solvers_needs_a_seed():
     for n_seeds in (0, -1):
         with pytest.raises(ValueError, match="n_seeds must be >= 1"):
             compare_solvers(CFG, n_seeds=n_seeds, k_max=5, population=4)
+
+
+def test_solver_order_holds_within_rounding_only():
+    tie = 0.09973861073983782, 0.09973861073983777  # one rate, two summation orders
+    assert solver_order_holds(CompareRow(0, tie[0], tie[1], tie[1]), n_evs=6)
+    assert solver_order_holds(CompareRow(0, tie[0], tie[0], tie[1]), n_evs=6)
+    assert solver_order_holds(CompareRow(0, -2.0, -1.0, 0.5), n_evs=6)
+    # beyond (N + 1) * 8 * eps * max(1, |value|) an order fails as before
+    eps = np.finfo(float).eps
+    assert not solver_order_holds(CompareRow(0, 1.0 + 7 * 8 * eps * 2, 1.0, 1.0), n_evs=6)
+    assert not solver_order_holds(CompareRow(0, 1.0, 1.0, 1.0 - 7 * 8 * eps * 2), n_evs=6)
+    assert not solver_order_holds(CompareRow(0, -1e6, -1e6 + 1.0, -1e6 - 1.0), n_evs=6)

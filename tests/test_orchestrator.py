@@ -123,6 +123,12 @@ def test_kmax_zero_evaluates_initial_pool_once(instance):
     assert 0.0 <= rate <= 6.6
 
 
+def test_negative_k_max_raises(instance):
+    for k_max in (-1, -5):
+        with pytest.raises(ValueError, match=f"k_max must be >= 0, got {k_max}"):
+            run_optimization(instance.fleet, instance.costs, m_whales=6, k_max=k_max, seed=3)
+
+
 def test_empty_fleet_returns_zero_with_flag(instance):
     for ev in instance.fleet.evs:
         ev.departed = True

@@ -135,6 +135,45 @@ def test_steps_without_soc_export_empty_fields_and_round_trip(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _soc_cases():
+    """Each case: the SOC rows of consecutive steps."""
+    ramp = 0.9 - np.arange(12)[:, None] * np.array([0.01, 0.02, 0.015, 0.03, 0.005, 0.025])
+    frozen = ramp.copy()
+    frozen[4:, [1, 4]] = frozen[4, [1, 4]]  # two EVs leave after step 4 ...
+    frozen[8:, 0] = frozen[8, 0]  # ... and one more after step 8
+    flips = np.tile([0.5, 0.0, 0.25], (8, 1))
+    flips[1::2, 1] = -0.0  # equal to 0.0 as a float, not in its bits
+    flips[:, 2] -= np.arange(8) * 0.01
+    nan = float("nan")
+    nans = [(0.5, 0.7), (nan, 0.69), (nan, 0.68), (0.4, nan), (0.4, 0.66), (nan, nan)]
+    rng = np.random.default_rng(7)
+    return {
+        "frozen after departures": list(frozen),
+        "signed zero flips": list(flips),
+        "nan comes and goes": nans,
+        "width 0": [(), None, ()],
+        "single step": [(0.8, 1 / 3, -0.0)],
+        "every value changes": [rng.random(50) for _ in range(6)],
+    }
+
+
+@pytest.mark.parametrize("case", list(_soc_cases()))
+def test_export_writes_each_step_soc_as_repr_of_every_value(tmp_path, case):
+    # the export formats only the values that changed since the step before;
+    # its bytes must be those of formatting every value of every step
+    rows = _soc_cases()[case]
+    rec = RunRecord()
+    for t, soc in enumerate(rows):
+        rec.steps.add(float(t), 1.0, 1.0, soc)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    export_run(rec, a)
+    expected = [";".join(map(repr, np.array(() if soc is None else soc, dtype=float).tolist()))
+                for soc in rows]
+    assert [line.split(",")[10] for line in a.read_text().splitlines()[2:]] == expected
+    export_run(import_run(a), b)
+    assert a.read_bytes() == b.read_bytes()
+
+
 @pytest.mark.parametrize("line", [
     "iter,0,0,1,zz,-1.5,100,,,,,",
     "iter,x,0,1,4.5,-1.5,100,,,,,",
