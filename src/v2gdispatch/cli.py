@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import ConfigError, ScenarioConfig, build_instance, load_config, resolve_departures
 from .fleet import available_ids
 from .harness import (
+    SWEEPABLE,
     compare_solvers,
     export_comparison,
     export_stats,
@@ -54,12 +55,8 @@ def _cmd_run(args) -> int:
         dt_h=config.dt_h,
         horizon_h=config.horizon_h,
         events=events,
-        m_whales=config.m_whales,
-        k_max=config.k_max,
         seed=config.seed,
-        shuffle_enabled=config.shuffle_enabled,
-        topology_policy=config.topology_policy,
-        unit_bits=config.unit_bits,
+        **config.solver_kwargs(),
     )
     path = _out_path(config, args.out, "run.csv")
     export_run(record, path)
@@ -123,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="statistics over a hyper-parameter sweep")
     p_sweep.add_argument("--config", help="JSON scenario config")
-    p_sweep.add_argument("--param", choices=("k_max", "m_whales"), default="k_max")
+    p_sweep.add_argument("--param", choices=SWEEPABLE, default="k_max")
     p_sweep.add_argument("--values", default="50,100,150,200",
                          help="comma-separated sweep values")
     p_sweep.add_argument("--runs", type=int, default=100, help="runs per sweep point")

@@ -21,8 +21,7 @@ import numpy as np
 from .baselines import PenaltyConfig
 from .costs import AggCostParams, CostSet, sample_ev_cost_params
 from .fleet import Fleet, FleetDistributions, sample_fleet
-from .orchestrator import MAX_STEPS, DepartureEvent
-from .topology import POLICIES
+from .orchestrator import DepartureEvent, check_run_settings, step_count
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -95,6 +94,13 @@ class ScenarioConfig:
             spread_scale_kw=self.penalty_spread_scale_kw,
         )
 
+    def solver_kwargs(self) -> dict:
+        """The five solver settings, as keywords of ``run_optimization`` and
+        ``run_scenario``."""
+        return dict(m_whales=self.m_whales, k_max=self.k_max,
+                    shuffle_enabled=self.shuffle_enabled,
+                    topology_policy=self.topology_policy, unit_bits=self.unit_bits)
+
 
 _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
 _RANGE_KEYS = tuple(key for key, hint in _FIELD_TYPES.items() if hint == tuple[float, float])
@@ -123,6 +129,15 @@ def _non_finite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
+def _checked(prefix: str, check, *args):
+    """``check(*args)``, its ValueError raised again as a ConfigError whose
+    message is ``prefix`` and the error's own, which names the setting."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def _validate(config: ScenarioConfig) -> ScenarioConfig:
     if config.schema_version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
@@ -140,39 +155,17 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(f"{key}: inverted bounds ({lo}, {hi})")
         if not math.isfinite(hi - lo):
             raise ConfigError(f"{key}: bounds ({lo}, {hi}) too far apart to sample between")
-    try:
-        config.fleet_distributions()
-    except ValueError as exc:
-        raise ConfigError(f"fleet bounds: {exc}") from exc
+    _checked("fleet bounds: ", config.fleet_distributions)
     if config.price < 0.0:
         raise ConfigError(f"price: must be >= 0, got {config.price}")
     if config.alpha_range[0] <= 0.0:
         raise ConfigError(f"alpha_range: lower bound must be > 0, got {config.alpha_range[0]}")
-    if config.gen_a <= 0.0:
-        raise ConfigError(f"gen_a: must be > 0, got {config.gen_a}")
-    if config.omega < 0.0:
-        raise ConfigError(f"omega: must be >= 0, got {config.omega}")
-    if config.m_whales < 1:
-        raise ConfigError(f"m_whales: must be >= 1, got {config.m_whales}")
-    if config.k_max < 0:
-        raise ConfigError(f"k_max: must be >= 0, got {config.k_max}")
-    if not 8 <= config.unit_bits <= 48:
-        raise ConfigError(f"unit_bits: must be within [8, 48], got {config.unit_bits}")
-    if config.topology_policy not in POLICIES:
-        raise ConfigError(
-            f"topology_policy: {config.topology_policy!r} not one of {POLICIES}"
-        )
-    if config.dt_h <= 0.0:
-        raise ConfigError(f"dt_h: must be > 0, got {config.dt_h}")
-    if config.horizon_h <= 0.0:
-        raise ConfigError(f"horizon_h: must be > 0, got {config.horizon_h}")
-    steps = config.horizon_h / config.dt_h
-    if not steps < MAX_STEPS:
-        raise ConfigError(
-            f"horizon_h: {config.horizon_h} h is too many {config.dt_h} h steps to count "
-            "(2**53 or more)"
-        )
-    if not math.isclose(steps, round(steps), rel_tol=1e-9):
+    # an aggregator over no EVs: only its coefficients are checked
+    _checked("", AggCostParams, config.gen_a, config.gen_b, config.gen_c, config.omega, ())
+    _checked("", check_run_settings, config.m_whales, config.k_max, config.topology_policy,
+             config.unit_bits)
+    n_steps = _checked("", step_count, config.dt_h, config.horizon_h)
+    if not math.isclose(config.horizon_h / config.dt_h, n_steps, rel_tol=1e-9):
         raise ConfigError(
             f"horizon_h: {config.horizon_h} is not a whole number of {config.dt_h} h steps"
         )
@@ -192,10 +185,8 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         count = spec.get("count", 0)
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ConfigError(f"departures[{i}]: count must be an int >= 0, got {count!r}")
-    try:
-        config.penalty()
-    except ValueError as exc:  # names a PenaltyConfig field: the key without "penalty_"
-        raise ConfigError(f"penalty_{exc}") from exc
+    # a PenaltyConfig error names the field: the key without "penalty_"
+    _checked("penalty_", config.penalty)
     return config
 
 

@@ -328,7 +328,10 @@ def grid_search_rate(
         raise ValueError(f"need lower <= upper, got [{lower}, {upper}]")
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be a finite number > 0, got {step}")
-    n_points = int(round((upper - lower) / step)) + 1
+    spans = (upper - lower) / step
+    if not spans < np.inf:
+        raise ValueError(f"step = {step} is too small to count the grid over [{lower}, {upper}]")
+    n_points = int(round(spans)) + 1
     grid = np.linspace(lower, upper, n_points)
     best, best_value = 0, np.inf
     for start in range(0, n_points, _GRID_BLOCK):

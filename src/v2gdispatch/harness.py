@@ -61,6 +61,7 @@ def stats_harness(
 
     With ``trace_dir`` set, every run's trace CSV is written there (one file
     per run), so the rate statistics can be recomputed from the raw traces.
+    Each value must be a whole number, or ValueError names ``param``.
     Runs are timed interleaved across the values (run 0 of each value, then
     run 1, ...), so that a machine slowing down or speeding up part-way
     through the sweep does not bias one value's ``mean_time_s``.
@@ -69,19 +70,16 @@ def stats_harness(
         raise ValueError(f"need at least 2 runs per sweep point, got {runs}")
     if param not in SWEEPABLE:
         raise ValueError(f"param must be one of {SWEEPABLE}, got {param!r}")
+    asked = list(values)
+    values = [int(value) for value in asked]
+    if values != asked:
+        raise ValueError(f"{param} values must be whole numbers, got {asked}")
     if instance is None:
         instance = build_instance(config)
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-    values = [int(value) for value in values]
-    fixed = {
-        "m_whales": config.m_whales,
-        "k_max": config.k_max,
-        "shuffle_enabled": config.shuffle_enabled,
-        "topology_policy": config.topology_policy,
-        "unit_bits": config.unit_bits,
-    }
+    fixed = config.solver_kwargs()
     rates = np.empty((len(values), runs))
     times = np.empty((len(values), runs))
     # run j of every point, then run j + 1: a drift in machine speed over
@@ -184,16 +182,8 @@ def compare_solvers(
     rows = []
     for s in range(n_seeds):
         seed_ss = run_seed(config.seed, s)
-        rate, _ = run_optimization(
-            instance.fleet,
-            instance.costs,
-            m_whales=config.m_whales,
-            k_max=k_max,
-            seed=seed_ss,
-            shuffle_enabled=config.shuffle_enabled,
-            topology_policy=config.topology_policy,
-            unit_bits=config.unit_bits,
-        )
+        rate, _ = run_optimization(instance.fleet, instance.costs, seed=seed_ss,
+                                   **{**config.solver_kwargs(), "k_max": k_max})
         dwoa_obj = float(consensus_objective(rate, costs.ev, costs.agg))
         cwoa_vec, _ = cwoa_solve(
             dim, fitness, m=population, k_max=k_max,

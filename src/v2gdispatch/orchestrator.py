@@ -24,10 +24,9 @@ What an epoch fixes is set up once, before its iterations:
   shares and the sends, and adds the sends in through their flat views;
 - the split buffers (``shuffle.SplitBuffers``, built by the first round's
   ``draw_split``): the fractions, the flat share destinations, whose
-  single-edge rows never change, and the row views and split plan
-  (``NeighborMap.split_plan``: each multi-edge row's degree and target
-  slots), so a round draws only the fractions and the aggregator's M
-  destinations;
+  single-edge rows never change, and the row views and each multi-edge
+  row's degree and target slots, so a round draws only the fractions and
+  the aggregator's M destinations;
 - one check that the rate bounds are non-negative, which covers every
   candidate.
 Per iteration run only the arithmetic and the draws, each array touched
@@ -64,11 +63,39 @@ from .shuffle import (
     to_units_array,
 )
 from .shuffle import shuffle_round  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .topology import build_topology
+from .topology import POLICIES, build_topology
 
 # time is a step index; from 2**53 steps on, float64 cannot tell consecutive
 # step times (nor step counts) apart
 MAX_STEPS = 2**53
+
+
+def check_run_settings(m_whales: int, k_max: int, topology_policy: str, unit_bits: int) -> None:
+    """Raise ValueError, naming the setting, unless ``m_whales`` >= 1,
+    ``k_max`` >= 0, ``unit_bits`` lies in [8, 48] and ``topology_policy``
+    is one of ``topology.POLICIES``."""
+    if m_whales < 1:
+        raise ValueError(f"m_whales must be >= 1, got {m_whales}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if not 8 <= unit_bits <= 48:
+        raise ValueError(f"unit_bits must be within [8, 48], got {unit_bits}")
+    if topology_policy not in POLICIES:
+        raise ValueError(f"topology_policy must be one of {POLICIES}, got {topology_policy!r}")
+
+
+def step_count(dt_h: float, horizon_h: float) -> int:
+    """The number of ``dt_h`` steps in ``horizon_h``, rounded to the nearest;
+    raises ValueError unless both are finite and > 0 and the steps number
+    fewer than 2**53."""
+    if not 0.0 < horizon_h < math.inf:
+        raise ValueError(f"horizon_h must be finite and > 0, got {horizon_h}")
+    if not 0.0 < dt_h < math.inf:
+        raise ValueError(f"dt_h must be finite and > 0, got {dt_h}")
+    if not horizon_h / dt_h < MAX_STEPS:
+        raise ValueError(f"horizon_h = {horizon_h} is too many dt_h = {dt_h} steps to count "
+                         "(2**53 or more)")
+    return int(round(horizon_h / dt_h))
 
 
 def ecn_select_best(totals) -> int:
@@ -127,11 +154,12 @@ def run_optimization(
     An iteration whose reports could overflow the int64 wire (see
     ``check_headroom``) raises ProtocolError. The record's oracle-call
     counters count the cost values actually scored. ``k_max`` = 0 scores
-    the initial pool once and moves it no further; ``k_max`` < 0 raises
-    ValueError.
+    the initial pool once and moves it no further. Before it reads the
+    fleet, it raises ValueError for ``m_whales`` < 1, ``k_max`` < 0,
+    ``unit_bits`` outside [8, 48] or a ``topology_policy`` not in
+    ``topology.POLICIES`` (``check_run_settings``).
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    check_run_settings(m_whales, k_max, topology_policy, unit_bits)
     record = RunRecord()
     avail = available_ids(fleet)
     if not avail:
@@ -200,17 +228,13 @@ def run_scenario(
     before any step. SOC-floor crossings take effect at the next step.
     Every change of the available set starts a fresh optimization epoch
     whose random streams are spawned in sequence from ``seed``, keeping
-    whole-run determinism.
+    whole-run determinism. Before any step it raises ValueError for a
+    ``dt_h`` or ``horizon_h`` that is not finite and > 0, for 2**53 or more
+    steps (``step_count``), and for the solver settings that
+    ``run_optimization`` refuses (``check_run_settings``).
     """
-    if not 0.0 < horizon_h < math.inf:
-        raise ValueError(f"horizon_h must be finite and > 0, got {horizon_h}")
-    if not 0.0 < dt_h < math.inf:
-        raise ValueError(f"dt_h must be finite and > 0, got {dt_h}")
-    if not horizon_h / dt_h < MAX_STEPS:
-        raise ValueError(f"horizon_h = {horizon_h} is too many dt_h = {dt_h} steps to count "
-                         "(2**53 or more)")
-
-    n_steps = int(round(horizon_h / dt_h))
+    check_run_settings(m_whales, k_max, topology_policy, unit_bits)
+    n_steps = step_count(dt_h, horizon_h)
     pending = []  # (step, ids), resolved once; compared with the step index
     for event in events:
         if not math.isfinite(event.time_h):

@@ -20,6 +20,9 @@ for an aggregator). ``draw_split`` draws every kept fraction and share
 destination from the graph's integer arrays, ``mask_units`` applies them;
 neither holds an ``AgentId``. ``shuffle_round`` is the same round over an
 agent-keyed mapping. ``candidate_totals`` sums the reports per candidate.
+This module owns the share-slot layout: a send share of row r's candidate h
+lands in the flat slot ``t * m + h`` of its target row t, and ``SplitBuffers``
+alone derives those slots from the graph's ``indptr`` and ``targets``.
 
 A run of rounds over one matrix shape can pass the same ``WireBuffers`` to
 ``to_units_array``, ``check_headroom`` and ``mask_units``, and the same
@@ -36,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 # deliver_round stays bound here: perfbench/tracer.py wraps shuffle.deliver_round
-from .topology import AgentId, NeighborMap, deliver_round  # noqa: F401
+from .topology import AgentId, NeighborMap, TopologyError, deliver_round  # noqa: F401
 
 DEFAULT_UNIT_BITS = 40
 _INT64_BOUND = 2.0**63  # magnitudes at or beyond this do not fit int64
@@ -147,12 +150,12 @@ class SplitBuffers:
     ``fractions`` is (rows, m): the fraction of each value its row keeps.
     ``destinations`` is flat, (rows * m,) in row-major order: the slot each
     value's send share goes to, as the flat index ``t * m + h`` of row t's
-    entry for the same candidate h. A single-edge row's destinations never
-    change; a multi-edge row's are redrawn each round from its targets in
-    the topology's ``split_plan`` (which raises TopologyError for a row with
-    no out-edge). ``forced`` maps a row to fractions used instead of drawn
-    ones in every round; each must lie in [0, 1], so that both shares of a
-    value lie between 0 and the value.
+    entry for the same candidate h. Each row starts at its first target; a
+    single-edge row's destinations never change, and a multi-edge row's are
+    redrawn each round from its targets' slots ``t * m``. A row with no
+    out-edge raises TopologyError. ``forced`` maps a row to fractions used
+    instead of drawn ones in every round; each must lie in [0, 1], so that
+    both shares of a value lie between 0 and the value.
     """
 
     __slots__ = ("fractions", "destinations", "_columns", "_draws", "_tail")
@@ -163,10 +166,17 @@ class SplitBuffers:
         for r, f in forced.items():
             if not np.all((0.0 <= f) & (f <= 1.0)):
                 raise ProtocolError(f"forced fractions for row {r} must lie in [0, 1]")
-        fractions = self.fractions = np.empty((len(topology.ids), m))
-        destinations = self.destinations = topology.share_slots(m).reshape(-1)
+        indptr, targets = topology.indptr, topology.targets
+        degree = np.diff(indptr)
+        if not degree.all():
+            raise TopologyError(f"agent {topology.rows[int(np.argmin(degree))]} has no out-edges")
+        fractions = self.fractions = np.empty((len(degree), m))
         self._columns = np.arange(m)
-        multi = {r: (degree, slots) for r, degree, slots in topology.split_plan(m)}
+        destinations = self.destinations = (
+            targets[indptr[:-1], None] * m + self._columns).reshape(-1)
+        starts = indptr.tolist()
+        multi = {r: (starts[r + 1] - starts[r], targets[starts[r]:starts[r + 1]] * m)
+                 for r in np.flatnonzero(degree > 1).tolist()}
         # per row that does not just draw its fractions, in row order: the
         # block of fractions drawn up to it (itself included unless forced),
         # (its fractions, the forced ones) or None, and its degree, target

@@ -11,6 +11,8 @@ order; ``ids[r]`` names row r's agent as an integer: the EV id (>= 0), or
 row 0 (id -1) and the available EVs in rows 1..N in ascending id order: the
 row order of the protocol's value matrix. The protocol path works on these
 arrays alone and holds no ``AgentId``; agent-keyed views are built on access.
+This module holds only the graph: where a round's shares land, per row and
+candidate, is laid out by ``shuffle.SplitBuffers``.
 """
 
 from __future__ import annotations
@@ -99,32 +101,6 @@ class NeighborMap:
     def rows(self) -> tuple[AgentId, ...]:
         return tuple(AgentId(AgentKind.EV, i) if i >= 0 else AgentId(AgentKind.AGGREGATOR, -1 - i)
                      for i in self.ids.tolist())
-
-    @cached_property
-    def only_target(self) -> np.ndarray:
-        """Per row, its one out-edge's row; -1 for a row with none or several."""
-        degree = np.diff(self.indptr)
-        only = np.full(len(self.ids), -1, dtype=np.intp)
-        only[degree == 1] = self.targets[self.indptr[:-1][degree == 1]]
-        return only
-
-    def share_slots(self, m: int) -> np.ndarray:
-        """A fresh (rows, m) array: for a single-edge row, the flat index
-        ``t * m + h`` of its target row t's entry for each candidate h; a
-        row with no or several out-edges holds no valid slot."""
-        return self.only_target[:, None] * m + np.arange(m)
-
-    def split_plan(self, m: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-        """What ``shuffle.SplitBuffers`` draws from for rounds over ``m``
-        candidates: per row with several out-edges, ascending, (row, degree,
-        the slots ``t * m`` of its targets t). Raises TopologyError for a row
-        with no out-edge."""
-        degree = np.diff(self.indptr)
-        if not degree.all():
-            raise TopologyError(f"agent {self.rows[int(np.argmin(degree))]} has no out-edges")
-        starts = self.indptr.tolist()
-        return tuple((r, starts[r + 1] - starts[r], self.targets[starts[r]:starts[r + 1]] * m)
-                     for r in np.flatnonzero(degree > 1).tolist())
 
     @property
     def out_edges(self) -> dict[AgentId, tuple[AgentId, ...]]:

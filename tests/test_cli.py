@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from v2gdispatch.cli import main
+from v2gdispatch.cli import build_parser, main
+from v2gdispatch.harness import SWEEPABLE
 from v2gdispatch.records import import_run
 
 SMALL = {
@@ -82,6 +83,23 @@ def test_sweep_over_a_negative_k_max_exits_2(config_path, tmp_path, capsys):
     assert code == 2
     assert "k_max must be >= 0, got -5" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_over_a_negative_whale_count_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "stats.csv"
+    code = main(["sweep", "--config", str(config_path), "--param", "m_whales", "--values=-3",
+                 "--runs", "2", "--out", str(out)])
+    assert code == 2
+    assert "m_whales must be >= 1, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_param_choices_are_the_sweepable_settings(capsys):
+    for param in SWEEPABLE:
+        assert build_parser().parse_args(["sweep", "--param", param]).param == param
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["sweep", "--param", "price"])
+    assert repr(SWEEPABLE[0]) in capsys.readouterr().err  # the choices listed
 
 
 def test_compare_counts_a_tie_in_the_last_bits_as_holding(tmp_path, capsys):
@@ -168,6 +186,11 @@ def test_oracle_step_that_is_not_finite_and_positive_exits_2(config_path, capsys
     for step in ("0", "nan", "-0.1", "inf"):
         assert main(["oracle", "--config", str(config_path), "--step", step]) == 2
         assert "error: step must be a finite number > 0" in capsys.readouterr().err
+
+
+def test_oracle_step_too_small_to_count_the_grid_exits_2(config_path, capsys):
+    assert main(["oracle", "--config", str(config_path), "--step", "1e-320"]) == 2
+    assert "error: step = 1e-320 is too small" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):

@@ -400,6 +400,15 @@ def test_grid_search_rejects_a_step_that_is_not_finite_and_positive(step):
         grid_search_rate(costs.ev, costs.agg, 0.0, 6.6, step)
 
 
+@pytest.mark.parametrize("lower, upper, step", [(0.0, 6.6, 1e-320), (0.0, 6.6, 5e-324),
+                                                (0.0, 1e308, 1e-10)])
+def test_grid_search_names_a_step_too_small_to_count_the_grid(lower, upper, step):
+    # only steps whose point count overflows: a huge finite grid would be allocated
+    costs = _toy_cost_set()
+    with pytest.raises(ValueError, match="step"):
+        grid_search_rate(costs.ev, costs.agg, lower, upper, step)
+
+
 def test_cost_set_validation_and_restrict():
     costs = _toy_cost_set()
     sub = costs.restrict([0, 2, 4])

@@ -129,6 +129,30 @@ def test_negative_k_max_raises(instance):
             run_optimization(instance.fleet, instance.costs, m_whales=6, k_max=k_max, seed=3)
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("m_whales", -3), ("m_whales", 0), ("k_max", -1), ("unit_bits", -1), ("unit_bits", 7),
+    ("unit_bits", 49), ("topology_policy", "mesh"),
+])
+def test_run_settings_refused_before_the_fleet_is_read(instance, monkeypatch, setting, value):
+    def unread(*args):
+        raise AssertionError("the fleet was read")
+
+    monkeypatch.setattr(orchestrator, "available_ids", unread)
+    with pytest.raises(ValueError, match=setting):
+        run_optimization(instance.fleet, instance.costs, seed=3, **{setting: value})
+    with pytest.raises(ValueError, match=setting):
+        run_scenario(instance.fleet, instance.costs, seed=3, **{setting: value})
+    assert instance.fleet.time_h == 0.0
+
+
+@pytest.mark.parametrize("setting, value", [("m_whales", 0), ("topology_policy", "mesh")])
+def test_run_settings_refused_on_an_empty_fleet(instance, setting, value):
+    for ev in instance.fleet.evs:
+        ev.departed = True
+    with pytest.raises(ValueError, match=setting):
+        run_optimization(instance.fleet, instance.costs, seed=4, **{setting: value})
+
+
 def test_empty_fleet_returns_zero_with_flag(instance):
     for ev in instance.fleet.evs:
         ev.departed = True

@@ -18,7 +18,7 @@ from v2gdispatch.shuffle import (
     shuffle_round,
     to_units_array,
 )
-from v2gdispatch.topology import AGGREGATOR_ID, build_topology, ev_agent
+from v2gdispatch.topology import AGGREGATOR_ID, TopologyError, build_topology, ev_agent
 
 
 def test_unit_grid_round_trip():
@@ -234,7 +234,7 @@ def test_draw_split_stream_contract(n):
             expected_fractions = ref.random((2, m))
             agg_targets = np.full(m, topo.targets[0])
         assert np.array_equal(fractions, expected_fractions)
-        ev_targets = topo.only_target[1:, None].repeat(m, axis=1)
+        ev_targets = topo.targets[topo.indptr[1:-1], None].repeat(m, axis=1)
         expected_rows = np.vstack([agg_targets, ev_targets])
         assert np.array_equal(destinations, (expected_rows * m + np.arange(m)).reshape(-1))
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -242,6 +242,13 @@ def test_draw_split_stream_contract(n):
     refilled = draw_split(topo, m, np.random.default_rng(5), out=split)
     assert np.array_equal(fresh.fractions, refilled.fractions)
     assert np.array_equal(fresh.destinations, refilled.destinations)
+
+
+def test_draw_split_refuses_a_row_with_no_out_edge():
+    topo = build_topology(sample_fleet(1, 0),
+                          custom_edges={ev_agent(0): (AGGREGATOR_ID,), AGGREGATOR_ID: ()})
+    with pytest.raises(TopologyError, match="aggregator0"):
+        draw_split(topo, 3, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("forced_rows", [(0,), (2,), (0, 5), (5,)])
