@@ -68,7 +68,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    values = [int(v) for v in args.values.split(",")]
+    values = [float(v) for v in args.values.split(",")]
     rows = stats_harness(config, args.param, values, args.runs)
     path = _out_path(config, args.out, f"sweep_{args.param}.csv")
     export_stats(rows, path)

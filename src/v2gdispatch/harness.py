@@ -10,6 +10,7 @@ varies, matching how converged-rate statistics are normally reported.
 from __future__ import annotations
 
 import csv
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,10 +71,11 @@ def stats_harness(
         raise ValueError(f"need at least 2 runs per sweep point, got {runs}")
     if param not in SWEEPABLE:
         raise ValueError(f"param must be one of {SWEEPABLE}, got {param!r}")
-    asked = list(values)
-    values = [int(value) for value in asked]
-    if values != asked:
-        raise ValueError(f"{param} values must be whole numbers, got {asked}")
+    values = list(values)
+    if not all(isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+               for v in values):
+        raise ValueError(f"{param} values must be whole numbers, got {values}")
+    values = [int(value) for value in values]
     if instance is None:
         instance = build_instance(config)
     if trace_dir is not None:
@@ -119,13 +121,18 @@ def export_stats(rows: list[StatsRow], path) -> None:
             )
 
 
-def oracle_rate(instance: Instance, step: float = 1e-4) -> tuple[float, float]:
-    """Grid-search ground truth over the available EVs' common-rate interval."""
+def _available(instance: Instance):
+    """The available EVs' ids, their restricted costs and their common-rate
+    bounds; ValueError when no EV is available."""
     avail = available_ids(instance.fleet)
     if not avail:
         raise ValueError("no available EVs")
-    costs = instance.costs.restrict(avail)
-    lower, upper = common_rate_bounds(instance.fleet, avail)
+    return avail, instance.costs.restrict(avail), common_rate_bounds(instance.fleet, avail)
+
+
+def oracle_rate(instance: Instance, step: float = 1e-4) -> tuple[float, float]:
+    """Grid-search ground truth over the available EVs' common-rate interval."""
+    _, costs, (lower, upper) = _available(instance)
     return grid_search_rate(costs.ev, costs.agg, lower, upper, step)
 
 
@@ -173,9 +180,7 @@ def compare_solvers(
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if instance is None:
         instance = build_instance(config)
-    avail = available_ids(instance.fleet)
-    costs = instance.costs.restrict(avail)
-    lower, upper = common_rate_bounds(instance.fleet, avail)
+    avail, costs, (lower, upper) = _available(instance)
     fitness = make_penalized_fitness(costs.ev, costs.agg, config.penalty(), lower, upper)
     dim = len(avail)
 

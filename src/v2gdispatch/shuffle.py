@@ -15,11 +15,11 @@ silent wrap.
 
 One round works on the whole (agents x candidates) unit matrix: row 0 is the
 aggregator and rows 1..N are the EVs in ascending id order (the rows of a
-built ``NeighborMap``, whose ``ids`` hold each row's EV id, or ``-1 - index``
-for an aggregator). ``draw_split`` draws every kept fraction and share
-destination from the graph's integer arrays, ``mask_units`` applies them;
-neither holds an ``AgentId``. ``shuffle_round`` is the same round over an
-agent-keyed mapping. ``candidate_totals`` sums the reports per candidate.
+built ``NeighborMap``, whose ``ids`` hold each row's agent id: the EV id, or
+-1 for the aggregator). ``draw_split`` draws every kept fraction and share
+destination from the graph's integer arrays, ``mask_units`` applies them.
+``shuffle_round`` is the same round over an id-keyed mapping.
+``candidate_totals`` sums the reports per candidate.
 This module owns the share-slot layout: a send share of row r's candidate h
 lands in the flat slot ``t * m + h`` of its target row t, and ``SplitBuffers``
 alone derives those slots from the graph's ``indptr`` and ``targets``.
@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 # deliver_round stays bound here: perfbench/tracer.py wraps shuffle.deliver_round
-from .topology import AgentId, NeighborMap, TopologyError, deliver_round  # noqa: F401
+from .topology import NeighborMap, TopologyError, deliver_round  # noqa: F401
 
 DEFAULT_UNIT_BITS = 40
 _INT64_BOUND = 2.0**63  # magnitudes at or beyond this do not fit int64
@@ -129,18 +129,21 @@ def from_units_array(units, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
     return np.multiply(units, 2.0 ** -unit_bits)
 
 
-def _stacked(values_by_agent: Mapping[AgentId, np.ndarray]) -> tuple[list[AgentId], np.ndarray]:
-    """Agents in sort order and their unit-values stacked as matrix rows."""
+def _stacked(values_by_agent: Mapping[int, np.ndarray]) -> tuple[list[int], np.ndarray]:
+    """Agent ids in ascending order and their unit-values stacked as matrix
+    rows, checked by ``check_headroom``."""
     if not values_by_agent:
         raise ProtocolError("no agent mappings to shuffle")
-    agents = sorted(values_by_agent, key=AgentId.sort_key)
+    agents = sorted(values_by_agent)
     lengths = {len(values_by_agent[a]) for a in agents}
     if len(lengths) != 1:
         raise ProtocolError(f"agents disagree on candidate count: {sorted(lengths)}")
     (m,) = lengths
     if m == 0:
         raise ProtocolError("empty candidate sequence")
-    return agents, np.stack([np.asarray(values_by_agent[a], dtype=np.int64) for a in agents])
+    units = np.stack([np.asarray(values_by_agent[a], dtype=np.int64) for a in agents])
+    check_headroom(units)
+    return agents, units
 
 
 class SplitBuffers:
@@ -169,7 +172,7 @@ class SplitBuffers:
         indptr, targets = topology.indptr, topology.targets
         degree = np.diff(indptr)
         if not degree.all():
-            raise TopologyError(f"agent {topology.rows[int(np.argmin(degree))]} has no out-edges")
+            raise TopologyError(f"agent {topology.ids[np.argmin(degree)]} has no out-edges")
         fractions = self.fractions = np.empty((len(degree), m))
         self._columns = np.arange(m)
         destinations = self.destinations = (
@@ -245,21 +248,22 @@ def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarra
 
 
 def shuffle_round(
-    values_by_agent: Mapping[AgentId, np.ndarray],
+    values_by_agent: Mapping[int, np.ndarray],
     topology: NeighborMap,
     rng,
-    fractions: Mapping[AgentId, Sequence[float]] | None = None,
-) -> dict[AgentId, np.ndarray]:
+    fractions: Mapping[int, Sequence[float]] | None = None,
+) -> dict[int, np.ndarray]:
     """One split / exchange / aggregate round over every participant.
 
-    ``values_by_agent`` maps each participating agent (available EVs and the
-    aggregator) to its int64 unit-values for the common candidate sequence.
-    Every agent splits each value, sends one share to one of its out-edge
-    neighbours (chosen per candidate when it has several), keeps the other,
-    then adds the shares it received. Returns the masked unit-values per
+    ``values_by_agent`` maps each participating agent's id (available EVs and
+    the aggregator) to its int64 unit-values for the common candidate
+    sequence, which must pass ``check_headroom``. Every agent splits each
+    value, sends one share to one of its out-edge neighbours (chosen per
+    candidate when it has several), keeps the other, then adds the shares
+    it received. Returns the masked unit-values per
     agent; per-candidate totals over all agents are conserved exactly.
 
-    The agents, in sort order, are the rows of one ``draw_split`` /
+    The agents, in ascending id order, are the rows of one ``draw_split`` /
     ``mask_units`` round, so results do not depend on traversal order.
     ``fractions`` forces the kept fraction per agent and candidate.
     """
@@ -270,7 +274,7 @@ def shuffle_round(
         if fractions is not None and agent in fractions:
             forced[r] = np.asarray(fractions[agent], dtype=float)
             if forced[r].shape != (m,):
-                raise ProtocolError(f"forced fractions for {agent} must have length {m}")
+                raise ProtocolError(f"forced fractions for agent {agent} must have length {m}")
     edges = topology.out_edges
     graph = NeighborMap.from_edges({a: edges.get(a, ()) for a in agents})
     split = draw_split(graph, m, np.random.default_rng(rng), SplitBuffers(graph, m, forced))
@@ -287,10 +291,11 @@ def _ones(rows: int) -> np.ndarray:
 def candidate_totals(units) -> np.ndarray:
     """Exact per-candidate sum of unit-values over all agents.
 
-    ``units`` is an int64 (agents x candidates) matrix, or an agent-keyed
-    mapping of unit-values. The sum is one int64 matvec against a ones
-    vector held per row count: integer sums do not depend on the order of
-    the additions, so it equals ``np.add.reduce(units, axis=0)`` bit for bit.
+    ``units`` is an int64 (agents x candidates) matrix, or an id-keyed
+    mapping of unit-values, which must pass ``check_headroom``. The sum is
+    one int64 matvec against a ones vector held per row count: integer sums
+    do not depend on the order of the additions, so it equals
+    ``np.add.reduce(units, axis=0)`` bit for bit.
     """
     if not isinstance(units, np.ndarray):
         units = _stacked(units)[1] if isinstance(units, Mapping) else np.asarray(units, np.int64)

@@ -1,25 +1,22 @@
 """Simulated communication graph and synchronous message transport.
 
-Agents are EVs and one aggregator. Edges are out-edges: ``out_edges[a]``
+Agents are EVs and one aggregator, each named by an integer id: the EV id
+(>= 0), or ``AGGREGATOR_ID`` (-1). Edges are out-edges: ``out_edges[a]``
 lists the agents ``a`` may send shares to. Links are lossless and
 instantaneous; a round is a barrier (all sends complete before any receive
 is observed).
 
-A graph is held as integer arrays over rows, one row per agent in agent
-order; ``ids[r]`` names row r's agent as an integer: the EV id (>= 0), or
-``-1 - index`` for an aggregator. A built topology has the aggregator in
-row 0 (id -1) and the available EVs in rows 1..N in ascending id order: the
-row order of the protocol's value matrix. The protocol path works on these
-arrays alone and holds no ``AgentId``; agent-keyed views are built on access.
-This module holds only the graph: where a round's shares land, per row and
-candidate, is laid out by ``shuffle.SplitBuffers``.
+A graph is held as integer arrays over rows, one row per agent in ascending
+id order; ``ids[r]`` is row r's agent. A built topology has the aggregator in
+row 0 and the available EVs in rows 1..N in ascending id order: the row
+order of the protocol's value matrix. The id-keyed ``out_edges`` view is
+built on access. This module holds only the graph: where a round's shares
+land, per row and candidate, is laid out by ``shuffle.SplitBuffers``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,36 +28,22 @@ class TopologyError(ValueError):
     """Invalid graph construction or routing to an unknown agent."""
 
 
-class AgentKind(enum.Enum):
-    EV = "ev"
-    AGGREGATOR = "aggregator"
+AGGREGATOR_ID = -1
 
 
-@dataclass(frozen=True)
-class AgentId:
-    kind: AgentKind
-    index: int
-
-    def sort_key(self) -> tuple[str, int]:
-        return (self.kind.value, self.index)
-
-    def __str__(self) -> str:
-        return f"{self.kind.value}{self.index}"
-
-
-AGGREGATOR_ID = AgentId(AgentKind.AGGREGATOR, 0)
-
-
-def ev_agent(index: int) -> AgentId:
-    return AgentId(AgentKind.EV, index)
+def ev_agent(index: int) -> int:
+    """The agent id of EV ``index``: the index itself, which must be >= 0."""
+    if index < 0:
+        raise ValueError(f"EV index must be >= 0, got {index}")
+    return index
 
 
 @dataclass(frozen=True)
 class Envelope:
     """One message delivered within the current round."""
 
-    sender: AgentId
-    recipient: AgentId
+    sender: int
+    recipient: int
     payload: object
 
 
@@ -68,11 +51,10 @@ class Envelope:
 class NeighborMap:
     """Per-agent out-edges as three integer arrays over rows.
 
-    ``ids[r]`` is the agent of row r (rows in agent sort order): an EV id,
-    or ``-1 - index`` for an aggregator. Row r may send to the rows
-    ``targets[indptr[r]:indptr[r + 1]]``. Every participating EV keeps at
-    least one out-edge. ``rows`` (the ``AgentId`` of each row) and
-    ``out_edges`` (the same graph keyed by agent) are built on access.
+    ``ids[r]`` is the agent id of row r, in ascending order (the aggregator
+    first). Row r may send to the rows ``targets[indptr[r]:indptr[r + 1]]``.
+    Every participating EV keeps at least one out-edge. ``out_edges`` (the
+    same graph keyed by agent id) is built on access.
     """
 
     ids: np.ndarray
@@ -80,34 +62,31 @@ class NeighborMap:
     targets: np.ndarray
 
     @classmethod
-    def from_edges(cls, edges: Mapping[AgentId, Sequence[AgentId]]) -> "NeighborMap":
-        """Index form of an agent-keyed edge map; targets must be keys too,
-        and every EV needs an out-edge."""
-        rows = sorted(edges, key=AgentId.sort_key)
-        row_of = {agent: r for r, agent in enumerate(rows)}
+    def from_edges(cls, edges: Mapping[int, Sequence[int]]) -> "NeighborMap":
+        """Index form of an id-keyed edge map; every key must be an EV id or
+        ``AGGREGATOR_ID``, targets must be keys too, and every EV needs an
+        out-edge."""
+        for agent, out in edges.items():
+            if not isinstance(agent, (int, np.integer)) or agent < AGGREGATOR_ID:
+                raise TopologyError(f"agent id {agent!r} is neither an EV id >= 0 nor -1")
+            if agent >= 0 and not out:
+                raise TopologyError(f"EV {agent} needs at least one out-edge")
+        ids = sorted(edges)
+        row_of = {agent: r for r, agent in enumerate(ids)}
         try:
-            targets = [row_of[t] for agent in rows for t in edges[agent]]
+            targets = [row_of[t] for agent in ids for t in edges[agent]]
         except KeyError as exc:
             raise TopologyError(f"edge to {exc.args[0]} points outside the graph") from None
-        for agent in rows:
-            if agent.kind is AgentKind.EV and not edges[agent]:
-                raise TopologyError(f"EV agent {agent} needs at least one out-edge")
-        ids = [a.index if a.kind is AgentKind.EV else -1 - a.index for a in rows]
-        degree = [len(edges[agent]) for agent in rows]
+        degree = [len(edges[agent]) for agent in ids]
         return cls(np.array(ids, dtype=np.intp), np.cumsum([0] + degree),
                    np.array(targets, dtype=np.intp))
 
-    @cached_property
-    def rows(self) -> tuple[AgentId, ...]:
-        return tuple(AgentId(AgentKind.EV, i) if i >= 0 else AgentId(AgentKind.AGGREGATOR, -1 - i)
-                     for i in self.ids.tolist())
-
     @property
-    def out_edges(self) -> dict[AgentId, tuple[AgentId, ...]]:
-        rows, indptr, targets = self.rows, self.indptr.tolist(), self.targets.tolist()
+    def out_edges(self) -> dict[int, tuple[int, ...]]:
+        ids, indptr, targets = self.ids.tolist(), self.indptr.tolist(), self.targets.tolist()
         return {
-            agent: tuple(rows[t] for t in targets[indptr[r]:indptr[r + 1]])
-            for r, agent in enumerate(rows)
+            agent: tuple(ids[t] for t in targets[indptr[r]:indptr[r + 1]])
+            for r, agent in enumerate(ids)
         }
 
 
@@ -118,7 +97,7 @@ def build_topology(
     fleet: Fleet,
     policy: str = "one-random-neighbor",
     rng=None,
-    custom_edges: dict[AgentId, tuple[AgentId, ...]] | None = None,
+    custom_edges: dict[int, tuple[int, ...]] | None = None,
 ) -> NeighborMap:
     """Build the communication graph over available EVs plus the aggregator.
 
@@ -158,8 +137,8 @@ def build_topology(
 
 def deliver_round(
     envelopes: Iterable[Envelope],
-    agents: Sequence[AgentId] | None = None,
-) -> dict[AgentId, list[Envelope]]:
+    agents: Sequence[int] | None = None,
+) -> dict[int, list[Envelope]]:
     """Deliver every envelope exactly once, all within one barrier round.
 
     Inboxes are keyed by recipient and ordered by (sender, send order), so the
@@ -167,19 +146,10 @@ def deliver_round(
     envelopes in. With ``agents`` given, every listed agent gets an inbox
     (possibly empty) and unknown recipients raise.
     """
-    known = set(agents) if agents is not None else None
-    inboxes: dict[AgentId, list[Envelope]] = (
-        {a: [] for a in agents} if agents is not None else {}
-    )
-    ordered: list[tuple[tuple[str, int], int, Envelope]] = []
-    per_sender_seq: dict[AgentId, int] = {}
-    for env in envelopes:
-        if known is not None and env.recipient not in known:
+    inboxes: dict[int, list[Envelope]] = {a: [] for a in agents or ()}
+    # a stable sort: one sender's envelopes to one recipient keep send order
+    for env in sorted(envelopes, key=lambda env: (env.recipient, env.sender)):
+        if agents is not None and env.recipient not in inboxes:
             raise TopologyError(f"unknown recipient {env.recipient}")
-        seq = per_sender_seq.get(env.sender, 0)
-        per_sender_seq[env.sender] = seq + 1
-        ordered.append((env.sender.sort_key(), seq, env))
-    ordered.sort(key=lambda item: (item[2].recipient.sort_key(), item[0], item[1]))
-    for _, _, env in ordered:
         inboxes.setdefault(env.recipient, []).append(env)
     return inboxes

@@ -40,8 +40,8 @@ def test_stats_harness_validates_arguments():
         stats_harness(CFG, "k_max", [10], runs=1)
     with pytest.raises(ValueError):
         stats_harness(CFG, "price", [1], runs=2)
-    for value in (2.7, 1e-3, -0.5):
-        with pytest.raises(ValueError, match="k_max"):
+    for value in (2.7, 1e-3, -0.5, float("nan"), float("inf"), -float("inf"), "5"):
+        with pytest.raises(ValueError, match="k_max values must be whole numbers"):
             stats_harness(CFG, "k_max", [10, value], 2)
     assert [row.value for row in stats_harness(CFG, "k_max", [2.0, np.int64(3)], 2)] == [2, 3]
 
@@ -145,6 +145,16 @@ def test_compare_solvers_needs_a_seed():
     for n_seeds in (0, -1):
         with pytest.raises(ValueError, match="n_seeds must be >= 1"):
             compare_solvers(CFG, n_seeds=n_seeds, k_max=5, population=4)
+
+
+def test_oracle_and_compare_need_an_available_ev():
+    instance = build_instance(CFG)
+    for ev in instance.fleet.evs:
+        ev.departed = True
+    with pytest.raises(ValueError, match="no available EVs"):
+        oracle_rate(instance)
+    with pytest.raises(ValueError, match="no available EVs"):
+        compare_solvers(CFG, n_seeds=1, k_max=5, population=4, instance=instance)
 
 
 def test_solver_order_holds_within_rounding_only():

@@ -247,7 +247,7 @@ def test_draw_split_stream_contract(n):
 def test_draw_split_refuses_a_row_with_no_out_edge():
     topo = build_topology(sample_fleet(1, 0),
                           custom_edges={ev_agent(0): (AGGREGATOR_ID,), AGGREGATOR_ID: ()})
-    with pytest.raises(TopologyError, match="aggregator0"):
+    with pytest.raises(TopologyError, match="agent -1 has no out-edges"):
         draw_split(topo, 3, np.random.default_rng(0))
 
 
@@ -298,6 +298,21 @@ def test_check_headroom_bounds_each_column_sum():
         check_headroom(np.array([[1, -big], [1, -big]], dtype=np.int64))
     with pytest.raises(ProtocolError):  # |-2**63| alone reaches the bound
         check_headroom(np.array([[0, -(2**63)]], dtype=np.int64))
+
+
+def test_mapping_round_and_totals_refuse_reports_beyond_the_wire():
+    # each report fits int64 but their sum does not: refused, never wrapped
+    i, j, topo = _two_agents_topology()
+    big = {i: np.array([int(1.6 * 2**62)]), j: np.array([int(1.6 * 2**62)])}
+    with pytest.raises(ProtocolError, match="beyond the int64 wire"):
+        shuffle_round(big, topo, rng=0)
+    with pytest.raises(ProtocolError, match="beyond the int64 wire"):
+        candidate_totals(big)
+    # a column summing to 2**63 - 1 in magnitude still goes through exactly
+    edge = {i: np.array([2**62, -(2**62)]), j: np.array([2**62 - 1, 1 - 2**62])}
+    totals = [2**63 - 1, 1 - 2**63]
+    assert candidate_totals(edge).tolist() == totals
+    assert candidate_totals(shuffle_round(edge, topo, rng=0)).tolist() == totals
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
