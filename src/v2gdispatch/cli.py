@@ -68,7 +68,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ValueError(f"{args.param} values must be numbers, got {args.values!r}") from None
     rows = stats_harness(config, args.param, values, args.runs)
     path = _out_path(config, args.out, f"sweep_{args.param}.csv")
     export_stats(rows, path)

@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import PenaltyConfig
 from .costs import AggCostParams, CostSet, sample_ev_cost_params
 from .fleet import Fleet, FleetDistributions, sample_fleet
-from .orchestrator import DepartureEvent, check_run_settings, step_count
+from .orchestrator import DepartureEvent, check_run_settings, ev_id_array, step_count
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -264,10 +264,10 @@ def resolve_departures(config: ScenarioConfig, fleet: Fleet) -> tuple[DepartureE
     Specs are resolved in time order (ties in config order) against one
     boolean mask of the EVs still present: those available now and not
     removed by an earlier event. An ``ids`` spec keeps its ids as given,
-    duplicates and ids already gone included, after one range test over
-    them. A ``count`` spec takes the ``count`` highest ids still present
-    (all of them when fewer are left), so it is deterministic and does not
-    depend on sampling order. Either way the event's ids leave the mask.
+    duplicates and ids already gone included, once each is checked to be an
+    integer in [0, N). A ``count`` spec takes the ``count`` highest ids
+    still present (all of them when fewer are left), so it is deterministic
+    and does not depend on sampling order. Either way the event's ids leave the mask.
     Each event's ``ev_ids`` is a tuple of Python ints.
     """
     n = len(fleet)
@@ -278,14 +278,11 @@ def resolve_departures(config: ScenarioConfig, fleet: Fleet) -> tuple[DepartureE
     for j in order:
         spec = config.departures[j]
         if "ids" in spec:
-            try:
-                ids = np.array(spec["ids"], dtype=np.intp)
-                in_range = bool(((0 <= ids) & (ids < n)).all())
-            except OverflowError:  # an id beyond intp, which JSON allows
-                in_range = False
-            if not in_range:
-                i = next(i for i in map(int, spec["ids"]) if not 0 <= i < n)
-                raise ConfigError(f"departures[{j}]: EV id {i} out of range [0, {n})")
+            ids = ev_id_array(spec["ids"], n)
+            if ids is None:
+                i = next(i for i in spec["ids"] if ev_id_array((i,), n) is None)
+                raise ConfigError(f"departures[{j}]: EV id {i!r} out of range: "
+                                  f"need an integer in [0, {n})")
         else:
             still = np.flatnonzero(present)
             ids = still[max(still.size - int(spec["count"]), 0):]

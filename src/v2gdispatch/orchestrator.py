@@ -9,11 +9,11 @@ the same candidate sequence and the answer is one scalar rate.
 
 Each iteration is whole-matrix work: the evaluations form one (N+1) x M
 matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
-order, quantized once, masked by one ``draw_split`` / ``mask_units`` round and
-summed per column (``candidate_totals``, an exact int64 matvec). The ECN
-selects on the float totals, as a list that ``WhalePool.record_evaluation``
-reads too: int64 totals above 2**53 units can differ yet map to one float,
-and the tie then goes to the lower index.
+order, quantized once, masked by one ``SplitBuffers.draw`` / ``mask_units``
+round (when the epoch masks) and summed per column (``candidate_totals``, an
+exact int64 matvec). The ECN selects on the float totals, as a list that
+``WhalePool.record_evaluation`` reads too: int64 totals above 2**53 units
+can differ yet map to one float, and the tie then goes to the lower index.
 
 What an epoch fixes is set up once, before its iterations:
 - the cost coefficients spread to (N+1) x M arrays, the aggregator's row 0
@@ -22,11 +22,11 @@ What an epoch fixes is set up once, before its iterations:
   units and the masked units, whose largest magnitude the quantisation
   hands to the headroom check; the mask reuses the first two for the kept
   shares and the sends, and adds the sends in through their flat views;
-- the split buffers (``shuffle.SplitBuffers``, built by the first round's
-  ``draw_split``): the fractions, the flat share destinations, whose
-  single-edge rows never change, and the row views and each multi-edge
-  row's degree and target slots, so a round draws only the fractions and
-  the aggregator's M destinations;
+- only when the epoch masks, its topology and the one split every round
+  draws into (``shuffle.SplitBuffers``): the fractions, the flat share
+  destinations, whose single-edge rows never change, and the row views and
+  each multi-edge row's degree and target slots, so a round draws only the
+  fractions and the aggregator's M destinations;
 - one check that the rate bounds are non-negative, which covers every
   candidate.
 Per iteration run only the arithmetic and the draws, each array touched
@@ -43,6 +43,7 @@ next change.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,10 @@ from .records import IterationSegment, RunRecord
 from .shuffle import (
     DEFAULT_UNIT_BITS,
     ProtocolError,
+    SplitBuffers,
     WireBuffers,
     candidate_totals,
     check_headroom,
-    draw_split,
     from_units_array,
     mask_units,
     to_units_array,
@@ -133,6 +134,16 @@ class DepartureEvent:
     ev_ids: tuple[int, ...]
 
 
+def ev_id_array(ids, n: int) -> np.ndarray | None:
+    """``ids`` as an intp array when each is an integer in [0, n), a numpy
+    integer included and a bool not; None otherwise. The range is tested
+    before the cast, so an id beyond intp is out of range, not an error."""
+    if (all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, ids)))
+            and 0 <= min(ids, default=0) and max(ids, default=-1) < n):
+        return np.array(ids, dtype=np.intp)
+    return None
+
+
 def run_optimization(
     fleet: Fleet,
     costs: CostSet,
@@ -176,11 +187,13 @@ def run_optimization(
     topo_ss, dwoa_ss, shuffle_ss = _as_seed_sequence(seed).spawn(3)
     dwoa_rng = np.random.default_rng(dwoa_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
-    topology = build_topology(fleet, topology_policy, np.random.default_rng(topo_ss))
+    split = None
+    if shuffle_enabled:
+        topology = build_topology(fleet, topology_policy, np.random.default_rng(topo_ss))
+        split = SplitBuffers(topology, m_whales)
 
     cost_matrix = CostMatrix(costs.ev.take(avail), costs.agg.restrict(avail), m_whales)
     wire = WireBuffers(cost_matrix.values.shape)
-    split = None
     n_iterations = max(k_max, 1)
     pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
     segment = IterationSegment(epoch, len(avail))
@@ -189,7 +202,7 @@ def run_optimization(
         units = to_units_array(values, unit_bits, out=wire)
         check_headroom(units, wire.peak)
         if shuffle_enabled:
-            split = draw_split(topology, m_whales, shuffle_rng, out=split)
+            split.draw(shuffle_rng)
             units = mask_units(units, split.fractions, split.destinations, out=wire)
         totals = from_units_array(candidate_totals(units), unit_bits).tolist()
         selected = ecn_select_best(totals)
@@ -224,9 +237,9 @@ def run_scenario(
     discharging the fleet by ``dt_h``. A departure event takes effect at
     step ``ceil(time_h / dt_h - 1e-9)``, the first step boundary at or after
     its time, counted by index rather than on the summed clock; an event
-    with a non-finite time or an EV id outside [0, N) raises ValueError
-    before any step. SOC-floor crossings take effect at the next step.
-    Every change of the available set starts a fresh optimization epoch
+    with a non-finite time or an EV id that is no integer in [0, N) raises
+    ValueError before any step. SOC-floor crossings take effect at the next
+    step. Every change of the available set starts a fresh optimization epoch
     whose random streams are spawned in sequence from ``seed``, keeping
     whole-run determinism. Before any step it raises ValueError for a
     ``dt_h`` or ``horizon_h`` that is not finite and > 0, for 2**53 or more
@@ -239,13 +252,9 @@ def run_scenario(
     for event in events:
         if not math.isfinite(event.time_h):
             raise ValueError(f"{event}: time_h must be finite")
-        try:
-            ids = np.asarray(event.ev_ids, dtype=np.intp)
-            in_range = not ((ids < 0) | (ids >= len(fleet))).any()
-        except OverflowError:  # an id beyond intp
-            in_range = False
-        if not in_range:
-            raise ValueError(f"{event}: EV ids must lie in [0, {len(fleet)})")
+        ids = ev_id_array(event.ev_ids, len(fleet))
+        if ids is None:
+            raise ValueError(f"{event}: EV ids must be integers in [0, {len(fleet)})")
         step = event.time_h / dt_h - 1e-9
         if step < n_steps:
             pending.append((math.ceil(step), ids))

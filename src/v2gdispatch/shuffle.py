@@ -16,8 +16,8 @@ silent wrap.
 One round works on the whole (agents x candidates) unit matrix: row 0 is the
 aggregator and rows 1..N are the EVs in ascending id order (the rows of a
 built ``NeighborMap``, whose ``ids`` hold each row's agent id: the EV id, or
--1 for the aggregator). ``draw_split`` draws every kept fraction and share
-destination from the graph's integer arrays, ``mask_units`` applies them.
+-1 for the aggregator). ``SplitBuffers.draw`` draws every kept fraction and
+share destination from the graph's integer arrays, ``mask_units`` applies them.
 ``shuffle_round`` is the same round over an id-keyed mapping.
 ``candidate_totals`` sums the reports per candidate.
 This module owns the share-slot layout: a send share of row r's candidate h
@@ -25,10 +25,10 @@ lands in the flat slot ``t * m + h`` of its target row t, and ``SplitBuffers``
 alone derives those slots from the graph's ``indptr`` and ``targets``.
 
 A run of rounds over one matrix shape can pass the same ``WireBuffers`` to
-``to_units_array``, ``check_headroom`` and ``mask_units``, and the same
-``SplitBuffers`` to ``draw_split``, so each round touches each matrix once,
-allocates none and makes its views and plan lookups not per round but once,
-when the buffers are built.
+``to_units_array``, ``check_headroom`` and ``mask_units``, and draw each
+round from the same ``SplitBuffers``, so each round touches each matrix
+once, allocates none and makes its views and plan lookups not per round but
+once, when the buffers are built.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ _INT64_BOUND = 2.0**63  # magnitudes at or beyond this do not fit int64
 
 class ProtocolError(RuntimeError):
     """Agents disagree on the candidate keys, a report is incomplete, a
-    value does not fit the int64 wire, or a forced split fraction lies
-    outside [0, 1]."""
+    value does not fit the int64 wire, or forced split fractions are not
+    m values in [0, 1]."""
 
 
 class WireBuffers:
@@ -148,7 +148,7 @@ def _stacked(values_by_agent: Mapping[int, np.ndarray]) -> tuple[list[int], np.n
 
 class SplitBuffers:
     """The kept fractions and share destinations of rounds over one topology
-    and ``m`` candidates, and the views ``draw_split`` refills them through.
+    and ``m`` candidates; ``draw`` refills them for each round.
 
     ``fractions`` is (rows, m): the fraction of each value its row keeps.
     ``destinations`` is flat, (rows * m,) in row-major order: the slot each
@@ -156,70 +156,63 @@ class SplitBuffers:
     entry for the same candidate h. Each row starts at its first target; a
     single-edge row's destinations never change, and a multi-edge row's are
     redrawn each round from its targets' slots ``t * m``. A row with no
-    out-edge raises TopologyError. ``forced`` maps a row to fractions used
-    instead of drawn ones in every round; each must lie in [0, 1], so that
-    both shares of a value lie between 0 and the value.
+    out-edge raises TopologyError. ``forced`` maps a row to the fractions it
+    keeps in every round, written here once: m values, each in [0, 1], so
+    that both shares of a value lie between 0 and the value.
     """
 
     __slots__ = ("fractions", "destinations", "_columns", "_draws", "_tail")
 
     def __init__(self, topology: NeighborMap, m: int,
-                 forced: Mapping[int, np.ndarray] | None = None):
-        forced = forced or {}
-        for r, f in forced.items():
-            if not np.all((0.0 <= f) & (f <= 1.0)):
-                raise ProtocolError(f"forced fractions for row {r} must lie in [0, 1]")
+                 forced: Mapping[int, Sequence[float]] | None = None):
         indptr, targets = topology.indptr, topology.targets
         degree = np.diff(indptr)
         if not degree.all():
             raise TopologyError(f"agent {topology.ids[np.argmin(degree)]} has no out-edges")
         fractions = self.fractions = np.empty((len(degree), m))
+        forced = forced or {}
+        for r, f in forced.items():
+            f = np.asarray(f, dtype=float)
+            if f.shape != (m,) or not np.all((0.0 <= f) & (f <= 1.0)):
+                raise ProtocolError(f"forced fractions for agent {topology.ids[r]} must be "
+                                    f"{m} values in [0, 1]")
+            fractions[r] = f
         self._columns = np.arange(m)
         destinations = self.destinations = (
             targets[indptr[:-1], None] * m + self._columns).reshape(-1)
         starts = indptr.tolist()
-        multi = {r: (starts[r + 1] - starts[r], targets[starts[r]:starts[r + 1]] * m)
+        multi = {r: (starts[r + 1] - starts[r], targets[starts[r]:starts[r + 1]] * m,
+                     destinations[r * m:(r + 1) * m])
                  for r in np.flatnonzero(degree > 1).tolist()}
         # per row that does not just draw its fractions, in row order: the
-        # block of fractions drawn up to it (itself included unless forced),
-        # (its fractions, the forced ones) or None, and its degree, target
-        # slots and destinations
+        # block of fractions drawn up to it (itself included unless forced)
+        # and, for a multi-edge row, its route: degree, target slots and
+        # destinations
         draws = []
         start = 0
         for r in sorted(multi.keys() | forced.keys()):
-            degree, slots = multi.get(r, (1, None))
-            fixed = (fractions[r], forced[r]) if r in forced else None
-            block = fractions[start:r] if fixed else fractions[start:r + 1]
-            draws.append((block, fixed, degree, slots, destinations[r * m:(r + 1) * m]))
+            block = fractions[start:r] if r in forced else fractions[start:r + 1]
+            draws.append((block, multi.get(r)))
             start = r + 1
         self._draws = tuple(draws)
         self._tail = fractions[start:]
 
+    def draw(self, rng) -> SplitBuffers:
+        """Refill the buffers for one round and return them.
 
-def draw_split(topology: NeighborMap, m: int, rng,
-               out: SplitBuffers | None = None) -> SplitBuffers:
-    """Kept fractions and share destinations for one round over ``m`` candidates.
-
-    Rows draw in row order: m uniform fractions (none for a forced row),
-    then, for a row with several out-edges, one out-edge per candidate
-    (``integers(degree, size=m)``). A run of rows draws its fractions in
-    one call, which consumes ``rng`` exactly as row-by-row draws would.
-    Without ``out`` the draw fills fresh ``SplitBuffers``; ``out`` takes
-    buffers built for the same topology and ``m`` (an earlier draw's, say)
-    and refills them in place: a round redraws only the fractions and the
-    multi-edge rows' destinations.
-    """
-    if out is None:
-        out = SplitBuffers(topology, m)
-    random, integers, columns = rng.random, rng.integers, out._columns
-    for block, fixed, degree, slots, destinations in out._draws:
-        random(out=block)
-        if fixed:
-            np.copyto(*fixed)
-        if degree > 1:
-            np.add(slots[integers(degree, size=m)], columns, out=destinations)
-    random(out=out._tail)
-    return out
+        Rows draw in row order: m uniform fractions (none for a forced row),
+        then, for a row with several out-edges, one out-edge per candidate
+        (``integers(degree, size=m)``). A run of rows draws its fractions in
+        one call, which consumes ``rng`` exactly as row-by-row draws would.
+        """
+        random, integers, columns = rng.random, rng.integers, self._columns
+        for block, route in self._draws:
+            random(out=block)
+            if route:
+                degree, slots, destinations = route
+                np.add(slots[integers(degree, size=columns.size)], columns, out=destinations)
+        random(out=self._tail)
+        return self
 
 
 def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarray,
@@ -263,21 +256,16 @@ def shuffle_round(
     it received. Returns the masked unit-values per
     agent; per-candidate totals over all agents are conserved exactly.
 
-    The agents, in ascending id order, are the rows of one ``draw_split`` /
-    ``mask_units`` round, so results do not depend on traversal order.
-    ``fractions`` forces the kept fraction per agent and candidate.
+    The agents, in ascending id order, are the rows of one ``SplitBuffers``
+    round, so results do not depend on traversal order. ``fractions`` forces
+    the kept fraction per agent and candidate.
     """
     agents, units = _stacked(values_by_agent)
-    m = units.shape[1]
-    forced = {}
-    for r, agent in enumerate(agents):
-        if fractions is not None and agent in fractions:
-            forced[r] = np.asarray(fractions[agent], dtype=float)
-            if forced[r].shape != (m,):
-                raise ProtocolError(f"forced fractions for agent {agent} must have length {m}")
+    fractions = fractions or {}
+    forced = {r: fractions[agent] for r, agent in enumerate(agents) if agent in fractions}
     edges = topology.out_edges
     graph = NeighborMap.from_edges({a: edges.get(a, ()) for a in agents})
-    split = draw_split(graph, m, np.random.default_rng(rng), SplitBuffers(graph, m, forced))
+    split = SplitBuffers(graph, units.shape[1], forced).draw(np.random.default_rng(rng))
     return dict(zip(agents, mask_units(units, split.fractions, split.destinations)))
 
 

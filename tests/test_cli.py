@@ -105,6 +105,17 @@ def test_sweep_over_a_fractional_value_names_the_param_and_exits_2(config_path, 
         assert not out.exists()
 
 
+def test_sweep_over_a_value_that_is_no_number_names_the_param_and_exits_2(config_path, tmp_path,
+                                                                          capsys):
+    out = tmp_path / "stats.csv"
+    for values in ("abc", ",5"):
+        code = main(["sweep", "--config", str(config_path), "--values", values, "--runs", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert "k_max values must be numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_param_choices_are_the_sweepable_settings(capsys):
     for param in SWEEPABLE:
         assert build_parser().parse_args(["sweep", "--param", param]).param == param

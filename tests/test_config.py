@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,14 @@ def test_departure_id_out_of_range_names_the_event_and_the_id(bad_id):
                                        {"time_h": 0.1, "ids": [0, 4, bad_id, 7]}]}
     config = parse_config(json.loads(json.dumps(data)))
     with pytest.raises(ConfigError, match=rf"departures\[1\]: EV id {bad_id} out of range"):
+        resolve_departures(config, build_instance(config).fleet)
+
+
+@pytest.mark.parametrize("bad_id", [1.5, 2.9, "2", True])
+def test_departure_id_that_is_no_integer_is_refused_by_name(bad_id):
+    # parse_config refuses these; a config built directly reaches resolve_departures
+    config = ScenarioConfig(n_evs=5, departures=({"time_h": 0.1, "ids": [0, bad_id]},))
+    with pytest.raises(ConfigError, match=rf"departures\[0\]: EV id {re.escape(repr(bad_id))} "):
         resolve_departures(config, build_instance(config).fleet)
 
 

@@ -191,6 +191,21 @@ def test_shuffle_toggle_never_changes_selection(instance):
         ]
 
 
+def test_an_epoch_that_does_not_mask_builds_no_topology(instance, monkeypatch):
+    def epoch():
+        rate, record = run_optimization(instance.fleet, instance.costs, m_whales=4, k_max=20,
+                                        seed=3, shuffle_enabled=False)
+        return rate, [row.selected_index for row in record.iterations]
+
+    expected = epoch()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_topology called by an epoch that does not mask")
+
+    monkeypatch.setattr(orchestrator, "build_topology", refuse)
+    assert epoch() == expected
+
+
 def test_rate_respects_tightest_bounds(instance):
     instance.fleet.evs[0].rate_max_kw = 2.0
     rate, _ = run_optimization(instance.fleet, instance.costs, seed=6)
@@ -378,15 +393,31 @@ def test_departure_fires_at_its_step(dt_h, time_h, step):
     (DepartureEvent(0.2, (12,)), r"\[0, 12\)"),
     (DepartureEvent(0.2, (0, 12)), r"\[0, 12\)"),
     (DepartureEvent(0.2, (0, 2**70)), r"\[0, 12\)"),
+    (DepartureEvent(0.5, (1.5,)), r"integers in \[0, 12\)"),
+    (DepartureEvent(0.5, (2.9,)), r"integers in \[0, 12\)"),
+    (DepartureEvent(0.5, ("2",)), r"integers in \[0, 12\)"),
+    (DepartureEvent(0.5, (True,)), r"integers in \[0, 12\)"),
+    (DepartureEvent(0.5, (0, np.bool_(True))), r"integers in \[0, 12\)"),
     (DepartureEvent(float("nan"), (3,)), "finite"),
     (DepartureEvent(float("inf"), (3,)), "finite"),
     (DepartureEvent(-float("inf"), (3,)), "finite"),
-], ids=["id-1", "id-N", "ids-0-N", "id-2**70", "nan", "inf", "-inf"])
+], ids=["id-1", "id-N", "ids-0-N", "id-2**70", "id-1.5", "id-2.9", "id-str", "id-True",
+        "id-np.True", "nan", "inf", "-inf"])
 def test_scenario_rejects_a_bad_departure_event(instance, event, problem):
     with pytest.raises(ValueError, match=re.escape(str(event)) + ".*" + problem):
         run_scenario(instance.fleet, instance.costs, dt_h=0.1, horizon_h=0.5,
                      events=(event,), m_whales=4, k_max=5, seed=7)
     assert instance.fleet.time_h == 0.0 and not instance.fleet.departed.any()
+
+
+def test_scenario_takes_numpy_integer_departure_ids(instance):
+    def departed_after(ids):
+        fleet = build_instance(CFG).fleet
+        run_scenario(fleet, instance.costs, dt_h=0.1, horizon_h=0.3,
+                     events=(DepartureEvent(0.1, ids),), m_whales=2, k_max=2, seed=7)
+        return np.flatnonzero(fleet.departed).tolist()
+
+    assert departed_after((np.int64(3), np.uint8(5))) == departed_after((3, 5)) == [3, 5]
 
 
 def _reference_round(units, topology, m, rng):

@@ -12,7 +12,6 @@ from v2gdispatch.shuffle import (
     SplitBuffers,
     candidate_totals,
     check_headroom,
-    draw_split,
     from_units_array,
     mask_units,
     shuffle_round,
@@ -202,6 +201,19 @@ def test_forced_fraction_length_checked():
         shuffle_round(values, topo, rng=0, fractions={i: [0.5]})
 
 
+@pytest.mark.parametrize("bad", [[0.5], [0.5, 0.5, 0.5], [0.5, 1.5], [-0.25, 0.5],
+                                 [0.5, float("nan")]])
+def test_forced_fractions_are_checked_and_name_the_agent(bad):
+    # m values in [0, 1], checked where the split is built; with the
+    # aggregator in row 0, agent 1 is row 2, and the error names the agent
+    topo = build_topology(sample_fleet(3, 9), "one-random-neighbor", 4)
+    values = {a: to_units_array(np.array([5.0, 10.0])) for a in topo.ids.tolist()}
+    with pytest.raises(ProtocolError, match=r"for agent 1 must be 2 values in \[0, 1\]"):
+        shuffle_round(values, topo, rng=0, fractions={1: bad})
+    with pytest.raises(ProtocolError, match=r"for agent 1 must be 2 values in \[0, 1\]"):
+        SplitBuffers(topo, 2, {2: bad})
+
+
 def test_multi_neighbor_routing_conserves_totals():
     # aggregator fans out per-candidate shares to several EVs
     fleet = sample_fleet(6, 9)
@@ -217,14 +229,14 @@ def test_multi_neighbor_routing_conserves_totals():
 def test_draw_split_stream_contract(n):
     # row 0, the aggregator, draws random(m) then integers(n, size=m) when it
     # has several out-edges; the EV rows then draw random((n, m)) at once.
-    # A refill through ``out`` consumes the stream the same way.
+    # Each redraw of the same buffers consumes the stream the same way.
     m = 7
     topo = build_topology(sample_fleet(n, n), "one-random-neighbor", 3)
     rng = np.random.default_rng(n)
     ref = np.random.default_rng(n)
-    split = None
+    split = SplitBuffers(topo, m)
     for _ in range(3):
-        split = draw_split(topo, m, rng, out=split)
+        split = split.draw(rng)
         fractions, destinations = split.fractions, split.destinations
         if n > 1:
             agg_fractions = ref.random(m)
@@ -238,8 +250,8 @@ def test_draw_split_stream_contract(n):
         expected_rows = np.vstack([agg_targets, ev_targets])
         assert np.array_equal(destinations, (expected_rows * m + np.arange(m)).reshape(-1))
         assert rng.bit_generator.state == ref.bit_generator.state
-    fresh = draw_split(topo, m, np.random.default_rng(5))
-    refilled = draw_split(topo, m, np.random.default_rng(5), out=split)
+    fresh = SplitBuffers(topo, m).draw(np.random.default_rng(5))
+    refilled = split.draw(np.random.default_rng(5))
     assert np.array_equal(fresh.fractions, refilled.fractions)
     assert np.array_equal(fresh.destinations, refilled.destinations)
 
@@ -248,7 +260,7 @@ def test_draw_split_refuses_a_row_with_no_out_edge():
     topo = build_topology(sample_fleet(1, 0),
                           custom_edges={ev_agent(0): (AGGREGATOR_ID,), AGGREGATOR_ID: ()})
     with pytest.raises(TopologyError, match="agent -1 has no out-edges"):
-        draw_split(topo, 3, np.random.default_rng(0))
+        SplitBuffers(topo, 3).draw(np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("forced_rows", [(0,), (2,), (0, 5), (5,)])
@@ -261,7 +273,7 @@ def test_forced_rows_draw_no_fractions(forced_rows):
     rng, ref = np.random.default_rng(1), np.random.default_rng(1)
     split = SplitBuffers(topo, m, forced)
     for _ in range(2):
-        draw_split(topo, m, rng, split)
+        split.draw(rng)
         rows = []
         for r in range(n + 1):
             rows.append(forced[r] if r in forced else ref.random(m))
