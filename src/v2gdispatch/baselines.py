@@ -32,14 +32,15 @@ expressions, so the bits are those of the per-whale and per-leader
 references in the tests. Only the positions handed to the fitness are a new
 array each iteration: no population is written after it is passed on.
 CWOA keeps A, C, the encircle and search moves and the |A| < 1 mask in
-(m, dim) arrays, and each whale's search reference and wave in Python
-lists. Once a < 1, |A| <= a < 1 in every coordinate, so no whale takes a
-search move: the solver skips the gather of the references and the search
-arithmetic, and every wave is 0. GWO refills one (3, 2, pack, dim) draw
-array with ``random(out=...)``, the same stream as a fresh block, forms A
-and C = 2·r2 in its two halves, and builds the pulls in one (3, pack, dim)
-array that starts as a contiguous copy of the leaders; the mean is
-numpy's, ``add.reduce`` over the leaders and then ``/ 3``.
+(m, dim) arrays and each whale's search reference in a list; the whales
+that search toward an earlier whale move again in one ascending pass, each
+reading its target's final position. Once a < 1, |A| <= a < 1 in every
+coordinate, so no whale takes a search move and the solver skips all search
+work. GWO refills one (3, 2, pack, dim) draw array with ``random(out=...)``,
+the same stream as a fresh block, forms A and C = 2·r2 in its two halves,
+and builds the pulls in one (3, pack, dim) array that starts as a
+contiguous copy of the leaders; the mean is numpy's, ``add.reduce`` over
+the leaders and then ``/ 3``.
 """
 
 from __future__ import annotations
@@ -145,24 +146,19 @@ def cwoa_solve(
     A, C, encircle, search = (np.empty((m, dim)) for _ in range(4))
     near = np.empty((m, dim), dtype=bool)  # |A| < 1: encircle, else search
     ref = [0] * m  # search reference, p < 0.5
-    wave = [0] * m
     for k in range(k_max):
         a = 2.0 * (1.0 - k / k_max)
         chained = a >= 1.0  # below 1, |A| < 1 and no whale takes a search move
-        spiral, ell, waves = [], [], []
+        spiral, ell, later = [], [], []
         for i, row in enumerate(rows):
             rng.random(out=row)
             if row[-1] < 0.5:
                 j = ref[i] = int(rng.integers(m))
-                level = wave[i] = wave[j] + 1 if chained and j < i else 0
-                if level > len(waves):
-                    waves.append([])
-                if level:
-                    waves[level - 1].append(i)
+                if chained and j < i:
+                    later.append(i)
             else:
                 spiral.append(i)
                 ell.append(rng.random())
-                wave[i] = 0
         np.multiply(draws[:, :dim], 2.0 * a, out=A)
         A -= a
         np.multiply(draws[:, dim:-1], 2.0, out=C)
@@ -187,16 +183,15 @@ def cwoa_solve(
             dist = np.abs(best_x - pos[spiral])
             new[spiral] = dist * np.exp(l)[:, None] * np.cos(2.0 * np.pi * l)[:, None] + best_x
         # A search move toward an earlier whale sees that whale's new
-        # position: wave w reads the final positions of waves before it.
-        for w in waves:
-            other = new[[ref[i] for i in w]]
-            moved = C[w] * other
-            moved -= pos[w]
+        # position: in ascending order, each target is final when read.
+        for i in later:
+            other = new[ref[i]]
+            moved = C[i] * other
+            moved -= pos[i]
             np.abs(moved, out=moved)
-            moved *= A[w]
-            np.subtract(other, moved, out=other)
-            np.copyto(other, encircle[w], where=near[w])
-            new[w] = other
+            moved *= A[i]
+            np.subtract(other, moved, out=new[i])
+            np.copyto(new[i], encircle[i], where=near[i])
         pos = np.clip(new, lower, upper, out=new)
         fit = np.asarray(fitness(pos), dtype=float)
         leader = int(np.argmin(fit))

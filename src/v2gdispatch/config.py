@@ -147,6 +147,7 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         value = getattr(config, key)
         if _non_finite(value):
             raise ConfigError(f"{key}: must be finite, got {value!r}")
+    _checked("seed: ", np.random.SeedSequence, config.seed)
     if config.n_evs < 1:
         raise ConfigError(f"n_evs: must be >= 1, got {config.n_evs}")
     for key in _RANGE_KEYS:

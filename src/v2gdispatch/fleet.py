@@ -167,9 +167,16 @@ def available_ids(fleet: Fleet) -> list[int]:
 
 
 def common_rate_bounds(fleet: Fleet, ids) -> tuple[float, float]:
-    """Intersection of the given EVs' rate limits: (max rate_min, min rate_max)."""
+    """Intersection of the given EVs' rate limits: (max rate_min, min rate_max);
+    ValueError ``no common feasible rate`` when it is empty and ``discharge
+    rate must be >= 0`` when it reaches below 0."""
     ids = np.asarray(ids, dtype=np.intp)
-    return float(fleet.rate_min_kw[ids].max()), float(fleet.rate_max_kw[ids].min())
+    lower, upper = float(fleet.rate_min_kw[ids].max()), float(fleet.rate_max_kw[ids].min())
+    if lower > upper:
+        raise ValueError(f"no common feasible rate: [{lower}, {upper}]")
+    if lower < 0.0:
+        raise ValueError(f"discharge rate must be >= 0, got a lower bound of {lower}")
+    return lower, upper
 
 
 def apply_discharge(fleet: Fleet, rate_kw: float, dt_h: float) -> Fleet:

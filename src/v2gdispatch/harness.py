@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,15 +110,20 @@ def stats_harness(
     ]
 
 
-def export_stats(rows: list[StatsRow], path) -> None:
+def _write_rows(path, row_type, rows, **extra) -> None:
+    """CSV of ``rows``: one column per field of ``row_type``, then one per
+    ``extra`` value, the same on every row; floats written with ``repr``."""
+    names = [f.name for f in fields(row_type)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["param", "value", "mean_rate_kw", "std_rate_kw", "mean_time_s", "runs"])
+        writer.writerow(names + list(extra))
         for row in rows:
-            writer.writerow(
-                [row.param, row.value, repr(row.mean_rate_kw), repr(row.std_rate_kw),
-                 repr(row.mean_time_s), row.runs]
-            )
+            values = [getattr(row, name) for name in names] + list(extra.values())
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
+
+
+def export_stats(rows: list[StatsRow], path) -> None:
+    _write_rows(path, StatsRow, rows)
 
 
 def _available(instance: Instance):
@@ -211,12 +216,4 @@ def compare_solvers(
 
 
 def export_comparison(rows: list[CompareRow], oracle_objective: float, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "decentralized_objective", "cwoa_objective",
-                         "gwo_objective", "oracle_objective"])
-        for row in rows:
-            writer.writerow(
-                [row.seed, repr(row.decentralized_objective), repr(row.cwoa_objective),
-                 repr(row.gwo_objective), repr(oracle_objective)]
-            )
+    _write_rows(path, CompareRow, rows, oracle_objective=oracle_objective)

@@ -26,9 +26,7 @@ What an epoch fixes is set up once, before its iterations:
   draws into (``shuffle.SplitBuffers``): the fractions, the flat share
   destinations, whose single-edge rows never change, and the row views and
   each multi-edge row's degree and target slots, so a round draws only the
-  fractions and the aggregator's M destinations;
-- one check that the rate bounds are non-negative, which covers every
-  candidate.
+  fractions and the aggregator's M destinations.
 Per iteration run only the arithmetic and the draws, each array touched
 once. The loop calls ``candidate_totals``, ``from_units_array`` and
 ``ecn_select_best`` through this module's names, where a caller can wrap
@@ -161,7 +159,8 @@ def run_optimization(
     shuffle masking each consume an independent child stream, so toggling
     ``shuffle_enabled`` cannot perturb the optimizer's randomness. With no
     available EV the rate is 0 and the record carries the empty-fleet flag.
-    Search bounds are the intersection of the available EVs' rate limits.
+    Search bounds are the intersection of the available EVs' rate limits
+    (``common_rate_bounds``, which refuses an empty or negative one).
     An iteration whose reports could overflow the int64 wire (see
     ``check_headroom``) raises ProtocolError. The record's oracle-call
     counters count the cost values actually scored. ``k_max`` = 0 scores
@@ -178,12 +177,6 @@ def run_optimization(
         return 0.0, record
 
     lower, upper = common_rate_bounds(fleet, avail)
-    if lower > upper:
-        raise ValueError(f"no common feasible rate: [{lower}, {upper}]")
-    if lower < 0.0:
-        # every candidate lies in [lower, upper]: one check covers them all
-        raise ValueError(f"discharge rate must be >= 0, got a lower bound of {lower}")
-
     topo_ss, dwoa_ss, shuffle_ss = _as_seed_sequence(seed).spawn(3)
     dwoa_rng = np.random.default_rng(dwoa_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)

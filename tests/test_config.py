@@ -120,6 +120,7 @@ def test_schema_version_checked():
         ({"beta_range": [-1e308, 1e308]}, "beta_range: bounds .* too far apart"),
         ({"penalty_spread_scale_kw": 0.0}, "penalty_spread_scale_kw must be None or > 0"),
         ({"penalty_spread_scale_kw": -1.0}, "penalty_spread_scale_kw must be None or > 0"),
+        ({"seed": -1}, "seed: "),
     ],
 )
 def test_validation_names_offending_key(data, key):

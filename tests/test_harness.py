@@ -85,6 +85,9 @@ def test_export_stats(tmp_path):
     assert lines[0] == "param,value,mean_rate_kw,std_rate_kw,mean_time_s,runs"
     assert len(lines) == 2
     assert lines[1].startswith("k_max,10,")
+    row = rows[0]
+    assert lines[1] == (f"k_max,10,{row.mean_rate_kw!r},{row.std_rate_kw!r},"
+                        f"{row.mean_time_s!r},2")
 
 
 def test_stats_recomputable_from_per_run_traces(tmp_path):
@@ -141,6 +144,17 @@ def test_compare_solvers_rows(tmp_path):
     assert lines[0].startswith("seed,")
 
 
+def test_export_comparison_bytes(tmp_path):
+    rows = [CompareRow(0, 0.1 + 0.2, 1e-20, 2.5), CompareRow(7, -0.0, 1.0, 123456789.123456789)]
+    path = tmp_path / "cmp.csv"
+    export_comparison(rows, 1 / 3, path)
+    assert path.read_bytes() == (
+        b"seed,decentralized_objective,cwoa_objective,gwo_objective,oracle_objective\n"
+        b"0,0.30000000000000004,1e-20,2.5,0.3333333333333333\n"
+        b"7,-0.0,1.0,123456789.12345679,0.3333333333333333\n"
+    )
+
+
 def test_compare_solvers_needs_a_seed():
     for n_seeds in (0, -1):
         with pytest.raises(ValueError, match="n_seeds must be >= 1"):
@@ -154,6 +168,22 @@ def test_oracle_and_compare_need_an_available_ev():
     with pytest.raises(ValueError, match="no available EVs"):
         oracle_rate(instance)
     with pytest.raises(ValueError, match="no available EVs"):
+        compare_solvers(CFG, n_seeds=1, k_max=5, population=4, instance=instance)
+
+
+@pytest.mark.parametrize("rate_min,rate_max,message", [
+    (3.0, 2.0, r"no common feasible rate: \[3\.0, 2\.0\]"),
+    (-1.0, 6.6, r"discharge rate must be >= 0, got a lower bound of -1\.0"),
+], ids=["empty", "negative"])
+def test_oracle_and_compare_refuse_the_rate_bounds_a_run_refuses(rate_min, rate_max, message):
+    instance = build_instance(CFG)
+    instance.fleet.rate_min_kw[:] = rate_min  # past the Fleet's own per-EV check
+    instance.fleet.rate_max_kw[1] = rate_max
+    with pytest.raises(ValueError, match=message):
+        run_optimization(instance.fleet, instance.costs, k_max=5)
+    with pytest.raises(ValueError, match=message):
+        oracle_rate(instance)
+    with pytest.raises(ValueError, match=message):
         compare_solvers(CFG, n_seeds=1, k_max=5, population=4, instance=instance)
 
 
