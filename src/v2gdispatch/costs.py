@@ -322,14 +322,17 @@ def grid_search_rate(
     with the same operations as over the whole grid at once, and a block's
     minimum replaces the best only when strictly lower, so the result is
     ``np.argmin``'s over the full grid, bit for bit. Working memory is the
-    grid (8 bytes a point) plus a few block-sized buffers.
+    grid (8 bytes a point) plus a few block-sized buffers. A ``step`` that
+    makes 2**53 or more grid points raises ValueError before any allocation.
     """
     if not lower <= upper:
         raise ValueError(f"need lower <= upper, got [{lower}, {upper}]")
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be a finite number > 0, got {step}")
     spans = (upper - lower) / step
-    if not spans < np.inf:
+    # n_points = round(spans) + 1 must stay below 2**53, from where float64
+    # cannot count points exactly (the rule of ``orchestrator.step_count``)
+    if not spans < 2**53 - 1:
         raise ValueError(f"step = {step} is too small to count the grid over [{lower}, {upper}]")
     n_points = int(round(spans)) + 1
     grid = np.linspace(lower, upper, n_points)

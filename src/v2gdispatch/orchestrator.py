@@ -158,13 +158,14 @@ def run_optimization(
     Deterministic in ``seed``: the topology draw, the pool trajectory and the
     shuffle masking each consume an independent child stream, so toggling
     ``shuffle_enabled`` cannot perturb the optimizer's randomness. With no
-    available EV the rate is 0 and the record carries the empty-fleet flag.
+    available EV the rate is 0 and the record has no iteration rows.
     Search bounds are the intersection of the available EVs' rate limits
     (``common_rate_bounds``, which refuses an empty or negative one).
     An iteration whose reports could overflow the int64 wire (see
     ``check_headroom``) raises ProtocolError. The record's oracle-call
-    counters count the cost values actually scored. ``k_max`` = 0 scores
-    the initial pool once and moves it no further. Before it reads the
+    counters count the cost values actually scored. The pool moves only
+    between evaluations: ``max(k_max, 1)`` evaluations, so ``k_max`` = 0
+    scores the initial pool once and never moves it. Before it reads the
     fleet, it raises ValueError for ``m_whales`` < 1, ``k_max`` < 0,
     ``unit_bits`` outside [8, 48] or a ``topology_policy`` not in
     ``topology.POLICIES`` (``check_run_settings``).
@@ -173,7 +174,6 @@ def run_optimization(
     record = RunRecord()
     avail = available_ids(fleet)
     if not avail:
-        record.empty_fleet = True
         return 0.0, record
 
     lower, upper = common_rate_bounds(fleet, avail)
@@ -201,7 +201,7 @@ def run_optimization(
         selected = ecn_select_best(totals)
         pool.record_evaluation(totals, selected)
         segment.append(selected, pool.best_rate, pool.best_value)
-        if k_max > 0:
+        if k + 1 < n_iterations:
             advance_pool(pool, dwoa_rng)
 
     record.oracle_calls_agg += m_whales * n_iterations
@@ -232,12 +232,13 @@ def run_scenario(
     its time, counted by index rather than on the summed clock; an event
     with a non-finite time or an EV id that is no integer in [0, N) raises
     ValueError before any step. SOC-floor crossings take effect at the next
-    step. Every change of the available set starts a fresh optimization epoch
-    whose random streams are spawned in sequence from ``seed``, keeping
-    whole-run determinism. Before any step it raises ValueError for a
-    ``dt_h`` or ``horizon_h`` that is not finite and > 0, for 2**53 or more
-    steps (``step_count``), and for the solver settings that
-    ``run_optimization`` refuses (``check_run_settings``).
+    step. Every change of the available set, to the empty set included,
+    starts a fresh ``run_optimization`` epoch whose random streams are
+    spawned in sequence from ``seed``, keeping whole-run determinism; the
+    empty fleet's epoch gives rate 0 and no iteration rows. Before any step
+    it raises ValueError for a ``dt_h`` or ``horizon_h`` that is not finite
+    and > 0, for 2**53 or more steps (``step_count``), and for the solver
+    settings that ``run_optimization`` refuses (``check_run_settings``).
     """
     check_run_settings(m_whales, k_max, topology_policy, unit_bits)
     n_steps = step_count(dt_h, horizon_h)
@@ -255,7 +256,6 @@ def run_scenario(
 
     parent_ss = _as_seed_sequence(seed)
     record = RunRecord()
-    rate = 0.0
     last_avail: list[int] | None = None
     epoch = 0
 
@@ -266,24 +266,21 @@ def run_scenario(
 
         avail = available_ids(fleet)
         if avail != last_avail:
-            if avail:
-                (epoch_ss,) = parent_ss.spawn(1)
-                rate, epoch_record = run_optimization(
-                    fleet,
-                    costs,
-                    m_whales=m_whales,
-                    k_max=k_max,
-                    seed=epoch_ss,
-                    shuffle_enabled=shuffle_enabled,
-                    topology_policy=topology_policy,
-                    unit_bits=unit_bits,
-                    epoch=epoch,
-                )
-                record.iterations.segments += epoch_record.iterations.segments
-                record.oracle_calls_ev += epoch_record.oracle_calls_ev
-                record.oracle_calls_agg += epoch_record.oracle_calls_agg
-            else:
-                rate = 0.0
+            (epoch_ss,) = parent_ss.spawn(1)
+            rate, epoch_record = run_optimization(
+                fleet,
+                costs,
+                m_whales=m_whales,
+                k_max=k_max,
+                seed=epoch_ss,
+                shuffle_enabled=shuffle_enabled,
+                topology_policy=topology_policy,
+                unit_bits=unit_bits,
+                epoch=epoch,
+            )
+            record.iterations.segments += epoch_record.iterations.segments
+            record.oracle_calls_ev += epoch_record.oracle_calls_ev
+            record.oracle_calls_agg += epoch_record.oracle_calls_agg
             epoch += 1
             last_avail = avail
 

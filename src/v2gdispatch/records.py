@@ -14,6 +14,8 @@ built only by iterating a ``StepLog``, which is written through ``add``. The
 CSV is append-ordered, versioned and fully deterministic: floats are written
 with repr (shortest exact round-trip), so export -> import -> export
 reproduces the file byte for byte; a step without SOC has an empty soc field.
+The row kinds are ``iter`` and ``step``; an epoch with no available EV adds
+no row. The v1 header keeps its last column, ``note``, which is always empty.
 The export formats only the SOC values that changed since the step before,
 compared by their float64 bits (so 0.0 / -0.0 and NaN stay exact), and
 reuses the text of the others: an EV that has left keeps its SOC, and its
@@ -215,7 +217,6 @@ class RunRecord:
 
     iterations: IterationLog = field(default_factory=IterationLog)
     steps: StepLog = field(default_factory=StepLog)
-    empty_fleet: bool = False
     oracle_calls_ev: int = 0
     oracle_calls_agg: int = 0
 
@@ -235,8 +236,6 @@ def export_run(record: RunRecord, path) -> None:
     with open(path, "w", newline="") as fh:
         write = fh.write
         write(f"{FORMAT_TAG}\n{HEADER}\n")
-        if record.empty_fleet and not record.iterations and not record.steps:
-            write("flag,,,,,,,,,,,empty_fleet\n")
         for seg in record.iterations.segments:
             for k, selected, rate, total in zip(
                 range(seg.k0, seg.k0 + len(seg)), seg.selected_index, seg.best_rate_kw,
@@ -260,10 +259,10 @@ def import_run(path) -> RunRecord:
     """Parse a CSV written by export_run back into a RunRecord.
 
     The file is read one line at a time; lines split as ``str.splitlines``
-    splits them. A line that does not parse, a step whose SOC width differs
-    from the first step's, or a row order ``export_run`` never writes (a flag
-    beside other rows, an iteration after a step) raises ValueError naming
-    ``path:lineno``.
+    splits them. A line that does not parse, a row kind other than ``iter``
+    and ``step``, a step whose SOC width differs from the first step's, or an
+    iteration after a step (an order ``export_run`` never writes) raises
+    ValueError naming ``path:lineno``.
     """
     record = RunRecord()
     segment = None  # the segment the next iteration row may continue
@@ -281,15 +280,7 @@ def import_run(path) -> RunRecord:
                 if len(fields) != _N_COLS:
                     raise ValueError(f"expected {_N_COLS} fields")
                 kind = fields[0]
-                if record.empty_fleet:
-                    raise ValueError("the empty_fleet flag must be the only row")
-                if kind == "flag":
-                    if fields[11] != "empty_fleet":
-                        raise ValueError(f"unknown flag {fields[11]!r}")
-                    if record.iterations.segments or len(record.steps):
-                        raise ValueError("the empty_fleet flag must be the only row")
-                    record.empty_fleet = True
-                elif kind == "iter":
+                if kind == "iter":
                     if len(record.steps):
                         raise ValueError("iter line after a step line")
                     epoch, k, n_available = int(fields[1]), int(fields[2]), int(fields[6])

@@ -18,7 +18,8 @@ aggregator and rows 1..N are the EVs in ascending id order (the rows of a
 built ``NeighborMap``, whose ``ids`` hold each row's agent id: the EV id, or
 -1 for the aggregator). ``SplitBuffers.draw`` draws every kept fraction and
 share destination from the graph's integer arrays, ``mask_units`` applies them.
-``shuffle_round`` is the same round over an id-keyed mapping.
+``shuffle_round`` is the same round over an id-keyed mapping of the
+topology's agents.
 ``candidate_totals`` sums the reports per candidate.
 This module owns the share-slot layout: a send share of row r's candidate h
 lands in the flat slot ``t * m + h`` of its target row t, and ``SplitBuffers``
@@ -256,16 +257,19 @@ def shuffle_round(
     it received. Returns the masked unit-values per
     agent; per-candidate totals over all agents are conserved exactly.
 
-    The agents, in ascending id order, are the rows of one ``SplitBuffers``
-    round, so results do not depend on traversal order. ``fractions`` forces
-    the kept fraction per agent and candidate.
+    The reports must come from exactly the agents of ``topology``, else
+    TopologyError names both id lists; in ascending id order they are the
+    topology's rows, drawn as one ``SplitBuffers`` round on it, so results
+    do not depend on traversal order. ``fractions`` forces the kept
+    fraction per agent and candidate.
     """
     agents, units = _stacked(values_by_agent)
+    if agents != topology.ids.tolist():
+        raise TopologyError(f"reports from agents {agents}, but the topology has agents "
+                            f"{topology.ids.tolist()}")
     fractions = fractions or {}
     forced = {r: fractions[agent] for r, agent in enumerate(agents) if agent in fractions}
-    edges = topology.out_edges
-    graph = NeighborMap.from_edges({a: edges.get(a, ()) for a in agents})
-    split = SplitBuffers(graph, units.shape[1], forced).draw(np.random.default_rng(rng))
+    split = SplitBuffers(topology, units.shape[1], forced).draw(np.random.default_rng(rng))
     return dict(zip(agents, mask_units(units, split.fractions, split.destinations)))
 
 
@@ -279,12 +283,12 @@ def _ones(rows: int) -> np.ndarray:
 def candidate_totals(units) -> np.ndarray:
     """Exact per-candidate sum of unit-values over all agents.
 
-    ``units`` is an int64 (agents x candidates) matrix, or an id-keyed
+    ``units`` is an int64 (agents x candidates) numpy matrix, or an id-keyed
     mapping of unit-values, which must pass ``check_headroom``. The sum is
     one int64 matvec against a ones vector held per row count: integer sums
     do not depend on the order of the additions, so it equals
     ``np.add.reduce(units, axis=0)`` bit for bit.
     """
     if not isinstance(units, np.ndarray):
-        units = _stacked(units)[1] if isinstance(units, Mapping) else np.asarray(units, np.int64)
+        units = _stacked(units)[1]
     return _ones(units.shape[0]) @ units

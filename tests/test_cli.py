@@ -211,8 +211,10 @@ def test_oracle_step_that_is_not_finite_and_positive_exits_2(config_path, capsys
 
 
 def test_oracle_step_too_small_to_count_the_grid_exits_2(config_path, capsys):
-    assert main(["oracle", "--config", str(config_path), "--step", "1e-320"]) == 2
-    assert "error: step = 1e-320 is too small" in capsys.readouterr().err
+    # 1e-300 counts a finite grid, but one of 2**53 or more points
+    for step in ("1e-320", "1e-300"):
+        assert main(["oracle", "--config", str(config_path), "--step", step]) == 2
+        assert f"error: step = {step} is too small" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):

@@ -401,9 +401,11 @@ def test_grid_search_rejects_a_step_that_is_not_finite_and_positive(step):
 
 
 @pytest.mark.parametrize("lower, upper, step", [(0.0, 6.6, 1e-320), (0.0, 6.6, 5e-324),
-                                                (0.0, 1e308, 1e-10)])
+                                                (0.0, 1e308, 1e-10), (0.0, 6.6, 1e-300),
+                                                (0.0, 2.0**53 - 1, 1.0)])
 def test_grid_search_names_a_step_too_small_to_count_the_grid(lower, upper, step):
-    # only steps whose point count overflows: a huge finite grid would be allocated
+    # only grids of 2**53 or more points, refused before any allocation: a
+    # grid just below that would be allocated
     costs = _toy_cost_set()
     with pytest.raises(ValueError, match="step"):
         grid_search_rate(costs.ev, costs.agg, lower, upper, step)

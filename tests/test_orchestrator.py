@@ -18,6 +18,7 @@ from v2gdispatch.orchestrator import (
     run_optimization,
     run_scenario,
 )
+from v2gdispatch.records import FORMAT_TAG, HEADER, export_run, import_run
 from v2gdispatch.shuffle import ProtocolError, from_units_array
 from v2gdispatch.topology import build_topology
 
@@ -153,13 +154,38 @@ def test_run_settings_refused_on_an_empty_fleet(instance, setting, value):
         run_optimization(instance.fleet, instance.costs, seed=4, **{setting: value})
 
 
-def test_empty_fleet_returns_zero_with_flag(instance):
+def test_empty_fleet_returns_zero_with_flag(instance, tmp_path):
+    # no flag: an empty fleet's record is the one with no iteration rows,
+    # and its export is the header alone
     for ev in instance.fleet.evs:
         ev.departed = True
     rate, record = run_optimization(instance.fleet, instance.costs, seed=4)
     assert rate == 0.0
-    assert record.empty_fleet
     assert not record.iterations
+    path, again = tmp_path / "empty.csv", tmp_path / "again.csv"
+    export_run(record, path)
+    assert path.read_text() == f"{FORMAT_TAG}\n{HEADER}\n"
+    export_run(import_run(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_pool_moves_only_between_evaluations(instance, monkeypatch):
+    # max(k_max, 1) evaluations and one move between each two of them: none
+    # after the last, which nothing would read
+    moves = []
+    advance = orchestrator.advance_pool
+
+    def counting(pool, rng):
+        moves.append(None)
+        advance(pool, rng)
+
+    monkeypatch.setattr(orchestrator, "advance_pool", counting)
+    for k_max, expected in ((0, 0), (1, 0), (2, 1), (40, 39)):
+        moves.clear()
+        _, record = run_optimization(instance.fleet, instance.costs, m_whales=4, k_max=k_max,
+                                     seed=6)
+        assert len(record.iterations) == max(k_max, 1)
+        assert len(moves) == expected
 
 
 def test_determinism_same_seed_same_record(instance):
@@ -287,6 +313,46 @@ def test_scenario_record_is_its_epochs_in_order(instance, monkeypatch):
     assert record.oracle_calls_ev == sum(e.oracle_calls_ev for _, e in epochs) > 0
     assert record.oracle_calls_agg == sum(e.oracle_calls_agg for _, e in epochs) > 0
     assert list(record.steps.rate_kw) == [rate for rate, _ in epochs for _ in range(2)]
+
+
+def test_scenario_optimizes_on_every_change_the_empty_fleet_included(instance, monkeypatch):
+    # three available sets, the last one empty: one epoch each
+    calls = []
+    optimize = orchestrator.run_optimization
+
+    def counting(fleet, *args, **kwargs):
+        calls.append(available_ids(fleet))
+        return optimize(fleet, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_optimization", counting)
+    record = run_scenario(
+        instance.fleet, instance.costs, dt_h=0.1, horizon_h=0.6,
+        events=(DepartureEvent(time_h=0.2, ev_ids=tuple(range(6))),
+                DepartureEvent(time_h=0.4, ev_ids=tuple(range(6, 12)))),
+        m_whales=4, k_max=10, seed=8,
+    )
+    assert calls == [list(range(12)), list(range(6, 12)), []]
+    assert [row.epoch for row in record.iterations] == [0] * 10 + [1] * 10
+    assert list(record.steps.rate_kw)[4:] == [0.0, 0.0]
+
+
+def test_a_fleet_that_departs_whole_leaves_the_epochs_before_it_unchanged():
+    # the empty fleet's epoch adds no iteration row and no oracle call: the
+    # run matches the same run cut off before the departure
+    cfg = ScenarioConfig(n_evs=6, seed=3, m_whales=4, k_max=5)
+    runs = []
+    for horizon_h, events in ((0.6, (DepartureEvent(time_h=0.3, ev_ids=tuple(range(6))),)),
+                              (0.3, ())):
+        instance = build_instance(cfg)
+        runs.append(run_scenario(instance.fleet, instance.costs, dt_h=0.1,
+                                 horizon_h=horizon_h, events=events, m_whales=4, k_max=5,
+                                 seed=8))
+    whole, cut = runs
+    assert len(whole.iterations) == 5
+    assert list(whole.iterations) == list(cut.iterations)
+    assert (whole.oracle_calls_ev, whole.oracle_calls_agg) == (cut.oracle_calls_ev,
+                                                                cut.oracle_calls_agg)
+    assert list(whole.steps.rate_kw) == list(cut.steps.rate_kw) + [0.0] * 3
 
 
 def test_scenario_grid_power_identity(instance):

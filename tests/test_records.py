@@ -37,17 +37,6 @@ def test_export_row_counts(tmp_path):
     assert sum(1 for l in lines if l.startswith("step,")) == 10
 
 
-def test_empty_fleet_record_is_header_plus_flag(tmp_path):
-    rec = RunRecord(empty_fleet=True)
-    path = tmp_path / "empty.csv"
-    export_run(rec, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[2].startswith("flag,")
-    back = import_run(path)
-    assert back.empty_fleet and not back.iterations and not back.steps
-
-
 def test_round_trip_is_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -83,11 +72,12 @@ def test_import_rejects_foreign_files(tmp_path):
 
 def test_import_rejects_unknown_row_kind(tmp_path):
     path = tmp_path / "y.csv"
-    export_run(RunRecord(empty_fleet=True), path)
-    text = path.read_text().replace("flag,", "blob,")
-    path.write_text(text)
-    with pytest.raises(ValueError):
-        import_run(path)
+    export_run(RunRecord(), path)
+    header = path.read_text()
+    for line in ("blob,,,,,,,,,,,", "flag,,,,,,,,,,,empty_fleet"):
+        path.write_text(f"{header}{line}\n")
+        with pytest.raises(ValueError, match="unknown row kind"):
+            import_run(path)
 
 
 def test_step_soc_is_kept_bit_for_bit():
@@ -193,22 +183,18 @@ def test_import_names_the_file_and_line_of_a_bad_line(tmp_path, line):
         import_run(path)
 
 
-FLAG = "flag,,,,,,,,,,,empty_fleet"
 ITER = "iter,0,0,1,4.5,-1.5,100,,,,,"
 STEP = "step,,,,,,,0.0,4.5,4.1,0.5;0.6,"
 
 
+# the ids are the ones these cases had when the table also held flag rows
 @pytest.mark.parametrize("rows, bad_line", [
-    ((FLAG, STEP, ITER), 4),
-    ((FLAG, FLAG), 4),
-    ((ITER, FLAG), 4),
-    ((STEP, FLAG), 4),
-    ((STEP, ITER), 4),
-    ((ITER, STEP, ITER), 5),
+    pytest.param((STEP, ITER), 4, id="rows4-4"),
+    pytest.param((ITER, STEP, ITER), 5, id="rows5-5"),
 ])
 def test_import_rejects_a_row_order_export_never_writes(tmp_path, rows, bad_line):
-    # the export writes the flag only as the sole row, and every iteration
-    # before every step; any other order would not come back out the same
+    # the export writes every iteration before every step; any other order
+    # would not come back out the same
     path = tmp_path / "order.csv"
     path.write_text("\n".join((FORMAT_TAG, HEADER) + rows) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{bad_line}: "):

@@ -312,6 +312,19 @@ def test_check_headroom_bounds_each_column_sum():
         check_headroom(np.array([[0, -(2**63)]], dtype=np.int64))
 
 
+def test_mapping_round_refuses_reports_from_other_agents_than_the_topology():
+    # EVs 0 and 1 form a closed sub-graph, but the topology has EV 2 and the
+    # aggregator too: the round draws on the topology it is given, whole
+    topo = build_topology(sample_fleet(3, 0),
+                          custom_edges={0: (1,), 1: (0,), 2: (-1,), -1: (2,)})
+    values = {a: to_units_array(np.array([5.0, 10.0])) for a in (0, 1)}
+    with pytest.raises(TopologyError, match=r"agents \[0, 1\].*agents \[-1, 0, 1, 2\]"):
+        shuffle_round(values, topo, rng=0)
+    values[3] = values[2] = values[-1] = values[0]
+    with pytest.raises(TopologyError, match=r"agents \[-1, 0, 1, 2, 3\]"):
+        shuffle_round(values, topo, rng=0)
+
+
 def test_mapping_round_and_totals_refuse_reports_beyond_the_wire():
     # each report fits int64 but their sum does not: refused, never wrapped
     i, j, topo = _two_agents_topology()
