@@ -82,9 +82,7 @@ def make_penalized_fitness(
     alpha, beta, gamma, other, price = ev_params.columns()
     linear = beta - price
     const = (gamma + other).sum()
-    eta = agg_params.eta_array
-    if len(eta) != len(ev_params):
-        raise ValueError(f"{len(ev_params)} EV params but {len(eta)} efficiencies")
+    eta = ev_params.eta
     scale = penalty.spread_scale_kw if penalty.spread_scale_kw is not None else upper - lower
     if not scale >= 0.0:
         raise ValueError(f"spread scale must be >= 0, got {scale}")

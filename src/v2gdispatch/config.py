@@ -161,8 +161,7 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"price: must be >= 0, got {config.price}")
     if config.alpha_range[0] <= 0.0:
         raise ConfigError(f"alpha_range: lower bound must be > 0, got {config.alpha_range[0]}")
-    # an aggregator over no EVs: only its coefficients are checked
-    _checked("", AggCostParams, config.gen_a, config.gen_b, config.gen_c, config.omega, ())
+    _checked("", AggCostParams, config.gen_a, config.gen_b, config.gen_c, config.omega)
     _checked("", check_run_settings, config.m_whales, config.k_max, config.topology_policy,
              config.unit_bits)
     n_steps = _checked("", step_count, config.dt_h, config.horizon_h)
@@ -173,6 +172,9 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
     for i, spec in enumerate(config.departures):
         if not isinstance(spec, dict) or "time_h" not in spec:
             raise ConfigError(f"departures[{i}]: needs a time_h")
+        unknown = next((key for key in spec if key not in ("time_h", "ids", "count")), None)
+        if unknown is not None:
+            raise ConfigError(f"departures[{i}]: unknown key {unknown!r}")
         time_h = spec["time_h"]
         if (isinstance(time_h, bool) or not isinstance(time_h, (int, float))
                 or not math.isfinite(time_h)):
@@ -235,13 +237,17 @@ class Instance(NamedTuple):
 
 
 def build_instance(config: ScenarioConfig) -> Instance:
-    """Sample the fleet and all cost coefficients from the instance seed."""
+    """Sample the fleet and the EVs' cost coefficients from the instance seed.
+
+    The EV cost table's ``eta`` is a copy of the fleet's column, so the two
+    agree bit for bit; the aggregator gets the config's four coefficients.
+    """
     fleet_ss, cost_ss = np.random.SeedSequence(config.seed).spawn(2)
     fleet = sample_fleet(
         config.n_evs, np.random.default_rng(fleet_ss), config.fleet_distributions()
     )
     ev_params = sample_ev_cost_params(
-        config.n_evs,
+        fleet.eta,
         np.random.default_rng(cost_ss),
         price=config.price,
         alpha_range=config.alpha_range,
@@ -249,13 +255,7 @@ def build_instance(config: ScenarioConfig) -> Instance:
         gamma_range=config.gamma_range,
         other_range=config.other_range,
     )
-    agg = AggCostParams(
-        gen_a=config.gen_a,
-        gen_b=config.gen_b,
-        gen_c=config.gen_c,
-        omega=config.omega,
-        eta=fleet.eta,
-    )
+    agg = AggCostParams(config.gen_a, config.gen_b, config.gen_c, config.omega)
     return Instance(fleet=fleet, costs=CostSet(ev=ev_params, agg=agg))
 
 

@@ -13,13 +13,16 @@ revenue from selling the power. The aggregator's net cost over per-EV rates
 with ``D = sum(eta_i * c_i)`` the AC power actually delivered (generation-cost
 proxy) and ``R = sum(c_i)`` the raw DC power (utility term). Note the utility
 term sums raw rates while the generation term sums efficiency-scaled rates.
+The efficiency ``eta_i`` is EV i's, a column of the EV table; the
+aggregator holds only its four coefficients (``AggCostParams``), and at a
+common rate ``r`` it needs only D = eta_sum * r and R = n * r.
 ``agg_cost_of_power`` is the one allocating form of ``Agg``, from D and R;
 ``agg_consensus_cost`` and the centralized baselines' fitness both call it.
 ``CostMatrix`` computes the same operations in place, so the per-iteration
-path allocates nothing: at a common rate ``r`` the generation term is the
-EV formula ``f`` at D = eta_sum * r with coefficients (gen_a, gen_b, gen_c,
-0, 0), so the aggregator is row 0 of the matrix operations every EV row
-runs, and only its utility term is computed apart.
+path allocates nothing: at a common rate the generation term is the EV
+formula ``f`` at D with coefficients (gen_a, gen_b, gen_c, 0, 0), so the
+aggregator is row 0 of the matrix operations every EV row runs, and only
+its utility term is computed apart.
 
 Both models support scalar rates or numpy arrays of rates elementwise.
 Per-EV coefficients are held only as columns, one row per EV
@@ -51,56 +54,35 @@ from typing import Callable
 import numpy as np
 
 
+@dataclass(frozen=True)
 class AggCostParams:
-    """Aggregator net-cost coefficients plus per-EV conversion efficiencies.
+    """The aggregator's four net-cost coefficients, all finite floats.
 
-    The coefficients are finite floats; ``eta`` (DC-to-AC efficiency per EV,
-    each in (0, 1]) is held as one numpy column, ``eta_array``. Immutable by
-    convention, compared by value.
+    It holds nothing per EV: its cost at a common rate needs only the sum of
+    the available EVs' efficiencies, ``EvCostTable.eta_sum``.
     """
 
-    __slots__ = ("gen_a", "gen_b", "gen_c", "omega", "eta_array", "eta_sum")
+    gen_a: float  # currency/kW^2, strictly positive
+    gen_b: float  # currency/kW
+    gen_c: float  # currency
+    omega: float  # currency, weight of the log-utility term
 
-    def __init__(self, gen_a: float, gen_b: float, gen_c: float, omega: float, eta):
-        for name, value in (("gen_a", gen_a), ("gen_b", gen_b), ("gen_c", gen_c), ("omega", omega)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not gen_a > 0.0:
-            raise ValueError(f"gen_a must be > 0, got {gen_a}")
-        if not omega >= 0.0:
-            raise ValueError(f"omega must be >= 0, got {omega}")
-        eta_array = np.array(eta, dtype=float).reshape(-1)
-        bad = np.flatnonzero(~((eta_array > 0.0) & (eta_array <= 1.0)))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"eta[{i}] must be in (0, 1], got {eta_array[i]}")
-        self.gen_a = gen_a  # currency/kW^2, strictly positive
-        self.gen_b = gen_b  # currency/kW
-        self.gen_c = gen_c  # currency
-        self.omega = omega  # currency, weight of the log-utility term
-        self.eta_array = eta_array
-        # a left-to-right sum in ascending EV order, as every cost and power
-        # figure built on it expects: the last running total of a sequential
-        # accumulate, never numpy's pairwise sum
-        self.eta_sum = float(np.add.accumulate(eta_array)[-1]) if eta_array.size else 0.0
+    def __post_init__(self) -> None:
+        for name in ("gen_a", "gen_b", "gen_c", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.gen_a > 0.0:
+            raise ValueError(f"gen_a must be > 0, got {self.gen_a}")
+        if not self.omega >= 0.0:
+            raise ValueError(f"omega must be >= 0, got {self.omega}")
 
-    def restrict(self, ids: Sequence[int]) -> "AggCostParams":
-        """Same coefficients, efficiency list restricted to the given EV ids."""
-        return AggCostParams(self.gen_a, self.gen_b, self.gen_c, self.omega,
-                             self.eta_array[np.asarray(ids, dtype=np.intp)])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AggCostParams):
-            return NotImplemented
-        return ((self.gen_a, self.gen_b, self.gen_c, self.omega)
-                == (other.gen_a, other.gen_b, other.gen_c, other.omega)
-                and np.array_equal(self.eta_array, other.eta_array))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"AggCostParams(gen_a={self.gen_a!r}, gen_b={self.gen_b!r}, "
-                f"gen_c={self.gen_c!r}, omega={self.omega!r}, eta=<{len(self.eta_array)} EVs>)")
+def left_to_right_sum(values: np.ndarray) -> float:
+    """The sum of ``values`` in their order, as a Python float: the last
+    running total of a sequential accumulate, never numpy's pairwise sum, so
+    every cost and power figure built on an efficiency sum gets the same
+    bits. 0.0 for no values."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def _any_negative(rate) -> bool:
@@ -115,15 +97,16 @@ def _ev_cost(rate, alpha, beta, gamma, other, price):
     return degradation + other - revenue
 
 
-def agg_consensus_cost(rate, params: AggCostParams):
-    """Aggregator net cost when every EV discharges at the same ``rate``.
+def agg_consensus_cost(rate, ev: "EvCostTable", agg: AggCostParams):
+    """Aggregator net cost when every EV of ``ev`` discharges at the same ``rate``.
 
     The module's ``Agg`` at per-EV rates all equal to ``rate``, up to float
-    summation order; vectorized over arrays of candidate rates.
+    summation order: D = ``ev.eta_sum`` * rate and R = ``len(ev)`` * rate.
+    Vectorized over arrays of candidate rates.
     """
     if _any_negative(rate):
         raise ValueError("discharge rate must be >= 0")
-    return agg_cost_of_power(params.eta_sum * rate, len(params.eta_array) * rate, params)
+    return agg_cost_of_power(ev.eta_sum * rate, len(ev) * rate, agg)
 
 
 def agg_cost_of_power(delivered, raw, params: AggCostParams):
@@ -155,13 +138,11 @@ class CostMatrix:
     __slots__ = ("values", "_coefficients", "_utility", "_rates", "_work")
 
     def __init__(self, ev: "EvCostTable", agg: AggCostParams, m: int):
-        if len(ev) != len(agg.eta_array):
-            raise ValueError(f"{len(ev)} EV cost params but {len(agg.eta_array)} efficiencies")
         shape = (len(ev) + 1, m)
         generation = (agg.gen_a, agg.gen_b, agg.gen_c, 0.0, 0.0)
         self._coefficients = tuple(np.repeat(np.concatenate(([a], column))[:, None], m, axis=1)
                                    for a, column in zip(generation, ev.columns()))
-        self._utility = (agg.eta_sum, len(agg.eta_array), agg.omega)
+        self._utility = (ev.eta_sum, len(ev), agg.omega)
         self.values = np.empty(shape)
         self._rates = np.empty(shape)
         self._work = np.empty(shape)
@@ -192,24 +173,28 @@ class CostMatrix:
 
 
 _EV_COST_FIELDS = ("alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price")
+_EV_FIELDS = _EV_COST_FIELDS + ("eta",)
 
 
 class EvCostTable:
-    """Per-EV cost coefficients as numpy columns, one row per EV.
+    """Per-EV cost coefficients and efficiencies as numpy columns, one row per EV.
 
     Columns, in order, all finite: ``alpha_deg`` (currency/kW^2, > 0: convex
     degradation), ``beta_deg`` (currency/kW), ``gamma_deg`` (currency),
-    ``other_ops`` (currency, >= 0, lumped non-degradation operating cost) and
-    ``price`` (currency/kW, >= 0, fixed for the whole pricing period).
-    ``take`` gives the sub-table of some EVs.
+    ``other_ops`` (currency, >= 0, lumped non-degradation operating cost),
+    ``price`` (currency/kW, >= 0, fixed for the whole pricing period) and
+    ``eta`` (DC-to-AC efficiency, in (0, 1]). ``eta_sum`` is the
+    ``left_to_right_sum`` of ``eta``, the only efficiency figure the
+    aggregator's cost reads. ``take`` gives the sub-table of some EVs.
     """
 
-    __slots__ = _EV_COST_FIELDS
+    __slots__ = _EV_FIELDS + ("eta_sum",)
 
-    def __init__(self, alpha_deg, beta_deg, gamma_deg, other_ops, price):
-        for name, column in zip(_EV_COST_FIELDS, (alpha_deg, beta_deg, gamma_deg, other_ops, price)):
+    def __init__(self, alpha_deg, beta_deg, gamma_deg, other_ops, price, eta):
+        columns = (alpha_deg, beta_deg, gamma_deg, other_ops, price, eta)
+        for name, column in zip(_EV_FIELDS, columns):
             setattr(self, name, np.array(column, dtype=float).reshape(-1))
-        if len({len(c) for c in self.columns()}) != 1:
+        if len({len(getattr(self, name)) for name in _EV_FIELDS}) != 1:
             raise ValueError("cost columns differ in length")
         for name, column in zip(_EV_COST_FIELDS, self.columns()):
             if not np.isfinite(column).all():
@@ -220,6 +205,11 @@ class EvCostTable:
             raise ValueError("other_ops must be >= 0")
         if not np.all(self.price >= 0.0):
             raise ValueError("price must be >= 0")
+        bad = np.flatnonzero(~((self.eta > 0.0) & (self.eta <= 1.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"eta[{i}] must be in (0, 1], got {self.eta[i]}")
+        self.eta_sum = left_to_right_sum(self.eta)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """(alpha_deg, beta_deg, gamma_deg, other_ops, price), one entry per EV."""
@@ -229,8 +219,9 @@ class EvCostTable:
         """The rows of the given EVs; rows of a checked table are not checked again."""
         ids = np.asarray(ids, dtype=np.intp)
         table = EvCostTable.__new__(EvCostTable)
-        for name, column in zip(_EV_COST_FIELDS, self.columns()):
-            setattr(table, name, column[ids])
+        for name in _EV_FIELDS:
+            setattr(table, name, getattr(self, name)[ids])
+        table.eta_sum = left_to_right_sum(table.eta)
         return table
 
     def __len__(self) -> int:
@@ -239,7 +230,8 @@ class EvCostTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvCostTable):
             return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in _EV_FIELDS)
 
     __hash__ = None
 
@@ -254,14 +246,8 @@ class CostSet:
     ev: EvCostTable
     agg: AggCostParams
 
-    def __post_init__(self) -> None:
-        if len(self.ev) != len(self.agg.eta_array):
-            raise ValueError(
-                f"{len(self.ev)} EV cost params but {len(self.agg.eta_array)} efficiencies"
-            )
-
     def restrict(self, ids: Sequence[int]) -> "CostSet":
-        return CostSet(ev=self.ev.take(ids), agg=self.agg.restrict(ids))
+        return CostSet(self.ev.take(ids), self.agg)
 
 
 def consensus_objective(rate, ev: EvCostTable, agg: AggCostParams):
@@ -278,7 +264,7 @@ def consensus_objective(rate, ev: EvCostTable, agg: AggCostParams):
     and at N = 1 000 about 1 ms where the in-place loop on a 0-d array
     takes 16.
     """
-    total = agg_consensus_cost(rate, agg)
+    total = agg_consensus_cost(rate, ev, agg)
     rows = zip(*(column.tolist() for column in ev.columns()))
     if np.ndim(rate) == 0:
         for row in rows:
@@ -375,7 +361,7 @@ class CostOracle:
 
 
 def sample_ev_cost_params(
-    n: int,
+    eta,
     rng,
     price: float,
     alpha_range: tuple[float, float] = (0.001, 0.002),
@@ -383,15 +369,17 @@ def sample_ev_cost_params(
     gamma_range: tuple[float, float] = (0.005, 0.015),
     other_range: tuple[float, float] = (0.005, 0.02),
 ) -> EvCostTable:
-    """Draw per-EV cost coefficients uniformly from the configured ranges.
+    """The cost table of EVs with efficiencies ``eta`` (the fleet's column),
+    their coefficients drawn uniformly from the configured ranges.
 
-    One ``rng.random((n, 4))`` block, row i for EV i, its columns alpha,
-    beta, gamma and other, each scaled as ``low + (high - low) * u``. That
-    consumes the stream and gives the bits of ``rng.uniform`` over the same
-    bounds and shape.
+    One ``rng.random((len(eta), 4))`` block, row i for EV i, its columns
+    alpha, beta, gamma and other, each scaled as ``low + (high - low) * u``.
+    That consumes the stream and gives the bits of ``rng.uniform`` over the
+    same bounds and shape.
     """
     rng = np.random.default_rng(rng)
+    n = len(eta)
     bounds = (alpha_range, beta_range, gamma_range, other_range)
     draws = rng.random((n, len(bounds))).T  # draws[k]: every EV's draw for bounds[k]
     alpha, beta, gamma, other = (lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws))
-    return EvCostTable(alpha, beta, gamma, other, np.full(n, price))
+    return EvCostTable(alpha, beta, gamma, other, np.full(n, price), eta)

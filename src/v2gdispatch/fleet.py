@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import left_to_right_sum
+
 KM_PER_KWH = 8.26  # driving range per kWh of the reserve
 BIN_KM = 10.0  # width of a distance_histogram bin
 
@@ -204,13 +206,9 @@ def apply_discharge(fleet: Fleet, rate_kw: float, dt_h: float) -> Fleet:
 
 
 def eta_sum_available(fleet: Fleet) -> float:
-    """Sum of conversion efficiencies over available EVs, in ascending id order.
-
-    Left to right, the last running total of a sequential accumulate, so the
-    float result does not depend on numpy's pairwise summation.
-    """
-    eta = fleet.eta[fleet.available()]
-    return float(np.add.accumulate(eta)[-1]) if eta.size else 0.0
+    """Sum of conversion efficiencies over available EVs, in ascending id
+    order: ``left_to_right_sum``, as the cost table's ``eta_sum``."""
+    return left_to_right_sum(fleet.eta[fleet.available()])
 
 
 def grid_power_kw(fleet: Fleet, rate_kw: float) -> float:

@@ -185,7 +185,7 @@ def run_optimization(
         topology = build_topology(fleet, topology_policy, np.random.default_rng(topo_ss))
         split = SplitBuffers(topology, m_whales)
 
-    cost_matrix = CostMatrix(costs.ev.take(avail), costs.agg.restrict(avail), m_whales)
+    cost_matrix = CostMatrix(costs.ev.take(avail), costs.agg, m_whales)
     wire = WireBuffers(cost_matrix.values.shape)
     n_iterations = max(k_max, 1)
     pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)

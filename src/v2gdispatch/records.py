@@ -35,7 +35,10 @@ HEADER = (
     "kind,epoch,iteration,selected_index,best_rate_kw,best_total_cost,"
     "available,time_h,rate_kw,grid_power_kw,soc,note"
 )
-_N_COLS = len(HEADER.split(","))
+_COLUMNS = HEADER.split(",")
+_N_COLS = len(_COLUMNS)
+# the columns each row kind leaves empty: an iter line fills 1-6, a step line 7-10
+_EMPTY_COLUMNS = {"iter": (7, 8, 9, 10, 11), "step": (1, 2, 3, 4, 5, 6, 11)}
 
 
 @dataclass(frozen=True)
@@ -260,9 +263,11 @@ def import_run(path) -> RunRecord:
 
     The file is read one line at a time; lines split as ``str.splitlines``
     splits them. A line that does not parse, a row kind other than ``iter``
-    and ``step``, a step whose SOC width differs from the first step's, or an
-    iteration after a step (an order ``export_run`` never writes) raises
-    ValueError naming ``path:lineno``.
+    and ``step``, a filled column that is not its kind's (an ``iter`` line
+    fills only epoch to available, a ``step`` line only time_h to soc), a
+    step whose SOC width differs from the first step's, or an iteration
+    after a step (an order ``export_run`` never writes) raises ValueError
+    naming ``path:lineno``.
     """
     record = RunRecord()
     segment = None  # the segment the next iteration row may continue
@@ -280,6 +285,12 @@ def import_run(path) -> RunRecord:
                 if len(fields) != _N_COLS:
                     raise ValueError(f"expected {_N_COLS} fields")
                 kind = fields[0]
+                if kind not in _EMPTY_COLUMNS:
+                    raise ValueError(f"unknown row kind {kind!r}")
+                for j in _EMPTY_COLUMNS[kind]:
+                    if fields[j]:
+                        raise ValueError(f"{_COLUMNS[j]} must be empty on a {kind} line, "
+                                         f"got {fields[j]!r}")
                 if kind == "iter":
                     if len(record.steps):
                         raise ValueError("iter line after a step line")
@@ -289,11 +300,9 @@ def import_run(path) -> RunRecord:
                         segment = IterationSegment(epoch, n_available, k)
                         record.iterations.segments.append(segment)
                     segment.append(int(fields[3]), float(fields[4]), float(fields[5]))
-                elif kind == "step":
+                else:
                     soc = np.array(fields[10].split(";"), dtype=float) if fields[10] else None
                     record.steps.add(float(fields[7]), float(fields[8]), float(fields[9]), soc)
-                else:
-                    raise ValueError(f"unknown row kind {kind!r}")
             except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the column
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return record

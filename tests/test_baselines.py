@@ -109,7 +109,7 @@ def penalized_fitness_reference(ev, agg, penalty, lower, upper, rates):
     alpha, beta, gamma, other, price = ev.columns()
     pop = np.atleast_2d(np.asarray(rates, dtype=float))
     ev_cost = (pop * pop) @ alpha + pop @ (beta - price) + (gamma + other).sum()
-    delivered = pop @ agg.eta_array
+    delivered = pop @ ev.eta
     raw = pop.sum(axis=1)
     agg_cost = (
         agg.gen_a * delivered * delivered

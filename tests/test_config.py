@@ -17,7 +17,7 @@ from v2gdispatch.config import (
     parse_config,
     resolve_departures,
 )
-from v2gdispatch.fleet import Fleet
+from v2gdispatch.fleet import Fleet, available_ids, eta_sum_available
 from v2gdispatch.orchestrator import DepartureEvent
 from v2gdispatch.topology import POLICIES
 
@@ -121,6 +121,8 @@ def test_schema_version_checked():
         ({"penalty_spread_scale_kw": 0.0}, "penalty_spread_scale_kw must be None or > 0"),
         ({"penalty_spread_scale_kw": -1.0}, "penalty_spread_scale_kw must be None or > 0"),
         ({"seed": -1}, "seed: "),
+        ({"departures": [{"time_h": 0.3, "count": 2, "idz": [1]}]},
+         r"departures\[0\]: unknown key 'idz'"),
     ],
 )
 def test_validation_names_offending_key(data, key):
@@ -167,7 +169,20 @@ def test_build_instance_is_deterministic_and_consistent(assert_same_fleet):
     assert_same_fleet(a.fleet, b.fleet)
     assert a.costs == b.costs
     assert len(a.costs.ev) == 17
-    assert a.costs.agg.eta_array.tolist() == a.fleet.eta.tolist()
+    assert a.costs.ev.eta.tolist() == a.fleet.eta.tolist()
+
+
+def test_cost_table_eta_is_the_fleets_bit_for_bit():
+    # the two homes of the efficiencies: the fleet's column (grid power) and
+    # the cost table's (the aggregator's row) must not drift apart
+    instance = build_instance(ScenarioConfig(n_evs=40, seed=5))
+    fleet = instance.fleet
+    fleet.departed[[3, 17, 18, 39]] = True
+    fleet.soc[7] = fleet.soc_min[7] / 2
+    avail = available_ids(fleet)
+    assert len(avail) == 35
+    assert instance.costs.ev.eta.tobytes() == fleet.eta.tobytes()
+    assert instance.costs.restrict(avail).ev.eta_sum == eta_sum_available(fleet)
 
 
 def test_resolve_departures_by_count_takes_top_ids():

@@ -37,14 +37,15 @@ def ev_net_cost(rate, params):
     return degradation + other - revenue
 
 
-def agg_net_cost(rates, params: AggCostParams):
-    """Reference: aggregator net cost for one per-EV rate vector."""
+def agg_net_cost(rates, eta, params: AggCostParams):
+    """Reference: aggregator net cost for one per-EV rate vector of EVs with
+    efficiencies ``eta``."""
     rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 1 or rates.shape[0] != len(params.eta_array):
-        raise ValueError(f"expected {len(params.eta_array)} rates, got shape {rates.shape}")
+    if rates.ndim != 1 or rates.shape[0] != len(eta):
+        raise ValueError(f"expected {len(eta)} rates, got shape {rates.shape}")
     if np.any(rates < 0.0):
         raise ValueError("discharge rates must be >= 0")
-    delivered = float(np.dot(params.eta_array, rates))
+    delivered = float(np.dot(eta, rates))
     raw = float(np.sum(rates))
     generation = params.gen_a * delivered * delivered + params.gen_b * delivered + params.gen_c
     return generation - params.omega * math.log(raw + 1.0)
@@ -57,18 +58,18 @@ def rows(ev: EvCostTable):
 
 def reference_consensus_objective(rate, ev: EvCostTable, agg: AggCostParams):
     """Reference: the aggregator's consensus cost plus each EV's, one at a time."""
-    total = agg_consensus_cost(rate, agg)
+    total = agg_consensus_cost(rate, ev, agg)
     for params in rows(ev):
         total = total + ev_net_cost(rate, params)
     return total
 
 
 EV = (0.1, 0.05, 0.1, 0.2, 0.02)  # alpha_deg, beta_deg, gamma_deg, other_ops, price
-UNIT_AGG = AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.0,))
+UNIT_AGG = AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0)
 
 
-def one_ev_table(params=EV) -> EvCostTable:
-    return EvCostTable(*([value] for value in params))
+def one_ev_table(params=EV, eta=1.0) -> EvCostTable:
+    return EvCostTable(*([value] for value in params), [eta])
 
 
 def one_ev_costs(rates, params=EV) -> np.ndarray:
@@ -139,9 +140,9 @@ def test_ev_params_validation():
     with pytest.raises(ValueError):
         one_ev_table((1.0, 0.0, 0.0, 0.0, -0.1))
     with pytest.raises(ValueError):  # the check covers every row, not just the first
-        EvCostTable([1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        EvCostTable([1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        EvCostTable([1.0, 1.0], [0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        EvCostTable([1.0, 1.0], [0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
 
 
 NON_FINITE = [float("nan"), float("inf"), -float("inf")]
@@ -151,24 +152,34 @@ NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 @pytest.mark.parametrize("field", ["alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price"])
 def test_ev_params_reject_non_finite_coefficients(field, value):
     columns = dict(alpha_deg=[1.0, 1.0], beta_deg=[0.0, 0.0], gamma_deg=[0.0, 0.0],
-                   other_ops=[0.0, 0.0], price=[0.0, 0.0])
+                   other_ops=[0.0, 0.0], price=[0.0, 0.0], eta=[1.0, 1.0])
     columns[field] = [columns[field][0], value]  # the second row
     with pytest.raises(ValueError, match=field):
         EvCostTable(**columns)
 
 
-AGG = AggCostParams(gen_a=0.01, gen_b=0.5, gen_c=2.0, omega=1.5, eta=(0.9, 0.8, 1.0))
+@pytest.mark.parametrize("value", [0.0, 1.2, float("nan")])
+def test_ev_table_refuses_an_eta_outside_0_1_by_its_row(value):
+    columns = ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    assert EvCostTable(*columns, [0.9, 1.0]).eta_sum == 1.9
+    with pytest.raises(ValueError, match=r"^eta\[1\] must be in \(0, 1\]"):
+        EvCostTable(*columns, [0.9, value])  # the second row
+
+
+AGG = AggCostParams(gen_a=0.01, gen_b=0.5, gen_c=2.0, omega=1.5)
+ETA = (0.9, 0.8, 1.0)
+AGG_EVS = EvCostTable(*([value] * 3 for value in EV), ETA)  # three EVs with efficiencies ETA
 
 
 def test_agg_net_cost_all_zero_rates_is_constant_term():
     # log(0 + 1) = 0: no delivery means no utility and no generation cost
-    assert agg_net_cost([0.0, 0.0, 0.0], AGG) == AGG.gen_c
-    assert agg_consensus_cost(0.0, AGG) == AGG.gen_c
+    assert agg_net_cost([0.0, 0.0, 0.0], ETA, AGG) == AGG.gen_c
+    assert agg_consensus_cost(0.0, AGG_EVS, AGG) == AGG.gen_c
 
 
 def test_agg_net_cost_single_unit():
-    assert agg_net_cost([1.0], UNIT_AGG) == 1.0
-    assert agg_consensus_cost(1.0, UNIT_AGG) == 1.0
+    assert agg_net_cost([1.0], (1.0,), UNIT_AGG) == 1.0
+    assert agg_consensus_cost(1.0, one_ev_table(), UNIT_AGG) == 1.0
 
 
 def test_agg_net_cost_utility_sums_raw_generation_sums_scaled():
@@ -176,40 +187,40 @@ def test_agg_net_cost_utility_sums_raw_generation_sums_scaled():
     delivered = 0.9 * 1.0 + 0.8 * 2.0 + 1.0 * 3.0
     raw = 6.0
     expected = 0.01 * delivered**2 + 0.5 * delivered + 2.0 - 1.5 * np.log(raw + 1.0)
-    assert agg_net_cost(rates, AGG) == pytest.approx(expected, rel=1e-12)
+    assert agg_net_cost(rates, ETA, AGG) == pytest.approx(expected, rel=1e-12)
 
 
 def test_agg_net_cost_rejects_bad_input():
     with pytest.raises(ValueError):
-        agg_net_cost([1.0, 2.0], AGG)  # length mismatch
+        agg_net_cost([1.0, 2.0], ETA, AGG)  # length mismatch
     with pytest.raises(ValueError):
-        agg_net_cost([1.0, -2.0, 3.0], AGG)
+        agg_net_cost([1.0, -2.0, 3.0], ETA, AGG)
     with pytest.raises(ValueError):
-        agg_consensus_cost(-2.0, AGG)
+        agg_consensus_cost(-2.0, AGG_EVS, AGG)
     with pytest.raises(ValueError):
-        agg_consensus_cost(np.array([1.0, -2.0]), AGG)
+        agg_consensus_cost(np.array([1.0, -2.0]), AGG_EVS, AGG)
 
 
 def test_agg_generation_non_decreasing_in_every_rate():
     rng = np.random.default_rng(11)
-    no_utility = AggCostParams(gen_a=0.01, gen_b=0.5, gen_c=2.0, omega=0.0, eta=(0.9, 0.8, 1.0))
+    no_utility = AggCostParams(gen_a=0.01, gen_b=0.5, gen_c=2.0, omega=0.0)
     for _ in range(100):
         rates = rng.uniform(0.0, 6.6, 3)
         i = rng.integers(3)
         bumped = rates.copy()
         bumped[i] += rng.uniform(0.0, 1.0)
-        assert agg_net_cost(bumped, no_utility) >= agg_net_cost(rates, no_utility)
+        assert agg_net_cost(bumped, ETA, no_utility) >= agg_net_cost(rates, ETA, no_utility)
 
 
 def test_agg_params_validation():
     with pytest.raises(ValueError):
-        AggCostParams(gen_a=0.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.0,))
+        AggCostParams(gen_a=0.0, gen_b=0.0, gen_c=0.0, omega=0.0)
     with pytest.raises(ValueError):
-        AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.2,))
+        one_ev_table(eta=1.2)  # an efficiency is the EV table's column
     with pytest.raises(ValueError):
-        AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(0.0,))
+        one_ev_table(eta=0.0)
     with pytest.raises(ValueError, match="omega"):
-        AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=float("nan"), eta=(1.0,))
+        AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=float("nan"))
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
@@ -217,22 +228,21 @@ def test_agg_params_validation():
 def test_agg_params_reject_non_finite_coefficients(field, value):
     coefficients = dict(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0)
     with pytest.raises(ValueError, match=field):
-        AggCostParams(**{**coefficients, field: value}, eta=(1.0,))
+        AggCostParams(**{**coefficients, field: value})
 
 
 def test_agg_consensus_matches_vector_form():
     for rate in (0.0, 1.3, 4.4, 6.6):
-        vec = agg_net_cost([rate] * 3, AGG)
-        cons = agg_consensus_cost(rate, AGG)
+        vec = agg_net_cost([rate] * 3, ETA, AGG)
+        cons = agg_consensus_cost(rate, AGG_EVS, AGG)
         assert cons == pytest.approx(vec, rel=1e-12)
 
 
 def _toy_cost_set(n=5, seed=3):
     rng = np.random.default_rng(seed)
-    ev = sample_ev_cost_params(n, rng, price=0.02)
-    eta = tuple(rng.uniform(0.85, 0.95, n))
-    agg = AggCostParams(gen_a=5e-6, gen_b=0.001, gen_c=0.5, omega=0.1, eta=eta)
-    return CostSet(ev=ev, agg=agg)
+    columns = sample_ev_cost_params(np.ones(n), rng, price=0.02).columns()
+    ev = EvCostTable(*columns, rng.uniform(0.85, 0.95, n))
+    return CostSet(ev=ev, agg=AggCostParams(gen_a=5e-6, gen_b=0.001, gen_c=0.5, omega=0.1))
 
 
 def test_cost_matrix_rows_equal_the_agent_costs_bit_for_bit():
@@ -243,11 +253,9 @@ def test_cost_matrix_rows_equal_the_agent_costs_bit_for_bit():
         rates = np.concatenate(([0.0], rng.uniform(0.0, 6.6, 5)))
         values = matrix(rates)
         assert values is matrix.values and values.shape == (41, 6)
-        assert values[0].tobytes() == agg_consensus_cost(rates, costs.agg).tobytes()
+        assert values[0].tobytes() == agg_consensus_cost(rates, costs.ev, costs.agg).tobytes()
         for i, params in enumerate(rows(costs.ev)):
             assert values[i + 1].tobytes() == ev_net_cost(rates, params).tobytes()
-    with pytest.raises(ValueError):
-        CostMatrix(costs.ev, costs.agg.restrict(range(39)), 6)
 
 
 @pytest.mark.parametrize("n", [1, 100, 1000])
@@ -256,16 +264,16 @@ def test_cost_matrix_aggregator_row_is_bit_exact_at_zero_rates_and_any_sign(n):
     # 0, 0): adding 0 and subtracting 0 * D must change no bit, also at
     # zero rates and with a negative or signed-zero gen_b and gen_c
     rng = np.random.default_rng(n)
-    ev = sample_ev_cost_params(n, rng, price=0.02)
+    columns = sample_ev_cost_params(np.ones(n), rng, price=0.02).columns()
     for _ in range(40):
         gen_b, gen_c = rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0)], size=2)
         agg = AggCostParams(gen_a=rng.uniform(1e-7, 1e-2), gen_b=float(gen_b),
-                            gen_c=float(gen_c), omega=rng.uniform(0.0, 1.0),
-                            eta=rng.uniform(0.85, 1.0, n))
+                            gen_c=float(gen_c), omega=rng.uniform(0.0, 1.0))
+        ev = EvCostTable(*columns, rng.uniform(0.85, 1.0, n))
         matrix = CostMatrix(ev, agg, 10)
         for _ in range(5):
             rates = np.where(rng.random(10) < 0.3, 0.0, rng.uniform(0.0, 6.6, 10))
-            assert matrix(rates)[0].tobytes() == agg_consensus_cost(rates, agg).tobytes()
+            assert matrix(rates)[0].tobytes() == agg_consensus_cost(rates, ev, agg).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 5, 100])
@@ -304,11 +312,11 @@ PRICE_COLUMNS = {
 
 def _priced_cost_set(prices: str, n=31, seed=5) -> CostSet:
     rng = np.random.default_rng(seed)
-    alpha, beta, gamma, other, _ = sample_ev_cost_params(n, rng, price=0.0).columns()
+    alpha, beta, gamma, other, _ = sample_ev_cost_params(np.ones(n), rng, price=0.0).columns()
     price = PRICE_COLUMNS[prices](n, rng)
     eta = rng.uniform(0.85, 0.95, n)
-    agg = AggCostParams(gen_a=5e-6, gen_b=0.001, gen_c=0.5, omega=0.1, eta=eta)
-    return CostSet(ev=EvCostTable(alpha, beta, gamma, other, price), agg=agg)
+    agg = AggCostParams(gen_a=5e-6, gen_b=0.001, gen_c=0.5, omega=0.1)
+    return CostSet(ev=EvCostTable(alpha, beta, gamma, other, price, eta), agg=agg)
 
 
 @pytest.mark.parametrize("prices", list(PRICE_COLUMNS))
@@ -344,7 +352,7 @@ def _full_grid_argmin(ev, agg, lower, upper, step):
 def test_blocked_grid_search_is_the_full_grid_argmin(monkeypatch, block):
     monkeypatch.setattr(costs_module, "_GRID_BLOCK", block)
     tie = one_ev_table((1.0, -6.6, 0.0, 0.0, 0.0))
-    tie_agg = AggCostParams(gen_a=1e-12, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.0,))
+    tie_agg = AggCostParams(gen_a=1e-12, gen_b=0.0, gen_c=0.0, omega=0.0)
     assert grid_search_rate(tie, tie_agg, 0.0, 6.6, 0.1) == _full_grid_argmin(tie, tie_agg, 0.0, 6.6, 0.1)
     rng = np.random.default_rng(block)
     for _ in range(20):
@@ -382,7 +390,7 @@ def test_consensus_objective_minimizer_matches_grid_oracle():
 def test_grid_search_breaks_ties_toward_lowest_rate():
     # symmetric single-EV objective around 3.3: grid argmin picks the first hit
     ev = one_ev_table((1.0, -6.6, 0.0, 0.0, 0.0))
-    agg = AggCostParams(gen_a=1e-12, gen_b=0.0, gen_c=0.0, omega=0.0, eta=(1.0,))
+    agg = AggCostParams(gen_a=1e-12, gen_b=0.0, gen_c=0.0, omega=0.0)
     rate, _ = grid_search_rate(ev, agg, 0.0, 6.6, step=0.1)
     assert rate == pytest.approx(3.3)
 
@@ -416,9 +424,8 @@ def test_cost_set_validation_and_restrict():
     sub = costs.restrict([0, 2, 4])
     assert len(sub.ev) == 3
     assert rows(sub.ev) == [rows(costs.ev)[i] for i in (0, 2, 4)]
-    assert sub.agg.eta_array.tolist() == [costs.agg.eta_array[i] for i in (0, 2, 4)]
-    with pytest.raises(ValueError):
-        CostSet(ev=costs.ev.take([0, 1]), agg=costs.agg)
+    assert sub.ev.eta.tolist() == [costs.ev.eta[i] for i in (0, 2, 4)]
+    assert sub.agg == costs.agg
 
 
 def _ev_oracle() -> CostOracle:
@@ -456,16 +463,17 @@ def test_oracle_propagates_domain_errors():
 
 
 def test_aggregator_oracle_variants():
-    vec = CostOracle(lambda rates: agg_net_cost(rates, AGG))
-    cons = CostOracle(lambda rate: agg_consensus_cost(rate, AGG))
+    vec = CostOracle(lambda rates: agg_net_cost(rates, ETA, AGG))
+    cons = CostOracle(lambda rate: agg_consensus_cost(rate, AGG_EVS, AGG))
     assert vec.evaluate([1.0, 1.0, 1.0]) == pytest.approx(cons.evaluate(1.0), rel=1e-12)
     assert vec.call_count == 1 and cons.call_count == 1
 
 
 def test_sample_ev_cost_params_ranges_and_determinism():
-    a = sample_ev_cost_params(50, np.random.default_rng(9), price=0.02)
-    b = sample_ev_cost_params(50, np.random.default_rng(9), price=0.02)
-    assert a == b
+    eta = np.linspace(0.85, 0.95, 50)
+    a = sample_ev_cost_params(eta, np.random.default_rng(9), price=0.02)
+    b = sample_ev_cost_params(eta, np.random.default_rng(9), price=0.02)
+    assert a == b and a.eta.tobytes() == eta.tobytes()
     for column, (lo, hi) in zip(a.columns(), ((0.001, 0.002), (0.001, 0.003), (0.005, 0.015),
                                               (0.005, 0.02), (0.02, 0.02))):
         assert len(column) == 50
@@ -480,8 +488,9 @@ def test_sample_ev_cost_params_draws_the_bits_of_one_uniform_call(n, seed):
     lows, highs = zip(*bounds)
     expected = reference.uniform(lows, highs, size=(n, len(bounds)))
     rng = np.random.default_rng(seed)
-    table = sample_ev_cost_params(n, rng, price=0.03, alpha_range=bounds[0], beta_range=bounds[1],
-                                  gamma_range=bounds[2], other_range=bounds[3])
+    table = sample_ev_cost_params(np.full(n, 0.9), rng, price=0.03, alpha_range=bounds[0],
+                                  beta_range=bounds[1], gamma_range=bounds[2],
+                                  other_range=bounds[3])
     for k, column in enumerate(table.columns()[:4]):
         assert column.tobytes() == np.ascontiguousarray(expected[:, k]).tobytes()
     assert table.price.tobytes() == np.full(n, 0.03).tobytes()
@@ -498,7 +507,7 @@ def _left_to_right(values) -> float:
 @pytest.mark.parametrize("n", [0, 1, 2, 1000])
 def test_eta_sum_is_a_left_to_right_sum(n):
     eta = np.random.default_rng(n).uniform(1e-3, 1.0, n)
-    params = AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0, eta=eta)
-    assert params.eta_sum == _left_to_right(eta.tolist()) and type(params.eta_sum) is float
-    odd = params.restrict(range(1, n, 2))
+    table = EvCostTable(np.ones(n), *np.zeros((4, n)), eta)
+    assert table.eta_sum == _left_to_right(eta.tolist()) and type(table.eta_sum) is float
+    odd = table.take(range(1, n, 2))
     assert odd.eta_sum == _left_to_right(eta[1::2].tolist())

@@ -514,7 +514,7 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
     topo_ss, dwoa_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(3)
     dwoa_rng, shuffle_rng = np.random.default_rng(dwoa_ss), np.random.default_rng(shuffle_ss)
     topology = build_topology(fleet, policy, np.random.default_rng(topo_ss))
-    ev, agg = costs.ev.take(avail), costs.agg.restrict(avail)
+    ev, agg = costs.ev.take(avail), costs.agg
     alpha, beta, gamma, other, price = (column[:, None] for column in ev.columns())
     n_iterations = max(k_max, 1)
     pool = init_pool(m, lower, upper, n_iterations, dwoa_rng)
@@ -523,7 +523,7 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
     for _ in range(n_iterations):
         r = pool.positions
         ev_values = alpha * r * r + beta * r + gamma + other - price * r
-        values = np.vstack([agg_consensus_cost(r, agg), ev_values])
+        values = np.vstack([agg_consensus_cost(r, ev, agg), ev_values])
         scaled = np.rint(values * 2.0**unit_bits)
         if not np.abs(scaled).max() < 2.0**63:
             raise ProtocolError("beyond the int64 wire")

@@ -174,12 +174,29 @@ def test_export_writes_each_step_soc_as_repr_of_every_value(tmp_path, case):
     "step,,,,,,,0.1,4.5,4.1,0.5;0.6;0.7,",
     "step,,,,,,,0.1,4.5,4.1,0.5;0.6",
     "flag,,,,,,,,,,,nonsense",
+    "iter,0,0,1,4.5,-1.5,100,9,9,9,9,x",
+    "step,,,,,,,0.0,4.5,4.1,0.5;0.6,hello",
 ])
 def test_import_names_the_file_and_line_of_a_bad_line(tmp_path, line):
     path = tmp_path / "bad.csv"
     good = "step,,,,,,,0.0,4.5,4.1,0.5;0.6,"
     path.write_text(f"{FORMAT_TAG}\n{HEADER}\n{good}\n\n{line}\n{good}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: "):
+        import_run(path)
+
+
+@pytest.mark.parametrize("line, column", [
+    ("iter,0,0,1,4.5,-1.5,100,9,,,,", "time_h"),
+    ("iter,0,0,1,4.5,-1.5,100,,,,,x", "note"),
+    ("step,0,,,,,,0.0,4.5,4.1,0.5;0.6,", "epoch"),
+    ("step,,,,,,100,0.0,4.5,4.1,0.5;0.6,", "available"),
+    ("step,,,,,,,0.0,4.5,4.1,0.5;0.6,hello", "note"),
+])
+def test_import_names_a_filled_column_the_line_kind_does_not_have(tmp_path, line, column):
+    # a value export_run never writes there would not come back out
+    path = tmp_path / "filled.csv"
+    path.write_text(f"{FORMAT_TAG}\n{HEADER}\n{line}\n")
+    with pytest.raises(ValueError, match=f":3: {column} must be empty on a {line[:4]} line"):
         import_run(path)
 
 
