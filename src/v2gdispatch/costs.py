@@ -171,6 +171,23 @@ class CostMatrix:
         values[0] -= utility
         return values
 
+    def magnitude_bound(self, upper: float) -> float:
+        """A bound on every column's sum of |values| at rates in [0, ``upper``].
+
+        A row's value is a sum of terms, each of a magnitude that does not
+        decrease in the rate r >= 0: alpha*r^2, |beta|*r, |gamma|, other and
+        price*r, at D = eta_sum * r on row 0, whose utility term adds
+        omega*log(N*r + 1). By the triangle inequality each row's |value| is
+        at most its terms' magnitudes at ``upper``, summed here over the
+        rows in O(N). NaN when a coefficient is.
+        """
+        eta_sum, n, omega = self._utility
+        alpha, beta, gamma, other, price = (c[:, 0] for c in self._coefficients)
+        rates = np.full(alpha.shape, upper)
+        rates[0] = eta_sum * upper
+        magnitudes = (alpha * rates + np.abs(beta) + price) * rates + np.abs(gamma) + other
+        return float(magnitudes.sum()) + omega * math.log(n * upper + 1.0)
+
 
 _EV_COST_FIELDS = ("alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price")
 _EV_FIELDS = _EV_COST_FIELDS + ("eta",)

@@ -18,9 +18,11 @@ can differ yet map to one float, and the tie then goes to the lower index.
 What an epoch fixes is set up once, before its iterations:
 - the cost coefficients spread to (N+1) x M arrays, the aggregator's row 0
   among them, and the (N+1) x M cost buffer (``costs.CostMatrix``);
+- the int64 wire's bound: the sum over rows of each row's cost terms at
+  the upper rate bound, with room for rounding; the epoch is refused up
+  front unless it is below 2**63, so no iteration checks its units again;
 - the wire buffers (``shuffle.WireBuffers``): the scaled values, the int64
-  units and the masked units, whose largest magnitude the quantisation
-  hands to the headroom check; the mask reuses the first two for the kept
+  units and the masked units; the mask reuses the first two for the kept
   shares and the sends, and adds the sends in through their flat views;
 - only when the epoch masks, its topology and the one split every round
   draws into (``shuffle.SplitBuffers``): the fractions, the flat share
@@ -56,12 +58,12 @@ from .shuffle import (
     SplitBuffers,
     WireBuffers,
     candidate_totals,
-    check_headroom,
     from_units_array,
     mask_units,
-    to_units_array,
+    wire_bound,
 )
-from .shuffle import shuffle_round  # noqa: F401  (perfbench/tracer.py wraps this name)
+# perfbench/tracer.py wraps these names here; the epoch calls neither
+from .shuffle import shuffle_round, to_units_array  # noqa: F401
 from .topology import POLICIES, build_topology
 
 # time is a step index; from 2**53 steps on, float64 cannot tell consecutive
@@ -161,8 +163,12 @@ def run_optimization(
     available EV the rate is 0 and the record has no iteration rows.
     Search bounds are the intersection of the available EVs' rate limits
     (``common_rate_bounds``, which refuses an empty or negative one).
-    An iteration whose reports could overflow the int64 wire (see
-    ``check_headroom``) raises ProtocolError. The record's oracle-call
+    Before the pool is drawn, it bounds once what any iteration can put on
+    the int64 wire: each row's cost terms at the upper bound, summed over
+    the rows (``CostMatrix.magnitude_bound``), with room for rounding
+    (``shuffle.wire_bound``). It raises ProtocolError when that bound is not
+    below 2**63 or is NaN, even if no candidate drawn would reach it; the
+    iterations then quantize unchecked. The record's oracle-call
     counters count the cost values actually scored. The pool moves only
     between evaluations: ``max(k_max, 1)`` evaluations, so ``k_max`` = 0
     scores the initial pool once and never moves it. Before it reads the
@@ -186,14 +192,19 @@ def run_optimization(
         split = SplitBuffers(topology, m_whales)
 
     cost_matrix = CostMatrix(costs.ev.take(avail), costs.agg, m_whales)
+    # every pool position lies in [lower, upper], so no column of any
+    # iteration's units sums beyond this in magnitude (NaN when a cost is)
+    bound = wire_bound(cost_matrix.magnitude_bound(upper), len(avail) + 1, unit_bits)
+    if not bound < 2.0**63:
+        raise ProtocolError(f"reports of up to {bound!r} units per candidate at rates up to "
+                            f"{upper} kW reach 2**63: beyond the int64 wire at {unit_bits} "
+                            "unit bits")
     wire = WireBuffers(cost_matrix.values.shape)
     n_iterations = max(k_max, 1)
     pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
     segment = IterationSegment(epoch, len(avail))
     for k in range(n_iterations):
-        values = cost_matrix(pool.positions)
-        units = to_units_array(values, unit_bits, out=wire)
-        check_headroom(units, wire.peak)
+        units = wire.quantize(cost_matrix(pool.positions), unit_bits)
         if shuffle_enabled:
             split.draw(shuffle_rng)
             units = mask_units(units, split.fractions, split.destinations, out=wire)

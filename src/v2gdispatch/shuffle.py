@@ -11,7 +11,10 @@ The wire format is fixed-point: values are quantized to integer multiples of
 which makes conservation exact rather than subject to float rounding drift.
 Quantized units convert back to float exactly, so totals agree bit-for-bit
 with and without shuffling. A value int64 cannot hold is an error, never a
-silent wrap.
+silent wrap: the mapping path checks each round's reports
+(``to_units_array``, ``check_headroom``), and an epoch checks once, before
+its first round, that no report it can make reaches 2**63 in any column
+(``wire_bound``), then quantizes unchecked (``WireBuffers.quantize``).
 
 One round works on the whole (agents x candidates) unit matrix: row 0 is the
 aggregator and rows 1..N are the EVs in ascending id order (the rows of a
@@ -25,11 +28,11 @@ This module owns the share-slot layout: a send share of row r's candidate h
 lands in the flat slot ``t * m + h`` of its target row t, and ``SplitBuffers``
 alone derives those slots from the graph's ``indptr`` and ``targets``.
 
-A run of rounds over one matrix shape can pass the same ``WireBuffers`` to
-``to_units_array``, ``check_headroom`` and ``mask_units``, and draw each
-round from the same ``SplitBuffers``, so each round touches each matrix
-once, allocates none and makes its views and plan lookups not per round but
-once, when the buffers are built.
+A run of rounds over one matrix shape can quantize into the same
+``WireBuffers`` and pass them to ``mask_units``, and draw each round from
+the same ``SplitBuffers``, so each round touches each matrix once,
+allocates none and makes its views and plan lookups not per round but once,
+when the buffers are built.
 """
 
 from __future__ import annotations
@@ -55,61 +58,77 @@ class ProtocolError(RuntimeError):
 class WireBuffers:
     """The matrices of one round on the wire, reused by every round of a run.
 
-    ``to_units_array(values, out=wire)`` leaves ``rint(values * 2**unit_bits)``
-    in ``scaled`` (whole numbers, held exactly as floats), their int64 cast
-    in ``units`` and their largest magnitude in ``peak``, which
-    ``check_headroom`` takes instead of scanning the units again.
-    ``mask_units(wire.units, ..., out=wire)`` then overwrites ``scaled``
-    with the kept shares and ``units`` with the sends, and returns
-    ``masked``; it adds the sends in through the flat views of the two.
+    ``quantize(values, unit_bits)`` leaves ``rint(values * 2**unit_bits)``
+    in ``scaled`` (whole numbers, held exactly as floats) and their int64
+    cast in ``units``, unchecked: the caller has shown that the values fit
+    (``wire_bound``, or ``to_units_array``'s check). ``mask_units(wire.units,
+    ..., out=wire)`` then overwrites ``scaled`` with the kept shares and
+    ``units`` with the sends, and returns ``masked``; it adds the sends in
+    through the flat views of the two.
     """
 
-    __slots__ = ("scaled", "units", "masked", "peak", "flat_units", "flat_masked")
+    __slots__ = ("scaled", "units", "masked", "flat_units", "flat_masked")
 
     def __init__(self, shape: tuple[int, ...]):
         self.scaled = np.empty(shape)
         self.units = np.empty(shape, dtype=np.int64)
         self.masked = np.empty(shape, dtype=np.int64)
-        self.peak = 0.0
         self.flat_units = self.units.reshape(-1)
         self.flat_masked = self.masked.reshape(-1)
 
+    def quantize(self, values: np.ndarray, unit_bits: int) -> np.ndarray:
+        """The values as int64 units of 2**-unit_bits: multiply, ``rint``, cast."""
+        scaled = np.multiply(values, float(1 << unit_bits), out=self.scaled)
+        np.rint(scaled, out=scaled)
+        self.units[...] = scaled
+        return self.units
 
-def to_units_array(values, unit_bits: int = DEFAULT_UNIT_BITS,
-                   out: WireBuffers | None = None) -> np.ndarray:
-    """Quantize currency values to int64 grid units; raises ProtocolError for
-    a value whose units int64 cannot hold (or that is not finite), before
-    any value is cast. ``out`` (of the values' shape) receives the units,
-    see ``WireBuffers``; without it, fresh buffers do."""
-    if out is None:
-        out = WireBuffers(np.shape(values))
-    scaled = np.multiply(values, float(1 << unit_bits), out=out.scaled)
-    np.rint(scaled, out=scaled)
+
+def to_units_array(values, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
+    """Quantize currency values to int64 grid units, in fresh buffers; raises
+    ProtocolError for a value whose units int64 cannot hold (or that is not
+    finite), before any value is cast."""
+    values = np.asarray(values, dtype=float)
     # the largest magnitude, from both extremes (no |x| temporary); it is NaN
-    # when any value is, since then both extremes are
-    peak = max(np.maximum.reduce(scaled, axis=None, initial=0.0),
-               -np.minimum.reduce(scaled, axis=None, initial=0.0))
-    if not peak < _INT64_BOUND:
+    # when any value is, since then both extremes are. Scaling by 2**unit_bits
+    # is exact and rint moves no float at or beyond 2**52, so the scaled peak
+    # is below 2**63 exactly when every quantized value is.
+    peak = float(max(np.maximum.reduce(values, axis=None, initial=0.0),
+                     -np.minimum.reduce(values, axis=None, initial=0.0)))
+    if not peak * float(1 << unit_bits) < _INT64_BOUND:
         raise ProtocolError(f"value beyond the int64 wire at {unit_bits} unit bits")
-    out.peak = peak
-    out.units[...] = scaled
-    return out.units
+    return WireBuffers(values.shape).quantize(values, unit_bits)
 
 
-def check_headroom(units: np.ndarray, peak: float | None = None) -> None:
+def wire_bound(magnitude: float, rows: int, unit_bits: int) -> float:
+    """A bound, in units of 2**-unit_bits, on a column's sum of |units| once
+    ``rows`` values, whose exact magnitudes sum to at most ``magnitude``
+    currency, are computed in float64 and quantized.
+
+    The float evaluation of a value is off by a few ulps of its terms'
+    magnitudes, which the relative margin of 2**-20 covers many times over;
+    ``rint`` adds at most half a unit per value. Below 2**63, no masked
+    value, column total or partial sum of one can wrap (``check_headroom``).
+    NaN when ``magnitude`` is.
+    """
+    return magnitude * float(1 << unit_bits) * (1.0 + 2.0**-20) + 0.5 * rows
+
+
+def check_headroom(units: np.ndarray) -> None:
     """Raise ProtocolError unless every column's sum of |units| is below 2**63.
 
     A row keeps ``rint(f * u)`` of its value ``u`` and sends the rest, so
     both shares lie between 0 and ``u``; every masked value, column total
     and partial sum of one is therefore bounded by its column's sum of
-    |units|, and under this bound none can wrap. ``peak`` is the largest
-    |unit| when the caller has it already (``WireBuffers.peak``).
+    |units|, and under this bound none can wrap. The mapping path
+    (``shuffle_round``, ``candidate_totals`` of a mapping) checks each
+    round's reports with it; an epoch bounds its reports once, before its
+    first round, with ``wire_bound``.
     """
     if units.size == 0:
         return
-    if peak is None:
-        # as uint64, since int64 cannot hold |-2**63|
-        peak = np.abs(units).view(np.uint64).max()
+    # as uint64, since int64 cannot hold |-2**63|
+    peak = np.abs(units).view(np.uint64).max()
     # rows times the largest magnitude bounds every column's sum: almost
     # always far below the bound, which settles every column at once
     if units.shape[0] * int(peak) < 1 << 62:
@@ -224,9 +243,9 @@ def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarra
     to the slot ``destinations[r * m + h]``, a flat (rows * m,) array (see
     ``SplitBuffers``); each row reports what it kept plus what it received.
     Column sums are conserved exactly. Without ``out`` the input is
-    unchanged. ``out`` is the ``WireBuffers`` that ``to_units_array``
-    filled with these units: the round then works in its buffers and
-    returns ``out.masked``.
+    unchanged. ``out`` is the ``WireBuffers`` whose ``quantize`` made
+    these units: the round then works in its buffers and returns
+    ``out.masked``.
     """
     if out is None:
         out = WireBuffers(units.shape)

@@ -3,13 +3,24 @@
 import re
 import warnings
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from v2gdispatch import orchestrator
 from v2gdispatch.config import ScenarioConfig, build_instance
-from v2gdispatch.costs import agg_consensus_cost, grid_search_rate
+from v2gdispatch.costs import (
+    AggCostParams,
+    CostMatrix,
+    CostSet,
+    EvCostTable,
+    agg_consensus_cost,
+    grid_search_rate,
+)
 from v2gdispatch.dwoa import advance_pool, init_pool
 from v2gdispatch.fleet import available_ids, common_rate_bounds
 from v2gdispatch.orchestrator import (
@@ -19,7 +30,7 @@ from v2gdispatch.orchestrator import (
     run_scenario,
 )
 from v2gdispatch.records import FORMAT_TAG, HEADER, export_run, import_run
-from v2gdispatch.shuffle import ProtocolError, from_units_array
+from v2gdispatch.shuffle import ProtocolError, from_units_array, wire_bound
 from v2gdispatch.topology import build_topology
 
 # small instance keeps the protocol tests fast
@@ -85,6 +96,90 @@ def test_large_fleet_within_int64_headroom_runs():
     rate, record = run_optimization(inst.fleet, inst.costs, m_whales=4, k_max=2, seed=0)
     assert 0.0 <= rate <= 6.6
     assert len(record.iterations) == 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_wire_bound_holds_every_column_sum_of_units(data):
+    # any signs the cost tables allow, each coefficient at its own scale so
+    # that any one term can dominate, any rate bounds and candidates in them,
+    # the upper bound among them: no column of quantised units sums beyond
+    # the epoch's bound
+    n = data.draw(st.integers(1, 30), label="n")
+    m = data.draw(st.integers(1, 6), label="m")
+    unit_bits = data.draw(st.integers(8, 48), label="unit_bits")
+
+    def draw(label, size, lo, hi):
+        scale = data.draw(st.sampled_from([1e-6, 1.0, 1e3]), label=f"{label} scale")
+        return data.draw(hnp.arrays(np.float64, size, elements=st.floats(lo, hi)),
+                         label=label) * scale
+
+    ev = EvCostTable(draw("alpha", n, 1e-9, 1.0), draw("beta", n, -1.0, 1.0),
+                     draw("gamma", n, -1.0, 1.0), draw("other", n, 0.0, 1.0),
+                     draw("price", n, 0.0, 1.0),
+                     data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.05, 1.0)),
+                               label="eta"))
+    agg = AggCostParams(*draw("gen_a", 1, 1e-9, 1.0), *draw("gen_b", 1, -1.0, 1.0),
+                        *draw("gen_c", 1, -1.0, 1.0), *draw("omega", 1, 0.0, 1.0))
+    lower = data.draw(st.floats(0.0, 10.0), label="lower")
+    upper = lower + data.draw(st.floats(0.0, 10.0), label="width")
+    drawn = data.draw(hnp.arrays(np.float64, m - 1, elements=st.floats(lower, upper)),
+                      label="rates")
+    rates = np.append(drawn, upper)
+    matrix = CostMatrix(ev, agg, m)
+    bound = wire_bound(matrix.magnitude_bound(upper), n + 1, unit_bits)
+    # exact Python ints, wherever int64 would have wrapped
+    scaled = np.rint(matrix(rates) * 2.0**unit_bits)
+    for column in scaled.T.tolist():
+        assert sum(abs(int(u)) for u in column) <= bound
+
+
+def _instance_with_wire_bound(relative):
+    """A 16-EV instance at default costs but gen_c, set so that its epoch's
+    wire bound at 48 unit bits is 2**63 * (1 + relative). The aggregator's
+    constant then dominates every column, so the reports sum to almost the
+    bound at every candidate."""
+    inst = build_instance(ScenarioConfig(n_evs=16, seed=5, m_whales=4, unit_bits=48))
+    ev, agg = inst.costs.ev, inst.costs.agg
+    upper = common_rate_bounds(inst.fleet, available_ids(inst.fleet))[1]
+    rest = CostMatrix(ev, replace(agg, gen_c=0.0), 4).magnitude_bound(upper)
+    target = (2.0**63 * (1.0 + relative) - 0.5 * 17) / (2.0**48 * (1.0 + 2.0**-20))
+    costs = CostSet(ev, replace(agg, gen_c=target - rest))
+    bound = wire_bound(CostMatrix(ev, costs.agg, 4).magnitude_bound(upper), 17, 48)
+    assert bound == pytest.approx(2.0**63 * (1.0 + relative), rel=2.0**-45)
+    return inst.fleet, costs
+
+
+def test_epoch_with_wire_bound_just_below_int64_runs_exactly(monkeypatch):
+    fleet, costs = _instance_with_wire_bound(-(2.0**-30))
+    reports = []
+    totals = orchestrator.candidate_totals
+
+    def recording_totals(units):
+        reports.append((units.tolist(), totals(units).tolist()))
+        return totals(units)
+
+    monkeypatch.setattr(orchestrator, "candidate_totals", recording_totals)
+    records = [run_optimization(fleet, costs, m_whales=4, k_max=5, seed=0, unit_bits=48,
+                                shuffle_enabled=shuffle_enabled)[1]
+               for shuffle_enabled in (True, False)]
+    assert len(reports) == 10
+    for units, got in reports:
+        assert got == [sum(column) for column in zip(*units)]
+        assert min(got) > 2**62  # past the rows-times-peak shortcut of check_headroom
+    # masked or not, the reports add up to the same totals
+    assert [got for _, got in reports[:5]] == [got for _, got in reports[5:]]
+    assert records[0].iterations.segments[0].best_total_cost.tobytes() == \
+        records[1].iterations.segments[0].best_total_cost.tobytes()
+
+
+def test_epoch_with_wire_bound_just_above_int64_is_refused_before_the_pool(monkeypatch):
+    fleet, costs = _instance_with_wire_bound(2.0**-30)
+    calls = []
+    monkeypatch.setattr(orchestrator, "init_pool", lambda *args: calls.append(args))
+    with pytest.raises(ProtocolError, match="beyond the int64 wire at 48 unit bits"):
+        run_optimization(fleet, costs, m_whales=4, k_max=5, seed=0, unit_bits=48)
+    assert calls == []
 
 
 def test_run_optimization_converges_to_grid_oracle(instance):
