@@ -2,11 +2,12 @@
 
 Both solvers work on the full N-dimensional vector of per-EV rates and handle
 the equal-rates requirement through a penalty added to the fitness, graded by
-how far the vector spreads: penalty = cap * min(1, spread / spread_scale)
-whenever the largest pairwise gap exceeds the tolerance. A pure all-or-nothing
-penalty would be unsatisfiable on a continuous search space, so partial
-progress toward consensus still registers. A zero spread scale (a search range
-of zero width) makes that the full cap, the limit of the ratio.
+how far the vector spreads over the search range's width:
+penalty = PENALTY_CAP * min(1, spread / (upper - lower)) whenever the largest
+pairwise gap exceeds PENALTY_TOLERANCE_KW. A pure all-or-nothing penalty would
+be unsatisfiable on a continuous search space, so partial progress toward
+consensus still registers. A range of zero width makes that the full cap, the
+limit of the ratio.
 
 Fitness callables accept a (pop, dim) matrix and return one value per row
 (a single vector is promoted), which keeps the solvers vectorized.
@@ -45,7 +46,6 @@ the leaders and then ``/ 3``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,39 +53,28 @@ import numpy as np
 from .costs import AggCostParams, EvCostTable, agg_cost_of_power
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Consensus-violation penalty for the centralized solvers."""
-
-    cap: float = 10.0
-    tolerance_kw: float = 1e-6
-    spread_scale_kw: float | None = None  # None: use the search range width
-
-    def __post_init__(self) -> None:
-        # each message starts with the field's name
-        if not self.cap > 0.0:
-            raise ValueError(f"cap must be > 0, got {self.cap}")
-        if not self.tolerance_kw >= 0.0:
-            raise ValueError(f"tolerance_kw must be >= 0, got {self.tolerance_kw}")
-        if self.spread_scale_kw is not None and not self.spread_scale_kw > 0.0:
-            raise ValueError(f"spread_scale_kw must be None or > 0, got {self.spread_scale_kw}")
+PENALTY_CAP = 10.0
+PENALTY_TOLERANCE_KW = 1e-6
 
 
 def make_penalized_fitness(
     ev_params: EvCostTable,
     agg_params: AggCostParams,
-    penalty: PenaltyConfig,
     lower: float,
     upper: float,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized objective + graded consensus penalty over rate matrices."""
+    """Vectorized objective + graded consensus penalty over rate matrices.
+
+    The spread of each row is graded by the width of the search range
+    [lower, upper]; raises ValueError unless lower <= upper.
+    """
     alpha, beta, gamma, other, price = ev_params.columns()
     linear = beta - price
     const = (gamma + other).sum()
     eta = ev_params.eta
-    scale = penalty.spread_scale_kw if penalty.spread_scale_kw is not None else upper - lower
+    scale = upper - lower
     if not scale >= 0.0:
-        raise ValueError(f"spread scale must be >= 0, got {scale}")
+        raise ValueError(f"need bounds lower <= upper, got lower={lower}, upper={upper}")
 
     def fitness(rates: np.ndarray) -> np.ndarray:
         pop = np.atleast_2d(np.asarray(rates, dtype=float))
@@ -97,7 +86,7 @@ def make_penalized_fitness(
         # min(1, spread / scale), dividing only where that is below 1: the
         # same bits, and a zero scale divides nowhere
         grade = np.divide(spread, scale, out=np.ones_like(spread), where=spread < scale)
-        pen = np.where(spread > penalty.tolerance_kw, penalty.cap * grade, 0.0)
+        pen = np.where(spread > PENALTY_TOLERANCE_KW, PENALTY_CAP * grade, 0.0)
         out = ev_cost + agg_cost + pen
         return out if np.asarray(rates).ndim > 1 else out[0]
 

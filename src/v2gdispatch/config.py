@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import types
 import typing
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import PenaltyConfig
 from .costs import AggCostParams, CostSet, sample_ev_cost_params
 from .fleet import Fleet, FleetDistributions, sample_fleet
 from .orchestrator import DepartureEvent, check_run_settings, ev_id_array, step_count
@@ -70,11 +68,6 @@ class ScenarioConfig:
     # each entry: {"time_h": t, "ids": [...]} or {"time_h": t, "count": n}
     departures: tuple[dict, ...] = ()
 
-    # baseline penalty
-    penalty_cap: float = 10.0
-    penalty_tolerance_kw: float = 1e-6
-    penalty_spread_scale_kw: float | None = None
-
     out_dir: str = "runs"
 
     def fleet_distributions(self) -> FleetDistributions:
@@ -85,13 +78,6 @@ class ScenarioConfig:
             eta=self.eta_range,
             rate_min_kw=self.rate_min_kw,
             rate_max_kw=self.rate_max_kw,
-        )
-
-    def penalty(self) -> PenaltyConfig:
-        return PenaltyConfig(
-            cap=self.penalty_cap,
-            tolerance_kw=self.penalty_tolerance_kw,
-            spread_scale_kw=self.penalty_spread_scale_kw,
         )
 
     def solver_kwargs(self) -> dict:
@@ -110,8 +96,6 @@ def _conforms(value, hint) -> bool:
     """Whether a JSON value fits a field type: an int is no bool, a float is
     any number but a bool, a tuple is a list or tuple of conforming items."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType:
-        return any(_conforms(value, h) for h in args)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             return False
@@ -161,14 +145,12 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"price: must be >= 0, got {config.price}")
     if config.alpha_range[0] <= 0.0:
         raise ConfigError(f"alpha_range: lower bound must be > 0, got {config.alpha_range[0]}")
+    if config.other_range[0] < 0.0:
+        raise ConfigError(f"other_range: lower bound must be >= 0, got {config.other_range[0]}")
     _checked("", AggCostParams, config.gen_a, config.gen_b, config.gen_c, config.omega)
     _checked("", check_run_settings, config.m_whales, config.k_max, config.topology_policy,
              config.unit_bits)
-    n_steps = _checked("", step_count, config.dt_h, config.horizon_h)
-    if not math.isclose(config.horizon_h / config.dt_h, n_steps, rel_tol=1e-9):
-        raise ConfigError(
-            f"horizon_h: {config.horizon_h} is not a whole number of {config.dt_h} h steps"
-        )
+    _checked("", step_count, config.dt_h, config.horizon_h)
     for i, spec in enumerate(config.departures):
         if not isinstance(spec, dict) or "time_h" not in spec:
             raise ConfigError(f"departures[{i}]: needs a time_h")
@@ -188,8 +170,6 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         count = spec.get("count", 0)
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ConfigError(f"departures[{i}]: count must be an int >= 0, got {count!r}")
-    # a PenaltyConfig error names the field: the key without "penalty_"
-    _checked("penalty_", config.penalty)
     return config
 
 

@@ -186,7 +186,7 @@ def compare_solvers(
     if instance is None:
         instance = build_instance(config)
     avail, costs, (lower, upper) = _available(instance)
-    fitness = make_penalized_fitness(costs.ev, costs.agg, config.penalty(), lower, upper)
+    fitness = make_penalized_fitness(costs.ev, costs.agg, lower, upper)
     dim = len(avail)
 
     rows = []

@@ -86,17 +86,21 @@ def check_run_settings(m_whales: int, k_max: int, topology_policy: str, unit_bit
 
 
 def step_count(dt_h: float, horizon_h: float) -> int:
-    """The number of ``dt_h`` steps in ``horizon_h``, rounded to the nearest;
-    raises ValueError unless both are finite and > 0 and the steps number
-    fewer than 2**53."""
+    """The number of ``dt_h`` steps in ``horizon_h``; raises ValueError
+    unless both are finite and > 0, the steps number fewer than 2**53 and
+    ``horizon_h / dt_h`` is within a relative 1e-9 of a whole number."""
     if not 0.0 < horizon_h < math.inf:
         raise ValueError(f"horizon_h must be finite and > 0, got {horizon_h}")
     if not 0.0 < dt_h < math.inf:
         raise ValueError(f"dt_h must be finite and > 0, got {dt_h}")
-    if not horizon_h / dt_h < MAX_STEPS:
+    steps = horizon_h / dt_h
+    if not steps < MAX_STEPS:
         raise ValueError(f"horizon_h = {horizon_h} is too many dt_h = {dt_h} steps to count "
                          "(2**53 or more)")
-    return int(round(horizon_h / dt_h))
+    n_steps = round(steps)
+    if not math.isclose(steps, n_steps, rel_tol=1e-9):
+        raise ValueError(f"horizon_h = {horizon_h} is not a whole number of dt_h = {dt_h} steps")
+    return n_steps
 
 
 def ecn_select_best(totals) -> int:
@@ -248,8 +252,9 @@ def run_scenario(
     spawned in sequence from ``seed``, keeping whole-run determinism; the
     empty fleet's epoch gives rate 0 and no iteration rows. Before any step
     it raises ValueError for a ``dt_h`` or ``horizon_h`` that is not finite
-    and > 0, for 2**53 or more steps (``step_count``), and for the solver
-    settings that ``run_optimization`` refuses (``check_run_settings``).
+    and > 0, for 2**53 or more steps or a horizon that is no whole number of
+    steps (``step_count``), and for the solver settings that
+    ``run_optimization`` refuses (``check_run_settings``).
     """
     check_run_settings(m_whales, k_max, topology_policy, unit_bits)
     n_steps = step_count(dt_h, horizon_h)

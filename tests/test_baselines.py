@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from v2gdispatch.baselines import (
-    PenaltyConfig,
+    PENALTY_CAP,
+    PENALTY_TOLERANCE_KW,
     cwoa_solve,
     gwo_solve,
     make_penalized_fitness,
@@ -15,9 +16,6 @@ from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.costs import consensus_objective, grid_search_rate
 from v2gdispatch.fleet import available_ids
 
-PEN = PenaltyConfig(cap=10.0, tolerance_kw=1e-6)
-
-
 @pytest.fixture(scope="module")
 def small():
     instance = build_instance(ScenarioConfig(n_evs=8, seed=21))
@@ -25,78 +23,62 @@ def small():
     return instance.costs.restrict(avail)
 
 
-def test_penalty_config_validation():
-    with pytest.raises(ValueError):
-        PenaltyConfig(cap=0.0)
-    with pytest.raises(ValueError):
-        PenaltyConfig(tolerance_kw=-1.0)
-    with pytest.raises(ValueError, match="tolerance"):
-        PenaltyConfig(tolerance_kw=float("nan"))
-
-
 def test_consensus_vector_gets_no_penalty(small):
     vec = np.full(8, 3.7)
-    fitness = float(make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)(vec))
+    fitness = float(make_penalized_fitness(small.ev, small.agg, 0.0, 6.6)(vec))
     true_obj = float(consensus_objective(3.7, small.ev, small.agg))
     assert fitness == pytest.approx(true_obj, rel=1e-12)
 
 
 def test_maximal_spread_adds_full_cap(small):
     vec = np.array([0.0, 6.6] * 4)
-    lenient = PenaltyConfig(cap=10.0, tolerance_kw=1e9)  # never triggers
-    without = make_penalized_fitness(small.ev, small.agg, lenient, 0.0, 6.6)(vec)
-    with_pen = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)(vec)
-    assert with_pen - without == 10.0
+    without = objective_reference(small.ev, small.agg, vec)
+    with_pen = make_penalized_fitness(small.ev, small.agg, 0.0, 6.6)(vec)
+    assert with_pen - without == PENALTY_CAP
 
 
 def test_zero_width_range_adds_full_cap_without_dividing(small):
     # lower == upper: a consensus vector gets no penalty and any spread
     # beyond the tolerance the whole cap, with no division by zero
-    lenient = PenaltyConfig(cap=10.0, tolerance_kw=1e9)
     rates = np.array([np.full(8, 3.0), [3.0] * 7 + [3.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        without = make_penalized_fitness(small.ev, small.agg, lenient, 3.0, 3.0)(rates)
-        with_pen = make_penalized_fitness(small.ev, small.agg, PEN, 3.0, 3.0)(rates)
+        without = objective_reference(small.ev, small.agg, rates)
+        with_pen = make_penalized_fitness(small.ev, small.agg, 3.0, 3.0)(rates)
     assert with_pen[0] == without[0]
-    assert with_pen[1] - without[1] == pytest.approx(10.0, rel=1e-12)
-    with pytest.raises(ValueError, match="spread scale"):
-        make_penalized_fitness(small.ev, small.agg, PEN, 3.0, 2.0)
+    assert with_pen[1] - without[1] == pytest.approx(PENALTY_CAP, rel=1e-12)
+    for lower, upper in ((3.0, 2.0), (float("nan"), 6.6), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="bounds"):
+            make_penalized_fitness(small.ev, small.agg, lower, upper)
 
 
 def test_fitness_never_below_true_objective(small):
     rng = np.random.default_rng(3)
-    fitness = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)
-    lenient = make_penalized_fitness(
-        small.ev, small.agg, PenaltyConfig(cap=10.0, tolerance_kw=1e9), 0.0, 6.6
-    )
+    fitness = make_penalized_fitness(small.ev, small.agg, 0.0, 6.6)
     for _ in range(1000):
         vec = rng.uniform(0.0, 6.6, 8)
-        assert fitness(vec) >= lenient(vec)
+        assert fitness(vec) >= objective_reference(small.ev, small.agg, vec)
 
 
 def test_penalty_grades_with_spread(small):
-    fitness = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)
-    lenient = make_penalized_fitness(
-        small.ev, small.agg, PenaltyConfig(cap=10.0, tolerance_kw=1e9), 0.0, 6.6
-    )
+    fitness = make_penalized_fitness(small.ev, small.agg, 0.0, 6.6)
     base = np.full(8, 3.0)
     narrow, wide = base.copy(), base.copy()
     narrow[0] += 0.5
     wide[0] += 3.0
-    pen_narrow = fitness(narrow) - lenient(narrow)
-    pen_wide = fitness(wide) - lenient(wide)
-    assert 0.0 < pen_narrow < pen_wide <= 10.0
-    assert pen_narrow == pytest.approx(10.0 * 0.5 / 6.6)
+    pen_narrow = fitness(narrow) - objective_reference(small.ev, small.agg, narrow)
+    pen_wide = fitness(wide) - objective_reference(small.ev, small.agg, wide)
+    assert 0.0 < pen_narrow < pen_wide <= PENALTY_CAP
+    assert pen_narrow == pytest.approx(PENALTY_CAP * 0.5 / 6.6)
 
 
 def test_vector_length_checked(small):
     with pytest.raises(ValueError):
-        make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)(np.ones(5))
+        make_penalized_fitness(small.ev, small.agg, 0.0, 6.6)(np.ones(5))
 
 
 def test_batch_matches_single_rows(small):
-    fitness = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)
+    fitness = make_penalized_fitness(small.ev, small.agg, 0.0, 6.6)
     rng = np.random.default_rng(8)
     pop = rng.uniform(0.0, 6.6, (6, 8))
     batch = fitness(pop)
@@ -104,8 +86,9 @@ def test_batch_matches_single_rows(small):
         assert fitness(row) == value
 
 
-def penalized_fitness_reference(ev, agg, penalty, lower, upper, rates):
-    """The fitness with its aggregator term written out in full."""
+def objective_reference(ev, agg, rates):
+    """The EV and aggregator costs of each row, the aggregator term written
+    out in full."""
     alpha, beta, gamma, other, price = ev.columns()
     pop = np.atleast_2d(np.asarray(rates, dtype=float))
     ev_cost = (pop * pop) @ alpha + pop @ (beta - price) + (gamma + other).sum()
@@ -117,24 +100,29 @@ def penalized_fitness_reference(ev, agg, penalty, lower, upper, rates):
         + agg.gen_c
         - agg.omega * np.log(raw + 1.0)
     )
-    scale = upper - lower
+    out = ev_cost + agg_cost
+    return out if np.asarray(rates).ndim > 1 else out[0]
+
+
+def penalized_fitness_reference(ev, agg, lower, upper, rates):
+    """The fitness with its objective and penalty written out in full."""
+    pop = np.atleast_2d(np.asarray(rates, dtype=float))
     spread = pop.max(axis=1) - pop.min(axis=1)
-    pen = np.where(spread > penalty.tolerance_kw, penalty.cap * np.minimum(1.0, spread / scale), 0.0)
-    out = ev_cost + agg_cost + pen
+    grade = np.minimum(1.0, spread / (upper - lower))
+    pen = np.where(spread > PENALTY_TOLERANCE_KW, PENALTY_CAP * grade, 0.0)
+    out = objective_reference(ev, agg, pop) + pen
     return out if np.asarray(rates).ndim > 1 else out[0]
 
 
 @pytest.mark.parametrize("dim", [1, 8, 100])
-@pytest.mark.parametrize("tolerance_kw", [1e-6, 1e9])  # penalty on, off
-def test_fitness_matches_written_out_reference_bit_for_bit(dim, tolerance_kw):
+def test_fitness_matches_written_out_reference_bit_for_bit(dim):
     costs = build_instance(ScenarioConfig(n_evs=dim, seed=70 + dim)).costs
-    penalty = PenaltyConfig(cap=10.0, tolerance_kw=tolerance_kw)
-    fitness = make_penalized_fitness(costs.ev, costs.agg, penalty, 0.0, 6.6)
+    fitness = make_penalized_fitness(costs.ev, costs.agg, 0.0, 6.6)
     rng = np.random.default_rng(dim)
     cases = [np.full(dim, 3.7), rng.uniform(0.0, 6.6, dim), rng.uniform(0.0, 6.6, (30, dim)),
              np.linspace(0.0, 6.6, dim)]  # the last spreads over the whole range
     for rates in cases:
-        want = penalized_fitness_reference(costs.ev, costs.agg, penalty, 0.0, 6.6, rates)
+        want = penalized_fitness_reference(costs.ev, costs.agg, 0.0, 6.6, rates)
         got = fitness(rates)
         assert np.shape(got) == np.shape(want)
         assert got.tobytes() == want.tobytes()
@@ -145,7 +133,7 @@ def one_dim():
     instance = build_instance(ScenarioConfig(n_evs=1, seed=33))
     costs = instance.costs
     oracle_rate, _ = grid_search_rate(costs.ev, costs.agg, 0.0, 6.6)
-    fitness = make_penalized_fitness(costs.ev, costs.agg, PEN, 0.0, 6.6)
+    fitness = make_penalized_fitness(costs.ev, costs.agg, 0.0, 6.6)
     return fitness, oracle_rate
 
 
@@ -198,7 +186,7 @@ def test_solver_argument_validation(one_dim):
 
 
 def test_solutions_respect_bounds(small):
-    fitness = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)
+    fitness = make_penalized_fitness(small.ev, small.agg, 0.0, 6.6)
     best_c, _ = cwoa_solve(8, fitness, m=10, k_max=40, seed=3)
     best_g, _ = gwo_solve(8, fitness, pack_size=10, k_max=40, seed=3)
     for vec in (best_c, best_g):
@@ -209,7 +197,7 @@ def test_solutions_respect_bounds(small):
 def test_solvers_hand_fitness_fresh_populations(small, solve, size):
     # the solvers keep per-solve buffers; no population they pass on may be
     # overwritten later, and the returned best must be a copy of its own
-    fitness = make_penalized_fitness(small.ev, small.agg, PEN, 0.0, 6.6)
+    fitness = make_penalized_fitness(small.ev, small.agg, 0.0, 6.6)
     seen = []
 
     def keeping(pop):
@@ -301,7 +289,7 @@ GRID_SEEDS = (0, 1)
 def fitness_by_dim():
     costs = {dim: build_instance(ScenarioConfig(n_evs=dim, seed=50 + dim)).costs
              for dim in GRID_DIMS}
-    return {dim: make_penalized_fitness(c.ev, c.agg, PEN, 0.0, 6.6) for dim, c in costs.items()}
+    return {dim: make_penalized_fitness(c.ev, c.agg, 0.0, 6.6) for dim, c in costs.items()}
 
 
 @pytest.mark.parametrize("dim", GRID_DIMS)

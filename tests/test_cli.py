@@ -143,13 +143,16 @@ def test_zero_width_rate_range_runs_in_every_verb(tmp_path, capsys):
         assert main([*args, "--config", str(path)]) == 0, capsys.readouterr().err
 
 
-def test_non_positive_spread_scale_exits_1_from_every_verb(tmp_path, capsys):
+def test_penalty_key_exits_1_from_every_verb(tmp_path, capsys):
+    # the baselines' penalty is a fixed rule: its former settings are unknown keys
     path = tmp_path / "bad.json"
-    for scale in (0.0, -1.0):
-        path.write_text(json.dumps({**SMALL, "penalty_spread_scale_kw": scale}))
+    for key, value in (("penalty_cap", 10.0), ("penalty_tolerance_kw", 1e-6),
+                       ("penalty_spread_scale_kw", None)):
+        path.write_text(json.dumps({**SMALL, key: value, "out_dir": str(tmp_path / "out")}))
         for verb in ("run", "sweep", "oracle", "compare"):
             assert main([verb, "--config", str(path)]) == 1
-            assert "penalty_spread_scale_kw" in capsys.readouterr().err
+            assert f"config error: unknown config key: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -93,7 +93,7 @@ def test_schema_version_checked():
         ({"price": -0.5}, "price"),
         ({"gen_a": 0.0}, "gen_a"),
         ({"alpha_range": [0.0, 0.1]}, "alpha_range"),
-        ({"penalty_cap": 0.0}, "penalty"),
+        ({"penalty_cap": 10.0}, "penalty"),  # unknown key since the penalty is fixed
         ({"soc_range": [0.8, 1.2]}, "fleet bounds"),
         ({"n_evs": "5"}, "n_evs"),
         ({"seed": 1.5}, "seed"),
@@ -108,18 +108,18 @@ def test_schema_version_checked():
         ({"gen_b": float("-inf")}, "gen_b: must be finite"),
         ({"omega": float("nan")}, "omega: must be finite"),
         ({"rate_max_kw": float("inf")}, "rate_max_kw: must be finite"),
-        ({"penalty_tolerance_kw": float("nan")}, "penalty_tolerance_kw: must be finite"),
+        ({"other_range": [-1.0, -0.5]}, "other_range: lower bound must be >= 0, got -1.0"),
         ({"soc_range": [float("nan"), 0.9]}, "soc_range: must be finite"),
         ({"capacity_range_kwh": [15.0, float("inf")]}, "capacity_range_kwh: must be finite"),
-        ({"penalty_spread_scale_kw": float("inf")}, "penalty_spread_scale_kw: must be finite"),
+        ({"other_range": [-0.5, 0.02]}, "other_range: lower bound must be >= 0, got -0.5"),
         ({"dt_h": 1e-300, "horizon_h": 1e10}, "horizon_h"),
         ({"dt_h": 1e-290, "horizon_h": 1e10}, "horizon_h"),  # 1e300 steps: finite, uncountable
         ({"dt_h": 1.0, "horizon_h": 2.0**53}, "horizon_h"),
         ({"capacity_range_kwh": [0.0, 0.0]}, "capacity_kwh: lower bound must be > 0"),
         ({"capacity_range_kwh": [-5.0, 30.0]}, "capacity_kwh: lower bound must be > 0"),
         ({"beta_range": [-1e308, 1e308]}, "beta_range: bounds .* too far apart"),
-        ({"penalty_spread_scale_kw": 0.0}, "penalty_spread_scale_kw must be None or > 0"),
-        ({"penalty_spread_scale_kw": -1.0}, "penalty_spread_scale_kw must be None or > 0"),
+        ({"dt_h": 1.0, "horizon_h": 0.4}, "horizon_h = 0.4 is not a whole number"),
+        ({"dt_h": 0.1, "horizon_h": 0.25}, "horizon_h = 0.25 is not a whole number"),
         ({"seed": -1}, "seed: "),
         ({"departures": [{"time_h": 0.3, "count": 2, "idz": [1]}]},
          r"departures\[0\]: unknown key 'idz'"),
@@ -344,9 +344,6 @@ def _valid_configs(draw):
         dt_h=dt_h,
         horizon_h=dt_h * draw(st.integers(1, 1000)),
         departures=tuple(draw(st.lists(departure, max_size=3))),
-        penalty_cap=draw(_finite(1e-6, 1e3)),
-        penalty_tolerance_kw=draw(_finite(0.0, 1e3)),
-        penalty_spread_scale_kw=draw(st.none() | _finite(1e-6, 1e3)),
         out_dir=draw(st.text(max_size=12)),
     )
 

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from v2gdispatch.baselines import PenaltyConfig, cwoa_solve, gwo_solve, make_penalized_fitness
+from v2gdispatch.baselines import cwoa_solve, gwo_solve, make_penalized_fitness
 from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.costs import grid_search_rate
 from v2gdispatch.fleet import sample_fleet
@@ -153,7 +153,7 @@ def test_baseline_solver_peak_is_bounded(solve, size, bound):
     # GWO holds its (3, 2, 30, 100) draws (141 KiB) and the (3, 30, 100)
     # pulls, CWOA its (30, 201) draws and four (30, 100) work arrays
     costs = build_instance(ScenarioConfig(n_evs=100)).costs
-    fitness = make_penalized_fitness(costs.ev, costs.agg, PenaltyConfig(), 0.0, 6.6)
+    fitness = make_penalized_fitness(costs.ev, costs.agg, 0.0, 6.6)
 
     def run():
         return solve(100, fitness, **{size: 30}, k_max=300, seed=0)

@@ -497,6 +497,21 @@ def test_scenario_validates_horizon(instance):
     assert instance.fleet.time_h == 0.0
 
 
+@pytest.mark.parametrize("dt_h, horizon_h", [(1.0, 0.4), (0.1, 0.25)])
+def test_scenario_refuses_a_horizon_of_no_whole_number_of_steps(instance, monkeypatch,
+                                                                dt_h, horizon_h):
+    # 0.4 steps and 2.5 steps would round to a horizon of 0 and of 2 steps
+    fleet = instance.fleet
+    before = [getattr(fleet, name).copy() for name in ("soc", "departed")]
+    monkeypatch.setattr(orchestrator, "run_optimization",
+                        lambda *args, **kwargs: pytest.fail("an epoch ran"))
+    with pytest.raises(ValueError, match=f"horizon_h = {horizon_h} is not a whole number"):
+        run_scenario(fleet, instance.costs, dt_h=dt_h, horizon_h=horizon_h)
+    assert fleet.time_h == 0.0
+    assert all(np.array_equal(getattr(fleet, name), col)
+               for name, col in zip(("soc", "departed"), before))
+
+
 def test_scenario_rides_through_full_depletion():
     cfg = ScenarioConfig(n_evs=3, seed=13, m_whales=2, k_max=15)
     instance = build_instance(cfg)
