@@ -148,8 +148,8 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
     if config.other_range[0] < 0.0:
         raise ConfigError(f"other_range: lower bound must be >= 0, got {config.other_range[0]}")
     _checked("", AggCostParams, config.gen_a, config.gen_b, config.gen_c, config.omega)
-    _checked("", check_run_settings, config.m_whales, config.k_max, config.topology_policy,
-             config.unit_bits)
+    _checked("", check_run_settings, config.n_evs, config.m_whales, config.k_max,
+             config.topology_policy, config.unit_bits)
     _checked("", step_count, config.dt_h, config.horizon_h)
     for i, spec in enumerate(config.departures):
         if not isinstance(spec, dict) or "time_h" not in spec:

@@ -69,14 +69,23 @@ from .topology import POLICIES, build_topology
 # time is a step index; from 2**53 steps on, float64 cannot tell consecutive
 # step times (nor step counts) apart
 MAX_STEPS = 2**53
+# an epoch holds about 105 bytes per cell of its (N+1) x M matrix (the cost,
+# wire and mask arrays), so 2**27 cells is some 14 GB: past it, numpy's failed
+# allocation would name no setting. 10**5 EVs at 10 candidates are 10**6 cells.
+MAX_CELLS = 2**27
 
 
-def check_run_settings(m_whales: int, k_max: int, topology_policy: str, unit_bits: int) -> None:
+def check_run_settings(n_evs: int, m_whales: int, k_max: int, topology_policy: str,
+                       unit_bits: int) -> None:
     """Raise ValueError, naming the setting, unless ``m_whales`` >= 1,
-    ``k_max`` >= 0, ``unit_bits`` lies in [8, 48] and ``topology_policy``
-    is one of ``topology.POLICIES``."""
+    ``(n_evs + 1) * m_whales`` <= ``MAX_CELLS``, ``k_max`` >= 0,
+    ``unit_bits`` lies in [8, 48] and ``topology_policy`` is one of
+    ``topology.POLICIES``; ``n_evs`` is the fleet's size."""
     if m_whales < 1:
         raise ValueError(f"m_whales must be >= 1, got {m_whales}")
+    if m_whales > MAX_CELLS // (n_evs + 1):
+        raise ValueError(f"(n_evs + 1) * m_whales must be <= 2**27 cost cells, got "
+                         f"n_evs = {n_evs}, m_whales = {m_whales}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if not 8 <= unit_bits <= 48:
@@ -176,11 +185,12 @@ def run_optimization(
     counters count the cost values actually scored. The pool moves only
     between evaluations: ``max(k_max, 1)`` evaluations, so ``k_max`` = 0
     scores the initial pool once and never moves it. Before it reads the
-    fleet, it raises ValueError for ``m_whales`` < 1, ``k_max`` < 0,
-    ``unit_bits`` outside [8, 48] or a ``topology_policy`` not in
-    ``topology.POLICIES`` (``check_run_settings``).
+    fleet's availability, it raises ValueError for ``m_whales`` < 1, more
+    than ``MAX_CELLS`` cells in a (``len(fleet)`` + 1) x ``m_whales``
+    matrix, ``k_max`` < 0, ``unit_bits`` outside [8, 48] or a
+    ``topology_policy`` not in ``topology.POLICIES`` (``check_run_settings``).
     """
-    check_run_settings(m_whales, k_max, topology_policy, unit_bits)
+    check_run_settings(len(fleet), m_whales, k_max, topology_policy, unit_bits)
     record = RunRecord()
     avail = available_ids(fleet)
     if not avail:
@@ -254,9 +264,10 @@ def run_scenario(
     it raises ValueError for a ``dt_h`` or ``horizon_h`` that is not finite
     and > 0, for 2**53 or more steps or a horizon that is no whole number of
     steps (``step_count``), and for the solver settings that
-    ``run_optimization`` refuses (``check_run_settings``).
+    ``run_optimization`` refuses (``check_run_settings``), a pool too large
+    for the whole fleet among them.
     """
-    check_run_settings(m_whales, k_max, topology_policy, unit_bits)
+    check_run_settings(len(fleet), m_whales, k_max, topology_policy, unit_bits)
     n_steps = step_count(dt_h, horizon_h)
     pending = []  # (step, ids), resolved once; compared with the step index
     for event in events:

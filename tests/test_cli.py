@@ -6,7 +6,7 @@ import pytest
 
 from v2gdispatch.cli import build_parser, main
 from v2gdispatch.harness import SWEEPABLE
-from v2gdispatch.records import import_run
+from v2gdispatch.records import export_run, import_run
 
 SMALL = {
     "n_evs": 6,
@@ -132,6 +132,7 @@ def test_compare_counts_a_tie_in_the_last_bits_as_holding(tmp_path, capsys):
                                 "k_max": 5, "horizon_h": 0.2, "out_dir": str(tmp_path)}))
     assert main(["compare", "--config", str(path), "--seeds", "3"]) == 0
     assert "decentralized <= cwoa <= gwo on 3/3 seeds" in capsys.readouterr().out
+    assert len((tmp_path / "compare.csv").read_text().splitlines()) == 4
 
 
 def test_zero_width_rate_range_runs_in_every_verb(tmp_path, capsys):
@@ -153,6 +154,40 @@ def test_penalty_key_exits_1_from_every_verb(tmp_path, capsys):
             assert main([verb, "--config", str(path)]) == 1
             assert f"config error: unknown config key: {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# reports that could pass 2**63 units in a column
+WIRE = {"n_evs": 16, "seed": 5, "m_whales": 4, "k_max": 5, "gen_c": 3000.0, "unit_bits": 48,
+        "other_range": [2000.0, 2001.0], "horizon_h": 0.2}
+
+
+# a CLI check that a refused input exits by its code and names its cause is a row here
+@pytest.mark.parametrize("verb, cfg, code, word", [
+    (["run"], {"seed": -1}, 1, "seed"),
+    (["run"], {"departures": [{"time_h": 0.3, "count": 2, "idz": [1]}]}, 1, "idz"),
+    (["run"], {"other_range": [-1.0, -0.5]}, 1, "other_range"),
+    (["run"], WIRE, 2, "int64 wire"),
+    (["sweep", "--param", "m_whales", f"--values={2**60}", "--runs", "2"], {"n_evs": 5}, 2,
+     "m_whales"),
+], ids=["negative-seed", "departure-key", "other_range", "int64-wire", "sweep-whale-count"])
+def test_refusal_exits_by_its_code_names_its_cause_and_writes_nothing(tmp_path, capsys, verb,
+                                                                       cfg, code, word):
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(cfg))
+    assert main([*verb, "--config", str(path), "--out", str(out)]) == code
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_departed_fleet_writes_no_flag_line_and_its_trace_round_trips(tmp_path):
+    # the whole fleet departs, and its empty epoch adds no line
+    path, out, again = tmp_path / "gone.json", tmp_path / "gone.csv", tmp_path / "again.csv"
+    path.write_text(json.dumps({"n_evs": 6, "k_max": 5, "horizon_h": 0.6,
+                                "departures": [{"time_h": 0.3, "count": 6}]}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert not any(line.startswith("flag,") for line in out.read_text().splitlines())
+    export_run(import_run(out), again)
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

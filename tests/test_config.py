@@ -123,6 +123,8 @@ def test_schema_version_checked():
         ({"seed": -1}, "seed: "),
         ({"departures": [{"time_h": 0.3, "count": 2, "idz": [1]}]},
          r"departures\[0\]: unknown key 'idz'"),
+        ({"n_evs": 5, "m_whales": 2**60}, "m_whales"),
+        ({"n_evs": 10**15}, "n_evs"),
     ],
 )
 def test_validation_names_offending_key(data, key):

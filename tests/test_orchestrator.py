@@ -227,7 +227,7 @@ def test_negative_k_max_raises(instance):
 
 @pytest.mark.parametrize("setting, value", [
     ("m_whales", -3), ("m_whales", 0), ("k_max", -1), ("unit_bits", -1), ("unit_bits", 7),
-    ("unit_bits", 49), ("topology_policy", "mesh"),
+    ("unit_bits", 49), ("topology_policy", "mesh"), ("m_whales", 2**60),
 ])
 def test_run_settings_refused_before_the_fleet_is_read(instance, monkeypatch, setting, value):
     def unread(*args):
@@ -241,7 +241,8 @@ def test_run_settings_refused_before_the_fleet_is_read(instance, monkeypatch, se
     assert instance.fleet.time_h == 0.0
 
 
-@pytest.mark.parametrize("setting, value", [("m_whales", 0), ("topology_policy", "mesh")])
+@pytest.mark.parametrize("setting, value", [("m_whales", 0), ("topology_policy", "mesh"),
+                                            ("m_whales", 2**60)])
 def test_run_settings_refused_on_an_empty_fleet(instance, setting, value):
     for ev in instance.fleet.evs:
         ev.departed = True
