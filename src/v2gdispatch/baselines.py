@@ -68,8 +68,8 @@ def make_penalized_fitness(
     The spread of each row is graded by the width of the search range
     [lower, upper]; raises ValueError unless lower <= upper.
     """
-    alpha, beta, gamma, other, price = ev_params.columns()
-    linear = beta - price
+    alpha, beta, gamma, other = ev_params.columns()
+    linear = beta - ev_params.price
     const = (gamma + other).sum()
     eta = ev_params.eta
     scale = upper - lower

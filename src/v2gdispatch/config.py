@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -71,14 +71,9 @@ class ScenarioConfig:
     out_dir: str = "runs"
 
     def fleet_distributions(self) -> FleetDistributions:
-        return FleetDistributions(
-            soc=self.soc_range,
-            soc_min=self.soc_min_range,
-            capacity_kwh=self.capacity_range_kwh,
-            eta=self.eta_range,
-            rate_min_kw=self.rate_min_kw,
-            rate_max_kw=self.rate_max_kw,
-        )
+        """The fleet's sampling bounds: the keys of the same names."""
+        return FleetDistributions(**{f.name: getattr(self, f.name)
+                                     for f in fields(FleetDistributions)})
 
     def solver_kwargs(self) -> dict:
         """The five solver settings, as keywords of ``run_optimization`` and
@@ -140,7 +135,7 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(f"{key}: inverted bounds ({lo}, {hi})")
         if not math.isfinite(hi - lo):
             raise ConfigError(f"{key}: bounds ({lo}, {hi}) too far apart to sample between")
-    _checked("fleet bounds: ", config.fleet_distributions)
+    _checked("", config.fleet_distributions)
     if config.price < 0.0:
         raise ConfigError(f"price: must be >= 0, got {config.price}")
     if config.alpha_range[0] <= 0.0:

@@ -20,28 +20,25 @@ common rate ``r`` it needs only D = eta_sum * r and R = n * r.
 ``agg_consensus_cost`` and the centralized baselines' fitness both call it.
 ``CostMatrix`` computes the same operations in place, so the per-iteration
 path allocates nothing: at a common rate the generation term is the EV
-formula ``f`` at D with coefficients (gen_a, gen_b, gen_c, 0, 0), so the
-aggregator is row 0 of the matrix operations every EV row runs, and only
-its utility term is computed apart.
+formula ``f`` at D with coefficients (gen_a, gen_b, gen_c, 0) and no revenue,
+so the aggregator is row 0 of the matrix operations every EV row runs, and
+only its utility term is computed apart.
 
 Both models support scalar rates or numpy arrays of rates elementwise.
-Per-EV coefficients are held only as columns, one row per EV
-(``EvCostTable``), so every agent's cost at every candidate rate is a few
-broadcast operations into one matrix (``CostMatrix``). The one-EV and
-per-EV-rate aggregator formulas above live in the tests, as references the
-column forms are checked against.
+Per-EV coefficients are held only as columns, one row per EV, beside the one
+price all EVs sell at (``EvCostTable``), so every agent's cost at every
+candidate rate is a few broadcast operations into one matrix (``CostMatrix``).
+The one-EV and per-EV-rate aggregator formulas above live in the tests, as
+references the column forms are checked against.
 
 The ground-truth oracle ``grid_search_rate`` evaluates ``consensus_objective``
 on a uniform grid of common rates, ``_GRID_BLOCK`` points at a time; per
-block, each EV's cost is computed in place into two buffers and added into
-the running total. The revenue row ``price * rate`` sits in a third buffer
-and is computed once per run of consecutive EVs with the same price, so a
-fleet with one price (every ``build_instance`` fleet) computes it once per
-block, and each EV takes 8 passes over the block instead of 9. Its working
-memory is the grid plus a few 128 KiB buffers (the total, these three and
-the aggregator's temporaries), 1.39 MB traced on the default 66 001-point
-grid, at any N. Every value is bit for bit what one pass over the whole
-grid gives.
+block, the revenue row ``price * rate`` is computed once (every EV sells at
+the one price) and each EV's cost is computed in place into two buffers and
+added into the running total. Its working memory is the grid plus a few
+128 KiB buffers (the total, these three and the aggregator's temporaries),
+1.39 MB traced on the default 66 001-point grid, at any N. Every value is
+bit for bit what one pass over the whole grid gives.
 """
 
 from __future__ import annotations
@@ -124,35 +121,38 @@ class CostMatrix:
     Row 0 is the aggregator's ``agg_consensus_cost`` and rows 1..N the net
     costs ``f`` of the EVs of ``ev`` in order, bit for bit: the same
     elementwise operations in the same order. Row 0 runs the EV operations
-    on the delivered power with the coefficients (gen_a, gen_b, gen_c, 0,
-    0): ``gen_a > 0`` and D >= 0 keep the sum before ``+ 0.0`` from being
-    -0.0, so adding 0 and subtracting ``0.0 * D`` change no bit. Then its
-    utility term is subtracted. What is fixed across calls is set up once:
-    the coefficients spread to (N+1, M) arrays (contiguous operands keep
-    each operation one flat loop rather than N short broadcast ones), the
-    aggregator's utility constants and the (N+1) x M output. Each call
-    refills and returns the same ``values`` array. Rates must be >= 0,
-    which is not checked per call.
+    on the delivered power with the coefficients (gen_a, gen_b, gen_c, 0):
+    ``gen_a > 0`` and D >= 0 keep the sum before ``+ 0.0`` from being -0.0,
+    so adding 0 changes no bit. Only rows 1..N subtract the revenue ``price
+    * rate``; row 0 subtracts its utility term. What is fixed across calls
+    is set up once: the four coefficients spread to (N+1, M) arrays
+    (contiguous operands keep each operation one flat loop rather than N
+    short broadcast ones), the aggregator's utility constants, the (N+1) x M
+    output and the EV rows' views. Each call refills and returns the same
+    ``values`` array. Rates must be >= 0, which is not checked per call.
     """
 
-    __slots__ = ("values", "_coefficients", "_utility", "_rates", "_work")
+    __slots__ = ("values", "_coefficients", "_price", "_utility", "_rates", "_work", "_ev_rows")
 
     def __init__(self, ev: "EvCostTable", agg: AggCostParams, m: int):
         shape = (len(ev) + 1, m)
-        generation = (agg.gen_a, agg.gen_b, agg.gen_c, 0.0, 0.0)
+        generation = (agg.gen_a, agg.gen_b, agg.gen_c, 0.0)
         self._coefficients = tuple(np.repeat(np.concatenate(([a], column))[:, None], m, axis=1)
                                    for a, column in zip(generation, ev.columns()))
+        self._price = ev.price
         self._utility = (ev.eta_sum, len(ev), agg.omega)
         self.values = np.empty(shape)
         self._rates = np.empty(shape)
         self._work = np.empty(shape)
+        self._ev_rows = (self.values[1:], self._rates[1:], self._work[1:])
 
     def __call__(self, rates: np.ndarray) -> np.ndarray:
         eta_sum, n, omega = self._utility
-        alpha, beta, gamma, other, price = self._coefficients
+        alpha, beta, gamma, other = self._coefficients
         values, tiled, work = self.values, self._rates, self._work
+        ev_values, ev_rates, ev_work = self._ev_rows
         np.multiply(eta_sum, rates, out=tiled[0])  # the delivered power D
-        tiled[1:] = rates
+        ev_rates[...] = rates
         # _ev_cost, every row at once; row 0 is the generation term
         np.multiply(alpha, tiled, out=values)
         values *= tiled
@@ -160,8 +160,8 @@ class CostMatrix:
         values += work
         values += gamma
         values += other
-        np.multiply(price, tiled, out=work)
-        values -= work
+        np.multiply(self._price, ev_rates, out=ev_work)
+        ev_values -= ev_work
         # the aggregator's utility term, as agg_cost_of_power has it
         utility = work[0]
         np.multiply(n, rates, out=utility)
@@ -175,40 +175,42 @@ class CostMatrix:
         """A bound on every column's sum of |values| at rates in [0, ``upper``].
 
         A row's value is a sum of terms, each of a magnitude that does not
-        decrease in the rate r >= 0: alpha*r^2, |beta|*r, |gamma|, other and
-        price*r, at D = eta_sum * r on row 0, whose utility term adds
-        omega*log(N*r + 1). By the triangle inequality each row's |value| is
-        at most its terms' magnitudes at ``upper``, summed here over the
-        rows in O(N). NaN when a coefficient is.
+        decrease in the rate r >= 0: alpha*r^2, |beta|*r, |gamma|, other and,
+        on the EV rows, price*r; row 0 takes them at D = eta_sum * r, and its
+        utility term adds omega*log(N*r + 1). By the triangle inequality each
+        row's |value| is at most its terms' magnitudes at ``upper``, summed
+        here over the rows in O(N). NaN when a coefficient is.
         """
         eta_sum, n, omega = self._utility
-        alpha, beta, gamma, other, price = (c[:, 0] for c in self._coefficients)
+        alpha, beta, gamma, other = (c[:, 0] for c in self._coefficients)
         rates = np.full(alpha.shape, upper)
         rates[0] = eta_sum * upper
+        price = np.concatenate(([0.0], np.full(n, self._price)))  # the aggregator sells nothing
         magnitudes = (alpha * rates + np.abs(beta) + price) * rates + np.abs(gamma) + other
         return float(magnitudes.sum()) + omega * math.log(n * upper + 1.0)
 
 
-_EV_COST_FIELDS = ("alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price")
+_EV_COST_FIELDS = ("alpha_deg", "beta_deg", "gamma_deg", "other_ops")
 _EV_FIELDS = _EV_COST_FIELDS + ("eta",)
 
 
 class EvCostTable:
-    """Per-EV cost coefficients and efficiencies as numpy columns, one row per EV.
+    """Per-EV cost coefficients and efficiencies as numpy columns, one row per
+    EV, and the one price every EV sells at.
 
     Columns, in order, all finite: ``alpha_deg`` (currency/kW^2, > 0: convex
     degradation), ``beta_deg`` (currency/kW), ``gamma_deg`` (currency),
-    ``other_ops`` (currency, >= 0, lumped non-degradation operating cost),
-    ``price`` (currency/kW, >= 0, fixed for the whole pricing period) and
-    ``eta`` (DC-to-AC efficiency, in (0, 1]). ``eta_sum`` is the
+    ``other_ops`` (currency, >= 0, lumped non-degradation operating cost) and
+    ``eta`` (DC-to-AC efficiency, in (0, 1]). ``price`` (currency/kW) is one
+    finite float >= 0, fixed for the whole pricing period. ``eta_sum`` is the
     ``left_to_right_sum`` of ``eta``, the only efficiency figure the
     aggregator's cost reads. ``take`` gives the sub-table of some EVs.
     """
 
-    __slots__ = _EV_FIELDS + ("eta_sum",)
+    __slots__ = _EV_FIELDS + ("price", "eta_sum")
 
     def __init__(self, alpha_deg, beta_deg, gamma_deg, other_ops, price, eta):
-        columns = (alpha_deg, beta_deg, gamma_deg, other_ops, price, eta)
+        columns = (alpha_deg, beta_deg, gamma_deg, other_ops, eta)
         for name, column in zip(_EV_FIELDS, columns):
             setattr(self, name, np.array(column, dtype=float).reshape(-1))
         if len({len(getattr(self, name)) for name in _EV_FIELDS}) != 1:
@@ -220,8 +222,9 @@ class EvCostTable:
             raise ValueError("alpha_deg must be > 0")
         if not np.all(self.other_ops >= 0.0):
             raise ValueError("other_ops must be >= 0")
-        if not np.all(self.price >= 0.0):
-            raise ValueError("price must be >= 0")
+        if np.ndim(price) or not 0.0 <= price < math.inf:
+            raise ValueError(f"price must be one finite number >= 0 for every EV, got {price!r}")
+        self.price = float(price)
         bad = np.flatnonzero(~((self.eta > 0.0) & (self.eta <= 1.0)))
         if bad.size:
             i = int(bad[0])
@@ -229,7 +232,7 @@ class EvCostTable:
         self.eta_sum = left_to_right_sum(self.eta)
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        """(alpha_deg, beta_deg, gamma_deg, other_ops, price), one entry per EV."""
+        """(alpha_deg, beta_deg, gamma_deg, other_ops), one entry per EV."""
         return tuple(getattr(self, name) for name in _EV_COST_FIELDS)
 
     def take(self, ids) -> "EvCostTable":
@@ -238,6 +241,7 @@ class EvCostTable:
         table = EvCostTable.__new__(EvCostTable)
         for name in _EV_FIELDS:
             setattr(table, name, getattr(self, name)[ids])
+        table.price = self.price
         table.eta_sum = left_to_right_sum(table.eta)
         return table
 
@@ -247,8 +251,8 @@ class EvCostTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvCostTable):
             return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in _EV_FIELDS)
+        return self.price == other.price and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _EV_FIELDS)
 
     __hash__ = None
 
@@ -271,35 +275,28 @@ def consensus_objective(rate, ev: EvCostTable, agg: AggCostParams):
     """Total net cost when all EVs share one common rate (scalar or array).
 
     The aggregator's cost, then each EV's in order, added one at a time.
-    For an array of rates each EV's cost is ``_ev_cost``'s operations run in
-    place, in its order, into buffers the size of ``rate``, and added into
-    the running total; no other array is made per EV. The revenue row
-    ``price * rate`` is computed again only when an EV's price differs in
-    its float64 bits from the EV's before it (so 0.0 and -0.0 are told
-    apart), which leaves every product, and so every value, as it was. A
-    scalar rate takes ``_ev_cost`` itself on Python floats: the same bits,
-    and at N = 1 000 about 1 ms where the in-place loop on a 0-d array
-    takes 16.
+    For an array of rates the revenue row ``price * rate`` is computed once
+    for all EVs, and each EV's cost is ``_ev_cost``'s operations run in
+    place, in its order, into two buffers the size of ``rate`` and added into
+    the running total; no other array is made per EV. A scalar rate takes
+    ``_ev_cost`` itself on Python floats: the same bits, and at N = 1 000
+    about 1 ms where the in-place loop on a 0-d array takes 16.
     """
     total = agg_consensus_cost(rate, ev, agg)
     rows = zip(*(column.tolist() for column in ev.columns()))
     if np.ndim(rate) == 0:
         for row in rows:
-            total = total + _ev_cost(rate, *row)
+            total = total + _ev_cost(rate, *row, ev.price)
         return total
-    cost, work, revenue = np.empty_like(total), np.empty_like(total), np.empty_like(total)
-    revenue_price = None  # the bits of the price whose product ``revenue`` holds
-    price_bits = ev.price.view(np.uint64).tolist()
-    for (alpha, beta, gamma, other, price), bits in zip(rows, price_bits):
+    revenue = ev.price * rate
+    cost, work = np.empty_like(total), np.empty_like(total)
+    for alpha, beta, gamma, other in rows:
         np.multiply(alpha, rate, out=cost)
         cost *= rate
         np.multiply(beta, rate, out=work)
         cost += work
         cost += gamma
         cost += other
-        if bits != revenue_price:
-            np.multiply(price, rate, out=revenue)
-            revenue_price = bits
         cost -= revenue
         total += cost
     return total
@@ -399,4 +396,4 @@ def sample_ev_cost_params(
     bounds = (alpha_range, beta_range, gamma_range, other_range)
     draws = rng.random((n, len(bounds))).T  # draws[k]: every EV's draw for bounds[k]
     alpha, beta, gamma, other = (lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws))
-    return EvCostTable(alpha, beta, gamma, other, np.full(n, price), eta)
+    return EvCostTable(alpha, beta, gamma, other, price, eta)

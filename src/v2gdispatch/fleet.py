@@ -30,30 +30,33 @@ _FLOAT_FIELDS = ("capacity_kwh", "soc", "soc_min", "rate_min_kw", "rate_max_kw",
 
 @dataclass(frozen=True)
 class FleetDistributions:
-    """Sampling bounds for a fleet; defaults model commuter EVs on AC level-2."""
+    """Sampling bounds for a fleet, named as the config's keys; defaults model
+    commuter EVs on AC level-2."""
 
-    soc: tuple[float, float] = (0.8, 0.9)
-    soc_min: tuple[float, float] = (0.1, 0.2)
-    capacity_kwh: tuple[float, float] = (15.0, 30.0)
-    eta: tuple[float, float] = (0.85, 0.95)
+    soc_range: tuple[float, float] = (0.8, 0.9)
+    soc_min_range: tuple[float, float] = (0.1, 0.2)
+    capacity_range_kwh: tuple[float, float] = (15.0, 30.0)
+    eta_range: tuple[float, float] = (0.85, 0.95)
     rate_min_kw: float = 0.0
     rate_max_kw: float = 6.6
 
     def __post_init__(self) -> None:
-        for name in ("soc", "soc_min", "capacity_kwh", "eta"):
+        for name in ("soc_range", "soc_min_range", "capacity_range_kwh", "eta_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name}: inverted bounds ({lo}, {hi})")
-        if not self.capacity_kwh[0] > 0.0:
-            raise ValueError(f"capacity_kwh: lower bound must be > 0, got {self.capacity_kwh}")
-        if not 0.0 <= self.soc_min[0] <= self.soc_min[1] <= self.soc[0]:
-            raise ValueError("soc_min range must sit below the soc range in [0, 1]")
-        if self.soc[1] > 1.0:
-            raise ValueError("soc upper bound must be <= 1")
-        if not 0.0 < self.eta[0] <= self.eta[1] <= 1.0:
-            raise ValueError("eta bounds must lie in (0, 1]")
+        if not self.capacity_range_kwh[0] > 0.0:
+            raise ValueError("capacity_range_kwh: lower bound must be > 0, got "
+                             f"{self.capacity_range_kwh[0]}")
+        if not 0.0 <= self.soc_min_range[0] <= self.soc_min_range[1] <= self.soc_range[0]:
+            raise ValueError(f"soc_min_range: {self.soc_min_range} must lie in [0, "
+                             f"soc_range[0] = {self.soc_range[0]}]")
+        if self.soc_range[1] > 1.0:
+            raise ValueError(f"soc_range: upper bound must be <= 1, got {self.soc_range[1]}")
+        if not 0.0 < self.eta_range[0] <= self.eta_range[1] <= 1.0:
+            raise ValueError(f"eta_range: bounds {self.eta_range} must lie in (0, 1]")
         if not 0.0 <= self.rate_min_kw <= self.rate_max_kw:
-            raise ValueError("need 0 <= rate_min_kw <= rate_max_kw")
+            raise ValueError(f"rate_min_kw: {self.rate_min_kw} must lie in [0, rate_max_kw]")
 
 
 def _column(name: str, kind=float) -> property:
@@ -153,7 +156,7 @@ def sample_fleet(n: int, rng, dist: FleetDistributions = FleetDistributions()) -
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(rng)
-    bounds = (dist.capacity_kwh, dist.soc, dist.soc_min, dist.eta)
+    bounds = (dist.capacity_range_kwh, dist.soc_range, dist.soc_min_range, dist.eta_range)
     draws = rng.random((n, len(bounds))).T  # draws[k]: every EV's draw for bounds[k]
     capacity, soc, soc_min, eta = (lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws))
     return Fleet(
@@ -170,14 +173,15 @@ def available_ids(fleet: Fleet) -> list[int]:
 
 def common_rate_bounds(fleet: Fleet, ids) -> tuple[float, float]:
     """Intersection of the given EVs' rate limits: (max rate_min, min rate_max);
-    ValueError ``no common feasible rate`` when it is empty and ``discharge
-    rate must be >= 0`` when it reaches below 0."""
+    ValueError, naming the bound, when it is empty, below 0 or unbounded."""
     ids = np.asarray(ids, dtype=np.intp)
     lower, upper = float(fleet.rate_min_kw[ids].max()), float(fleet.rate_max_kw[ids].min())
     if lower > upper:
         raise ValueError(f"no common feasible rate: [{lower}, {upper}]")
     if lower < 0.0:
         raise ValueError(f"discharge rate must be >= 0, got a lower bound of {lower}")
+    if not upper < math.inf:
+        raise ValueError(f"common rate bounds must be finite, got an upper bound of {upper}")
     return lower, upper
 
 

@@ -16,8 +16,8 @@ exact int64 matvec). The ECN selects on the float totals, as a list that
 can differ yet map to one float, and the tie then goes to the lower index.
 
 What an epoch fixes is set up once, before its iterations:
-- the cost coefficients spread to (N+1) x M arrays, the aggregator's row 0
-  among them, and the (N+1) x M cost buffer (``costs.CostMatrix``);
+- the four cost coefficients spread to (N+1) x M arrays, the aggregator's
+  row 0 among them, and the (N+1) x M cost buffer (``costs.CostMatrix``);
 - the int64 wire's bound: the sum over rows of each row's cost terms at
   the upper rate bound, with room for rounding; the epoch is refused up
   front unless it is below 2**63, so no iteration checks its units again;
@@ -69,9 +69,10 @@ from .topology import POLICIES, build_topology
 # time is a step index; from 2**53 steps on, float64 cannot tell consecutive
 # step times (nor step counts) apart
 MAX_STEPS = 2**53
-# an epoch holds about 105 bytes per cell of its (N+1) x M matrix (the cost,
-# wire and mask arrays), so 2**27 cells is some 14 GB: past it, numpy's failed
-# allocation would name no setting. 10**5 EVs at 10 candidates are 10**6 cells.
+# an epoch peaks at about 97 bytes per cell of its (N+1) x M matrix (the cost,
+# wire and mask arrays, by tracemalloc), so 2**27 cells is some 13 GB: past it,
+# numpy's failed allocation would name no setting. 10**5 EVs at 10 candidates
+# are 10**6 cells.
 MAX_CELLS = 2**27
 
 

@@ -67,15 +67,15 @@ class StepRow:
 
 
 class IterationSegment:
-    """Iterations k0, k0 + 1, ... of one epoch at one fleet size, as columns.
+    """Iterations 0, 1, ... of one epoch at one fleet size, as columns.
 
     Starts empty; ``append`` is the only way an iteration enters a record.
     """
 
-    __slots__ = ("epoch", "n_available", "k0", "selected_index", "best_rate_kw", "best_total_cost")
+    __slots__ = ("epoch", "n_available", "selected_index", "best_rate_kw", "best_total_cost")
 
-    def __init__(self, epoch: int, n_available: int, k0: int = 0):
-        self.epoch, self.n_available, self.k0 = epoch, n_available, k0
+    def __init__(self, epoch: int, n_available: int):
+        self.epoch, self.n_available = epoch, n_available
         self.selected_index = array("i")  # a candidate index
         self.best_rate_kw = array("d")
         self.best_total_cost = array("d")
@@ -89,7 +89,7 @@ class IterationSegment:
         return len(self.selected_index)
 
     def row(self, j: int) -> IterationRow:
-        return IterationRow(self.epoch, self.k0 + j, self.selected_index[j],
+        return IterationRow(self.epoch, j, self.selected_index[j],
                             self.best_rate_kw[j], self.best_total_cost[j], self.n_available)
 
 
@@ -240,10 +240,8 @@ def export_run(record: RunRecord, path) -> None:
         write = fh.write
         write(f"{FORMAT_TAG}\n{HEADER}\n")
         for seg in record.iterations.segments:
-            for k, selected, rate, total in zip(
-                range(seg.k0, seg.k0 + len(seg)), seg.selected_index, seg.best_rate_kw,
-                seg.best_total_cost,
-            ):
+            for k, (selected, rate, total) in enumerate(zip(
+                    seg.selected_index, seg.best_rate_kw, seg.best_total_cost)):
                 write(f"iter,{seg.epoch},{k},{selected},{rate!r},{total!r},{seg.n_available},,,,,\n")
         steps = record.steps
         texts = last = None  # each EV's SOC text as last written, and its float64 bits
@@ -265,9 +263,10 @@ def import_run(path) -> RunRecord:
     splits them. A line that does not parse, a row kind other than ``iter``
     and ``step``, a filled column that is not its kind's (an ``iter`` line
     fills only epoch to available, a ``step`` line only time_h to soc), a
-    step whose SOC width differs from the first step's, or an iteration
-    after a step (an order ``export_run`` never writes) raises ValueError
-    naming ``path:lineno``.
+    step whose SOC width differs from the first step's, or an order
+    ``export_run`` never writes (an iteration after a step, or an iteration
+    k > 0 that is not the next of the row before's epoch and available
+    count) raises ValueError naming ``path:lineno``.
     """
     record = RunRecord()
     segment = None  # the segment the next iteration row may continue
@@ -296,8 +295,10 @@ def import_run(path) -> RunRecord:
                         raise ValueError("iter line after a step line")
                     epoch, k, n_available = int(fields[1]), int(fields[2]), int(fields[6])
                     if segment is None or (segment.epoch, segment.n_available,
-                                           segment.k0 + len(segment)) != (epoch, n_available, k):
-                        segment = IterationSegment(epoch, n_available, k)
+                                           len(segment)) != (epoch, n_available, k):
+                        if k:
+                            raise ValueError(f"iteration {k} follows no iteration {k - 1}")
+                        segment = IterationSegment(epoch, n_available)
                         record.iterations.segments.append(segment)
                     segment.append(int(fields[3]), float(fields[4]), float(fields[5]))
                 else:

@@ -89,9 +89,9 @@ def test_batch_matches_single_rows(small):
 def objective_reference(ev, agg, rates):
     """The EV and aggregator costs of each row, the aggregator term written
     out in full."""
-    alpha, beta, gamma, other, price = ev.columns()
+    alpha, beta, gamma, other = ev.columns()
     pop = np.atleast_2d(np.asarray(rates, dtype=float))
-    ev_cost = (pop * pop) @ alpha + pop @ (beta - price) + (gamma + other).sum()
+    ev_cost = (pop * pop) @ alpha + pop @ (beta - ev.price) + (gamma + other).sum()
     delivered = pop @ ev.eta
     raw = pop.sum(axis=1)
     agg_cost = (

@@ -217,7 +217,7 @@ def test_zero_capacity_range_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**SMALL, "capacity_range_kwh": [0.0, 0.0]}))
     assert main(["run", "--config", str(path)]) == 1
-    assert "capacity_kwh: lower bound must be > 0, got (0.0, 0.0)" in capsys.readouterr().err
+    assert "capacity_range_kwh: lower bound must be > 0, got 0.0" in capsys.readouterr().err
 
 
 def test_non_finite_config_value_exits_1(tmp_path, capsys):

@@ -94,7 +94,10 @@ def test_schema_version_checked():
         ({"gen_a": 0.0}, "gen_a"),
         ({"alpha_range": [0.0, 0.1]}, "alpha_range"),
         ({"penalty_cap": 10.0}, "penalty"),  # unknown key since the penalty is fixed
-        ({"soc_range": [0.8, 1.2]}, "fleet bounds"),
+        # the ids of this and the two capacity rows are from before the
+        # fleet's range errors named their config key
+        pytest.param({"soc_range": [0.8, 1.2]}, r"^soc_range: upper bound must be <= 1, got 1\.2$",
+                     id="data11-fleet bounds"),
         ({"n_evs": "5"}, "n_evs"),
         ({"seed": 1.5}, "seed"),
         ({"shuffle_enabled": "no"}, "shuffle_enabled"),
@@ -115,8 +118,12 @@ def test_schema_version_checked():
         ({"dt_h": 1e-300, "horizon_h": 1e10}, "horizon_h"),
         ({"dt_h": 1e-290, "horizon_h": 1e10}, "horizon_h"),  # 1e300 steps: finite, uncountable
         ({"dt_h": 1.0, "horizon_h": 2.0**53}, "horizon_h"),
-        ({"capacity_range_kwh": [0.0, 0.0]}, "capacity_kwh: lower bound must be > 0"),
-        ({"capacity_range_kwh": [-5.0, 30.0]}, "capacity_kwh: lower bound must be > 0"),
+        pytest.param({"capacity_range_kwh": [0.0, 0.0]},
+                     r"^capacity_range_kwh: lower bound must be > 0, got 0\.0$",
+                     id="data32-capacity_kwh: lower bound must be > 0"),
+        pytest.param({"capacity_range_kwh": [-5.0, 30.0]},
+                     r"^capacity_range_kwh: lower bound must be > 0, got -5\.0$",
+                     id="data33-capacity_kwh: lower bound must be > 0"),
         ({"beta_range": [-1e308, 1e308]}, "beta_range: bounds .* too far apart"),
         ({"dt_h": 1.0, "horizon_h": 0.4}, "horizon_h = 0.4 is not a whole number"),
         ({"dt_h": 0.1, "horizon_h": 0.25}, "horizon_h = 0.25 is not a whole number"),

@@ -52,8 +52,9 @@ def agg_net_cost(rates, eta, params: AggCostParams):
 
 
 def rows(ev: EvCostTable):
-    """Each EV's coefficient row, as Python floats, in EV order."""
-    return list(zip(*(column.tolist() for column in ev.columns())))
+    """Each EV's coefficient row and the table's price, as Python floats, in
+    EV order."""
+    return [(*row, ev.price) for row in zip(*(column.tolist() for column in ev.columns()))]
 
 
 def reference_consensus_objective(rate, ev: EvCostTable, agg: AggCostParams):
@@ -69,7 +70,8 @@ UNIT_AGG = AggCostParams(gen_a=1.0, gen_b=0.0, gen_c=0.0, omega=0.0)
 
 
 def one_ev_table(params=EV, eta=1.0) -> EvCostTable:
-    return EvCostTable(*([value] for value in params), [eta])
+    *coefficients, price = params
+    return EvCostTable(*([value] for value in coefficients), price, [eta])
 
 
 def one_ev_costs(rates, params=EV) -> np.ndarray:
@@ -140,9 +142,9 @@ def test_ev_params_validation():
     with pytest.raises(ValueError):
         one_ev_table((1.0, 0.0, 0.0, 0.0, -0.1))
     with pytest.raises(ValueError):  # the check covers every row, not just the first
-        EvCostTable([1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        EvCostTable([1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0, [1.0, 1.0])
     with pytest.raises(ValueError):
-        EvCostTable([1.0, 1.0], [0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        EvCostTable([1.0, 1.0], [0.0], [0.0, 0.0], [0.0, 0.0], 0.0, [1.0, 1.0])
 
 
 NON_FINITE = [float("nan"), float("inf"), -float("inf")]
@@ -152,15 +154,24 @@ NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 @pytest.mark.parametrize("field", ["alpha_deg", "beta_deg", "gamma_deg", "other_ops", "price"])
 def test_ev_params_reject_non_finite_coefficients(field, value):
     columns = dict(alpha_deg=[1.0, 1.0], beta_deg=[0.0, 0.0], gamma_deg=[0.0, 0.0],
-                   other_ops=[0.0, 0.0], price=[0.0, 0.0], eta=[1.0, 1.0])
-    columns[field] = [columns[field][0], value]  # the second row
-    with pytest.raises(ValueError, match=field):
+                   other_ops=[0.0, 0.0], price=0.0, eta=[1.0, 1.0])
+    # the second row, or the one price every row shares
+    columns[field] = value if field == "price" else [columns[field][0], value]
+    with pytest.raises(ValueError, match=f"^{field} must be .*finite"):
         EvCostTable(**columns)
+
+
+@pytest.mark.parametrize("price", [np.full(2, 0.02), [0.02, 0.02], [0.02], -0.5, -np.inf])
+def test_ev_table_refuses_a_price_that_is_not_one_finite_number_from_0(price):
+    columns = ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    assert EvCostTable(*columns, np.float64(0.02), [1.0, 1.0]).price == 0.02
+    with pytest.raises(ValueError, match="^price must be one finite number >= 0 for every EV"):
+        EvCostTable(*columns, price, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("value", [0.0, 1.2, float("nan")])
 def test_ev_table_refuses_an_eta_outside_0_1_by_its_row(value):
-    columns = ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    columns = ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0)
     assert EvCostTable(*columns, [0.9, 1.0]).eta_sum == 1.9
     with pytest.raises(ValueError, match=r"^eta\[1\] must be in \(0, 1\]"):
         EvCostTable(*columns, [0.9, value])  # the second row
@@ -168,7 +179,7 @@ def test_ev_table_refuses_an_eta_outside_0_1_by_its_row(value):
 
 AGG = AggCostParams(gen_a=0.01, gen_b=0.5, gen_c=2.0, omega=1.5)
 ETA = (0.9, 0.8, 1.0)
-AGG_EVS = EvCostTable(*([value] * 3 for value in EV), ETA)  # three EVs with efficiencies ETA
+AGG_EVS = EvCostTable(*([value] * 3 for value in EV[:4]), EV[4], ETA)  # efficiencies ETA
 
 
 def test_agg_net_cost_all_zero_rates_is_constant_term():
@@ -241,7 +252,7 @@ def test_agg_consensus_matches_vector_form():
 def _toy_cost_set(n=5, seed=3):
     rng = np.random.default_rng(seed)
     columns = sample_ev_cost_params(np.ones(n), rng, price=0.02).columns()
-    ev = EvCostTable(*columns, rng.uniform(0.85, 0.95, n))
+    ev = EvCostTable(*columns, 0.02, rng.uniform(0.85, 0.95, n))
     return CostSet(ev=ev, agg=AggCostParams(gen_a=5e-6, gen_b=0.001, gen_c=0.5, omega=0.1))
 
 
@@ -269,7 +280,7 @@ def test_cost_matrix_aggregator_row_is_bit_exact_at_zero_rates_and_any_sign(n):
         gen_b, gen_c = rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0)], size=2)
         agg = AggCostParams(gen_a=rng.uniform(1e-7, 1e-2), gen_b=float(gen_b),
                             gen_c=float(gen_c), omega=rng.uniform(0.0, 1.0))
-        ev = EvCostTable(*columns, rng.uniform(0.85, 1.0, n))
+        ev = EvCostTable(*columns, 0.02, rng.uniform(0.85, 1.0, n))
         matrix = CostMatrix(ev, agg, 10)
         for _ in range(5):
             rates = np.where(rng.random(10) < 0.3, 0.0, rng.uniform(0.0, 6.6, 10))
@@ -300,39 +311,31 @@ def test_consensus_objective_matches_the_reference_at_block_edges(length):
             == np.float64(reference_consensus_objective(rate, costs.ev, costs.agg)).tobytes())
 
 
-# price columns of 31 EVs: one price; a price per EV; two prices taking turns;
-# 0.0 and -0.0 in random order, equal as floats but not in their bits
-PRICE_COLUMNS = {
-    "uniform": lambda n, rng: np.full(n, 0.02),
-    "distinct": lambda n, rng: rng.uniform(0.0, 0.05, n),
-    "alternating": lambda n, rng: np.where(np.arange(n) % 2 == 0, 0.01, 0.03),
-    "signed-zero": lambda n, rng: np.where(rng.random(n) < 0.5, 0.0, -0.0),
-}
+# the one price of 31 EVs: the default 0.02, and -0.0, equal to 0.0 as a
+# float but not in its bits
+PRICES = {"uniform": 0.02, "signed-zero": -0.0}
 
 
 def _priced_cost_set(prices: str, n=31, seed=5) -> CostSet:
     rng = np.random.default_rng(seed)
-    alpha, beta, gamma, other, _ = sample_ev_cost_params(np.ones(n), rng, price=0.0).columns()
-    price = PRICE_COLUMNS[prices](n, rng)
+    columns = sample_ev_cost_params(np.ones(n), rng, price=0.0).columns()
     eta = rng.uniform(0.85, 0.95, n)
     agg = AggCostParams(gen_a=5e-6, gen_b=0.001, gen_c=0.5, omega=0.1)
-    return CostSet(ev=EvCostTable(alpha, beta, gamma, other, price, eta), agg=agg)
+    return CostSet(ev=EvCostTable(*columns, PRICES[prices], eta), agg=agg)
 
 
-@pytest.mark.parametrize("prices", list(PRICE_COLUMNS))
+@pytest.mark.parametrize("prices", list(PRICES))
 def test_consensus_objective_matches_the_reference_for_any_price_column(prices):
-    # the array path reuses one revenue row across EVs whose price has the
-    # same bits; a run of other prices must give the reference's bits
+    # the array path computes one revenue row for every EV; it must give the
+    # reference's bits, a signed zero price included
     costs = _priced_cost_set(prices)
-    if prices == "signed-zero":
-        signs = np.signbit(costs.ev.price)
-        assert signs.any() and not signs.all()
+    assert math.copysign(1.0, costs.ev.price) == (-1.0 if prices == "signed-zero" else 1.0)
     rates = np.concatenate(([0.0, -0.0], np.linspace(0.0, 6.6, 6601)))
     assert (consensus_objective(rates, costs.ev, costs.agg).tobytes()
             == reference_consensus_objective(rates, costs.ev, costs.agg).tobytes())
 
 
-@pytest.mark.parametrize("prices", list(PRICE_COLUMNS))
+@pytest.mark.parametrize("prices", list(PRICES))
 def test_grid_search_on_any_price_column_is_the_reference_argmin(prices):
     costs = _priced_cost_set(prices)
     grid = np.linspace(0.0, 6.6, 66001)
@@ -426,6 +429,11 @@ def test_cost_set_validation_and_restrict():
     assert rows(sub.ev) == [rows(costs.ev)[i] for i in (0, 2, 4)]
     assert sub.ev.eta.tolist() == [costs.ev.eta[i] for i in (0, 2, 4)]
     assert sub.agg == costs.agg
+    # the sub-table keeps the one price, and equality reads it
+    priced = EvCostTable(*costs.ev.columns(), 0.03, costs.ev.eta)
+    assert sub.ev.price == 0.02 and priced.take([0, 2, 4]).price == 0.03
+    assert sub.ev == costs.ev.take([0, 2, 4]) and priced != costs.ev
+    assert priced == EvCostTable(*costs.ev.columns(), 0.03, costs.ev.eta)
 
 
 def _ev_oracle() -> CostOracle:
@@ -474,8 +482,9 @@ def test_sample_ev_cost_params_ranges_and_determinism():
     a = sample_ev_cost_params(eta, np.random.default_rng(9), price=0.02)
     b = sample_ev_cost_params(eta, np.random.default_rng(9), price=0.02)
     assert a == b and a.eta.tobytes() == eta.tobytes()
+    assert a.price == 0.02
     for column, (lo, hi) in zip(a.columns(), ((0.001, 0.002), (0.001, 0.003), (0.005, 0.015),
-                                              (0.005, 0.02), (0.02, 0.02))):
+                                              (0.005, 0.02)), strict=True):
         assert len(column) == 50
         assert np.all((lo <= column) & (column <= hi))
 
@@ -491,9 +500,9 @@ def test_sample_ev_cost_params_draws_the_bits_of_one_uniform_call(n, seed):
     table = sample_ev_cost_params(np.full(n, 0.9), rng, price=0.03, alpha_range=bounds[0],
                                   beta_range=bounds[1], gamma_range=bounds[2],
                                   other_range=bounds[3])
-    for k, column in enumerate(table.columns()[:4]):
+    for k, column in enumerate(table.columns()):
         assert column.tobytes() == np.ascontiguousarray(expected[:, k]).tobytes()
-    assert table.price.tobytes() == np.full(n, 0.03).tobytes()
+    assert table.price == 0.03
     assert rng.random() == reference.random()  # the stream continues where uniform's would
 
 
@@ -507,7 +516,7 @@ def _left_to_right(values) -> float:
 @pytest.mark.parametrize("n", [0, 1, 2, 1000])
 def test_eta_sum_is_a_left_to_right_sum(n):
     eta = np.random.default_rng(n).uniform(1e-3, 1.0, n)
-    table = EvCostTable(np.ones(n), *np.zeros((4, n)), eta)
+    table = EvCostTable(np.ones(n), *np.zeros((3, n)), 0.0, eta)
     assert table.eta_sum == _left_to_right(eta.tolist()) and type(table.eta_sum) is float
     odd = table.take(range(1, n, 2))
     assert odd.eta_sum == _left_to_right(eta[1::2].tolist())

@@ -76,17 +76,23 @@ def test_sample_fleet_rejects_bad_n():
 
 
 def test_inverted_bounds_rejected():
-    with pytest.raises(ValueError):
-        FleetDistributions(soc=(0.9, 0.8))
-    with pytest.raises(ValueError):
-        FleetDistributions(capacity_kwh=(30.0, 15.0))
-    with pytest.raises(ValueError):
-        FleetDistributions(eta=(0.0, 0.9))
-    with pytest.raises(ValueError):
-        FleetDistributions(rate_min_kw=7.0)
-    for capacity in ((0.0, 0.0), (-1.0, 15.0)):
-        with pytest.raises(ValueError, match="capacity_kwh: lower bound must be > 0"):
-            FleetDistributions(capacity_kwh=capacity)
+    # each error names the field, which is the config key, and its value
+    for bounds, message in [
+        (dict(soc_range=(0.9, 0.8)), r"soc_range: inverted bounds \(0\.9, 0\.8\)"),
+        (dict(capacity_range_kwh=(30.0, 15.0)),
+         r"capacity_range_kwh: inverted bounds \(30\.0, 15\.0\)"),
+        (dict(eta_range=(0.0, 0.9)), r"eta_range: bounds \(0\.0, 0\.9\) must lie in \(0, 1\]"),
+        (dict(soc_range=(0.8, 1.5)), r"soc_range: upper bound must be <= 1, got 1\.5"),
+        (dict(soc_min_range=(0.1, 0.85)),
+         r"soc_min_range: \(0\.1, 0\.85\) must lie in \[0, soc_range\[0\] = 0\.8\]"),
+        (dict(rate_min_kw=7.0), r"rate_min_kw: 7\.0 must lie in \[0, rate_max_kw\]"),
+        (dict(capacity_range_kwh=(0.0, 0.0)),
+         r"capacity_range_kwh: lower bound must be > 0, got 0\.0"),
+        (dict(capacity_range_kwh=(-1.0, 15.0)),
+         r"capacity_range_kwh: lower bound must be > 0, got -1\.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FleetDistributions(**bounds)
 
 
 def test_fleet_columns_must_match_in_length():
@@ -137,9 +143,9 @@ def test_fleet_rejects_eta_outside_zero_to_one(bad):
 @pytest.mark.parametrize("n", [1, 7, 100, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
 def test_sample_fleet_draws_the_bits_of_one_uniform_call(n, seed):
-    dist = FleetDistributions(capacity_kwh=(10.0, 80.0), soc=(0.5, 1.0), soc_min=(0.05, 0.3),
-                              eta=(0.8, 1.0))
-    bounds = (dist.capacity_kwh, dist.soc, dist.soc_min, dist.eta)
+    dist = FleetDistributions(capacity_range_kwh=(10.0, 80.0), soc_range=(0.5, 1.0),
+                              soc_min_range=(0.05, 0.3), eta_range=(0.8, 1.0))
+    bounds = (dist.capacity_range_kwh, dist.soc_range, dist.soc_min_range, dist.eta_range)
     reference = np.random.default_rng(seed)
     lows, highs = zip(*bounds)
     expected = reference.uniform(lows, highs, size=(n, len(bounds)))
@@ -260,7 +266,8 @@ def test_distance_histogram_counts_by_enumeration():
 def test_distance_histogram_matches_a_scalar_reference(seed):
     # wide ranges spread the EVs over many bins; EV 0 sits at 0 km, and EVs
     # 1-4 on bin edges that soc_min * (capacity * KM_PER_KWH) would cross
-    dist = FleetDistributions(soc=(0.6, 1.0), soc_min=(0.0, 0.6), capacity_kwh=(5.0, 100.0))
+    dist = FleetDistributions(soc_range=(0.6, 1.0), soc_min_range=(0.0, 0.6),
+                              capacity_range_kwh=(5.0, 100.0))
     fleet = sample_fleet(500, seed, dist)
     fleet.soc_min[:5] = [0.0, 0.56057377196546, 0.47020349236477255, 0.23806018395378475,
                          0.016290342678153564]

@@ -174,17 +174,27 @@ def test_oracle_and_compare_need_an_available_ev():
 @pytest.mark.parametrize("rate_min,rate_max,message", [
     (3.0, 2.0, r"no common feasible rate: \[3\.0, 2\.0\]"),
     (-1.0, 6.6, r"discharge rate must be >= 0, got a lower bound of -1\.0"),
-], ids=["empty", "negative"])
+    (0.0, np.inf, r"^common rate bounds must be finite, got an upper bound of inf$"),
+], ids=["empty", "negative", "infinite"])
 def test_oracle_and_compare_refuse_the_rate_bounds_a_run_refuses(rate_min, rate_max, message):
     instance = build_instance(CFG)
     instance.fleet.rate_min_kw[:] = rate_min  # past the Fleet's own per-EV check
-    instance.fleet.rate_max_kw[1] = rate_max
+    instance.fleet.rate_max_kw[:] = rate_max
     with pytest.raises(ValueError, match=message):
         run_optimization(instance.fleet, instance.costs, k_max=5)
     with pytest.raises(ValueError, match=message):
         oracle_rate(instance)
     with pytest.raises(ValueError, match=message):
         compare_solvers(CFG, n_seeds=1, k_max=5, population=4, instance=instance)
+
+
+def test_one_finite_rate_limit_bounds_a_fleet_of_unlimited_evs():
+    instance = build_instance(CFG)
+    instance.fleet.rate_max_kw[:] = np.inf
+    instance.fleet.rate_max_kw[3] = 2.5
+    rate, _ = run_optimization(instance.fleet, instance.costs, k_max=5)
+    assert 0.0 <= rate <= 2.5
+    assert 0.0 <= oracle_rate(instance)[0] <= 2.5
 
 
 def test_solver_order_holds_within_rounding_only():

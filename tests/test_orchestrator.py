@@ -116,7 +116,7 @@ def test_wire_bound_holds_every_column_sum_of_units(data):
 
     ev = EvCostTable(draw("alpha", n, 1e-9, 1.0), draw("beta", n, -1.0, 1.0),
                      draw("gamma", n, -1.0, 1.0), draw("other", n, 0.0, 1.0),
-                     draw("price", n, 0.0, 1.0),
+                     *draw("price", 1, 0.0, 1.0),
                      data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.05, 1.0)),
                                label="eta"))
     agg = AggCostParams(*draw("gen_a", 1, 1e-9, 1.0), *draw("gen_b", 1, -1.0, 1.0),
@@ -626,7 +626,8 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
     dwoa_rng, shuffle_rng = np.random.default_rng(dwoa_ss), np.random.default_rng(shuffle_ss)
     topology = build_topology(fleet, policy, np.random.default_rng(topo_ss))
     ev, agg = costs.ev.take(avail), costs.agg
-    alpha, beta, gamma, other, price = (column[:, None] for column in ev.columns())
+    alpha, beta, gamma, other = (column[:, None] for column in ev.columns())
+    price = ev.price
     n_iterations = max(k_max, 1)
     pool = init_pool(m, lower, upper, n_iterations, dwoa_rng)
     columns = (array("i"), array("d"), array("d"))

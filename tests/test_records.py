@@ -211,10 +211,15 @@ STEP = "step,,,,,,,0.0,4.5,4.1,0.5;0.6,"
 @pytest.mark.parametrize("rows, bad_line", [
     pytest.param((STEP, ITER), 4, id="rows4-4"),
     pytest.param((ITER, STEP, ITER), 5, id="rows5-5"),
+    pytest.param((ITER, "iter,0,1,1,4.5,-1.5,100,,,,,", "iter,0,3,1,4.5,-1.5,100,,,,,"), 5,
+                 id="skipped-k"),
+    pytest.param(("iter,0,3,1,4.5,-1.5,100,,,,,", "iter,0,7,1,4.5,-1.5,100,,,,,"), 3,
+                 id="k-not-from-0"),
+    pytest.param((ITER, "iter,1,1,1,4.5,-1.5,90,,,,,"), 4, id="new-epoch-not-from-0"),
 ])
 def test_import_rejects_a_row_order_export_never_writes(tmp_path, rows, bad_line):
-    # the export writes every iteration before every step; any other order
-    # would not come back out the same
+    # the export writes every iteration before every step, and each epoch's
+    # iterations from k = 0 on; any other order would not come back out the same
     path = tmp_path / "order.csv"
     path.write_text("\n".join((FORMAT_TAG, HEADER) + rows) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{bad_line}: "):
