@@ -162,6 +162,7 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         if not isinstance(ids, (list, tuple)) or any(
                 isinstance(j, bool) or not isinstance(j, int) for j in ids):
             raise ConfigError(f"departures[{i}]: ids must be a list of ints, got {ids!r}")
+        _departure_ids(i, ids, config.n_evs)
         count = spec.get("count", 0)
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ConfigError(f"departures[{i}]: count must be an int >= 0, got {count!r}")
@@ -234,6 +235,17 @@ def build_instance(config: ScenarioConfig) -> Instance:
     return Instance(fleet=fleet, costs=CostSet(ev=ev_params, agg=agg))
 
 
+def _departure_ids(j: int, ids, n: int) -> np.ndarray:
+    """The ids of departure spec ``j`` as ``ev_id_array`` gives them, or a
+    ConfigError naming the first that is not an integer in [0, n)."""
+    array = ev_id_array(ids, n)
+    if array is None:
+        i = next(i for i in ids if ev_id_array((i,), n) is None)
+        raise ConfigError(f"departures[{j}]: EV id {i!r} out of range: "
+                          f"need an integer in [0, {n})")
+    return array
+
+
 def resolve_departures(config: ScenarioConfig, fleet: Fleet) -> tuple[DepartureEvent, ...]:
     """Turn config departure specs into concrete id lists, in config order.
 
@@ -254,11 +266,7 @@ def resolve_departures(config: ScenarioConfig, fleet: Fleet) -> tuple[DepartureE
     for j in order:
         spec = config.departures[j]
         if "ids" in spec:
-            ids = ev_id_array(spec["ids"], n)
-            if ids is None:
-                i = next(i for i in spec["ids"] if ev_id_array((i,), n) is None)
-                raise ConfigError(f"departures[{j}]: EV id {i!r} out of range: "
-                                  f"need an integer in [0, {n})")
+            ids = _departure_ids(j, spec["ids"], n)
         else:
             still = np.flatnonzero(present)
             ids = still[max(still.size - int(spec["count"]), 0):]

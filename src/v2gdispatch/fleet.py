@@ -209,15 +209,11 @@ def apply_discharge(fleet: Fleet, rate_kw: float, dt_h: float) -> Fleet:
     return fleet
 
 
-def eta_sum_available(fleet: Fleet) -> float:
-    """Sum of conversion efficiencies over available EVs, in ascending id
-    order: ``left_to_right_sum``, as the cost table's ``eta_sum``."""
-    return left_to_right_sum(fleet.eta[fleet.available()])
-
-
 def grid_power_kw(fleet: Fleet, rate_kw: float) -> float:
-    """AC power delivered to the grid: rate times the available efficiency sum."""
-    return rate_kw * eta_sum_available(fleet)
+    """AC power delivered to the grid: rate times the efficiency sum over the
+    available EVs, in ascending id order (``left_to_right_sum``, as the cost
+    table's ``eta_sum``)."""
+    return rate_kw * left_to_right_sum(fleet.eta[fleet.available()])
 
 
 def distance_home_km(fleet: Fleet) -> np.ndarray:

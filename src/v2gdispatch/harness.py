@@ -38,12 +38,6 @@ class StatsRow:
     mean_time_s: float
     runs: int
 
-    def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.std_rate_kw < 0.0:
-            raise ValueError("std must be >= 0")
-
 
 def run_seed(config_seed: int, run_index: int) -> np.random.SeedSequence:
     """Isolated algorithm seed for one run of a sweep."""

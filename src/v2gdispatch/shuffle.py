@@ -11,10 +11,11 @@ The wire format is fixed-point: values are quantized to integer multiples of
 which makes conservation exact rather than subject to float rounding drift.
 Quantized units convert back to float exactly, so totals agree bit-for-bit
 with and without shuffling. A value int64 cannot hold is an error, never a
-silent wrap: the mapping path checks each round's reports
-(``to_units_array``, ``check_headroom``), and an epoch checks once, before
-its first round, that no report it can make reaches 2**63 in any column
-(``wire_bound``), then quantizes unchecked (``WireBuffers.quantize``).
+silent wrap: the mapping path checks each value it quantizes
+(``to_units_array``) and each round's reports (``check_headroom``), and an
+epoch checks once, before its first round, that no report it can make
+reaches 2**63 in any column (``wire_bound``), then quantizes unchecked
+(``WireBuffers.quantize``).
 
 One round works on the whole (agents x candidates) unit matrix: row 0 is the
 aggregator and rows 1..N are the EVs in ascending id order (the rows of a
@@ -46,7 +47,6 @@ import numpy as np
 from .topology import NeighborMap, TopologyError, deliver_round  # noqa: F401
 
 DEFAULT_UNIT_BITS = 40
-_INT64_BOUND = 2.0**63  # magnitudes at or beyond this do not fit int64
 
 
 class ProtocolError(RuntimeError):
@@ -61,10 +61,10 @@ class WireBuffers:
     ``quantize(values, unit_bits)`` leaves ``rint(values * 2**unit_bits)``
     in ``scaled`` (whole numbers, held exactly as floats) and their int64
     cast in ``units``, unchecked: the caller has shown that the values fit
-    (``wire_bound``, or ``to_units_array``'s check). ``mask_units(wire.units,
-    ..., out=wire)`` then overwrites ``scaled`` with the kept shares and
-    ``units`` with the sends, and returns ``masked``; it adds the sends in
-    through the flat views of the two.
+    (``wire_bound``). ``mask_units(wire.units, ..., out=wire)`` then
+    overwrites ``scaled`` with the kept shares and ``units`` with the sends,
+    and returns ``masked``; it adds the sends in through the flat views of
+    the two.
     """
 
     __slots__ = ("scaled", "units", "masked", "flat_units", "flat_masked")
@@ -85,19 +85,16 @@ class WireBuffers:
 
 
 def to_units_array(values, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
-    """Quantize currency values to int64 grid units, in fresh buffers; raises
+    """Quantize currency values to int64 grid units, in a fresh array; raises
     ProtocolError for a value whose units int64 cannot hold (or that is not
     finite), before any value is cast."""
     values = np.asarray(values, dtype=float)
-    # the largest magnitude, from both extremes (no |x| temporary); it is NaN
-    # when any value is, since then both extremes are. Scaling by 2**unit_bits
-    # is exact and rint moves no float at or beyond 2**52, so the scaled peak
-    # is below 2**63 exactly when every quantized value is.
-    peak = float(max(np.maximum.reduce(values, axis=None, initial=0.0),
-                     -np.minimum.reduce(values, axis=None, initial=0.0)))
-    if not peak * float(1 << unit_bits) < _INT64_BOUND:
+    # a Python float product: NaN fails the test, and a huge peak gives inf
+    # with no overflow warning. rint moves no float at or beyond 2**52, so
+    # the scaled peak is below 2**63 exactly when every quantized value is.
+    if not float(np.abs(values).max(initial=0.0)) * 2**unit_bits < 2.0**63:
         raise ProtocolError(f"value beyond the int64 wire at {unit_bits} unit bits")
-    return WireBuffers(values.shape).quantize(values, unit_bits)
+    return np.rint(values * float(1 << unit_bits)).astype(np.int64)
 
 
 def wire_bound(magnitude: float, rows: int, unit_bits: int) -> float:
@@ -122,22 +119,10 @@ def check_headroom(units: np.ndarray) -> None:
     and partial sum of one is therefore bounded by its column's sum of
     |units|, and under this bound none can wrap. The mapping path
     (``shuffle_round``, ``candidate_totals`` of a mapping) checks each
-    round's reports with it; an epoch bounds its reports once, before its
-    first round, with ``wire_bound``.
+    round's reports with it, summing in Python ints.
     """
-    if units.size == 0:
-        return
-    # as uint64, since int64 cannot hold |-2**63|
-    peak = np.abs(units).view(np.uint64).max()
-    # rows times the largest magnitude bounds every column's sum: almost
-    # always far below the bound, which settles every column at once
-    if units.shape[0] * int(peak) < 1 << 62:
-        return
-    spans = np.abs(units).view(np.uint64).sum(axis=0, dtype=float)
-    # the float sums are far closer than a factor 2 to the exact ones:
-    # only a column near the bound needs the exact integer sum
-    for h in np.flatnonzero(spans >= 2.0**62).tolist():
-        span = sum(abs(u) for u in units[:, h].tolist())
+    for h, column in enumerate(units.T.tolist()):
+        span = sum(map(abs, column))
         if span >= 1 << 63:
             raise ProtocolError(
                 f"candidate {h}: {units.shape[0]} reports sum to {span} units in magnitude, "

@@ -1,17 +1,16 @@
 """Simulated communication graph and synchronous message transport.
 
 Agents are EVs and one aggregator, each named by an integer id: the EV id
-(>= 0), or ``AGGREGATOR_ID`` (-1). Edges are out-edges: ``out_edges[a]``
-lists the agents ``a`` may send shares to. Links are lossless and
-instantaneous; a round is a barrier (all sends complete before any receive
-is observed).
+(>= 0), or ``AGGREGATOR_ID`` (-1). Edges are out-edges: an agent sends
+shares along its own. Links are lossless and instantaneous; a round is a
+barrier (all sends complete before any receive is observed).
 
 A graph is held as integer arrays over rows, one row per agent in ascending
 id order; ``ids[r]`` is row r's agent. A built topology has the aggregator in
 row 0 and the available EVs in rows 1..N in ascending id order: the row
-order of the protocol's value matrix. The id-keyed ``out_edges`` view is
-built on access. This module holds only the graph: where a round's shares
-land, per row and candidate, is laid out by ``shuffle.SplitBuffers``.
+order of the protocol's value matrix. This module holds only the graph:
+where a round's shares land, per row and candidate, is laid out by
+``shuffle.SplitBuffers``.
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ class NeighborMap:
 
     ``ids[r]`` is the agent id of row r, in ascending order (the aggregator
     first). Row r may send to the rows ``targets[indptr[r]:indptr[r + 1]]``.
-    Every participating EV keeps at least one out-edge. ``out_edges`` (the
-    same graph keyed by agent id) is built on access.
+    Every participating EV keeps at least one out-edge.
     """
 
     ids: np.ndarray
@@ -80,14 +78,6 @@ class NeighborMap:
         degree = [len(edges[agent]) for agent in ids]
         return cls(np.array(ids, dtype=np.intp), np.cumsum([0] + degree),
                    np.array(targets, dtype=np.intp))
-
-    @property
-    def out_edges(self) -> dict[int, tuple[int, ...]]:
-        ids, indptr, targets = self.ids.tolist(), self.indptr.tolist(), self.targets.tolist()
-        return {
-            agent: tuple(ids[t] for t in targets[indptr[r]:indptr[r + 1]])
-            for r, agent in enumerate(ids)
-        }
 
 
 POLICIES = ("one-random-neighbor", "ring")

@@ -159,6 +159,10 @@ def test_penalty_key_exits_1_from_every_verb(tmp_path, capsys):
 # reports that could pass 2**63 units in a column
 WIRE = {"n_evs": 16, "seed": 5, "m_whales": 4, "k_max": 5, "gen_c": 3000.0, "unit_bits": 48,
         "other_range": [2000.0, 2001.0], "horizon_h": 0.2}
+# a departure of EV 7 in a fleet of 5: every verb loads the config, so every verb refuses it
+DEPARTURE_ID = {"n_evs": 5, "k_max": 5, "horizon_h": 0.2,
+                "departures": [{"time_h": 0.1, "ids": [7]}]}
+OUT_OF_RANGE = "departures[0]: EV id 7 out of range: need an integer in [0, 5)"
 
 
 # a CLI check that a refused input exits by its code and names its cause is a row here
@@ -169,12 +173,19 @@ WIRE = {"n_evs": 16, "seed": 5, "m_whales": 4, "k_max": 5, "gen_c": 3000.0, "uni
     (["run"], WIRE, 2, "int64 wire"),
     (["sweep", "--param", "m_whales", f"--values={2**60}", "--runs", "2"], {"n_evs": 5}, 2,
      "m_whales"),
-], ids=["negative-seed", "departure-key", "other_range", "int64-wire", "sweep-whale-count"])
+    (["run"], DEPARTURE_ID, 1, OUT_OF_RANGE),
+    (["oracle"], DEPARTURE_ID, 1, OUT_OF_RANGE),
+    (["compare", "--seeds", "2"], DEPARTURE_ID, 1, OUT_OF_RANGE),
+    (["sweep", "--values", "5", "--runs", "2"], DEPARTURE_ID, 1, OUT_OF_RANGE),
+], ids=["negative-seed", "departure-key", "other_range", "int64-wire", "sweep-whale-count",
+        "departure-id-run", "departure-id-oracle", "departure-id-compare", "departure-id-sweep"])
 def test_refusal_exits_by_its_code_names_its_cause_and_writes_nothing(tmp_path, capsys, verb,
                                                                        cfg, code, word):
     path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
     path.write_text(json.dumps(cfg))
-    assert main([*verb, "--config", str(path), "--out", str(out)]) == code
+    # oracle prints its result and has no --out
+    out_args = [] if verb == ["oracle"] else ["--out", str(out)]
+    assert main([*verb, "--config", str(path), *out_args]) == code
     assert word in capsys.readouterr().err
     assert not out.exists()
 

@@ -17,7 +17,8 @@ from v2gdispatch.config import (
     parse_config,
     resolve_departures,
 )
-from v2gdispatch.fleet import Fleet, available_ids, eta_sum_available
+from v2gdispatch.costs import left_to_right_sum
+from v2gdispatch.fleet import Fleet, available_ids
 from v2gdispatch.orchestrator import DepartureEvent
 from v2gdispatch.topology import POLICIES
 
@@ -132,6 +133,12 @@ def test_schema_version_checked():
          r"departures\[0\]: unknown key 'idz'"),
         ({"n_evs": 5, "m_whales": 2**60}, "m_whales"),
         ({"n_evs": 10**15}, "n_evs"),
+        ({"n_evs": 5, "departures": [{"time_h": 0.1, "ids": [7]}]},
+         r"^departures\[0\]: EV id 7 out of range: need an integer in \[0, 5\)$"),
+        ({"n_evs": 5, "departures": [{"time_h": 0.1, "count": 1},
+                                     {"time_h": 0.2, "ids": [0, -1]}]},
+         r"^departures\[1\]: EV id -1 out of range"),
+        ({"departures": [{"time_h": 0.1, "ids": [2**70]}]}, r"EV id 1180591620717411303424 "),
     ],
 )
 def test_validation_names_offending_key(data, key):
@@ -191,7 +198,8 @@ def test_cost_table_eta_is_the_fleets_bit_for_bit():
     avail = available_ids(fleet)
     assert len(avail) == 35
     assert instance.costs.ev.eta.tobytes() == fleet.eta.tobytes()
-    assert instance.costs.restrict(avail).ev.eta_sum == eta_sum_available(fleet)
+    eta_sum = left_to_right_sum(fleet.eta[fleet.available()])
+    assert instance.costs.restrict(avail).ev.eta_sum == eta_sum
 
 
 def test_resolve_departures_by_count_takes_top_ids():
@@ -240,8 +248,12 @@ def test_departure_id_out_of_range_names_the_event_and_the_id(bad_id):
     # JSON holds any integer, so ids past int64 must come out as a ConfigError too
     data = {"n_evs": 5, "departures": [{"time_h": 0.2, "ids": [1]},
                                        {"time_h": 0.1, "ids": [0, 4, bad_id, 7]}]}
-    config = parse_config(json.loads(json.dumps(data)))
-    with pytest.raises(ConfigError, match=rf"departures\[1\]: EV id {bad_id} out of range"):
+    message = rf"^departures\[1\]: EV id {bad_id} out of range: need an integer in \[0, 5\)$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.loads(json.dumps(data)))
+    # a config built directly reaches resolve_departures, which refuses it alike
+    config = ScenarioConfig(n_evs=5, departures=tuple(data["departures"]))
+    with pytest.raises(ConfigError, match=message):
         resolve_departures(config, build_instance(config).fleet)
 
 
@@ -323,13 +335,14 @@ def _valid_configs(draw):
                                                                    max_size=4)))
     rate_min, rate_max = draw(_pair(0.0, 1e3))
     dt_h = draw(_finite(1e-3, 10.0))
+    n_evs = draw(st.integers(1, 10**6))
     time_h = st.integers(-10, 10) | _finite(-1e3, 1e3)
     departure = (st.fixed_dictionaries({"time_h": time_h,
-                                        "ids": st.lists(st.integers(-5, 10**6), max_size=4)})
+                                        "ids": st.lists(st.integers(0, n_evs - 1), max_size=4)})
                  | st.fixed_dictionaries({"time_h": time_h, "count": st.integers(0, 10**6)}))
     return ScenarioConfig(
         seed=draw(st.integers(0, 2**64)),
-        n_evs=draw(st.integers(1, 10**6)),
+        n_evs=n_evs,
         soc_range=(soc_lo, soc_hi),
         soc_min_range=(soc_min_lo, soc_min_hi),
         capacity_range_kwh=draw(_pair(1e-3, 1e3)),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from v2gdispatch.costs import left_to_right_sum
 from v2gdispatch.fleet import (
     BIN_KM,
     KM_PER_KWH,
@@ -13,7 +14,6 @@ from v2gdispatch.fleet import (
     available_ids,
     distance_histogram,
     distance_home_km,
-    eta_sum_available,
     grid_power_kw,
     sample_fleet,
 )
@@ -234,9 +234,9 @@ def test_grid_power_is_rate_times_available_eta_sum():
         if avail[ev.id]:
             total += ev.eta
     assert grid_power_kw(fleet, 3.7) == 3.7 * total
-    assert eta_sum_available(fleet) == total
+    assert left_to_right_sum(fleet.eta[fleet.available()]) == total
     fleet.departed[:] = True
-    assert eta_sum_available(fleet) == 0.0 and grid_power_kw(fleet, 3.7) == 0.0
+    assert grid_power_kw(fleet, 3.7) == 0.0
 
 
 def test_distance_home_reserve_basis():

@@ -7,7 +7,6 @@ from v2gdispatch import harness
 from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.harness import (
     CompareRow,
-    StatsRow,
     compare_solvers,
     export_comparison,
     export_stats,
@@ -44,15 +43,6 @@ def test_stats_harness_validates_arguments():
         with pytest.raises(ValueError, match="k_max values must be whole numbers"):
             stats_harness(CFG, "k_max", [10, value], 2)
     assert [row.value for row in stats_harness(CFG, "k_max", [2.0, np.int64(3)], 2)] == [2, 3]
-
-
-def test_stats_row_invariants():
-    with pytest.raises(ValueError):
-        StatsRow(param="k_max", value=1, mean_rate_kw=1.0, std_rate_kw=-0.1,
-                 mean_time_s=0.1, runs=2)
-    with pytest.raises(ValueError):
-        StatsRow(param="k_max", value=1, mean_rate_kw=1.0, std_rate_kw=0.1,
-                 mean_time_s=0.1, runs=0)
 
 
 def test_sweep_runs_are_seed_isolated():

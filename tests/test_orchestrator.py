@@ -166,7 +166,7 @@ def test_epoch_with_wire_bound_just_below_int64_runs_exactly(monkeypatch):
     assert len(reports) == 10
     for units, got in reports:
         assert got == [sum(column) for column in zip(*units)]
-        assert min(got) > 2**62  # past the rows-times-peak shortcut of check_headroom
+        assert min(got) > 2**62  # within a factor 2 of the int64 limit
     # masked or not, the reports add up to the same totals
     assert [got for _, got in reports[:5]] == [got for _, got in reports[5:]]
     assert records[0].iterations.segments[0].best_total_cost.tobytes() == \

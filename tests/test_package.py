@@ -1,4 +1,8 @@
-"""The package root: it binds its modules and re-exports none of their names."""
+"""The package root: it binds its modules and re-exports none of their names.
+No module imports a name it never uses."""
+
+import ast
+from pathlib import Path
 
 import v2gdispatch
 
@@ -11,3 +15,41 @@ def test_root_binds_the_modules_and_no_module_names():
         assert getattr(v2gdispatch, name).__name__ == f"v2gdispatch.{name}"
     for name in ("run_optimization", "run_scenario", "build_topology", "shuffle_round"):
         assert not hasattr(v2gdispatch, name), name
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name an import binds and the module never reads,
+    except ``__future__`` imports and imports on a line marked ``noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def test_unused_imports_finds_only_unread_names():
+    source = ("from __future__ import annotations\nimport os, sys as system\n"
+              "import numpy.linalg\nfrom .a import b, c  # noqa: F401\nfrom .d import e\n"
+              "print(system.argv, numpy)\n")
+    assert unused_imports(source) == [(2, "os"), (5, "e")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    root = Path(v2gdispatch.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        # the package root imports its modules for its callers
+        bindings = set(MODULES) if path.name == "__init__.py" else set()
+        unused = [(line, name) for line, name in unused_imports(path.read_text())
+                  if name not in bindings]
+        assert unused == [], path.name

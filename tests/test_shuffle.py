@@ -1,5 +1,7 @@
 """Additive-split shuffling: exact conservation, masking, the worked exchange."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -34,6 +36,15 @@ def test_to_units_array_rejects_values_int64_cannot_hold():
     with pytest.raises(ProtocolError):
         to_units_array(np.array([float("nan")]), 40)
     assert to_units_array(np.array([2.0**22]), 40)[0] == 2**62
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, float("inf")])
+def test_to_units_array_refuses_a_huge_value_without_a_numpy_warning(value):
+    # the peak is scaled as a Python float: inf, not a numpy overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProtocolError, match="beyond the int64 wire"):
+            to_units_array(np.array([value]))
 
 
 def _split(units, fractions):

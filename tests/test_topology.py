@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from v2gdispatch.fleet import sample_fleet
+from v2gdispatch.fleet import available_ids, sample_fleet
 from v2gdispatch.topology import (
     AGGREGATOR_ID,
     POLICIES,
@@ -23,13 +23,13 @@ from v2gdispatch.topology import (
 def test_one_random_neighbor_outdegree_exactly_one():
     fleet = sample_fleet(100, 4)
     topo = build_topology(fleet, "one-random-neighbor", 17)
-    for i in range(100):
-        targets = topo.out_edges[ev_agent(i)]
-        assert len(targets) == 1
-        t = targets[0]
-        assert t != ev_agent(i)
-        assert t == AGGREGATOR_ID or t >= 0
-    assert topo.out_edges[AGGREGATOR_ID] == tuple(ev_agent(i) for i in range(100))
+    assert topo.ids.tolist() == [AGGREGATOR_ID] + list(range(100))
+    # the aggregator's row sends to every EV row, each EV row to one row
+    assert topo.indptr.tolist() == [0] + list(range(100, 201))
+    assert topo.targets[:100].tolist() == list(range(1, 101))
+    ev_targets = topo.targets[100:]
+    assert np.all((0 <= ev_targets) & (ev_targets <= 100))
+    assert np.all(ev_targets != np.arange(1, 101))  # no EV sends to itself
 
 
 def test_one_random_neighbor_matches_scalar_reference():
@@ -39,7 +39,8 @@ def test_one_random_neighbor_matches_scalar_reference():
         rng = np.random.default_rng(40 + n)
         for i in range(n):
             targets = [ev_agent(j) for j in range(n) if j != i] + [AGGREGATOR_ID]
-            assert topo.out_edges[ev_agent(i)] == (targets[int(rng.integers(len(targets)))],)
+            row = topo.targets[topo.indptr[i + 1]:topo.indptr[i + 2]]
+            assert topo.ids[row].tolist() == [targets[int(rng.integers(len(targets)))]]
 
 
 def test_build_topology_leaves_the_fleet_unchanged(assert_same_fleet):
@@ -54,25 +55,28 @@ def test_single_ev_gets_the_aggregator():
     fleet = sample_fleet(1, 0)
     for policy in ("one-random-neighbor", "ring"):
         topo = build_topology(fleet, policy, 3)
-        assert topo.out_edges[ev_agent(0)] == (AGGREGATOR_ID,)
+        assert topo.ids.tolist() == [AGGREGATOR_ID, ev_agent(0)]
+        assert topo.indptr.tolist() == [0, 1, 2]
+        assert topo.targets.tolist() == [1, 0]  # the aggregator's row is row 0
 
 
 def test_same_seed_same_edges():
     fleet = sample_fleet(50, 8)
     a = build_topology(fleet, "one-random-neighbor", 21)
     b = build_topology(fleet, "one-random-neighbor", 21)
-    assert a.out_edges == b.out_edges
+    for name in ("ids", "indptr", "targets"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_ring_policy_chains_available_evs():
     fleet = sample_fleet(5, 1)
     fleet.evs[2].departed = True
     topo = build_topology(fleet, "ring", 0)
-    assert topo.out_edges[ev_agent(0)] == (ev_agent(1),)
-    assert topo.out_edges[ev_agent(1)] == (ev_agent(3),)
-    assert topo.out_edges[ev_agent(3)] == (ev_agent(4),)
-    assert topo.out_edges[ev_agent(4)] == (AGGREGATOR_ID,)
-    assert ev_agent(2) not in topo.out_edges
+    # rows: the aggregator, then EVs 0, 1, 3 and 4; EV 2 has no row
+    assert topo.ids.tolist() == [AGGREGATOR_ID, 0, 1, 3, 4]
+    assert topo.indptr.tolist() == [0, 4, 5, 6, 7, 8]
+    # the aggregator sends to every EV; EV 0 -> 1 -> 3 -> 4 -> the aggregator
+    assert topo.targets.tolist() == [1, 2, 3, 4, 2, 3, 4, 0]
 
 
 def test_unknown_policy_and_empty_fleet_rejected():
@@ -88,7 +92,9 @@ def test_unknown_policy_and_empty_fleet_rejected():
 def test_custom_edges_validated():
     edges = {ev_agent(0): (AGGREGATOR_ID,), AGGREGATOR_ID: (ev_agent(0),)}
     topo = build_topology(sample_fleet(1, 0), custom_edges=edges)
-    assert topo.out_edges == edges
+    assert topo.ids.tolist() == [AGGREGATOR_ID, ev_agent(0)]
+    assert topo.indptr.tolist() == [0, 1, 2]
+    assert topo.targets.tolist() == [1, 0]
     with pytest.raises(TopologyError):
         build_topology(
             sample_fleet(1, 0),
@@ -101,6 +107,21 @@ def test_custom_edges_validated():
         )
 
 
+def _policy_edges(fleet, policy, seed):
+    """The id-keyed edges ``policy`` defines, drawn EV by EV in ascending id
+    order: a reference for the arrays ``build_topology`` builds at once."""
+    avail = available_ids(fleet)
+    rng = np.random.default_rng(seed)
+    edges = {AGGREGATOR_ID: tuple(avail)}
+    for p, ev in enumerate(avail):
+        if policy == "ring":
+            edges[ev] = (avail[p + 1],) if p + 1 < len(avail) else (AGGREGATOR_ID,)
+        else:
+            targets = [other for other in avail if other != ev] + [AGGREGATOR_ID]
+            edges[ev] = (targets[int(rng.integers(len(targets)))],)
+    return edges
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("n", [1, 2, 17, 100])
 def test_agent_keyed_edges_rebuild_the_same_arrays(policy, n):
@@ -109,7 +130,7 @@ def test_agent_keyed_edges_rebuild_the_same_arrays(policy, n):
     fleet.evs[n // 2].departed = True
     topo = build_topology(fleet, policy, 7)
     assert topo.ids.tolist() == [-1] + [i for i in range(n + 1) if i != n // 2]
-    again = NeighborMap.from_edges(topo.out_edges)
+    again = NeighborMap.from_edges(_policy_edges(fleet, policy, 7))
     for name in ("ids", "indptr", "targets"):
         built, rebuilt = getattr(topo, name), getattr(again, name)
         assert built.dtype == rebuilt.dtype and np.array_equal(built, rebuilt), name
