@@ -108,6 +108,15 @@ def _non_finite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
+def _float(key: str, value) -> float:
+    """``float(value)``, or a ConfigError naming ``key`` for an integer too
+    large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key}: must be finite, got an integer too large for a float") from None
+
+
 def _checked(prefix: str, check, *args):
     """``check(*args)``, its ValueError raised again as a ConfigError whose
     message is ``prefix`` and the error's own, which names the setting."""
@@ -154,7 +163,7 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(f"departures[{i}]: unknown key {unknown!r}")
         time_h = spec["time_h"]
         if (isinstance(time_h, bool) or not isinstance(time_h, (int, float))
-                or not math.isfinite(time_h)):
+                or not math.isfinite(_float(f"departures[{i}]: time_h", time_h))):
             raise ConfigError(f"departures[{i}]: time_h must be a finite number, got {time_h!r}")
         if ("ids" in spec) == ("count" in spec):
             raise ConfigError(f"departures[{i}]: give exactly one of ids/count")
@@ -171,7 +180,8 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
 
 def parse_config(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a plain dict; every value
-    must fit its field's type."""
+    must fit its field's type, and a float field's numbers are taken as
+    floats."""
     unknown = set(data) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
@@ -181,24 +191,27 @@ def parse_config(data: dict) -> ScenarioConfig:
         if not _conforms(value, hint):
             name = hint.__name__ if isinstance(hint, type) else hint
             raise ConfigError(f"{key}: expected {name}, got {value!r}")
-        if key in _RANGE_KEYS:
-            value = (float(value[0]), float(value[1]))
+        if hint is float:
+            value = _float(key, value)
+        elif key in _RANGE_KEYS:
+            value = (_float(key, value[0]), _float(key, value[1]))
         kwargs[key] = tuple(value) if isinstance(value, list) else value
     return _validate(ScenarioConfig(**kwargs))
 
 
 def load_config(path) -> ScenarioConfig:
-    """Load a JSON scenario config; an empty file means all defaults."""
+    """Load a JSON scenario config from a UTF-8 file; an empty file means all
+    defaults."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not text.strip():
         return _validate(ScenarioConfig())
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, too many digits or too deep
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

@@ -163,6 +163,11 @@ WIRE = {"n_evs": 16, "seed": 5, "m_whales": 4, "k_max": 5, "gen_c": 3000.0, "uni
 DEPARTURE_ID = {"n_evs": 5, "k_max": 5, "horizon_h": 0.2,
                 "departures": [{"time_h": 0.1, "ids": [7]}]}
 OUT_OF_RANGE = "departures[0]: EV id 7 out of range: need an integer in [0, 5)"
+# config files that are no UTF-8 text, or hold an integer of more digits than Python
+# converts, or lists nested deeper than its recursion limit
+NOT_UTF8 = b'{"n_evs": 5, "x": "\xff"}'
+LONG_INT = b'{"n_evs": ' + b"1" * 5001 + b"}"
+DEEP = b'{"departures": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
 
 
 # a CLI check that a refused input exits by its code and names its cause is a row here
@@ -177,12 +182,20 @@ OUT_OF_RANGE = "departures[0]: EV id 7 out of range: need an integer in [0, 5)"
     (["oracle"], DEPARTURE_ID, 1, OUT_OF_RANGE),
     (["compare", "--seeds", "2"], DEPARTURE_ID, 1, OUT_OF_RANGE),
     (["sweep", "--values", "5", "--runs", "2"], DEPARTURE_ID, 1, OUT_OF_RANGE),
+    (["run"], {"dt_h": 10**400}, 1, "dt_h: must be finite"),
+    (["run"], {"alpha_range": [0.001, 10**400]}, 1, "alpha_range: must be finite"),
+    (["run"], {"departures": [{"time_h": 10**400, "count": 1}]}, 1, "departures[0]: time_h"),
+    (["run"], NOT_UTF8, 1, "cfg.json"),
+    (["run"], LONG_INT, 1, "cfg.json"),
+    (["run"], DEEP, 1, "cfg.json"),
 ], ids=["negative-seed", "departure-key", "other_range", "int64-wire", "sweep-whale-count",
-        "departure-id-run", "departure-id-oracle", "departure-id-compare", "departure-id-sweep"])
+        "departure-id-run", "departure-id-oracle", "departure-id-compare", "departure-id-sweep",
+        "huge-int-key", "huge-int-range", "huge-int-departure", "not-utf8", "long-int",
+        "deep-json"])
 def test_refusal_exits_by_its_code_names_its_cause_and_writes_nothing(tmp_path, capsys, verb,
                                                                        cfg, code, word):
     path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
-    path.write_text(json.dumps(cfg))
+    path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
     # oracle prints its result and has no --out
     out_args = [] if verb == ["oracle"] else ["--out", str(out)]
     assert main([*verb, "--config", str(path), *out_args]) == code

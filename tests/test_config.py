@@ -139,6 +139,10 @@ def test_schema_version_checked():
                                      {"time_h": 0.2, "ids": [0, -1]}]},
          r"^departures\[1\]: EV id -1 out of range"),
         ({"departures": [{"time_h": 0.1, "ids": [2**70]}]}, r"EV id 1180591620717411303424 "),
+        # JSON integers too large for a float
+        ({"price": 10**400}, r"^price: must be finite, got an integer too large for a float$"),
+        ({"soc_range": [0.8, 10**400]}, r"^soc_range: must be finite"),
+        ({"departures": [{"time_h": 10**400, "count": 1}]}, r"^departures\[0\]: time_h"),
     ],
 )
 def test_validation_names_offending_key(data, key):

@@ -311,6 +311,18 @@ def test_consensus_objective_matches_the_reference_at_block_edges(length):
             == np.float64(reference_consensus_objective(rate, costs.ev, costs.agg)).tobytes())
 
 
+@pytest.mark.parametrize("n", [1, 1000])
+def test_a_scalar_rate_of_any_form_gives_the_references_float64(n):
+    # a scalar runs as a one-point array at every N
+    costs = _toy_cost_set(n=n, seed=n)
+    for rate in (0.0, 2.7, 6.6):
+        reference = np.float64(reference_consensus_objective(rate, costs.ev, costs.agg))
+        for form in (rate, np.float64(rate), np.array(rate)):
+            value = consensus_objective(form, costs.ev, costs.agg)
+            assert type(value) is np.float64
+            assert value.tobytes() == reference.tobytes()
+
+
 # the one price of 31 EVs: the default 0.02, and -0.0, equal to 0.0 as a
 # float but not in its bits
 PRICES = {"uniform": 0.02, "signed-zero": -0.0}

@@ -1,7 +1,9 @@
 """The package root: it binds its modules and re-exports none of their names.
-No module imports a name it never uses."""
+No module imports a name it never uses, or a module beyond the standard
+library, numpy and the package's own."""
 
 import ast
+import sys
 from pathlib import Path
 
 import v2gdispatch
@@ -53,3 +55,33 @@ def test_no_module_imports_a_name_it_never_uses():
         unused = [(line, name) for line, name in unused_imports(path.read_text())
                   if name not in bindings]
         assert unused == [], path.name
+
+
+def outside_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import of a module that is neither in
+    the standard library nor numpy; relative imports are the package's own."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        outside += [(node.lineno, m) for m in modules if m.split(".")[0] not in allowed]
+    return outside
+
+
+def test_outside_imports_finds_only_third_party_modules():
+    source = ("from __future__ import annotations\nimport json, scipy.linalg\n"
+              "import numpy.linalg as la\nfrom .costs import EvCostTable\n"
+              "from pandas import DataFrame\nfrom collections.abc import Sequence\n")
+    assert outside_imports(source) == [(2, "scipy.linalg"), (5, "pandas")]
+
+
+def test_no_module_imports_beyond_the_standard_library_and_numpy():
+    # numpy is the one dependency pyproject.toml declares
+    root = Path(v2gdispatch.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        assert outside_imports(path.read_text()) == [], path.name
