@@ -102,19 +102,16 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _non_finite(value) -> bool:
-    if isinstance(value, tuple):
-        return any(map(_non_finite, value))
-    return isinstance(value, float) and not math.isfinite(value)
-
-
 def _float(key: str, value) -> float:
-    """``float(value)``, or a ConfigError naming ``key`` for an integer too
-    large for a float."""
+    """``float(value)``, or a ConfigError naming ``key`` when that is NaN or
+    infinite or ``value`` is an integer too large for a float."""
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigError(f"{key}: must be finite, got an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: must be finite, got {number!r}")
+    return number
 
 
 def _checked(prefix: str, check, *args):
@@ -131,10 +128,6 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(
             f"schema_version: expected {CONFIG_SCHEMA_VERSION}, got {config.schema_version}"
         )
-    for key in _FIELD_TYPES:
-        value = getattr(config, key)
-        if _non_finite(value):
-            raise ConfigError(f"{key}: must be finite, got {value!r}")
     _checked("seed: ", np.random.SeedSequence, config.seed)
     if config.n_evs < 1:
         raise ConfigError(f"n_evs: must be >= 1, got {config.n_evs}")
@@ -162,14 +155,13 @@ def _validate(config: ScenarioConfig) -> ScenarioConfig:
         if unknown is not None:
             raise ConfigError(f"departures[{i}]: unknown key {unknown!r}")
         time_h = spec["time_h"]
-        if (isinstance(time_h, bool) or not isinstance(time_h, (int, float))
-                or not math.isfinite(_float(f"departures[{i}]: time_h", time_h))):
+        if not _conforms(time_h, float):
             raise ConfigError(f"departures[{i}]: time_h must be a finite number, got {time_h!r}")
+        _float(f"departures[{i}]: time_h", time_h)
         if ("ids" in spec) == ("count" in spec):
             raise ConfigError(f"departures[{i}]: give exactly one of ids/count")
         ids = spec.get("ids", ())
-        if not isinstance(ids, (list, tuple)) or any(
-                isinstance(j, bool) or not isinstance(j, int) for j in ids):
+        if not isinstance(ids, (list, tuple)):
             raise ConfigError(f"departures[{i}]: ids must be a list of ints, got {ids!r}")
         _departure_ids(i, ids, config.n_evs)
         count = spec.get("count", 0)

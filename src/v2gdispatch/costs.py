@@ -82,12 +82,6 @@ def left_to_right_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
-def _any_negative(rate) -> bool:
-    if isinstance(rate, np.ndarray):
-        return rate.size > 0 and float(rate.min()) < 0.0
-    return rate < 0.0
-
-
 def agg_consensus_cost(rate, ev: "EvCostTable", agg: AggCostParams):
     """Aggregator net cost when every EV of ``ev`` discharges at the same ``rate``.
 
@@ -95,7 +89,7 @@ def agg_consensus_cost(rate, ev: "EvCostTable", agg: AggCostParams):
     summation order: D = ``ev.eta_sum`` * rate and R = ``len(ev)`` * rate.
     Vectorized over arrays of candidate rates.
     """
-    if _any_negative(rate):
+    if np.min(rate, initial=0.0) < 0.0:
         raise ValueError("discharge rate must be >= 0")
     return agg_cost_of_power(ev.eta_sum * rate, len(ev) * rate, agg)
 

@@ -99,20 +99,16 @@ class Fleet:
 
     __slots__ = _FLOAT_FIELDS + ("departed", "time_h")
 
-    def __init__(
-        self, *, capacity_kwh, soc, soc_min, rate_min_kw, rate_max_kw, eta,
-        departed=None,
-    ):
+    def __init__(self, *, capacity_kwh, soc, soc_min, rate_min_kw, rate_max_kw, eta):
         """A fleet whose columns are copies of the given per-EV sequences;
-        ``departed`` defaults to all False and the clock starts at 0.0."""
+        no EV has departed and the clock starts at 0.0."""
         values = (capacity_kwh, soc, soc_min, rate_min_kw, rate_max_kw, eta)
         for name, column in zip(_FLOAT_FIELDS, values):
             setattr(self, name, np.array(column, dtype=float))
         n = len(self.soc)
-        self.departed = (np.zeros(n, dtype=bool) if departed is None
-                         else np.array(departed, dtype=bool))
-        if any(len(getattr(self, name)) != n for name in _FLOAT_FIELDS + ("departed",)):
+        if any(len(getattr(self, name)) != n for name in _FLOAT_FIELDS):
             raise ValueError("fleet columns differ in length")
+        self.departed = np.zeros(n, dtype=bool)
         bad = np.flatnonzero(~((0.0 <= self.rate_min_kw) & (self.rate_min_kw <= self.rate_max_kw)))
         if bad.size:
             i = int(bad[0])

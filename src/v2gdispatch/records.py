@@ -93,15 +93,6 @@ class IterationSegment:
                             self.best_rate_kw[j], self.best_total_cost[j], self.n_available)
 
 
-def _locate(index, n: int) -> int:
-    i = int(index)
-    if i < 0:
-        i += n
-    if not 0 <= i < n:
-        raise IndexError(f"row {index} out of range for {n} rows")
-    return i
-
-
 class IterationLog(Sequence):
     """A record's iteration rows: a list of segments, rows built on access."""
 
@@ -114,12 +105,11 @@ class IterationLog(Sequence):
         return sum(len(segment) for segment in self.segments)
 
     def __getitem__(self, index) -> IterationRow:
-        i = _locate(index, len(self))
+        i = range(len(self))[index]  # IndexError out of range, TypeError for a non-integer
         for segment in self.segments:
             if i < len(segment):
                 return segment.row(i)
             i -= len(segment)
-        raise AssertionError("unreachable")
 
     def __iter__(self):
         for segment in self.segments:

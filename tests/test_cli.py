@@ -40,6 +40,17 @@ def test_run_defaults_to_out_dir(config_path, tmp_path):
     assert (tmp_path / "out" / "run.csv").exists()
 
 
+def test_oracle_without_a_config_uses_the_defaults(capsys):
+    assert main(["oracle"]) == 0
+    assert capsys.readouterr().out.startswith("oracle rate ")
+
+
+def test_run_without_a_config_or_out_writes_the_default_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run"]) == 0
+    assert (tmp_path / "runs" / "run.csv").is_file()
+
+
 def test_sweep_writes_stats(config_path, tmp_path, capsys):
     out = tmp_path / "stats.csv"
     code = main([

@@ -143,6 +143,10 @@ def test_schema_version_checked():
         ({"price": 10**400}, r"^price: must be finite, got an integer too large for a float$"),
         ({"soc_range": [0.8, 10**400]}, r"^soc_range: must be finite"),
         ({"departures": [{"time_h": 10**400, "count": 1}]}, r"^departures\[0\]: time_h"),
+        ({"departures": [{"time_h": float("nan"), "count": 1}]},
+         r"^departures\[0\]: time_h: must be finite, got nan$"),
+        ({"omega": -0.1}, r"^omega must be >= 0, got -0\.1$"),
+        ({"soc_range": 0.8}, r"^soc_range: expected tuple\[float, float\], got 0\.8$"),
     ],
 )
 def test_validation_names_offending_key(data, key):
@@ -297,8 +301,8 @@ def _fleets_and_departures(draw):
     soc = draw(st.lists(st.sampled_from((0.05, 0.2, 0.8)), min_size=n, max_size=n))
     departed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     fleet = Fleet(capacity_kwh=np.full(n, 20.0), soc=soc, soc_min=np.full(n, 0.2),
-                  rate_min_kw=np.zeros(n), rate_max_kw=np.full(n, 6.6), eta=np.full(n, 0.9),
-                  departed=departed)
+                  rate_min_kw=np.zeros(n), rate_max_kw=np.full(n, 6.6), eta=np.full(n, 0.9))
+    fleet.departed[:] = departed
     time_h = st.sampled_from((0.5, 1, 1.0, 2.5))  # equal times, as int and float too
     ids = st.lists(st.integers(0, n - 1), max_size=2 * n)  # duplicates, ids already gone
     if draw(st.booleans()):

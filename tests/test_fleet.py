@@ -22,12 +22,13 @@ from v2gdispatch.fleet import (
 def _fleet(n=1, soc=0.8, soc_min=0.2, capacity=20.0, eta=1.0, departed=False):
     """``n`` EVs on 0-6.6 kW points; each field is one value for every EV or
     a list of ``n``."""
-    return Fleet(
+    fleet = Fleet(
         capacity_kwh=np.broadcast_to(capacity, n), soc=np.broadcast_to(soc, n),
         soc_min=np.broadcast_to(soc_min, n), rate_min_kw=np.zeros(n),
         rate_max_kw=np.full(n, 6.6), eta=np.broadcast_to(eta, n),
-        departed=np.broadcast_to(departed, n),
     )
+    fleet.departed[:] = departed
+    return fleet
 
 
 def test_default_sampling_stays_in_bounds():
@@ -101,8 +102,6 @@ def test_fleet_columns_must_match_in_length():
     assert len(Fleet(**columns)) == 2
     with pytest.raises(ValueError):
         Fleet(**{**columns, "soc": [0.8]})
-    with pytest.raises(ValueError):
-        Fleet(**columns, departed=[False])
 
 
 def test_fleet_rate_bounds_checked_per_ev():

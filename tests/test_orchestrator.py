@@ -385,6 +385,34 @@ def test_scenario_departure_triggers_reoptimization(instance):
         assert soc_end[i] == soc_at_event[i]
 
 
+def test_two_epoch_record_indexes_as_its_exported_rows(instance, tmp_path):
+    record = run_scenario(
+        instance.fleet, instance.costs, dt_h=0.1, horizon_h=0.6,
+        events=(DepartureEvent(time_h=0.3, ev_ids=tuple(range(6, 12))),),
+        m_whales=4, k_max=40, seed=8,
+    )
+    path = tmp_path / "run.csv"
+    export_run(record, path)
+    exported = [line.split(",")[1:7] for line in path.read_text().splitlines()
+                if line.startswith("iter,")]
+    log = record.iterations
+    n = len(log)
+    assert len(log.segments) == 2 and n == len(exported)
+
+    def fields(row):
+        return [str(row.epoch), str(row.k), str(row.selected_index), repr(row.best_rate_kw),
+                repr(row.best_total_cost), str(row.n_available)]
+
+    assert [fields(log[i]) for i in range(n)] == exported
+    assert [fields(log[i - n]) for i in range(n)] == exported
+    assert log[-1] == list(log)[-1]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            log[index]
+    with pytest.raises(TypeError):
+        log[1.5]
+
+
 def test_scenario_record_is_its_epochs_in_order(instance, monkeypatch):
     # two departures, three epochs: the scenario's iteration rows are the
     # epochs' rows back to back and its oracle calls are their sums

@@ -1,10 +1,13 @@
-"""The package root: it binds its modules and re-exports none of their names.
-No module imports a name it never uses, or a module beyond the standard
-library, numpy and the package's own."""
+"""The package root: it binds its modules and re-exports none of their names,
+and its version is the one pyproject.toml declares. No module imports a name
+it never uses, or a module beyond the standard library, numpy and the
+package's own."""
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import v2gdispatch
 
@@ -17,6 +20,12 @@ def test_root_binds_the_modules_and_no_module_names():
         assert getattr(v2gdispatch, name).__name__ == f"v2gdispatch.{name}"
     for name in ("run_optimization", "run_scenario", "build_topology", "shuffle_round"):
         assert not hasattr(v2gdispatch, name), name
+
+
+def test_version_is_the_one_pyproject_declares():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert v2gdispatch.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
