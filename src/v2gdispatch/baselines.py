@@ -13,19 +13,24 @@ Fitness callables accept a (pop, dim) matrix and return one value per row
 (a single vector is promoted), which keeps the solvers vectorized.
 
 Stream contract (part of every comparison's reproducibility): after the
-initial ``uniform`` positions, one CWOA iteration visits the whales in
-order. Each whale takes 2·dim + 1 uniform doubles in one draw, r1, r2 and
-then the branch selector p, and after them either its search reference,
-``integers(m)`` when p < 0.5 (which draws nothing when m = 1), or one more
-double for the spiral shape l when p >= 0.5. The moves themselves are then
-computed for the whole population at once, and a search move toward an
-earlier whale reads that whale's new position.
+initial ``uniform`` positions, one CWOA iteration makes three draws. First
+``random((m, 2·dim + 1))``, each whale's row r1, r2 and then the branch
+selector p. Then ``integers(m, size=n)`` for the search references of the n
+whales with p < 0.5, in whale order (which draws nothing when m = 1). Then
+``random(n')`` for the spiral shapes l of the n' whales with p >= 0.5. The
+moves themselves are then computed for the whole population at once, and a
+search move toward an earlier whale reads that whale's new position.
 One GWO iteration draws a single (3, 2, pack, dim) block, r1 and r2 for
 each of the three leaders in turn. The spiral applies numpy's ``exp`` and
 ``cos`` to every spiralling whale's l at once, which gives the same bits as
 numpy on each l alone. ``math.exp`` would not do: it differs from numpy's
 in the last bit on 949 of 2·10⁴ uniform inputs in [-1, 1] (numpy 2.4.6,
-AVX-512), and one such bit moves a whale, and so the comparison.
+AVX-512), and one such bit can move a whale. At the default instance and
+k_max = 300 it does not reach the comparison: CWOA ends every one of the
+20 acceptance seeds with all coordinates clipped to the upper bound, and
+the compare digests are the same with numpy's AVX-512 kernels switched
+off (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``), under
+which numpy's ``exp`` agrees with ``math.exp`` on 2·10⁴ such inputs.
 
 Each solve allocates its work arrays once and refills them in place every
 iteration. It applies the same operations in the same order as the plain
@@ -33,15 +38,16 @@ expressions, so the bits are those of the per-whale and per-leader
 references in the tests. Only the positions handed to the fitness are a new
 array each iteration: no population is written after it is passed on.
 CWOA keeps A, C, the encircle and search moves and the |A| < 1 mask in
-(m, dim) arrays and each whale's search reference in a list; the whales
-that search toward an earlier whale move again in one ascending pass, each
-reading its target's final position. Once a < 1, |A| <= a < 1 in every
-coordinate, so no whale takes a search move and the solver skips all search
-work. GWO refills one (3, 2, pack, dim) draw array with ``random(out=...)``,
-the same stream as a fresh block, forms A and C = 2·r2 in its two halves,
-and builds the pulls in one (3, pack, dim) array that starts as a
-contiguous copy of the leaders; the mean is numpy's, ``add.reduce`` over
-the leaders and then ``/ 3``.
+(m, dim) arrays and the search references in an index array, where a
+spiralling whale refers to itself; the whales that search toward an earlier
+whale move again in one ascending pass, each reading its target's final
+position. Once a < 1, |A| <= a < 1 in every coordinate, so no whale takes a
+search move and the solver skips all search work. GWO refills one
+(3, 2, pack, dim) draw array with ``random(out=...)``, the same stream as a
+fresh block, forms A and C = 2·r2 in its two halves, and builds the pulls
+in one (3, pack, dim) array that starts as a contiguous copy of the
+leaders; the mean is numpy's, ``add.reduce`` over the leaders and then
+``/ 3``.
 """
 
 from __future__ import annotations
@@ -115,7 +121,10 @@ def cwoa_solve(
 
     Per-dimension encircle/search moves and per-whale spirals around the
     best-so-far leader; returns the leader vector and the best-fitness trace
-    (one entry per iteration, non-increasing).
+    (one entry per iteration, non-increasing). ``seed`` goes through
+    ``np.random.default_rng``, so a Generator is used as passed; each
+    iteration draws from it in the three calls of the module's stream
+    contract.
     """
     _check_box(dim, k_max, lower, upper)
     if m < 1:
@@ -129,23 +138,18 @@ def cwoa_solve(
     trace = []
 
     draws = np.empty((m, 2 * dim + 1))  # per whale: r1, r2, then p
-    rows = list(draws)
+    whales = np.arange(m)
     A, C, encircle, search = (np.empty((m, dim)) for _ in range(4))
     near = np.empty((m, dim), dtype=bool)  # |A| < 1: encircle, else search
-    ref = [0] * m  # search reference, p < 0.5
     for k in range(k_max):
         a = 2.0 * (1.0 - k / k_max)
         chained = a >= 1.0  # below 1, |A| < 1 and no whale takes a search move
-        spiral, ell, later = [], [], []
-        for i, row in enumerate(rows):
-            rng.random(out=row)
-            if row[-1] < 0.5:
-                j = ref[i] = int(rng.integers(m))
-                if chained and j < i:
-                    later.append(i)
-            else:
-                spiral.append(i)
-                ell.append(rng.random())
+        rng.random(out=draws)
+        searching = draws[:, -1] < 0.5
+        ref = whales.copy()  # search reference; a spiralling whale's own index
+        ref[searching] = rng.integers(m, size=np.count_nonzero(searching))
+        spiral = np.flatnonzero(~searching)
+        ell = rng.random(spiral.size)
         np.multiply(draws[:, :dim], 2.0 * a, out=A)
         A -= a
         np.multiply(draws[:, dim:-1], 2.0, out=C)
@@ -163,12 +167,13 @@ def cwoa_solve(
             search *= A
             np.subtract(new, search, out=new)
             np.copyto(new, encircle, where=near)
+            later = np.flatnonzero(ref < whales).tolist()
         else:
             new = encircle.copy()
-        if spiral:
-            l = 2.0 * np.array(ell) - 1.0
-            dist = np.abs(best_x - pos[spiral])
-            new[spiral] = dist * np.exp(l)[:, None] * np.cos(2.0 * np.pi * l)[:, None] + best_x
+            later = []
+        l = 2.0 * ell - 1.0
+        dist = np.abs(best_x - pos[spiral])
+        new[spiral] = dist * np.exp(l)[:, None] * np.cos(2.0 * np.pi * l)[:, None] + best_x
         # A search move toward an earlier whale sees that whale's new
         # position: in ascending order, each target is final when read.
         for i in later:

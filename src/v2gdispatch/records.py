@@ -104,8 +104,10 @@ class IterationLog(Sequence):
     def __len__(self) -> int:
         return sum(len(segment) for segment in self.segments)
 
-    def __getitem__(self, index) -> IterationRow:
+    def __getitem__(self, index) -> IterationRow | list[IterationRow]:
         i = range(len(self))[index]  # IndexError out of range, TypeError for a non-integer
+        if isinstance(i, range):  # a slice: its rows as a list
+            return [self[j] for j in i]
         for segment in self.segments:
             if i < len(segment):
                 return segment.row(i)

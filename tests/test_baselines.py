@@ -225,19 +225,22 @@ def cwoa_reference(dim, fitness, m, k_max, seed, lower=0.0, upper=6.6):
     trace = []
     for k in range(k_max):
         a = 2.0 * (1.0 - k / k_max)
+        draws = rng.random((m, 2 * dim + 1))
+        refs = iter(rng.integers(m, size=np.count_nonzero(draws[:, -1] < 0.5)))
+        shapes = iter(rng.random(np.count_nonzero(draws[:, -1] >= 0.5)))
         for i in range(m):
-            r1 = rng.random(dim)
-            r2 = rng.random(dim)
+            r1 = draws[i, :dim]
+            r2 = draws[i, dim:-1]
             A = 2.0 * a * r1 - a
             C = 2.0 * r2
-            p = rng.random()
+            p = draws[i, -1]
             if p < 0.5:
                 encircle = best_x - A * np.abs(C * best_x - pos[i])
-                other = pos[int(rng.integers(m))]
+                other = pos[int(next(refs))]
                 search = other - A * np.abs(C * other - pos[i])
                 pos[i] = np.where(np.abs(A) < 1.0, encircle, search)
             else:
-                l = 2.0 * rng.random() - 1.0
+                l = 2.0 * next(shapes) - 1.0
                 dist = np.abs(best_x - pos[i])
                 pos[i] = dist * np.exp(l) * np.cos(2.0 * np.pi * l) + best_x
         np.clip(pos, lower, upper, out=pos)
@@ -302,6 +305,24 @@ def test_cwoa_matches_per_whale_reference_bit_for_bit(fitness_by_dim, dim, m):
             got_x, got_trace = cwoa_solve(dim, fitness, m=m, k_max=k_max, seed=seed)
             assert got_x.tobytes() == want_x.tobytes(), (k_max, seed)
             assert got_trace == want_trace, (k_max, seed)
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("m", [1, 3, 30])
+@pytest.mark.parametrize("k_max", [1, 2])
+def test_cwoa_stream_contract(fitness_by_dim, dim, m, k_max):
+    # after the initial uniform positions, an iteration draws r1, r2 and p
+    # for every whale in one block, then the searching whales' references,
+    # then the spiralling whales' shapes; the generator is used as passed
+    rng = np.random.default_rng(9)
+    cwoa_solve(dim, fitness_by_dim[dim], m=m, k_max=k_max, seed=rng)
+    replay = np.random.default_rng(9)
+    replay.uniform(0.0, 6.6, (m, dim))
+    for _ in range(k_max):
+        p = replay.random((m, 2 * dim + 1))[:, -1]
+        replay.integers(m, size=np.count_nonzero(p < 0.5))
+        replay.random(np.count_nonzero(p >= 0.5))
+    assert rng.random() == replay.random()
 
 
 @pytest.mark.parametrize("dim", GRID_DIMS)

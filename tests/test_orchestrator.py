@@ -411,6 +411,11 @@ def test_two_epoch_record_indexes_as_its_exported_rows(instance, tmp_path):
             log[index]
     with pytest.raises(TypeError):
         log[1.5]
+    # a slice gives its rows as a list, the same as slicing list(log)
+    rows = list(log)
+    for index in (slice(0, 2), slice(None), slice(1, None, 3), slice(-5, -1),
+                  slice(None, None, -1), slice(-2, 2, -4), slice(n + 3, None), slice(2, 0)):
+        assert log[index] == rows[index], index
 
 
 def test_scenario_record_is_its_epochs_in_order(instance, monkeypatch):
