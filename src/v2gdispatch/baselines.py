@@ -57,6 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .costs import AggCostParams, EvCostTable, agg_cost_of_power
+from .dwoa import alpha_schedule
 
 
 PENALTY_CAP = 10.0
@@ -142,7 +143,7 @@ def cwoa_solve(
     A, C, encircle, search = (np.empty((m, dim)) for _ in range(4))
     near = np.empty((m, dim), dtype=bool)  # |A| < 1: encircle, else search
     for k in range(k_max):
-        a = 2.0 * (1.0 - k / k_max)
+        a = alpha_schedule(k, k_max)
         chained = a >= 1.0  # below 1, |A| < 1 and no whale takes a search move
         rng.random(out=draws)
         searching = draws[:, -1] < 0.5
@@ -221,7 +222,7 @@ def gwo_solve(
     A, C = draws[:, 0], draws[:, 1]
     pulls = np.empty((3, pack_size, dim))
     for k in range(k_max):
-        a = 2.0 * (1.0 - k / k_max)
+        a = alpha_schedule(k, k_max)
         rng.random(out=draws)
         A *= 2.0 * a
         A -= a

@@ -49,7 +49,8 @@ class WhalePool:
     """The M candidate rates plus the elitist best, owned by the ECN.
 
     The ECN's own selection (``orchestrator.ecn_select_best``) supplies the
-    index of each iteration's best candidate; the pool only keeps the best.
+    index of each iteration's best candidate; the pool keeps the best, its
+    ``best_value`` the total as the ECN compares it (int units in an epoch).
     """
 
     positions: np.ndarray
@@ -68,16 +69,14 @@ class WhalePool:
 
     def record_evaluation(self, values, index: int) -> None:
         """Note this iteration's totals and the selected candidate's index;
-        keep the elitist best."""
+        keep the elitist best and its total as given, never rounded to a float."""
         if values[index] < self.best_value:
-            self.best_value = float(values[index])
+            self.best_value = values[index]
             self.best_rate = float(self.positions[index])
 
 
 def init_pool(m: int, lower: float, upper: float, k_max: int, rng) -> WhalePool:
     """Uniform random initial candidates over the search interval."""
-    if m < 1:
-        raise ValueError(f"need at least one whale, got {m}")
     rng = np.random.default_rng(rng)
     positions = rng.uniform(lower, upper, m)
     return WhalePool(positions=positions, lower=lower, upper=upper, k_max=k_max)

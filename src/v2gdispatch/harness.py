@@ -173,10 +173,13 @@ def compare_solvers(
     The decentralized result is scored by the true consensus objective at its
     returned rate; each baseline vector is scored by its penalized objective
     (equal to the true objective once the vector reaches consensus). Returns
-    the per-seed rows plus the grid-oracle optimum objective.
+    the per-seed rows plus the grid-oracle optimum objective. Before any
+    solver runs it refuses ``n_seeds`` < 1 and a ``population`` below 3.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if population < 3:
+        raise ValueError(f"population must be >= 3 (GWO's pack), got {population}")
     if instance is None:
         instance = build_instance(config)
     avail, costs, (lower, upper) = _available(instance)

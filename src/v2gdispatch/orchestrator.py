@@ -11,9 +11,9 @@ Each iteration is whole-matrix work: the evaluations form one (N+1) x M
 matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
 order, quantized once, masked by one ``SplitBuffers.draw`` / ``mask_units``
 round (when the epoch masks) and summed per column (``candidate_totals``, an
-exact int64 matvec). The ECN selects on the float totals, as a list that
-``WhalePool.record_evaluation`` reads too: int64 totals above 2**53 units
-can differ yet map to one float, and the tie then goes to the lower index.
+exact int64 matvec). The ECN selects, and the pool keeps its best, on these
+exact totals as Python ints; only the best total is turned into currency,
+for the record.
 
 What an epoch fixes is set up once, before its iterations:
 - the four cost coefficients spread to (N+1) x M arrays, the aggregator's
@@ -114,22 +114,10 @@ def step_count(dt_h: float, horizon_h: float) -> int:
 
 
 def ecn_select_best(totals) -> int:
-    """Index of the candidate with the minimal aggregated total.
-
-    Ties break to the lowest candidate index; a missing or non-finite total
-    means some agent failed to report and is a protocol error.
-    """
-    totals = list(totals)
-    if not totals:
-        raise ProtocolError("no candidate totals to select from")
-    best_index = None
-    best_value = None
-    for i, value in enumerate(totals):
-        if value is None or not math.isfinite(value):
-            raise ProtocolError(f"candidate {i} has an incomplete total")
-        if best_value is None or value < best_value:
-            best_index, best_value = i, value
-    return best_index
+    """Index of the candidate with the minimal aggregated total; ties break
+    to the lowest index. An epoch passes its exact int64 totals as Python
+    ints, so two totals that differ are never read as a tie."""
+    return min(range(len(totals)), key=totals.__getitem__)
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -223,10 +211,10 @@ def run_optimization(
         if shuffle_enabled:
             split.draw(shuffle_rng)
             units = mask_units(units, split.fractions, split.destinations, out=wire)
-        totals = from_units_array(candidate_totals(units), unit_bits).tolist()
+        totals = candidate_totals(units).tolist()
         selected = ecn_select_best(totals)
         pool.record_evaluation(totals, selected)
-        segment.append(selected, pool.best_rate, pool.best_value)
+        segment.append(selected, pool.best_rate, from_units_array(pool.best_value, unit_bits))
         if k + 1 < n_iterations:
             advance_pool(pool, dwoa_rng)
 

@@ -20,6 +20,13 @@ The export formats only the SOC values that changed since the step before,
 compared by their float64 bits (so 0.0 / -0.0 and NaN stay exact), and
 reuses the text of the others: an EV that has left keeps its SOC, and its
 text, from then on.
+
+A trace's bits also rest on the platform: libm's ``exp`` and ``cos`` (the
+spiral, ``dwoa``), numpy's ``log``, ``rint`` and int64 matvec, and numpy's
+``Generator`` algorithms, which NEP 19 does not keep across versions.
+Acceptance criterion 7 assumes a left-to-right built-in ``sum()`` of floats,
+which Python 3.12's is not (``tests/test_platform.py``). Traces were run on
+Python 3.11.7, numpy 2.4.6 and glibc 2.36, x86-64.
 """
 
 from __future__ import annotations

@@ -130,8 +130,9 @@ def check_headroom(units: np.ndarray) -> None:
             )
 
 
-def from_units_array(units, unit_bits: int = DEFAULT_UNIT_BITS) -> np.ndarray:
-    return np.multiply(units, 2.0 ** -unit_bits)
+def from_units_array(units, unit_bits: int = DEFAULT_UNIT_BITS):
+    # an int64 array or a Python int: both convert to the nearest float
+    return units * 2.0 ** -unit_bits
 
 
 def _stacked(values_by_agent: Mapping[int, np.ndarray]) -> tuple[list[int], np.ndarray]:

@@ -287,6 +287,16 @@ def test_record_evaluation_tie_breaks_to_lowest_index():
     assert pool.best_rate == 2.0
 
 
+def test_record_evaluation_keeps_an_int_total_exactly():
+    # a float would round both totals to 2**60, and the pool could not tell
+    # them apart at the next comparison
+    pool = WhalePool(positions=np.array([2.0, 1.0]), lower=0.0, upper=6.6, k_max=5)
+    pool.record_evaluation([2**60 + 1, 2**60], 1)
+    assert type(pool.best_value) is int
+    assert pool.best_value == 2**60
+    assert pool.best_rate == 1.0
+
+
 def _drive_pool(fn, m, k_max, seed, lower=0.0, upper=6.6):
     """(best rate, best value) after each iteration of a pool moved against
     ``fn`` as ``run_optimization`` moves it: ``k_max=0`` evaluates the

@@ -151,6 +151,17 @@ def test_compare_solvers_needs_a_seed():
             compare_solvers(CFG, n_seeds=n_seeds, k_max=5, population=4)
 
 
+def test_compare_refuses_a_population_below_gwos_pack_before_any_solver(monkeypatch):
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for name in ("run_optimization", "cwoa_solve", "gwo_solve"):
+        monkeypatch.setattr(harness, name, solver)
+    for population in (0, 1, 2):
+        with pytest.raises(ValueError, match=rf"^population must be >= 3 .*, got {population}$"):
+            compare_solvers(CFG, n_seeds=1, k_max=5, population=population)
+
+
 def test_oracle_and_compare_need_an_available_ev():
     instance = build_instance(CFG)
     for ev in instance.fleet.evs:

@@ -52,29 +52,26 @@ def test_select_best_tie_breaks_to_lowest_index():
     assert ecn_select_best([3.0, 1.0, 1.0]) == 1
 
 
-def test_select_best_runs_on_the_float_totals():
-    # int64 totals one unit apart above 2**53 map to one float: the tie
-    # goes to the lowest index, though the units of index 1 are smaller
+def test_select_best_runs_on_the_exact_int_totals():
+    # int64 totals one unit apart above 2**53 map to one float, yet the
+    # select reads them as Python ints and picks the smaller
     totals = np.array([2**53 + 1, 2**53], dtype=np.int64)
-    floats = from_units_array(totals, 0)
-    assert floats[0] == floats[1]
-    assert ecn_select_best(floats.tolist()) == 0
-    assert ecn_select_best(from_units_array(totals * 4, 2).tolist()) == 0
+    assert from_units_array(totals, 0)[0] == from_units_array(totals, 0)[1]
+    assert ecn_select_best(totals.tolist()) == 1
+    assert ecn_select_best((totals * 4).tolist()) == 1
 
 
-def test_select_best_rejects_incomplete_totals():
-    with pytest.raises(ProtocolError):
-        ecn_select_best([])
-    with pytest.raises(ProtocolError):
-        ecn_select_best([1.0, None, 2.0])
-    with pytest.raises(ProtocolError):
-        ecn_select_best([1.0, float("nan")])
-
-
-def test_select_best_rejects_non_finite_totals():
-    for totals in ([float("inf"), float("inf")], [1.0, float("inf")], [float("-inf"), 0.0]):
-        with pytest.raises(ProtocolError):
-            ecn_select_best(totals)
+def test_epoch_selects_and_records_on_the_exact_totals(monkeypatch):
+    # three int64 totals, the first two one unit apart above 2**53: as
+    # floats they tie and index 0 would win; the epoch picks index 1 and
+    # records that total's currency value
+    inst = build_instance(ScenarioConfig(n_evs=5, seed=3))
+    totals = np.array([2**53 + 1, 2**53, 2**54], dtype=np.int64)
+    monkeypatch.setattr(orchestrator, "candidate_totals", lambda units: totals)
+    _, record = run_optimization(inst.fleet, inst.costs, m_whales=3, k_max=1, seed=0)
+    (row,) = record.iterations
+    assert row.selected_index == 1
+    assert row.best_total_cost == 2**53 * 2.0**-40
 
 
 def test_iteration_beyond_int64_headroom_rejected():

@@ -27,6 +27,19 @@ def test_unit_grid_round_trip():
     assert np.array_equal(from_units_array(to_units_array(values)), values)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(units=st.one_of(st.integers(-(2**63), 2**63 - 1),
+                       st.sampled_from([0, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)])),
+       unit_bits=st.integers(0, 48))
+def test_from_units_array_converts_a_python_int_as_the_int64_array(units, unit_bits):
+    # the epoch converts its best total as a Python int: the float must be
+    # the one numpy's int64 cast gives, bit for bit
+    got = from_units_array(units, unit_bits)
+    assert type(got) is float
+    want = np.multiply(np.array([units], dtype=np.int64), 2.0**-unit_bits)[0]
+    assert got.hex() == float(want).hex()
+
+
 def test_to_units_array_rejects_values_int64_cannot_hold():
     # 2**23 at 40 bits is exactly 2**63, one past the largest int64
     with pytest.raises(ProtocolError):
