@@ -9,11 +9,16 @@ the same candidate sequence and the answer is one scalar rate.
 
 Each iteration is whole-matrix work: the evaluations form one (N+1) x M
 matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
-order, quantized once, masked by one ``SplitBuffers.draw`` / ``mask_units``
-round (when the epoch masks) and summed per column (``candidate_totals``, an
-exact int64 matvec). The ECN selects, and the pool keeps its best, on these
-exact totals as Python ints; only the best total is turned into currency,
-for the record.
+order, quantized once, masked by one ``mask_units`` round (when the epoch
+masks) and summed per column (``candidate_totals``, an exact int64 matvec).
+The rounds are drawn in blocks: ``rounds = min(iterations, max(1,
+BLOCK_CELLS // ((N+1) * M)))`` of them a block, one ``SplitBuffers.draw``
+at every iteration k with ``k % rounds == 0`` (a last partial block is
+drawn whole), and iteration k masks with round ``k % rounds``. Once
+2 (N+1) M exceeds ``BLOCK_CELLS``, a block is one round, the round-by-round
+stream. The ECN selects, and the pool keeps its best, on these exact totals
+as Python ints; only the best total is turned into currency, for the
+record.
 
 What an epoch fixes is set up once, before its iterations:
 - the four cost coefficients spread to (N+1) x M arrays, the aggregator's
@@ -24,15 +29,15 @@ What an epoch fixes is set up once, before its iterations:
 - the wire buffers (``shuffle.WireBuffers``): the scaled values, the int64
   units and the masked units; the mask reuses the first two for the kept
   shares and the sends, and adds the sends in through their flat views;
-- only when the epoch masks, its topology and the one split every round
+- only when the epoch masks, its topology and the one split every block
   draws into (``shuffle.SplitBuffers``): the fractions, the flat share
-  destinations, whose single-edge rows never change, and the row views and
-  each multi-edge row's degree and target slots, so a round draws only the
-  fractions and the aggregator's M destinations.
-Per iteration run only the arithmetic and the draws, each array touched
-once. The loop calls ``candidate_totals``, ``from_units_array`` and
-``ecn_select_best`` through this module's names, where a caller can wrap
-them.
+  destinations, whose single-edge rows never change, each round's views,
+  and the row views and each multi-edge row's degree and target slots, so
+  a block draws only the fractions and the aggregator's destinations.
+Per iteration run only the arithmetic and, once a block, the draws, each
+array touched once. The loop calls ``candidate_totals``,
+``from_units_array`` and ``ecn_select_best`` through this module's names,
+where a caller can wrap them.
 
 A scenario run repeats epochs over simulated time: whenever the available set
 changes (scheduled departures or SOC floors crossed), a fresh epoch
@@ -74,6 +79,14 @@ MAX_STEPS = 2**53
 # numpy's failed allocation would name no setting. 10**5 EVs at 10 candidates
 # are 10**6 cells.
 MAX_CELLS = 2**27
+# an epoch that masks draws its rounds in blocks of up to this many cells
+# (rounds x (N+1) x M), at least one round a block, so that one generator
+# call fills many rounds; a block of several rounds keeps each of its two
+# arrays within 64 KiB. Of 2**12 to 2**15, the largest that slowed no epoch
+# from N = 250 to 1 000 at M = 10: a round's fractions are a strided view of
+# the block, and from some 400 rows on that costs the mask more than fewer
+# calls save the draw
+BLOCK_CELLS = 2**13
 
 
 def check_run_settings(n_evs: int, m_whales: int, k_max: int, topology_policy: str,
@@ -189,10 +202,12 @@ def run_optimization(
     topo_ss, dwoa_ss, shuffle_ss = _as_seed_sequence(seed).spawn(3)
     dwoa_rng = np.random.default_rng(dwoa_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
+    n_iterations = max(k_max, 1)
     split = None
     if shuffle_enabled:
         topology = build_topology(fleet, topology_policy, np.random.default_rng(topo_ss))
-        split = SplitBuffers(topology, m_whales)
+        rounds = min(n_iterations, max(1, BLOCK_CELLS // ((len(avail) + 1) * m_whales)))
+        split = SplitBuffers(topology, m_whales, rounds=rounds)
 
     cost_matrix = CostMatrix(costs.ev.take(avail), costs.agg, m_whales)
     # every pool position lies in [lower, upper], so no column of any
@@ -203,14 +218,15 @@ def run_optimization(
                             f"{upper} kW reach 2**63: beyond the int64 wire at {unit_bits} "
                             "unit bits")
     wire = WireBuffers(cost_matrix.values.shape)
-    n_iterations = max(k_max, 1)
     pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
     segment = IterationSegment(epoch, len(avail))
     for k in range(n_iterations):
         units = wire.quantize(cost_matrix(pool.positions), unit_bits)
         if shuffle_enabled:
-            split.draw(shuffle_rng)
-            units = mask_units(units, split.fractions, split.destinations, out=wire)
+            j = k % rounds
+            if not j:
+                split.draw(shuffle_rng)
+            units = mask_units(units, *split.views[j], out=wire)
         totals = candidate_totals(units).tolist()
         selected = ecn_select_best(totals)
         pool.record_evaluation(totals, selected)

@@ -21,7 +21,8 @@ One round works on the whole (agents x candidates) unit matrix: row 0 is the
 aggregator and rows 1..N are the EVs in ascending id order (the rows of a
 built ``NeighborMap``, whose ``ids`` hold each row's agent id: the EV id, or
 -1 for the aggregator). ``SplitBuffers.draw`` draws every kept fraction and
-share destination from the graph's integer arrays, ``mask_units`` applies them.
+share destination of a block of rounds from the graph's integer arrays, and
+``mask_units`` applies one round of them.
 ``shuffle_round`` is the same round over an id-keyed mapping of the
 topology's agents.
 ``candidate_totals`` sums the reports per candidate.
@@ -30,10 +31,20 @@ lands in the flat slot ``t * m + h`` of its target row t, and ``SplitBuffers``
 alone derives those slots from the graph's ``indptr`` and ``targets``.
 
 A run of rounds over one matrix shape can quantize into the same
-``WireBuffers`` and pass them to ``mask_units``, and draw each round from
+``WireBuffers`` and pass them to ``mask_units``, and draw its rounds into
 the same ``SplitBuffers``, so each round touches each matrix once,
 allocates none and makes its views and plan lookups not per round but once,
 when the buffers are built.
+
+The masking stream is drawn a block at a time. A ``SplitBuffers`` holds
+``rounds`` rounds, and one ``draw`` refills them all, row by row: a row's
+fractions for every round (rounds x m values, round by round) and then, for
+a multi-edge row, its out-edge for every round and candidate. A run of rows
+draws its fractions in one generator call, so a block costs a few calls
+however many rounds it holds. One round a block is the round-by-round
+stream; a larger block draws the same distributions (every fraction
+U[0, 1), every send uniform over its row's out-edges) in another order.
+Totals are exact, so the order never reaches a total.
 """
 
 from __future__ import annotations
@@ -153,29 +164,32 @@ def _stacked(values_by_agent: Mapping[int, np.ndarray]) -> tuple[list[int], np.n
 
 
 class SplitBuffers:
-    """The kept fractions and share destinations of rounds over one topology
-    and ``m`` candidates; ``draw`` refills them for each round.
+    """The kept fractions and share destinations of ``rounds`` masking rounds
+    over one topology and ``m`` candidates; ``draw`` refills every round.
 
-    ``fractions`` is (rows, m): the fraction of each value its row keeps.
-    ``destinations`` is flat, (rows * m,) in row-major order: the slot each
-    value's send share goes to, as the flat index ``t * m + h`` of row t's
-    entry for the same candidate h. Each row starts at its first target; a
-    single-edge row's destinations never change, and a multi-edge row's are
-    redrawn each round from its targets' slots ``t * m``. A row with no
-    out-edge raises TopologyError. ``forced`` maps a row to the fractions it
-    keeps in every round, written here once: m values, each in [0, 1], so
-    that both shares of a value lie between 0 and the value.
+    ``fractions`` is (rows, rounds, m): the fraction of each value its row
+    keeps in each round. ``destinations`` is (rounds, rows * m), each round
+    flat in row-major order: the slot each value's send share goes to, as
+    the flat index ``t * m + h`` of row t's entry for the same candidate h.
+    ``views[j]`` is round j's (fractions, destinations) pair, the
+    (rows, m) and (rows * m,) views ``mask_units`` takes, built here once.
+    Each row starts at its first target; a single-edge row's destinations
+    never change, and a multi-edge row's are redrawn with each block from
+    its targets' slots ``t * m``. A row with no out-edge raises
+    TopologyError. ``forced`` maps a row to the fractions it keeps in every
+    round, written here once: m values, each in [0, 1], so that both shares
+    of a value lie between 0 and the value.
     """
 
-    __slots__ = ("fractions", "destinations", "_columns", "_draws", "_tail")
+    __slots__ = ("fractions", "destinations", "views", "_columns", "_draws", "_tail")
 
     def __init__(self, topology: NeighborMap, m: int,
-                 forced: Mapping[int, Sequence[float]] | None = None):
+                 forced: Mapping[int, Sequence[float]] | None = None, rounds: int = 1):
         indptr, targets = topology.indptr, topology.targets
         degree = np.diff(indptr)
         if not degree.all():
             raise TopologyError(f"agent {topology.ids[np.argmin(degree)]} has no out-edges")
-        fractions = self.fractions = np.empty((len(degree), m))
+        fractions = self.fractions = np.empty((len(degree), rounds, m))
         forced = forced or {}
         for r, f in forced.items():
             f = np.asarray(f, dtype=float)
@@ -184,39 +198,47 @@ class SplitBuffers:
                                     f"{m} values in [0, 1]")
             fractions[r] = f
         self._columns = np.arange(m)
-        destinations = self.destinations = (
-            targets[indptr[:-1], None] * m + self._columns).reshape(-1)
+        destinations = self.destinations = np.empty((rounds, len(degree) * m), dtype=np.int64)
+        destinations[...] = (targets[indptr[:-1], None] * m + self._columns).reshape(-1)
+        self.views = tuple(zip(fractions.transpose(1, 0, 2), destinations))
         starts = indptr.tolist()
+        # one round draws into flat (m,) routes and (rows, m) fraction blocks,
+        # which numpy fills as cheaply as the round-by-round draw; a (1, m)
+        # route would cost a broadcast
+        shape = (rounds, m) if rounds > 1 else m
         multi = {r: (starts[r + 1] - starts[r], targets[starts[r]:starts[r + 1]] * m,
-                     destinations[r * m:(r + 1) * m])
+                     destinations[:, r * m:(r + 1) * m].reshape(shape), shape)
                  for r in np.flatnonzero(degree > 1).tolist()}
         # per row that does not just draw its fractions, in row order: the
         # block of fractions drawn up to it (itself included unless forced)
-        # and, for a multi-edge row, its route: degree, target slots and
-        # destinations
+        # and, for a multi-edge row, its route: degree, target slots, its
+        # destinations for every round and their shape
+        by_row = fractions.reshape(len(degree), rounds * m)
         draws = []
         start = 0
         for r in sorted(multi.keys() | forced.keys()):
-            block = fractions[start:r] if r in forced else fractions[start:r + 1]
+            block = by_row[start:r] if r in forced else by_row[start:r + 1]
             draws.append((block, multi.get(r)))
             start = r + 1
         self._draws = tuple(draws)
-        self._tail = fractions[start:]
+        self._tail = by_row[start:]
 
     def draw(self, rng) -> SplitBuffers:
-        """Refill the buffers for one round and return them.
+        """Refill the buffers for every round and return them.
 
-        Rows draw in row order: m uniform fractions (none for a forced row),
-        then, for a row with several out-edges, one out-edge per candidate
-        (``integers(degree, size=m)``). A run of rows draws its fractions in
-        one call, which consumes ``rng`` exactly as row-by-row draws would.
+        Rows draw in row order: ``rounds`` x m uniform fractions, round by
+        round (none for a forced row), then, for a row with several
+        out-edges, one out-edge per round and candidate
+        (``integers(degree, size=(rounds, m))``). A run of rows draws its
+        fractions in one call, which consumes ``rng`` exactly as row-by-row
+        draws would. With one round this is one round's stream.
         """
         random, integers, columns = rng.random, rng.integers, self._columns
         for block, route in self._draws:
             random(out=block)
             if route:
-                degree, slots, destinations = route
-                np.add(slots[integers(degree, size=columns.size)], columns, out=destinations)
+                degree, slots, destinations, shape = route
+                np.add(slots[integers(degree, size=shape)], columns, out=destinations)
         random(out=self._tail)
         return self
 
@@ -266,16 +288,21 @@ def shuffle_round(
     TopologyError names both id lists; in ascending id order they are the
     topology's rows, drawn as one ``SplitBuffers`` round on it, so results
     do not depend on traversal order. ``fractions`` forces the kept
-    fraction per agent and candidate.
+    fraction per agent and candidate; forcing them for an agent that does
+    not report raises TopologyError naming it.
     """
     agents, units = _stacked(values_by_agent)
     if agents != topology.ids.tolist():
         raise TopologyError(f"reports from agents {agents}, but the topology has agents "
                             f"{topology.ids.tolist()}")
     fractions = fractions or {}
+    reporting = set(agents)
+    for agent in fractions:
+        if agent not in reporting:
+            raise TopologyError(f"fractions forced for agent {agent}, which does not report")
     forced = {r: fractions[agent] for r, agent in enumerate(agents) if agent in fractions}
     split = SplitBuffers(topology, units.shape[1], forced).draw(np.random.default_rng(rng))
-    return dict(zip(agents, mask_units(units, split.fractions, split.destinations)))
+    return dict(zip(agents, mask_units(units, *split.views[0])))
 
 
 @functools.lru_cache(maxsize=16)

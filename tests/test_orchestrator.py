@@ -627,18 +627,25 @@ def test_scenario_takes_numpy_integer_departure_ids(instance):
     assert departed_after((np.int64(3), np.uint8(5))) == departed_after((3, 5)) == [3, 5]
 
 
-def _reference_round(units, topology, m, rng):
-    """One split / mask round written out row by row, allocating as it goes:
-    each row draws m kept fractions, then, with several out-edges, one
-    out-edge per candidate; it keeps rint(f * u) and sends the rest."""
+def _reference_block(topology, m, rounds, rng):
+    """One block of masking rounds drawn row by row, allocating as it goes:
+    each row draws rounds x m kept fractions, then, with several out-edges,
+    one out-edge per round and candidate. Returns each round's fractions
+    and destinations."""
     rows, indptr, targets = len(topology.ids), topology.indptr.tolist(), topology.targets
-    fractions = np.empty((rows, m))
-    destinations = np.empty((rows, m), dtype=np.int64)
+    fractions = np.empty((rounds, rows, m))
+    destinations = np.empty((rounds, rows, m), dtype=np.int64)
     for r in range(rows):
-        fractions[r] = rng.random(m)
+        fractions[:, r] = rng.random((rounds, m))
         first, degree = indptr[r], indptr[r + 1] - indptr[r]
-        picked = targets[first + rng.integers(degree, size=m)] if degree > 1 else targets[first]
-        destinations[r] = picked * m + np.arange(m)
+        picked = (targets[first + rng.integers(degree, size=(rounds, m))] if degree > 1
+                  else targets[first])
+        destinations[:, r] = picked * m + np.arange(m)
+    return list(zip(fractions, destinations))
+
+
+def _reference_round(units, fractions, destinations):
+    """One mask round: each row keeps rint(f * u) and sends the rest."""
     kept = np.rint(fractions * units).astype(np.int64)
     masked = kept.copy()
     np.add.at(masked.reshape(-1), destinations.reshape(-1), (units - kept).reshape(-1))
@@ -648,8 +655,9 @@ def _reference_round(units, topology, m, rng):
 def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit_bits):
     """One epoch with each step separate and freshly allocated: costs,
     quantisation, the exact per-column headroom check, one round, column
-    sums. Returns the rate, the record columns, the oracle calls and the
-    reported matrix of every iteration."""
+    sums. The rounds are drawn in blocks of the epoch's size, a new block at
+    every multiple of it. Returns the rate, the record columns, the oracle
+    calls and the reported matrix of every iteration."""
     avail = available_ids(fleet)
     lower, upper = common_rate_bounds(fleet, avail)
     topo_ss, dwoa_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(3)
@@ -659,10 +667,11 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
     alpha, beta, gamma, other = (column[:, None] for column in ev.columns())
     price = ev.price
     n_iterations = max(k_max, 1)
+    rounds = min(n_iterations, max(1, orchestrator.BLOCK_CELLS // ((len(avail) + 1) * m)))
     pool = init_pool(m, lower, upper, n_iterations, dwoa_rng)
     columns = (array("i"), array("d"), array("d"))
     reported = []
-    for _ in range(n_iterations):
+    for k in range(n_iterations):
         r = pool.positions
         ev_values = alpha * r * r + beta * r + gamma + other - price * r
         values = np.vstack([agg_consensus_cost(r, ev, agg), ev_values])
@@ -673,7 +682,9 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
         if any(sum(abs(u) for u in column) >= 2**63 for column in units.T.tolist()):
             raise ProtocolError("beyond the int64 headroom")
         if shuffle_enabled:
-            units = _reference_round(units, topology, m, shuffle_rng)
+            if k % rounds == 0:
+                block = _reference_block(topology, m, rounds, shuffle_rng)
+            units = _reference_round(units, *block[k % rounds])
         reported.append(units.tobytes())
         totals = units.sum(axis=0) * 2.0**-unit_bits
         selected = ecn_select_best(totals.tolist())
@@ -723,6 +734,33 @@ def test_epoch_matches_the_written_out_reference(n, m, unit_bits, monkeypatch):
                     c.tobytes() for c in columns]
                 assert (record.oracle_calls_ev, record.oracle_calls_agg) == calls
                 assert reported == expected
+
+
+def test_the_block_size_moves_the_masks_but_not_the_record(instance, monkeypatch, tmp_path):
+    # one round per block draws the parent stream, a block of every round
+    # another: the reports differ, the exact totals and so the record do not
+    reported = []
+    totals = orchestrator.candidate_totals
+
+    def recording_totals(units):
+        reported.append(units.tobytes())
+        return totals(units)
+
+    monkeypatch.setattr(orchestrator, "candidate_totals", recording_totals)
+    runs = []
+    for cells in (1, CFG.k_max * (CFG.n_evs + 1) * CFG.m_whales):
+        monkeypatch.setattr(orchestrator, "BLOCK_CELLS", cells)
+        reported.clear()
+        rate, record = run_optimization(instance.fleet, instance.costs,
+                                        m_whales=CFG.m_whales, k_max=CFG.k_max, seed=3)
+        path = tmp_path / f"{cells}.csv"
+        export_run(record, path)
+        runs.append((rate, path.read_bytes(), record.oracle_calls_ev, record.oracle_calls_agg,
+                     list(reported)))
+    (*one_round, one_round_reports), (*whole, whole_reports) = runs
+    assert one_round == whole
+    assert len(one_round_reports) == len(whole_reports) == CFG.k_max
+    assert one_round_reports != whole_reports
 
 
 def test_nan_cost_raises_protocol_error_without_a_warning():

@@ -261,7 +261,7 @@ def test_draw_split_stream_contract(n):
     split = SplitBuffers(topo, m)
     for _ in range(3):
         split = split.draw(rng)
-        fractions, destinations = split.fractions, split.destinations
+        fractions, destinations = split.views[0]
         if n > 1:
             agg_fractions = ref.random(m)
             agg_targets = topo.targets[ref.integers(n, size=m)]
@@ -278,6 +278,58 @@ def test_draw_split_stream_contract(n):
     refilled = split.draw(np.random.default_rng(5))
     assert np.array_equal(fresh.fractions, refilled.fractions)
     assert np.array_equal(fresh.destinations, refilled.destinations)
+
+
+def _replay_block(topo, m, rounds, forced, ref):
+    """One block written out row by row on ``ref``: a row draws rounds x m
+    fractions unless forced, then, with several out-edges, one out-edge per
+    round and candidate. Returns each round's fractions and destinations."""
+    rows, indptr = len(topo.ids), topo.indptr.tolist()
+    fractions = np.empty((rounds, rows, m))
+    destinations = np.empty((rounds, rows, m), dtype=np.int64)
+    for r in range(rows):
+        fractions[:, r] = forced[r] if r in forced else ref.random((rounds, m))
+        out = topo.targets[indptr[r]:indptr[r + 1]]
+        picked = out[ref.integers(len(out), size=(rounds, m))] if len(out) > 1 else out[0]
+        destinations[:, r] = picked * m + np.arange(m)
+    return fractions, destinations.reshape(rounds, -1)
+
+
+_CUSTOM_EDGES = {AGGREGATOR_ID: (0, 2), 0: (1,), 1: (AGGREGATOR_ID, 2, 3), 2: (3,), 3: (0,)}
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 7])
+@pytest.mark.parametrize("case", [1, 2, 5, 40, "custom"])
+def test_draw_block_stream_contract(case, rounds):
+    # a block draws row by row, each row all its rounds at once; the custom
+    # graph has two multi-edge rows (0 and 2) and a forced row (3) between
+    # runs of rows that draw. Every redraw consumes the stream the same way.
+    m = 3
+    if case == "custom":
+        topo = build_topology(sample_fleet(4, 0), custom_edges=_CUSTOM_EDGES)
+        forced = {3: np.array([0.25, 0.5, 1.0])}
+    else:
+        topo = build_topology(sample_fleet(case, case), "one-random-neighbor", 3)
+        forced = {}
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    split = SplitBuffers(topo, m, forced, rounds=rounds)
+    assert len(split.views) == rounds
+    for _ in range(2):
+        split.draw(rng)
+        fractions, destinations = _replay_block(topo, m, rounds, forced, ref)
+        assert np.array_equal(split.fractions, fractions.transpose(1, 0, 2))
+        assert np.array_equal(split.destinations, destinations)
+        for j, (round_fractions, round_destinations) in enumerate(split.views):
+            assert np.array_equal(round_fractions, fractions[j])
+            assert np.array_equal(round_destinations, destinations[j])
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_forcing_fractions_for_an_agent_that_does_not_report_is_refused():
+    topo = build_topology(sample_fleet(3, 9), "one-random-neighbor", 4)
+    values = {a: to_units_array(np.array([5.0, 10.0])) for a in topo.ids.tolist()}
+    with pytest.raises(TopologyError, match="agent 7, which does not report"):
+        shuffle_round(values, topo, rng=0, fractions={7: [0.5, 0.5]})
 
 
 def test_draw_split_refuses_a_row_with_no_out_edge():
@@ -303,8 +355,9 @@ def test_forced_rows_draw_no_fractions(forced_rows):
             rows.append(forced[r] if r in forced else ref.random(m))
             if r == 0:  # the aggregator's several out-edges
                 agg_targets = topo.targets[ref.integers(n, size=m)]
-        assert np.array_equal(split.fractions, np.vstack(rows))
-        assert np.array_equal(split.destinations[:m], agg_targets * m + np.arange(m))
+        fractions, destinations = split.views[0]
+        assert np.array_equal(fractions, np.vstack(rows))
+        assert np.array_equal(destinations[:m], agg_targets * m + np.arange(m))
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
