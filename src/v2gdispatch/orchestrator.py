@@ -11,14 +11,15 @@ Each iteration is whole-matrix work: the evaluations form one (N+1) x M
 matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
 order, quantized once, masked by one ``mask_units`` round (when the epoch
 masks) and summed per column (``candidate_totals``, an exact int64 matvec).
-The rounds are drawn in blocks: ``rounds = min(iterations, max(1,
-BLOCK_CELLS // ((N+1) * M)))`` of them a block, one ``SplitBuffers.draw``
-at every iteration k with ``k % rounds == 0`` (a last partial block is
-drawn whole), and iteration k masks with round ``k % rounds``. Once
-2 (N+1) M exceeds ``BLOCK_CELLS``, a block is one round, the round-by-round
-stream. The ECN selects, and the pool keeps its best, on these exact totals
-as Python ints; only the best total is turned into currency, for the
-record.
+The ECN selects, and the pool keeps its best, on these exact totals as
+Python ints; only the best total is turned into currency, for the record.
+
+The masks are drawn in blocks (``shuffle.MaskBlocks``), from two streams of
+their own: every row's kept fractions ``min(iterations, max(1, BLOCK_CELLS
+// ((N+1) * M)))`` rounds a call, and the aggregator's share routes
+``min(iterations, max(1, BLOCK_CELLS // M))`` rounds a call. A block is
+drawn whole at its first round. Each stream is read in order, so the masks
+depend on the seed and the topology, not on ``BLOCK_CELLS``.
 
 What an epoch fixes is set up once, before its iterations:
 - the four cost coefficients spread to (N+1) x M arrays, the aggregator's
@@ -29,11 +30,10 @@ What an epoch fixes is set up once, before its iterations:
 - the wire buffers (``shuffle.WireBuffers``): the scaled values, the int64
   units and the masked units; the mask reuses the first two for the kept
   shares and the sends, and adds the sends in through their flat views;
-- only when the epoch masks, its topology and the one split every block
-  draws into (``shuffle.SplitBuffers``): the fractions, the flat share
-  destinations, whose single-edge rows never change, each round's views,
-  and the row views and each multi-edge row's degree and target slots, so
-  a block draws only the fractions and the aggregator's destinations.
+- only when the epoch masks, its topology and its mask blocks
+  (``shuffle.MaskBlocks``): the fraction and route blocks, and the flat
+  share destinations, whose single-edge rows never change, so a round
+  writes only the aggregator's M destinations.
 Per iteration run only the arithmetic and, once a block, the draws, each
 array touched once. The loop calls ``candidate_totals``,
 ``from_units_array`` and ``ecn_select_best`` through this module's names,
@@ -59,8 +59,8 @@ from .fleet import Fleet, apply_discharge, available_ids, common_rate_bounds, gr
 from .records import IterationSegment, RunRecord
 from .shuffle import (
     DEFAULT_UNIT_BITS,
+    MaskBlocks,
     ProtocolError,
-    SplitBuffers,
     WireBuffers,
     candidate_totals,
     from_units_array,
@@ -74,18 +74,16 @@ from .topology import POLICIES, build_topology
 # time is a step index; from 2**53 steps on, float64 cannot tell consecutive
 # step times (nor step counts) apart
 MAX_STEPS = 2**53
-# an epoch peaks at about 97 bytes per cell of its (N+1) x M matrix (the cost,
-# wire and mask arrays, by tracemalloc), so 2**27 cells is some 13 GB: past it,
-# numpy's failed allocation would name no setting. 10**5 EVs at 10 candidates
+# an epoch peaks at about 105 bytes per cell of its (N+1) x M matrix (the
+# cost, wire and mask arrays, by tracemalloc at N = 2 000, M = 10), so 2**27
+# cells is some 14 GB: past it, numpy's failed allocation would name no setting. 10**5 EVs at 10 candidates
 # are 10**6 cells.
 MAX_CELLS = 2**27
-# an epoch that masks draws its rounds in blocks of up to this many cells
-# (rounds x (N+1) x M), at least one round a block, so that one generator
-# call fills many rounds; a block of several rounds keeps each of its two
-# arrays within 64 KiB. Of 2**12 to 2**15, the largest that slowed no epoch
-# from N = 250 to 1 000 at M = 10: a round's fractions are a strided view of
-# the block, and from some 400 rows on that costs the mask more than fewer
-# calls save the draw
+# an epoch that masks draws its rounds' fractions in blocks of up to this
+# many cells (rounds x (N+1) x M) and the aggregator's routes in blocks of up
+# to this many values (rounds x M), at least one round a block, so that one
+# generator call fills many rounds. The masks do not depend on it.
+# 2**15 was no faster than 2**13 at N = 100 to 1 000, M = 10
 BLOCK_CELLS = 2**13
 
 
@@ -172,10 +170,14 @@ def run_optimization(
 ) -> tuple[float, RunRecord]:
     """One full optimization epoch; returns (best common rate, trace).
 
-    Deterministic in ``seed``: the topology draw, the pool trajectory and the
-    shuffle masking each consume an independent child stream, so toggling
-    ``shuffle_enabled`` cannot perturb the optimizer's randomness. With no
-    available EV the rate is 0 and the record has no iteration rows.
+    Deterministic in ``seed``: the topology draw, the pool trajectory, the
+    masks' kept fractions and the aggregator's share routes each consume an
+    independent child stream, spawned in that order (``spawn(4)``, whose
+    first three children are those of ``spawn(3)``), so toggling
+    ``shuffle_enabled`` cannot perturb the optimizer's randomness. The masks
+    are drawn in blocks (see the module docstring), each stream read in
+    order, so they do not depend on ``BLOCK_CELLS``. With no available EV
+    the rate is 0 and the record has no iteration rows.
     Search bounds are the intersection of the available EVs' rate limits
     (``common_rate_bounds``, which refuses an empty or negative one).
     Before the pool is drawn, it bounds once what any iteration can put on
@@ -199,15 +201,16 @@ def run_optimization(
         return 0.0, record
 
     lower, upper = common_rate_bounds(fleet, avail)
-    topo_ss, dwoa_ss, shuffle_ss = _as_seed_sequence(seed).spawn(3)
+    topo_ss, dwoa_ss, fraction_ss, route_ss = _as_seed_sequence(seed).spawn(4)
     dwoa_rng = np.random.default_rng(dwoa_ss)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
     n_iterations = max(k_max, 1)
-    split = None
+    masks = None
     if shuffle_enabled:
         topology = build_topology(fleet, topology_policy, np.random.default_rng(topo_ss))
-        rounds = min(n_iterations, max(1, BLOCK_CELLS // ((len(avail) + 1) * m_whales)))
-        split = SplitBuffers(topology, m_whales, rounds=rounds)
+        rounds = [min(n_iterations, max(1, BLOCK_CELLS // cells))
+                  for cells in ((len(avail) + 1) * m_whales, m_whales)]
+        masks = MaskBlocks(topology, m_whales, *rounds).rounds(
+            np.random.default_rng(fraction_ss), np.random.default_rng(route_ss))
 
     cost_matrix = CostMatrix(costs.ev.take(avail), costs.agg, m_whales)
     # every pool position lies in [lower, upper], so no column of any
@@ -222,11 +225,8 @@ def run_optimization(
     segment = IterationSegment(epoch, len(avail))
     for k in range(n_iterations):
         units = wire.quantize(cost_matrix(pool.positions), unit_bits)
-        if shuffle_enabled:
-            j = k % rounds
-            if not j:
-                split.draw(shuffle_rng)
-            units = mask_units(units, *split.views[j], out=wire)
+        if masks is not None:
+            units = mask_units(units, *next(masks), out=wire)
         totals = candidate_totals(units).tolist()
         selected = ecn_select_best(totals)
         pool.record_evaluation(totals, selected)

@@ -25,7 +25,8 @@ A trace's bits also rest on the platform: libm's ``exp`` and ``cos`` (the
 spiral, ``dwoa``), numpy's ``log``, ``rint`` and int64 matvec, and numpy's
 ``Generator`` algorithms, which NEP 19 does not keep across versions.
 Acceptance criterion 7 assumes a left-to-right built-in ``sum()`` of floats,
-which Python 3.12's is not (``tests/test_platform.py``). Traces were run on
+which Python 3.12's is not. ``tests/test_platform.py`` pins each of these
+but the matvec by name. Traces were run on
 Python 3.11.7, numpy 2.4.6 and glibc 2.36, x86-64.
 """
 

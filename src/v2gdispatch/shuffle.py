@@ -21,36 +21,33 @@ One round works on the whole (agents x candidates) unit matrix: row 0 is the
 aggregator and rows 1..N are the EVs in ascending id order (the rows of a
 built ``NeighborMap``, whose ``ids`` hold each row's agent id: the EV id, or
 -1 for the aggregator). ``SplitBuffers.draw`` draws every kept fraction and
-share destination of a block of rounds from the graph's integer arrays, and
-``mask_units`` applies one round of them.
+share destination of one round from the graph's integer arrays, and
+``mask_units`` applies them.
 ``shuffle_round`` is the same round over an id-keyed mapping of the
 topology's agents.
 ``candidate_totals`` sums the reports per candidate.
 This module owns the share-slot layout: a send share of row r's candidate h
 lands in the flat slot ``t * m + h`` of its target row t, and ``SplitBuffers``
-alone derives those slots from the graph's ``indptr`` and ``targets``.
+alone derives those slots from the graph's ``indptr`` and ``targets``
+(``MaskBlocks`` reads them from it).
 
 A run of rounds over one matrix shape can quantize into the same
-``WireBuffers`` and pass them to ``mask_units``, and draw its rounds into
-the same ``SplitBuffers``, so each round touches each matrix once,
-allocates none and makes its views and plan lookups not per round but once,
-when the buffers are built.
+``WireBuffers`` and pass them to ``mask_units``, so each round touches each
+matrix once, allocates none and makes its views and plan lookups not per
+round but once, when the buffers are built.
 
-The masking stream is drawn a block at a time. A ``SplitBuffers`` holds
-``rounds`` rounds, and one ``draw`` refills them all, row by row: a row's
-fractions for every round (rounds x m values, round by round) and then, for
-a multi-edge row, its out-edge for every round and candidate. A run of rows
-draws its fractions in one generator call, so a block costs a few calls
-however many rounds it holds. One round a block is the round-by-round
-stream; a larger block draws the same distributions (every fraction
-U[0, 1), every send uniform over its row's out-edges) in another order.
-Totals are exact, so the order never reaches a total.
+An epoch draws its rounds a block at a time (``MaskBlocks``), from two
+streams: every row's kept fractions from one, the aggregator's share routes
+from the other. Each stream is read in order, a round after a round, so the
+rounds are the same whatever the block sizes, and a block costs one
+generator call however many rounds it holds.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Mapping, Sequence
+import itertools
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -164,32 +161,30 @@ def _stacked(values_by_agent: Mapping[int, np.ndarray]) -> tuple[list[int], np.n
 
 
 class SplitBuffers:
-    """The kept fractions and share destinations of ``rounds`` masking rounds
-    over one topology and ``m`` candidates; ``draw`` refills every round.
+    """The kept fractions and share destinations of one masking round over
+    one topology and ``m`` candidates; ``draw`` refills them.
 
-    ``fractions`` is (rows, rounds, m): the fraction of each value its row
-    keeps in each round. ``destinations`` is (rounds, rows * m), each round
-    flat in row-major order: the slot each value's send share goes to, as
-    the flat index ``t * m + h`` of row t's entry for the same candidate h.
-    ``views[j]`` is round j's (fractions, destinations) pair, the
-    (rows, m) and (rows * m,) views ``mask_units`` takes, built here once.
-    Each row starts at its first target; a single-edge row's destinations
-    never change, and a multi-edge row's are redrawn with each block from
-    its targets' slots ``t * m``. A row with no out-edge raises
-    TopologyError. ``forced`` maps a row to the fractions it keeps in every
-    round, written here once: m values, each in [0, 1], so that both shares
-    of a value lie between 0 and the value.
+    ``fractions`` is (rows, m): the fraction of each value its row keeps.
+    ``destinations`` is (rows * m,), flat in row-major order: the slot each
+    value's send share goes to, as the flat index ``t * m + h`` of row t's
+    entry for the same candidate h. Each row starts at its first target, and
+    a single-edge row's destinations never change. ``slots`` maps each
+    multi-edge row to its targets' slots ``t * m``, from which every draw
+    picks that row's destinations anew. A row with no out-edge raises
+    TopologyError. ``forced`` maps a row to the fractions it keeps, written
+    here once: m values, each in [0, 1], so that both shares of a value lie
+    between 0 and the value.
     """
 
-    __slots__ = ("fractions", "destinations", "views", "_columns", "_draws", "_tail")
+    __slots__ = ("fractions", "destinations", "slots", "_columns", "_draws", "_tail")
 
     def __init__(self, topology: NeighborMap, m: int,
-                 forced: Mapping[int, Sequence[float]] | None = None, rounds: int = 1):
+                 forced: Mapping[int, Sequence[float]] | None = None):
         indptr, targets = topology.indptr, topology.targets
         degree = np.diff(indptr)
         if not degree.all():
             raise TopologyError(f"agent {topology.ids[np.argmin(degree)]} has no out-edges")
-        fractions = self.fractions = np.empty((len(degree), rounds, m))
+        fractions = self.fractions = np.empty((len(degree), m))
         forced = forced or {}
         for r, f in forced.items():
             f = np.asarray(f, dtype=float)
@@ -198,49 +193,91 @@ class SplitBuffers:
                                     f"{m} values in [0, 1]")
             fractions[r] = f
         self._columns = np.arange(m)
-        destinations = self.destinations = np.empty((rounds, len(degree) * m), dtype=np.int64)
-        destinations[...] = (targets[indptr[:-1], None] * m + self._columns).reshape(-1)
-        self.views = tuple(zip(fractions.transpose(1, 0, 2), destinations))
+        destinations = self.destinations = (targets[indptr[:-1], None] * m
+                                            + self._columns).reshape(-1)
         starts = indptr.tolist()
-        # one round draws into flat (m,) routes and (rows, m) fraction blocks,
-        # which numpy fills as cheaply as the round-by-round draw; a (1, m)
-        # route would cost a broadcast
-        shape = (rounds, m) if rounds > 1 else m
-        multi = {r: (starts[r + 1] - starts[r], targets[starts[r]:starts[r + 1]] * m,
-                     destinations[:, r * m:(r + 1) * m].reshape(shape), shape)
-                 for r in np.flatnonzero(degree > 1).tolist()}
+        self.slots = {r: targets[starts[r]:starts[r + 1]] * m
+                      for r in np.flatnonzero(degree > 1).tolist()}
         # per row that does not just draw its fractions, in row order: the
-        # block of fractions drawn up to it (itself included unless forced)
-        # and, for a multi-edge row, its route: degree, target slots, its
-        # destinations for every round and their shape
-        by_row = fractions.reshape(len(degree), rounds * m)
+        # run of fraction rows drawn up to it (itself included unless forced),
+        # its target slots when it has several and its destinations
         draws = []
         start = 0
-        for r in sorted(multi.keys() | forced.keys()):
-            block = by_row[start:r] if r in forced else by_row[start:r + 1]
-            draws.append((block, multi.get(r)))
+        for r in sorted(self.slots.keys() | forced.keys()):
+            run = fractions[start:r] if r in forced else fractions[start:r + 1]
+            draws.append((run, self.slots.get(r), destinations[r * m:(r + 1) * m]))
             start = r + 1
         self._draws = tuple(draws)
-        self._tail = by_row[start:]
+        self._tail = fractions[start:]
 
     def draw(self, rng) -> SplitBuffers:
-        """Refill the buffers for every round and return them.
+        """Refill the buffers and return them.
 
-        Rows draw in row order: ``rounds`` x m uniform fractions, round by
-        round (none for a forced row), then, for a row with several
-        out-edges, one out-edge per round and candidate
-        (``integers(degree, size=(rounds, m))``). A run of rows draws its
-        fractions in one call, which consumes ``rng`` exactly as row-by-row
-        draws would. With one round this is one round's stream.
+        Rows draw in row order: m uniform fractions (none for a forced row),
+        then, for a row with several out-edges, one out-edge per candidate
+        (``integers(degree, size=m)``). A run of rows draws its fractions in
+        one call, which consumes ``rng`` exactly as row-by-row draws would.
         """
         random, integers, columns = rng.random, rng.integers, self._columns
-        for block, route in self._draws:
-            random(out=block)
-            if route:
-                degree, slots, destinations, shape = route
-                np.add(slots[integers(degree, size=shape)], columns, out=destinations)
+        for run, slots, destinations in self._draws:
+            random(out=run)
+            if slots is not None:
+                np.add(slots[integers(len(slots), size=len(columns))], columns,
+                       out=destinations)
         random(out=self._tail)
         return self
+
+
+class MaskBlocks:
+    """An epoch's masking rounds, drawn a block at a time from two streams.
+
+    ``rounds(fraction_rng, route_rng)`` yields each round's ``(fractions,
+    destinations)``, the (rows, m) and (rows * m,) arrays ``mask_units``
+    takes, valid until the next round. ``fractions`` is a (rounds, rows, m)
+    block that one ``fraction_rng.random(out=...)`` call refills; a round's
+    fractions are one contiguous matrix of it. ``routes`` is a
+    (route_rounds, m) block of the aggregator's (row 0's) destinations, one
+    ``route_rng.integers(degree, size=(route_rounds, m))`` call turned into
+    slots; a round writes its m of them into place. Every other row sends
+    to its one target, as ``SplitBuffers`` lays it out. Each stream is read
+    in order, as round-by-round ``random((rows, m))`` and ``integers(degree,
+    size=m)`` draws read it, so the rounds do not depend on the block sizes.
+    A graph with another multi-edge row than the aggregator's raises
+    TopologyError; an aggregator with one out-edge draws no routes.
+    """
+
+    __slots__ = ("fractions", "routes", "destinations", "_slots")
+
+    def __init__(self, topology: NeighborMap, m: int, rounds: int, route_rounds: int):
+        split = SplitBuffers(topology, m)
+        slots = dict(split.slots)
+        self._slots = slots.pop(0, None)
+        if slots:
+            raise TopologyError(f"agent {topology.ids[min(slots)]} has several out-edges: "
+                                "only the aggregator's row may")
+        self.fractions = np.empty((rounds, len(topology.ids), m))
+        self.routes = np.empty((route_rounds, m), dtype=np.int64)
+        self.destinations = split.destinations
+
+    def rounds(self, fraction_rng, route_rng) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every round in turn, without end; a block is drawn whole when its
+        first round is reached."""
+        fractions, routes, destinations, slots = (self.fractions, self.routes,
+                                                  self.destinations, self._slots)
+        columns = np.arange(routes.shape[1])
+        head = destinations[:len(columns)]
+        fraction_views, route_views = list(fractions), list(routes)
+        for k in itertools.count():
+            j = k % len(fraction_views)
+            if not j:
+                fraction_rng.random(out=fractions)
+            if slots is not None:
+                i = k % len(route_views)
+                if not i:
+                    np.add(slots[route_rng.integers(len(slots), size=routes.shape)], columns,
+                           out=routes)
+                head[...] = route_views[i]
+            yield fraction_views[j], destinations
 
 
 def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarray,
@@ -302,7 +339,7 @@ def shuffle_round(
             raise TopologyError(f"fractions forced for agent {agent}, which does not report")
     forced = {r: fractions[agent] for r, agent in enumerate(agents) if agent in fractions}
     split = SplitBuffers(topology, units.shape[1], forced).draw(np.random.default_rng(rng))
-    return dict(zip(agents, mask_units(units, *split.views[0])))
+    return dict(zip(agents, mask_units(units, split.fractions, split.destinations)))
 
 
 @functools.lru_cache(maxsize=16)

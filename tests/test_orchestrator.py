@@ -30,7 +30,7 @@ from v2gdispatch.orchestrator import (
     run_scenario,
 )
 from v2gdispatch.records import FORMAT_TAG, HEADER, export_run, import_run
-from v2gdispatch.shuffle import ProtocolError, from_units_array, wire_bound
+from v2gdispatch.shuffle import MaskBlocks, ProtocolError, from_units_array, wire_bound
 from v2gdispatch.topology import build_topology
 
 # small instance keeps the protocol tests fast
@@ -627,21 +627,16 @@ def test_scenario_takes_numpy_integer_departure_ids(instance):
     assert departed_after((np.int64(3), np.uint8(5))) == departed_after((3, 5)) == [3, 5]
 
 
-def _reference_block(topology, m, rounds, rng):
-    """One block of masking rounds drawn row by row, allocating as it goes:
-    each row draws rounds x m kept fractions, then, with several out-edges,
-    one out-edge per round and candidate. Returns each round's fractions
-    and destinations."""
-    rows, indptr, targets = len(topology.ids), topology.indptr.tolist(), topology.targets
-    fractions = np.empty((rounds, rows, m))
-    destinations = np.empty((rounds, rows, m), dtype=np.int64)
-    for r in range(rows):
-        fractions[:, r] = rng.random((rounds, m))
-        first, degree = indptr[r], indptr[r + 1] - indptr[r]
-        picked = (targets[first + rng.integers(degree, size=(rounds, m))] if degree > 1
-                  else targets[first])
-        destinations[:, r] = picked * m + np.arange(m)
-    return list(zip(fractions, destinations))
+def _reference_masks(topology, m, fraction_rng, route_rng):
+    """One round's masks drawn on their own, allocating as they go: every
+    row's kept fractions, random((rows, m)), from the fraction stream, and
+    one out-edge per candidate for the aggregator's row 0, integers(degree,
+    size=m), from the route stream; every EV row sends to its one target."""
+    indptr, targets = topology.indptr, topology.targets
+    assert (np.diff(indptr)[1:] == 1).all()
+    picked = targets[indptr[:-1], None].repeat(m, axis=1)
+    picked[0] = targets[route_rng.integers(indptr[1], size=m)]
+    return fraction_rng.random((len(topology.ids), m)), picked * m + np.arange(m)
 
 
 def _reference_round(units, fractions, destinations):
@@ -655,19 +650,19 @@ def _reference_round(units, fractions, destinations):
 def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit_bits):
     """One epoch with each step separate and freshly allocated: costs,
     quantisation, the exact per-column headroom check, one round, column
-    sums. The rounds are drawn in blocks of the epoch's size, a new block at
-    every multiple of it. Returns the rate, the record columns, the oracle
+    sums. The masks are drawn a round at a time, in order, from the fraction
+    and the route streams. Returns the rate, the record columns, the oracle
     calls and the reported matrix of every iteration."""
     avail = available_ids(fleet)
     lower, upper = common_rate_bounds(fleet, avail)
-    topo_ss, dwoa_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(3)
-    dwoa_rng, shuffle_rng = np.random.default_rng(dwoa_ss), np.random.default_rng(shuffle_ss)
+    topo_ss, dwoa_ss, fraction_ss, route_ss = np.random.SeedSequence(seed).spawn(4)
+    dwoa_rng, fraction_rng, route_rng = map(np.random.default_rng, (dwoa_ss, fraction_ss,
+                                                                  route_ss))
     topology = build_topology(fleet, policy, np.random.default_rng(topo_ss))
     ev, agg = costs.ev.take(avail), costs.agg
     alpha, beta, gamma, other = (column[:, None] for column in ev.columns())
     price = ev.price
     n_iterations = max(k_max, 1)
-    rounds = min(n_iterations, max(1, orchestrator.BLOCK_CELLS // ((len(avail) + 1) * m)))
     pool = init_pool(m, lower, upper, n_iterations, dwoa_rng)
     columns = (array("i"), array("d"), array("d"))
     reported = []
@@ -682,9 +677,8 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
         if any(sum(abs(u) for u in column) >= 2**63 for column in units.T.tolist()):
             raise ProtocolError("beyond the int64 headroom")
         if shuffle_enabled:
-            if k % rounds == 0:
-                block = _reference_block(topology, m, rounds, shuffle_rng)
-            units = _reference_round(units, *block[k % rounds])
+            units = _reference_round(units, *_reference_masks(topology, m, fraction_rng,
+                                                              route_rng))
         reported.append(units.tobytes())
         totals = units.sum(axis=0) * 2.0**-unit_bits
         selected = ecn_select_best(totals.tolist())
@@ -736,9 +730,13 @@ def test_epoch_matches_the_written_out_reference(n, m, unit_bits, monkeypatch):
                 assert reported == expected
 
 
-def test_the_block_size_moves_the_masks_but_not_the_record(instance, monkeypatch, tmp_path):
-    # one round per block draws the parent stream, a block of every round
-    # another: the reports differ, the exact totals and so the record do not
+def test_the_block_size_moves_neither_the_masks_nor_the_record(instance, monkeypatch,
+                                                                tmp_path):
+    # one round a block, the default blocks and one block for the whole epoch
+    # read the fraction and route streams alike: the same reports, the same
+    # record. At this k_max the default route block (BLOCK_CELLS // M
+    # rounds) ends within the epoch, and so do 13 fraction blocks
+    k_max = orchestrator.BLOCK_CELLS // CFG.m_whales + 5
     reported = []
     totals = orchestrator.candidate_totals
 
@@ -748,19 +746,44 @@ def test_the_block_size_moves_the_masks_but_not_the_record(instance, monkeypatch
 
     monkeypatch.setattr(orchestrator, "candidate_totals", recording_totals)
     runs = []
-    for cells in (1, CFG.k_max * (CFG.n_evs + 1) * CFG.m_whales):
+    for cells in (1, orchestrator.BLOCK_CELLS, k_max * (CFG.n_evs + 1) * CFG.m_whales):
         monkeypatch.setattr(orchestrator, "BLOCK_CELLS", cells)
         reported.clear()
         rate, record = run_optimization(instance.fleet, instance.costs,
-                                        m_whales=CFG.m_whales, k_max=CFG.k_max, seed=3)
+                                        m_whales=CFG.m_whales, k_max=k_max, seed=3)
         path = tmp_path / f"{cells}.csv"
         export_run(record, path)
         runs.append((rate, path.read_bytes(), record.oracle_calls_ev, record.oracle_calls_agg,
                      list(reported)))
-    (*one_round, one_round_reports), (*whole, whole_reports) = runs
-    assert one_round == whole
-    assert len(one_round_reports) == len(whole_reports) == CFG.k_max
-    assert one_round_reports != whole_reports
+    assert len(runs[0][-1]) == k_max
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("n_evs, m", [(12, 4), (1000, 10)])
+def test_the_mask_blocks_hold_at_most_two_block_cells(monkeypatch, n_evs, m):
+    # the fraction and route blocks together, at any k_max, but a round of
+    # more than BLOCK_CELLS fractions (N = 1 000 at M = 10) is a block of its
+    # own. Each epoch stops once its blocks are built
+    instance = build_instance(ScenarioConfig(n_evs=n_evs, seed=1))
+    cells, round_cells = orchestrator.BLOCK_CELLS, (n_evs + 1) * m
+    built = []
+
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        built.append(MaskBlocks(*args))
+        raise Built
+
+    monkeypatch.setattr(orchestrator, "MaskBlocks", build)
+    for k_max in (0, 1, 150, 10**9):
+        with pytest.raises(Built):
+            run_optimization(instance.fleet, instance.costs, m_whales=m, k_max=k_max, seed=0)
+        blocks = built.pop()
+        assert blocks.fractions.size <= max(cells, round_cells)
+        assert blocks.routes.size <= cells
+        if round_cells <= cells:
+            assert blocks.fractions.size + blocks.routes.size <= 2 * cells
 
 
 def test_nan_cost_raises_protocol_error_without_a_warning():

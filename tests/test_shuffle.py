@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from v2gdispatch.fleet import sample_fleet
 from v2gdispatch.shuffle import (
+    MaskBlocks,
     ProtocolError,
     SplitBuffers,
     candidate_totals,
@@ -261,7 +262,7 @@ def test_draw_split_stream_contract(n):
     split = SplitBuffers(topo, m)
     for _ in range(3):
         split = split.draw(rng)
-        fractions, destinations = split.views[0]
+        fractions, destinations = split.fractions, split.destinations
         if n > 1:
             agg_fractions = ref.random(m)
             agg_targets = topo.targets[ref.integers(n, size=m)]
@@ -280,49 +281,75 @@ def test_draw_split_stream_contract(n):
     assert np.array_equal(fresh.destinations, refilled.destinations)
 
 
-def _replay_block(topo, m, rounds, forced, ref):
-    """One block written out row by row on ``ref``: a row draws rounds x m
-    fractions unless forced, then, with several out-edges, one out-edge per
-    round and candidate. Returns each round's fractions and destinations."""
+def _replay_round(topo, m, forced, ref):
+    """One round written out row by row on ``ref``: a row draws m fractions
+    unless forced, then, with several out-edges, one out-edge per candidate.
+    Returns the fractions and the flat destinations."""
     rows, indptr = len(topo.ids), topo.indptr.tolist()
-    fractions = np.empty((rounds, rows, m))
-    destinations = np.empty((rounds, rows, m), dtype=np.int64)
+    fractions = np.empty((rows, m))
+    destinations = np.empty((rows, m), dtype=np.int64)
     for r in range(rows):
-        fractions[:, r] = forced[r] if r in forced else ref.random((rounds, m))
+        fractions[r] = forced[r] if r in forced else ref.random(m)
         out = topo.targets[indptr[r]:indptr[r + 1]]
-        picked = out[ref.integers(len(out), size=(rounds, m))] if len(out) > 1 else out[0]
-        destinations[:, r] = picked * m + np.arange(m)
-    return fractions, destinations.reshape(rounds, -1)
+        picked = out[ref.integers(len(out), size=m)] if len(out) > 1 else out[0]
+        destinations[r] = picked * m + np.arange(m)
+    return fractions, destinations.reshape(-1)
 
 
 _CUSTOM_EDGES = {AGGREGATOR_ID: (0, 2), 0: (1,), 1: (AGGREGATOR_ID, 2, 3), 2: (3,), 3: (0,)}
 
 
-@pytest.mark.parametrize("rounds", [1, 2, 7])
-@pytest.mark.parametrize("case", [1, 2, 5, 40, "custom"])
-def test_draw_block_stream_contract(case, rounds):
-    # a block draws row by row, each row all its rounds at once; the custom
-    # graph has two multi-edge rows (0 and 2) and a forced row (3) between
-    # runs of rows that draw. Every redraw consumes the stream the same way.
+def test_draw_split_stream_contract_on_a_custom_graph():
+    # a round draws row by row; the custom graph has two multi-edge rows (0
+    # and 2) and a forced row (3) between runs of rows that draw. Every
+    # redraw consumes the stream the same way.
     m = 3
-    if case == "custom":
-        topo = build_topology(sample_fleet(4, 0), custom_edges=_CUSTOM_EDGES)
-        forced = {3: np.array([0.25, 0.5, 1.0])}
-    else:
-        topo = build_topology(sample_fleet(case, case), "one-random-neighbor", 3)
-        forced = {}
+    topo = build_topology(sample_fleet(4, 0), custom_edges=_CUSTOM_EDGES)
+    forced = {3: np.array([0.25, 0.5, 1.0])}
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    split = SplitBuffers(topo, m, forced, rounds=rounds)
-    assert len(split.views) == rounds
+    split = SplitBuffers(topo, m, forced)
     for _ in range(2):
         split.draw(rng)
-        fractions, destinations = _replay_block(topo, m, rounds, forced, ref)
-        assert np.array_equal(split.fractions, fractions.transpose(1, 0, 2))
+        fractions, destinations = _replay_round(topo, m, forced, ref)
+        assert np.array_equal(split.fractions, fractions)
         assert np.array_equal(split.destinations, destinations)
-        for j, (round_fractions, round_destinations) in enumerate(split.views):
-            assert np.array_equal(round_fractions, fractions[j])
-            assert np.array_equal(round_destinations, destinations[j])
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 7])
+@pytest.mark.parametrize("case", [1, 2, 5, 40])
+def test_draw_block_stream_contract(case, rounds):
+    # an epoch's blocks, ``rounds`` rounds of fractions and 3 of routes a
+    # block, replayed round by round from fresh Generators: random((rows, m))
+    # on the fraction stream, integers(degree, size=m) for the aggregator on
+    # the route stream; every EV sends to its one target. A block is drawn
+    # whole, so each stream stops at the end of a block. One EV is the
+    # aggregator's one out-edge: it draws no routes. 43 rounds cross
+    # several blocks of every size here
+    m, route_rounds, n = 3, 3, 43
+    topo = build_topology(sample_fleet(case, case), "one-random-neighbor", 3)
+    blocks = MaskBlocks(topo, m, rounds, route_rounds)
+    assert blocks.fractions.shape == (rounds, case + 1, m)
+    assert blocks.routes.shape == (route_rounds, m)
+    fraction_rng, route_rng = np.random.default_rng(11), np.random.default_rng(12)
+    fraction_ref, route_ref = np.random.default_rng(11), np.random.default_rng(12)
+    ev_targets = topo.targets[topo.indptr[1:-1], None].repeat(m, axis=1)
+    for _, (fractions, destinations) in zip(range(n),
+                                            blocks.rounds(fraction_rng, route_rng)):
+        assert np.array_equal(fractions, fraction_ref.random((case + 1, m)))
+        agg_targets = topo.targets[route_ref.integers(case, size=m)]
+        expected = np.vstack([agg_targets, ev_targets]) * m + np.arange(m)
+        assert np.array_equal(destinations, expected.reshape(-1))
+    fraction_ref.random((-n % rounds, case + 1, m))
+    route_ref.integers(case, size=(-n % route_rounds, m))
+    assert fraction_rng.bit_generator.state == fraction_ref.bit_generator.state
+    assert route_rng.bit_generator.state == route_ref.bit_generator.state
+
+
+def test_mask_blocks_refuse_a_multi_edge_row_beside_the_aggregator():
+    topo = build_topology(sample_fleet(4, 0), custom_edges=_CUSTOM_EDGES)
+    with pytest.raises(TopologyError, match="agent 1 has several out-edges"):
+        MaskBlocks(topo, 3, 2, 2)
 
 
 def test_forcing_fractions_for_an_agent_that_does_not_report_is_refused():
@@ -355,7 +382,7 @@ def test_forced_rows_draw_no_fractions(forced_rows):
             rows.append(forced[r] if r in forced else ref.random(m))
             if r == 0:  # the aggregator's several out-edges
                 agg_targets = topo.targets[ref.integers(n, size=m)]
-        fractions, destinations = split.views[0]
+        fractions, destinations = split.fractions, split.destinations
         assert np.array_equal(fractions, np.vstack(rows))
         assert np.array_equal(destinations[:m], agg_targets * m + np.arange(m))
         assert rng.bit_generator.state == ref.bit_generator.state
