@@ -21,6 +21,14 @@ their own: every row's kept fractions ``min(iterations, max(1, BLOCK_CELLS
 drawn whole at its first round. Each stream is read in order, so the masks
 depend on the seed and the topology, not on ``BLOCK_CELLS``.
 
+The pool draws from a stream of its own: its M initial positions through
+the Generator, then every move through one ``dwoa.PoolDraws``, built right
+after them, which reads the stream's raw PCG64 words
+``dwoa.POOL_BLOCK_WORDS`` a call and decodes each block once into the
+values numpy's ``random`` and ``integers`` would give (``dwoa`` module
+docstring). It too reads in order, so the positions do not depend on the
+block size.
+
 What an epoch fixes is set up once, before its iterations:
 - the four cost coefficients spread to (N+1) x M arrays, the aggregator's
   row 0 among them, and the (N+1) x M cost buffer (``costs.CostMatrix``);
@@ -54,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostMatrix, CostSet
-from .dwoa import advance_pool, init_pool
+from .dwoa import PoolDraws, advance_pool, init_pool
 from .fleet import Fleet, apply_discharge, available_ids, common_rate_bounds, grid_power_kw
 from .records import IterationSegment, RunRecord
 from .shuffle import (
@@ -125,10 +133,10 @@ def step_count(dt_h: float, horizon_h: float) -> int:
 
 
 def ecn_select_best(totals) -> int:
-    """Index of the candidate with the minimal aggregated total; ties break
-    to the lowest index. An epoch passes its exact int64 totals as Python
+    """Index of the candidate with the minimal aggregated total in the list
+    ``totals``; ties break to the lowest index. An epoch passes its exact int64 totals as Python
     ints, so two totals that differ are never read as a tie."""
-    return min(range(len(totals)), key=totals.__getitem__)
+    return totals.index(min(totals))
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -175,9 +183,10 @@ def run_optimization(
     independent child stream, spawned in that order (``spawn(4)``, whose
     first three children are those of ``spawn(3)``), so toggling
     ``shuffle_enabled`` cannot perturb the optimizer's randomness. The masks
-    are drawn in blocks (see the module docstring), each stream read in
-    order, so they do not depend on ``BLOCK_CELLS``. With no available EV
-    the rate is 0 and the record has no iteration rows.
+    are drawn in blocks, and the pool's moves read its stream in blocks of
+    raw words (see the module docstring); each stream is read in order, so
+    neither depends on a block size. With no available EV the rate is 0
+    and the record has no iteration rows.
     Search bounds are the intersection of the available EVs' rate limits
     (``common_rate_bounds``, which refuses an empty or negative one).
     Before the pool is drawn, it bounds once what any iteration can put on
@@ -222,6 +231,7 @@ def run_optimization(
                             "unit bits")
     wire = WireBuffers(cost_matrix.values.shape)
     pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
+    draws = PoolDraws(dwoa_rng)
     segment = IterationSegment(epoch, len(avail))
     for k in range(n_iterations):
         units = wire.quantize(cost_matrix(pool.positions), unit_bits)
@@ -232,7 +242,7 @@ def run_optimization(
         pool.record_evaluation(totals, selected)
         segment.append(selected, pool.best_rate, from_units_array(pool.best_value, unit_bits))
         if k + 1 < n_iterations:
-            advance_pool(pool, dwoa_rng)
+            advance_pool(pool, draws)
 
     record.oracle_calls_agg += m_whales * n_iterations
     record.oracle_calls_ev += len(avail) * m_whales * n_iterations

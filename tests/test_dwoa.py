@@ -3,7 +3,9 @@
 ``advance_pool`` is checked against a scalar reference kept here: one
 ``WoaCoefficients.draw`` and one ``update_position`` per whale, three scalar
 draws and then the reference draw, as the module's stream contract states,
-with ``clamp_to_bounds`` amending a position that left [lower, upper].
+with ``clamp_to_bounds`` amending a position that left [lower, upper]. The
+reference draws from numpy's ``Generator`` one call at a time; the pool
+reads the same stream through ``PoolDraws``.
 """
 
 import math
@@ -12,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from v2gdispatch import dwoa
 from v2gdispatch.dwoa import (
+    PoolDraws,
     WhalePool,
     advance_pool,
     alpha_schedule,
@@ -123,9 +127,26 @@ def test_coefficient_invariants():
         assert abs(c.A) <= alpha
 
 
+def _generator_position(rng):
+    """Where a Generator's stream stands: its PCG64 state and the 32-bit
+    half it buffers, or None."""
+    state = rng.bit_generator.state
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
+def _draws_position(draws: PoolDraws):
+    """Where ``draws``' stream stands, as ``_generator_position`` reads a
+    Generator that made the same draws: its bit generator's state rewound
+    over the words read ahead, and the half it buffers."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = draws.bit_generator.state
+    bit_generator.advance(-(len(draws.words) - draws.pos) % 2**128)
+    return bit_generator.state["state"], draws.half
+
+
 @pytest.mark.parametrize("m", [1, 2, 10, 30])
 def test_advance_pool_matches_scalar_reference(m):
-    # same positions bit for bit and the same generator state after every
+    # same positions bit for bit and the same stream position after every
     # pass of a full schedule, through both halves (alpha >= 1 and < 1)
     for seed in range(3):
         pools, rngs = [], []
@@ -134,15 +155,70 @@ def test_advance_pool_matches_scalar_reference(m):
             pool = init_pool(m, 0.5, 6.6, 150, rng)
             pools.append(pool)
             rngs.append(rng)
+        draws = PoolDraws(rngs[0])
         for _ in range(150):
             for pool in pools:
                 positions = pool.positions
                 _evaluate(pool, (positions - 3.1) ** 2 + 0.01 * np.sin(7.0 * positions))
-            advance_pool(pools[0], rngs[0])
+            advance_pool(pools[0], draws)
             reference_advance(pools[1], rngs[1])
             assert pools[0].positions.tobytes() == pools[1].positions.tobytes()
-            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            assert _draws_position(draws) == _generator_position(rngs[1])
         assert pools[0].k == pools[1].k == 150
+
+
+@pytest.mark.parametrize("block_words", [1, 5, None])
+@pytest.mark.parametrize("integers_before", [0, 3])
+@pytest.mark.parametrize("m", [2, 3, 10, 30, 2**31 + 1])
+def test_pool_draws_are_numpys_generator_draws(m, integers_before, block_words, monkeypatch):
+    # random() and integers(m) interleaved, from a fresh Generator and from
+    # one whose 32-bit half is full. At m = 2**31 + 1 about half the 32-bit
+    # draws are rejected, so the retry runs; blocks of 1 and 5 words make
+    # the reads cross blocks, retries included
+    if block_words is not None:
+        monkeypatch.setattr(dwoa, "POOL_BLOCK_WORDS", block_words)
+    rng, reference = np.random.default_rng(m), np.random.default_rng(m)
+    for generator in (rng, reference):
+        for _ in range(integers_before):
+            generator.integers(7)
+    assert (_generator_position(rng)[1] is None) == (integers_before == 0)
+    draws = PoolDraws(rng)
+    i = draws.pos
+    for kind in np.random.default_rng(1).integers(2, size=400).tolist():
+        if kind:
+            value, i = draws.double(i)
+            assert value == float(reference.random())
+        else:
+            value, i = draws.index(m, i)
+            assert value == int(reference.integers(m))
+    draws.pos = i
+    assert _draws_position(draws) == _generator_position(reference)
+
+
+def test_pool_draws_refuse_another_bit_generator():
+    with pytest.raises(ValueError, match="PoolDraws decodes PCG64 words, got MT19937"):
+        PoolDraws(np.random.Generator(np.random.MT19937(0)))
+
+
+@pytest.mark.parametrize("m", [1, 10])
+def test_the_block_size_moves_no_position(m, monkeypatch):
+    # a block of one word, the default block and one block for the whole
+    # epoch give the same positions after every pass; at this k_max the
+    # default block ends within the epoch
+    k_max = dwoa.POOL_BLOCK_WORDS // (3 * m) + 20
+    runs = []
+    for block_words in (1, dwoa.POOL_BLOCK_WORDS, 4 * m * k_max):
+        monkeypatch.setattr(dwoa, "POOL_BLOCK_WORDS", block_words)
+        rng = np.random.default_rng(4)
+        pool = init_pool(m, 0.5, 6.6, k_max, rng)
+        draws = PoolDraws(rng)
+        passes = []
+        for _ in range(k_max - 1):
+            _evaluate(pool, (pool.positions - 3.1) ** 2)
+            advance_pool(pool, draws)
+            passes.append(pool.positions.tobytes())
+        runs.append(passes)
+    assert runs[0] == runs[1] == runs[2]
 
 
 def _pool(positions, best_rate, lower=0.0, upper=6.6, k_max=100, k=0):
@@ -158,47 +234,44 @@ def _pool(positions, best_rate, lower=0.0, upper=6.6, k_max=100, k=0):
     return pool
 
 
-class _ScriptedRng:
-    """Stand-in generator: scripted (r, l', p) triples per whale, with
-    l = 2l' - 1, a fixed reference index and a fixed uniform reference.
-    A triple is handed out as ``random(3)`` or ``random(out=<3-buffer>)``."""
+class _ScriptedDraws:
+    """Stand-in for ``PoolDraws``: scripted (r, l', p) triples per whale,
+    with l = 2l' - 1, a fixed reference index and a fixed uniform
+    reference. The reference draws take no triple's place."""
 
     def __init__(self, triples, integer=0, uniform=0.5):
-        self._triples = list(triples)
+        self.doubles = [x for triple in triples for x in triple]
+        self.pos = 0
         self._integer = integer
         self._uniform = uniform
 
-    def random(self, size=None, out=None):
-        if out is not None:
-            out[...] = self._triples.pop(0)
-            return out
-        if size is None:
-            return self._uniform
-        if size == 3:
-            return np.array(self._triples.pop(0))
-        return np.array([self._triples.pop(0) for _ in range(size[0])])
+    def reserve(self, i, n):
+        return i
 
-    def integers(self, n):
-        return self._integer % n
+    def double(self, i):
+        return self._uniform, i
+
+    def index(self, m, i, keep=0):
+        return self._integer % m, i
 
 
 def test_encircle_with_zero_step_snaps_to_best():
     # r = 0.5 makes A = 0 and C = 1: the move collapses onto the best
     pool = _pool([5.5, 1.0], best_rate=4.0)
-    advance_pool(pool, _ScriptedRng([(0.5, 0.65, 0.1)] * 2))
+    advance_pool(pool, _ScriptedDraws([(0.5, 0.65, 0.1)] * 2))
     assert pool.positions.tolist() == [4.0, 4.0]
 
 
 def test_spiral_at_best_is_fixed_point():
     pool = _pool([4.0, 2.0], best_rate=4.0)
-    advance_pool(pool, _ScriptedRng([(0.9, 0.3, 0.9)] * 2))
+    advance_pool(pool, _ScriptedDraws([(0.9, 0.3, 0.9)] * 2))
     assert pool.positions[0] == 4.0
 
 
 def test_update_requires_an_evaluated_best():
     pool = WhalePool(positions=np.array([1.0]), lower=0.0, upper=6.6, k_max=10)
     with pytest.raises(ValueError):
-        advance_pool(pool, _ScriptedRng([(0.2, 0.5, 0.1)]))
+        advance_pool(pool, _ScriptedDraws([(0.2, 0.5, 0.1)]))
 
 
 def test_update_matches_independent_formulas():
@@ -213,7 +286,7 @@ def test_update_matches_independent_formulas():
         pool = _pool(positions, best, k=k)
         triples = rng.random((m, 3))
         h_ref = int(rng.integers(m))
-        advance_pool(pool, _ScriptedRng(triples.tolist(), integer=h_ref))
+        advance_pool(pool, _ScriptedDraws(triples.tolist(), integer=h_ref))
         alpha = 2.0 * (1.0 - k / 100)
         for h, (r, l, p) in enumerate(triples.tolist()):
             l = 2.0 * l - 1.0
@@ -237,7 +310,7 @@ def test_clamp_matches_min_max_bit_for_bit(best, k):
     positions = [5.5, 8.0]
     triples = [(0.5, 0.65, 0.1), (0.9, 0.3, 0.9)]
     pool = _pool(positions, best, k=k)
-    advance_pool(pool, _ScriptedRng(triples))
+    advance_pool(pool, _ScriptedDraws(triples))
     expected = []
     for cur, (r, l, p) in zip(positions, triples):
         alpha = 2.0 * (1.0 - k / 100)
@@ -257,7 +330,7 @@ def test_single_whale_search_branch_uses_uniform_reference():
     # |A| >= 1 with a one-whale pool: the random reference is a fresh
     # uniform point, not the whale itself
     pool = _pool([1.0], best_rate=1.0)  # alpha = 2; r = 1 gives A = 2, C = 2
-    advance_pool(pool, _ScriptedRng([(1.0, 0.5, 0.1)], uniform=0.5))
+    advance_pool(pool, _ScriptedDraws([(1.0, 0.5, 0.1)], uniform=0.5))
     ref = 0.0 + 6.6 * 0.5
     expected = ref - 2.0 * abs(2.0 * ref - 1.0)
     assert pool.positions[0] == min(max(expected, 0.0), 6.6)
@@ -267,8 +340,9 @@ def test_positions_stay_in_bounds_every_iteration():
     rng = np.random.default_rng(5)
     pool = init_pool(8, 1.0, 5.0, 60, rng)
     _evaluate(pool, rng.uniform(0.0, 1.0, 8))
+    draws = PoolDraws(rng)
     for _ in range(60):
-        advance_pool(pool, rng)
+        advance_pool(pool, draws)
         assert np.all(pool.positions >= 1.0)
         assert np.all(pool.positions <= 5.0)
         _evaluate(pool, (pool.positions - 3.0) ** 2)
@@ -303,12 +377,13 @@ def _drive_pool(fn, m, k_max, seed, lower=0.0, upper=6.6):
     initial pool once."""
     rng = np.random.default_rng(seed)
     pool = init_pool(m, lower, upper, max(k_max, 1), rng)
+    draws = PoolDraws(rng)
     trace = []
     for _ in range(max(k_max, 1)):
         _evaluate(pool, fn(pool.positions))
         trace.append((pool.best_rate, pool.best_value))
         if k_max > 0:
-            advance_pool(pool, rng)
+            advance_pool(pool, draws)
     return trace
 
 

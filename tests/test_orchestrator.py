@@ -21,7 +21,7 @@ from v2gdispatch.costs import (
     agg_consensus_cost,
     grid_search_rate,
 )
-from v2gdispatch.dwoa import advance_pool, init_pool
+from v2gdispatch.dwoa import init_pool
 from v2gdispatch.fleet import available_ids, common_rate_bounds
 from v2gdispatch.orchestrator import (
     DepartureEvent,
@@ -32,6 +32,8 @@ from v2gdispatch.orchestrator import (
 from v2gdispatch.records import FORMAT_TAG, HEADER, export_run, import_run
 from v2gdispatch.shuffle import MaskBlocks, ProtocolError, from_units_array, wire_bound
 from v2gdispatch.topology import build_topology
+
+from test_dwoa import reference_advance
 
 # small instance keeps the protocol tests fast
 CFG = ScenarioConfig(n_evs=12, seed=5, m_whales=4, k_max=40)
@@ -651,8 +653,10 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
     """One epoch with each step separate and freshly allocated: costs,
     quantisation, the exact per-column headroom check, one round, column
     sums. The masks are drawn a round at a time, in order, from the fraction
-    and the route streams. Returns the rate, the record columns, the oracle
-    calls and the reported matrix of every iteration."""
+    and the route streams, and the pool moves by ``test_dwoa``'s scalar
+    reference, one numpy Generator draw at a time. Returns the rate, the
+    record columns, the oracle calls and the reported matrix of every
+    iteration."""
     avail = available_ids(fleet)
     lower, upper = common_rate_bounds(fleet, avail)
     topo_ss, dwoa_ss, fraction_ss, route_ss = np.random.SeedSequence(seed).spawn(4)
@@ -686,7 +690,7 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
         for column, value in zip(columns, (selected, pool.best_rate, pool.best_value)):
             column.append(value)
         if k_max > 0:
-            advance_pool(pool, dwoa_rng)
+            reference_advance(pool, dwoa_rng)
     calls = (len(avail) * m * n_iterations, m * n_iterations)
     return pool.best_rate, columns, calls, reported
 

@@ -40,6 +40,19 @@ def test_an_epochs_first_draws_are_numpys_generator_streams(stream, draw, digest
         "versions, and every trace digest rests on them")
 
 
+# the pool's stream past the 10 doubles of its initial positions, as the
+# seed-42 epoch at N = 100 reads it: its first ``random_raw`` block of 2**11
+# words, from which ``dwoa.PoolDraws`` decodes every move's doubles and
+# reference draws
+def test_the_pool_reads_pcg64s_raw_stream():
+    rng = np.random.default_rng(np.random.SeedSequence(42).spawn(4)[1])
+    rng.uniform(0.0, 10.0, 10)
+    assert _digest(rng.bit_generator.random_raw(2048)) == "ec961c6485166de5", (
+        "PCG64's raw stream gave other words on child stream 1 of seed 42 than numpy 2.4 "
+        "does: every move of the whale pool is decoded from these words, and every trace "
+        "digest rests on them")
+
+
 # the spiral's l = 2u - 1 lies in [-1, 1); advance_pool takes exp(l) and
 # cos(2*pi*l) from libm one whale at a time
 _SPIRAL = [k / 1000.0 - 1.0 for k in range(2001)]
