@@ -15,8 +15,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, build_instance, load_config, resolve_departures
-from .fleet import available_ids
+from .config import (
+    ConfigError,
+    Instance,
+    ScenarioConfig,
+    build_instance,
+    load_config,
+    resolve_departures,
+)
+from .costs import CostMatrix
+from .fleet import available_ids, common_rate_bounds
 from .harness import (
     SWEEPABLE,
     compare_solvers,
@@ -28,12 +36,35 @@ from .harness import (
 )
 from .orchestrator import run_scenario
 from .records import export_run
+from .shuffle import wire_bound
 
 
 def _load(args) -> ScenarioConfig:
     if args.config is None:
         return ScenarioConfig()
     return load_config(args.config)
+
+
+def _build_instance(config: ScenarioConfig) -> Instance:
+    """The config's instance, once its first epoch, over every available EV,
+    fits the int64 wire at ``unit_bits``: the bound ``run_optimization``
+    refuses at (``CostMatrix.magnitude_bound``, then ``wire_bound``, which
+    grows with the unit bits), else a ConfigError naming the largest
+    ``unit_bits`` that fits."""
+    instance = build_instance(config)
+    avail = available_ids(instance.fleet)
+    if not avail:
+        return instance
+    upper = common_rate_bounds(instance.fleet, avail)[1]
+    matrix = CostMatrix(instance.costs.ev.take(avail), instance.costs.agg, 1)
+    magnitude = matrix.magnitude_bound(upper)
+    fits = [bits for bits in range(8, config.unit_bits + 1)
+            if wire_bound(magnitude, len(avail) + 1, bits) < 2.0**63]
+    if config.unit_bits not in fits:
+        largest = f"the largest that fits is {fits[-1]}" if fits else "no value in [8, 48] fits"
+        raise ConfigError(f"unit_bits: the first epoch's reports could reach 2**63 units at "
+                          f"{config.unit_bits} unit bits, beyond the int64 wire; {largest}")
+    return instance
 
 
 def _out_path(config: ScenarioConfig, override, default_name: str) -> Path:
@@ -47,7 +78,7 @@ def _out_path(config: ScenarioConfig, override, default_name: str) -> Path:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    instance = build_instance(config)
+    instance = _build_instance(config)
     events = resolve_departures(config, instance.fleet)
     record = run_scenario(
         instance.fleet,
@@ -72,7 +103,7 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",")]
     except ValueError:
         raise ValueError(f"{args.param} values must be numbers, got {args.values!r}") from None
-    rows = stats_harness(config, args.param, values, args.runs)
+    rows = stats_harness(config, args.param, values, args.runs, instance=_build_instance(config))
     path = _out_path(config, args.out, f"sweep_{args.param}.csv")
     export_stats(rows, path)
     for row in rows:
@@ -93,7 +124,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load(args)
-    instance = build_instance(config)
+    instance = _build_instance(config)
     rows, oracle_objective = compare_solvers(
         config, n_seeds=args.seeds, k_max=args.iterations, instance=instance
     )

@@ -328,6 +328,26 @@ def grid_search_rate(
     return float(grid[best]), float(best_value)
 
 
+def consensus_optimum(ev: EvCostTable, agg: AggCostParams, lower: float, upper: float) -> float:
+    """The exact minimiser of ``consensus_objective`` over [lower, upper].
+
+    At a common rate r the objective is F(r) = A*r^2 + B*r + C -
+    omega*log(N*r + 1), with A = sum(alpha) + gen_a*eta_sum^2 and B =
+    sum(beta - price) + gen_b*eta_sum. F is convex, and F'(r) = 0 is the
+    larger root of 2AN*r^2 + (2A + BN)*r + (B - omega*N) = 0, taken here
+    in the form that subtracts no close numbers, then clipped; ``ev``
+    holds one EV or more. It reads every agent's coefficients, so it is
+    ground truth for tests, never a protocol step.
+    """
+    n = len(ev)
+    a = math.fsum(ev.alpha_deg) + agg.gen_a * ev.eta_sum**2
+    b = math.fsum(ev.beta_deg) - n * ev.price + agg.gen_b * ev.eta_sum
+    qa, qb, qc = 2.0 * a * n, 2.0 * a + b * n, b - agg.omega * n
+    root = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
+    rate = (root - qb) / (2.0 * qa) if qb <= 0.0 else 2.0 * qc / (-qb - root)
+    return min(max(rate, lower), upper)
+
+
 class CostOracle:
     """Evaluate-only wrapper around a cost function.
 

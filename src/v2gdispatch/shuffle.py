@@ -20,21 +20,19 @@ reaches 2**63 in any column (``wire_bound``), then quantizes unchecked
 One round works on the whole (agents x candidates) unit matrix: row 0 is the
 aggregator and rows 1..N are the EVs in ascending id order (the rows of a
 built ``NeighborMap``, whose ``ids`` hold each row's agent id: the EV id, or
--1 for the aggregator). ``SplitBuffers.draw`` draws every kept fraction and
-share destination of one round from the graph's integer arrays, and
-``mask_units`` applies them.
-``shuffle_round`` is the same round over an id-keyed mapping of the
-topology's agents.
+-1 for the aggregator). ``mask_units`` applies one round's kept fractions
+and share destinations to it. ``shuffle_round`` draws one round over an
+id-keyed mapping of the topology's agents, row by row, and applies it.
 ``candidate_totals`` sums the reports per candidate.
 This module owns the share-slot layout: a send share of row r's candidate h
-lands in the flat slot ``t * m + h`` of its target row t, and ``SplitBuffers``
+lands in the flat slot ``t * m + h`` of its target row t, and ``share_slots``
 alone derives those slots from the graph's ``indptr`` and ``targets``
-(``MaskBlocks`` reads them from it).
+(``shuffle_round`` and ``MaskBlocks`` read them from it).
 
 A run of rounds over one matrix shape can quantize into the same
 ``WireBuffers`` and pass them to ``mask_units``, so each round touches each
-matrix once, allocates none and makes its views and plan lookups not per
-round but once, when the buffers are built.
+matrix once, allocates none and makes its views not per round but once,
+when the buffers are built.
 
 An epoch draws its rounds a block at a time (``MaskBlocks``), from two
 streams: every row's kept fractions from one, the aggregator's share routes
@@ -160,72 +158,26 @@ def _stacked(values_by_agent: Mapping[int, np.ndarray]) -> tuple[list[int], np.n
     return agents, units
 
 
-class SplitBuffers:
-    """The kept fractions and share destinations of one masking round over
-    one topology and ``m`` candidates; ``draw`` refills them.
+def share_slots(topology: NeighborMap, m: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Where a round over ``topology`` and ``m`` candidates sends its shares.
 
-    ``fractions`` is (rows, m): the fraction of each value its row keeps.
     ``destinations`` is (rows * m,), flat in row-major order: the slot each
     value's send share goes to, as the flat index ``t * m + h`` of row t's
-    entry for the same candidate h. Each row starts at its first target, and
-    a single-edge row's destinations never change. ``slots`` maps each
-    multi-edge row to its targets' slots ``t * m``, from which every draw
-    picks that row's destinations anew. A row with no out-edge raises
-    TopologyError. ``forced`` maps a row to the fractions it keeps, written
-    here once: m values, each in [0, 1], so that both shares of a value lie
-    between 0 and the value.
+    entry for the same candidate h, every row at its first target. A
+    single-edge row's destinations never change. ``slots`` maps each
+    multi-edge row to its targets' slots ``t * m``, from which a round picks
+    that row's destinations anew. A row with no out-edge raises
+    TopologyError.
     """
-
-    __slots__ = ("fractions", "destinations", "slots", "_columns", "_draws", "_tail")
-
-    def __init__(self, topology: NeighborMap, m: int,
-                 forced: Mapping[int, Sequence[float]] | None = None):
-        indptr, targets = topology.indptr, topology.targets
-        degree = np.diff(indptr)
-        if not degree.all():
-            raise TopologyError(f"agent {topology.ids[np.argmin(degree)]} has no out-edges")
-        fractions = self.fractions = np.empty((len(degree), m))
-        forced = forced or {}
-        for r, f in forced.items():
-            f = np.asarray(f, dtype=float)
-            if f.shape != (m,) or not np.all((0.0 <= f) & (f <= 1.0)):
-                raise ProtocolError(f"forced fractions for agent {topology.ids[r]} must be "
-                                    f"{m} values in [0, 1]")
-            fractions[r] = f
-        self._columns = np.arange(m)
-        destinations = self.destinations = (targets[indptr[:-1], None] * m
-                                            + self._columns).reshape(-1)
-        starts = indptr.tolist()
-        self.slots = {r: targets[starts[r]:starts[r + 1]] * m
-                      for r in np.flatnonzero(degree > 1).tolist()}
-        # per row that does not just draw its fractions, in row order: the
-        # run of fraction rows drawn up to it (itself included unless forced),
-        # its target slots when it has several and its destinations
-        draws = []
-        start = 0
-        for r in sorted(self.slots.keys() | forced.keys()):
-            run = fractions[start:r] if r in forced else fractions[start:r + 1]
-            draws.append((run, self.slots.get(r), destinations[r * m:(r + 1) * m]))
-            start = r + 1
-        self._draws = tuple(draws)
-        self._tail = fractions[start:]
-
-    def draw(self, rng) -> SplitBuffers:
-        """Refill the buffers and return them.
-
-        Rows draw in row order: m uniform fractions (none for a forced row),
-        then, for a row with several out-edges, one out-edge per candidate
-        (``integers(degree, size=m)``). A run of rows draws its fractions in
-        one call, which consumes ``rng`` exactly as row-by-row draws would.
-        """
-        random, integers, columns = rng.random, rng.integers, self._columns
-        for run, slots, destinations in self._draws:
-            random(out=run)
-            if slots is not None:
-                np.add(slots[integers(len(slots), size=len(columns))], columns,
-                       out=destinations)
-        random(out=self._tail)
-        return self
+    indptr, targets = topology.indptr, topology.targets
+    degree = np.diff(indptr)
+    if not degree.all():
+        raise TopologyError(f"agent {topology.ids[np.argmin(degree)]} has no out-edges")
+    destinations = (targets[indptr[:-1], None] * m + np.arange(m)).reshape(-1)
+    starts = indptr.tolist()
+    slots = {r: targets[starts[r]:starts[r + 1]] * m
+             for r in np.flatnonzero(degree > 1).tolist()}
+    return destinations, slots
 
 
 class MaskBlocks:
@@ -239,7 +191,7 @@ class MaskBlocks:
     (route_rounds, m) block of the aggregator's (row 0's) destinations, one
     ``route_rng.integers(degree, size=(route_rounds, m))`` call turned into
     slots; a round writes its m of them into place. Every other row sends
-    to its one target, as ``SplitBuffers`` lays it out. Each stream is read
+    to its one target, as ``share_slots`` lays it out. Each stream is read
     in order, as round-by-round ``random((rows, m))`` and ``integers(degree,
     size=m)`` draws read it, so the rounds do not depend on the block sizes.
     A graph with another multi-edge row than the aggregator's raises
@@ -249,15 +201,13 @@ class MaskBlocks:
     __slots__ = ("fractions", "routes", "destinations", "_slots")
 
     def __init__(self, topology: NeighborMap, m: int, rounds: int, route_rounds: int):
-        split = SplitBuffers(topology, m)
-        slots = dict(split.slots)
+        self.destinations, slots = share_slots(topology, m)
         self._slots = slots.pop(0, None)
         if slots:
             raise TopologyError(f"agent {topology.ids[min(slots)]} has several out-edges: "
                                 "only the aggregator's row may")
         self.fractions = np.empty((rounds, len(topology.ids), m))
         self.routes = np.empty((route_rounds, m), dtype=np.int64)
-        self.destinations = split.destinations
 
     def rounds(self, fraction_rng, route_rng) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Every round in turn, without end; a block is drawn whole when its
@@ -286,7 +236,7 @@ def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarra
 
     Row r keeps ``rint(fraction * units)`` of candidate h and sends the rest
     to the slot ``destinations[r * m + h]``, a flat (rows * m,) array (see
-    ``SplitBuffers``); each row reports what it kept plus what it received.
+    ``share_slots``); each row reports what it kept plus what it received.
     Column sums are conserved exactly. Without ``out`` the input is
     unchanged. ``out`` is the ``WireBuffers`` whose ``quantize`` made
     these units: the round then works in its buffers and returns
@@ -323,9 +273,13 @@ def shuffle_round(
 
     The reports must come from exactly the agents of ``topology``, else
     TopologyError names both id lists; in ascending id order they are the
-    topology's rows, drawn as one ``SplitBuffers`` round on it, so results
-    do not depend on traversal order. ``fractions`` forces the kept
-    fraction per agent and candidate; forcing them for an agent that does
+    topology's rows, so results do not depend on traversal order. Rows draw
+    from ``rng`` in row order: m uniform fractions (none for a forced row),
+    then, for a row with several out-edges, one out-edge per candidate
+    (``integers(degree, size=m)``) among its ``share_slots``. ``fractions``
+    forces the kept fraction per agent and candidate: m values, each in
+    [0, 1], so that both shares of a value lie between 0 and the value,
+    else ProtocolError names the agent; forcing them for an agent that does
     not report raises TopologyError naming it.
     """
     agents, units = _stacked(values_by_agent)
@@ -337,9 +291,24 @@ def shuffle_round(
     for agent in fractions:
         if agent not in reporting:
             raise TopologyError(f"fractions forced for agent {agent}, which does not report")
-    forced = {r: fractions[agent] for r, agent in enumerate(agents) if agent in fractions}
-    split = SplitBuffers(topology, units.shape[1], forced).draw(np.random.default_rng(rng))
-    return dict(zip(agents, mask_units(units, split.fractions, split.destinations)))
+    m = units.shape[1]
+    kept = np.empty(units.shape)
+    for r, agent in enumerate(agents):
+        if agent in fractions:
+            f = np.asarray(fractions[agent], dtype=float)
+            if f.shape != (m,) or not np.all((0.0 <= f) & (f <= 1.0)):
+                raise ProtocolError(f"forced fractions for agent {agent} must be "
+                                    f"{m} values in [0, 1]")
+            kept[r] = f
+    destinations, slots = share_slots(topology, m)
+    rows, columns = destinations.reshape(-1, m), np.arange(m)
+    rng = np.random.default_rng(rng)
+    for r, row in enumerate(kept):
+        if agents[r] not in fractions:
+            rng.random(out=row)
+        if r in slots:
+            np.add(slots[r][rng.integers(len(slots[r]), size=m)], columns, out=rows[r])
+    return dict(zip(agents, mask_units(units, kept, destinations)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -10,7 +10,7 @@ id order; ``ids[r]`` is row r's agent. A built topology has the aggregator in
 row 0 and the available EVs in rows 1..N in ascending id order: the row
 order of the protocol's value matrix. This module holds only the graph:
 where a round's shares land, per row and candidate, is laid out by
-``shuffle.SplitBuffers``.
+``shuffle.share_slots``.
 """
 
 from __future__ import annotations

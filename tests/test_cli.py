@@ -170,6 +170,9 @@ def test_penalty_key_exits_1_from_every_verb(tmp_path, capsys):
 # reports that could pass 2**63 units in a column
 WIRE = {"n_evs": 16, "seed": 5, "m_whales": 4, "k_max": 5, "gen_c": 3000.0, "unit_bits": 48,
         "other_range": [2000.0, 2001.0], "horizon_h": 0.2}
+# a first epoch whose aggregator row reaches 2**63 units at 32 unit bits, but not at 31
+HEAVY = {"n_evs": 10, "gen_a": 1e6}
+FITS_31 = "the largest that fits is 31"
 # a departure of EV 7 in a fleet of 5: every verb loads the config, so every verb refuses it
 DEPARTURE_ID = {"n_evs": 5, "k_max": 5, "horizon_h": 0.2,
                 "departures": [{"time_h": 0.1, "ids": [7]}]}
@@ -186,7 +189,13 @@ DEEP = b'{"departures": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
     (["run"], {"seed": -1}, 1, "seed"),
     (["run"], {"departures": [{"time_h": 0.3, "count": 2, "idz": [1]}]}, 1, "idz"),
     (["run"], {"other_range": [-1.0, -0.5]}, 1, "other_range"),
-    (["run"], WIRE, 2, "int64 wire"),
+    (["run"], WIRE, 1, "beyond the int64 wire; the largest that fits is 47"),
+    (["run"], HEAVY, 1, FITS_31),
+    (["sweep", "--values", "5", "--runs", "2"], HEAVY, 1, FITS_31),
+    (["compare", "--seeds", "2"], HEAVY, 1, FITS_31),
+    (["run"], {**HEAVY, "gen_a": 1e20}, 1, "unit_bits: the first epoch's reports could reach "
+                                           "2**63 units at 40 unit bits, beyond the int64 "
+                                           "wire; no value in [8, 48] fits"),
     (["sweep", "--param", "m_whales", f"--values={2**60}", "--runs", "2"], {"n_evs": 5}, 2,
      "m_whales"),
     (["run"], DEPARTURE_ID, 1, OUT_OF_RANGE),
@@ -199,7 +208,8 @@ DEEP = b'{"departures": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
     (["run"], NOT_UTF8, 1, "cfg.json"),
     (["run"], LONG_INT, 1, "cfg.json"),
     (["run"], DEEP, 1, "cfg.json"),
-], ids=["negative-seed", "departure-key", "other_range", "int64-wire", "sweep-whale-count",
+], ids=["negative-seed", "departure-key", "other_range", "int64-wire", "unit-bits-run",
+        "unit-bits-sweep", "unit-bits-compare", "no-unit-bits-fit", "sweep-whale-count",
         "departure-id-run", "departure-id-oracle", "departure-id-compare", "departure-id-sweep",
         "huge-int-key", "huge-int-range", "huge-int-departure", "not-utf8", "long-int",
         "deep-json"])

@@ -8,10 +8,14 @@ forms are checked against these formulas.
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from v2gdispatch import costs as costs_module
+from v2gdispatch.config import ScenarioConfig, build_instance
+from v2gdispatch.fleet import available_ids, common_rate_bounds
 from v2gdispatch.costs import (
     AggCostParams,
     CostMatrix,
@@ -20,6 +24,7 @@ from v2gdispatch.costs import (
     EvCostTable,
     agg_consensus_cost,
     consensus_objective,
+    consensus_optimum,
     grid_search_rate,
     sample_ev_cost_params,
 )
@@ -400,6 +405,66 @@ def test_consensus_objective_minimizer_matches_grid_oracle():
     values = consensus_objective(grid, costs.ev, costs.agg)
     assert abs(best_rate - grid[np.argmin(values)]) <= 1e-4
     assert best_value == pytest.approx(values.min(), rel=1e-12)
+
+
+def _optimum_and_grid(config, step):
+    """The closed-form optimum and the grid oracle's rate over the
+    available EVs of ``config``'s instance, after checking that the optimum
+    lies in the bounds and scores no worse than the grid's best point, up to
+    the rounding of N + 1 added costs."""
+    inst = build_instance(config)
+    avail = available_ids(inst.fleet)
+    costs = inst.costs.restrict(avail)
+    lower, upper = common_rate_bounds(inst.fleet, avail)
+    rate = consensus_optimum(costs.ev, costs.agg, lower, upper)
+    grid_rate, grid_value = grid_search_rate(costs.ev, costs.agg, lower, upper, step)
+    assert lower <= rate <= upper
+    value = consensus_objective(np.array([rate]), costs.ev, costs.agg)[0]
+    assert value <= grid_value + (len(avail) + 1) * 8 * np.finfo(float).eps * abs(grid_value)
+    return rate, grid_rate
+
+
+@pytest.mark.parametrize("n_evs", [1, 2, 3, 10, 30, 100, 300, 1000])
+def test_consensus_optimum_is_within_a_grid_step_of_the_grid_oracle(n_evs):
+    for seed in range(20 if n_evs <= 100 else 3):
+        config = replace(ScenarioConfig(), n_evs=n_evs, seed=seed)
+        rate, grid_rate = _optimum_and_grid(config, 1e-4)
+        assert abs(rate - grid_rate) <= 1e-4
+
+
+@pytest.mark.parametrize("n_evs", [1, 10, 100])
+def test_consensus_optimum_without_revenue_is_within_a_grid_step(n_evs):
+    # at price 0 the root's linear coefficient 2A + BN is positive, so the
+    # root is taken as 2c / (-b - sqrt(b^2 - 4ac)); it lies inside the bounds
+    for seed in range(5):
+        config = replace(ScenarioConfig(), n_evs=n_evs, seed=seed, price=0.0)
+        rate, grid_rate = _optimum_and_grid(config, 1e-4)
+        assert 0.0 < rate < 6.6 and abs(rate - grid_rate) <= 1e-4
+
+
+def test_consensus_optimum_at_ten_thousand_evs():
+    rate, grid_rate = _optimum_and_grid(replace(ScenarioConfig(), n_evs=10**4, seed=0), 1e-3)
+    assert abs(rate - grid_rate) <= 1e-3
+    assert rate == pytest.approx(0.2041009, abs=1e-7)
+
+
+@pytest.mark.parametrize("changes, bound", [
+    ({"n_evs": 1}, "rate_max_kw"),  # the root lies past 6.6 kW
+    ({"n_evs": 100, "rate_min_kw": 5.0}, "rate_min_kw"),  # the root, 4.72 kW, lies below 5
+    ({"n_evs": 100, "price": 0.0, "omega": 0.0}, "rate_min_kw"),  # F increases from 0 on
+    ({"n_evs": 10, "rate_min_kw": 1.0, "rate_max_kw": 1.0}, "rate_max_kw"),  # one point
+])
+def test_consensus_optimum_clips_to_the_bound_that_binds(changes, bound):
+    for seed in range(3):
+        config = replace(ScenarioConfig(), seed=seed, **changes)
+        rate, grid_rate = _optimum_and_grid(config, 1e-4)
+        assert rate == grid_rate == getattr(config, bound)
+
+
+def test_consensus_optimum_of_the_default_instances():
+    for n_evs, want in ((100, 4.7192881), (1000, 1.5463494)):
+        rate, _ = _optimum_and_grid(replace(ScenarioConfig(), n_evs=n_evs, seed=0), 1e-3)
+        assert rate == pytest.approx(want, abs=1e-7)
 
 
 def test_grid_search_breaks_ties_toward_lowest_rate():

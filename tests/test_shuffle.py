@@ -12,11 +12,11 @@ from v2gdispatch.fleet import sample_fleet
 from v2gdispatch.shuffle import (
     MaskBlocks,
     ProtocolError,
-    SplitBuffers,
     candidate_totals,
     check_headroom,
     from_units_array,
     mask_units,
+    share_slots,
     shuffle_round,
     to_units_array,
 )
@@ -92,7 +92,7 @@ def test_split_fraction_validated():
         with pytest.raises(ProtocolError):
             shuffle_round(values, topo, rng=0, fractions={i: [0.5, bad]})
         with pytest.raises(ProtocolError):
-            SplitBuffers(topo, 2, {1: np.array([bad, 0.5])})
+            shuffle_round(values, topo, rng=0, fractions={j: np.array([bad, 0.5])})
 
 
 def test_random_splits_sum_back_exactly():
@@ -229,14 +229,15 @@ def test_forced_fraction_length_checked():
 @pytest.mark.parametrize("bad", [[0.5], [0.5, 0.5, 0.5], [0.5, 1.5], [-0.25, 0.5],
                                  [0.5, float("nan")]])
 def test_forced_fractions_are_checked_and_name_the_agent(bad):
-    # m values in [0, 1], checked where the split is built; with the
+    # m values in [0, 1], checked before the round draws; with the
     # aggregator in row 0, agent 1 is row 2, and the error names the agent
     topo = build_topology(sample_fleet(3, 9), "one-random-neighbor", 4)
     values = {a: to_units_array(np.array([5.0, 10.0])) for a in topo.ids.tolist()}
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(ProtocolError, match=r"for agent 1 must be 2 values in \[0, 1\]"):
-        shuffle_round(values, topo, rng=0, fractions={1: bad})
-    with pytest.raises(ProtocolError, match=r"for agent 1 must be 2 values in \[0, 1\]"):
-        SplitBuffers(topo, 2, {2: bad})
+        shuffle_round(values, topo, rng, fractions={1: bad})
+    assert rng.bit_generator.state == state
 
 
 def test_multi_neighbor_routing_conserves_totals():
@@ -250,19 +251,27 @@ def test_multi_neighbor_routing_conserves_totals():
     assert np.array_equal(candidate_totals(values), candidate_totals(masked))
 
 
+def _nonzero_reports(topo, m, seed):
+    """Unit-values for every agent of ``topo`` as a mapping and as the stacked
+    rows; none is 0, so every drawn fraction and destination shows in the
+    masked reports."""
+    units = np.random.default_rng(seed).integers(2**40, 2**41, size=(len(topo.ids), m))
+    return dict(zip(topo.ids.tolist(), units)), units
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 40])
 def test_draw_split_stream_contract(n):
     # row 0, the aggregator, draws random(m) then integers(n, size=m) when it
-    # has several out-edges; the EV rows then draw random((n, m)) at once.
-    # Each redraw of the same buffers consumes the stream the same way.
+    # has several out-edges; the EV rows then read the stream as one
+    # random((n, m)) draw. Every round on the same Generator reads it so.
     m = 7
     topo = build_topology(sample_fleet(n, n), "one-random-neighbor", 3)
+    values, units = _nonzero_reports(topo, m, n)
     rng = np.random.default_rng(n)
     ref = np.random.default_rng(n)
-    split = SplitBuffers(topo, m)
+    ev_targets = topo.targets[topo.indptr[1:-1], None].repeat(m, axis=1)
     for _ in range(3):
-        split = split.draw(rng)
-        fractions, destinations = split.fractions, split.destinations
+        masked = shuffle_round(values, topo, rng)
         if n > 1:
             agg_fractions = ref.random(m)
             agg_targets = topo.targets[ref.integers(n, size=m)]
@@ -270,15 +279,11 @@ def test_draw_split_stream_contract(n):
         else:  # the aggregator's one out-edge is the one EV: no integers draw
             expected_fractions = ref.random((2, m))
             agg_targets = np.full(m, topo.targets[0])
-        assert np.array_equal(fractions, expected_fractions)
-        ev_targets = topo.targets[topo.indptr[1:-1], None].repeat(m, axis=1)
         expected_rows = np.vstack([agg_targets, ev_targets])
-        assert np.array_equal(destinations, (expected_rows * m + np.arange(m)).reshape(-1))
+        destinations = (expected_rows * m + np.arange(m)).reshape(-1)
+        expected = mask_units(units, expected_fractions, destinations)
+        assert np.array_equal(np.stack([masked[a] for a in topo.ids.tolist()]), expected)
         assert rng.bit_generator.state == ref.bit_generator.state
-    fresh = SplitBuffers(topo, m).draw(np.random.default_rng(5))
-    refilled = split.draw(np.random.default_rng(5))
-    assert np.array_equal(fresh.fractions, refilled.fractions)
-    assert np.array_equal(fresh.destinations, refilled.destinations)
 
 
 def _replay_round(topo, m, forced, ref):
@@ -299,21 +304,35 @@ def _replay_round(topo, m, forced, ref):
 _CUSTOM_EDGES = {AGGREGATOR_ID: (0, 2), 0: (1,), 1: (AGGREGATOR_ID, 2, 3), 2: (3,), 3: (0,)}
 
 
+def _replayed_round_matches(topo, m, forced_rows, seed):
+    """Two ``shuffle_round`` calls on one Generator, with ``forced_rows``
+    (row -> fractions) forced by agent id, mask nonzero reports as
+    ``mask_units`` over ``_replay_round``'s draws on a reference Generator,
+    and leave the stream where the reference is."""
+    values, units = _nonzero_reports(topo, m, seed)
+    forced = {int(topo.ids[r]): f for r, f in forced_rows.items()}
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        masked = shuffle_round(values, topo, rng, fractions=forced)
+        expected = mask_units(units, *_replay_round(topo, m, forced_rows, ref))
+        assert np.array_equal(np.stack([masked[a] for a in topo.ids.tolist()]), expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_draw_split_stream_contract_on_a_custom_graph():
     # a round draws row by row; the custom graph has two multi-edge rows (0
-    # and 2) and a forced row (3) between runs of rows that draw. Every
-    # redraw consumes the stream the same way.
+    # and 2) among single-edge ones, each forced or not: a forced row draws
+    # no fractions, and a forced multi-edge row still draws its out-edges
     m = 3
     topo = build_topology(sample_fleet(4, 0), custom_edges=_CUSTOM_EDGES)
-    forced = {3: np.array([0.25, 0.5, 1.0])}
-    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    split = SplitBuffers(topo, m, forced)
-    for _ in range(2):
-        split.draw(rng)
-        fractions, destinations = _replay_round(topo, m, forced, ref)
-        assert np.array_equal(split.fractions, fractions)
-        assert np.array_equal(split.destinations, destinations)
-        assert rng.bit_generator.state == ref.bit_generator.state
+    destinations, slots = share_slots(topo, m)
+    # rows -1, 0, 1, 2, 3 by agent; every row starts at its first target
+    assert destinations.tolist() == [r * m + h for r in (1, 2, 0, 4, 1) for h in range(m)]
+    assert {r: s.tolist() for r, s in slots.items()} == {0: [1 * m, 3 * m],
+                                                          2: [0, 3 * m, 4 * m]}
+    for forced_rows in ((), (3,), (2,), (0, 2, 4), (0, 1, 2, 3, 4)):
+        forced = {r: np.array([0.25, 0.5, 1.0]) * (r + 1) / 5 for r in forced_rows}
+        _replayed_round_matches(topo, m, forced, 11 + len(forced_rows))
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 7])
@@ -363,7 +382,10 @@ def test_draw_split_refuses_a_row_with_no_out_edge():
     topo = build_topology(sample_fleet(1, 0),
                           custom_edges={ev_agent(0): (AGGREGATOR_ID,), AGGREGATOR_ID: ()})
     with pytest.raises(TopologyError, match="agent -1 has no out-edges"):
-        SplitBuffers(topo, 3).draw(np.random.default_rng(0))
+        share_slots(topo, 3)
+    values = {a: to_units_array(np.array([5.0, 10.0, 1.0])) for a in topo.ids.tolist()}
+    with pytest.raises(TopologyError, match="agent -1 has no out-edges"):
+        shuffle_round(values, topo, rng=0)
 
 
 @pytest.mark.parametrize("forced_rows", [(0,), (2,), (0, 5), (5,)])
@@ -372,20 +394,8 @@ def test_forced_rows_draw_no_fractions(forced_rows):
     # row, and a forced multi-edge row's destinations, draw as unforced
     m, n = 3, 5
     topo = build_topology(sample_fleet(n, 2), "one-random-neighbor", 3)
-    forced = {r: np.full(m, 0.1 * (r + 1)) for r in forced_rows}
-    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
-    split = SplitBuffers(topo, m, forced)
-    for _ in range(2):
-        split.draw(rng)
-        rows = []
-        for r in range(n + 1):
-            rows.append(forced[r] if r in forced else ref.random(m))
-            if r == 0:  # the aggregator's several out-edges
-                agg_targets = topo.targets[ref.integers(n, size=m)]
-        fractions, destinations = split.fractions, split.destinations
-        assert np.array_equal(fractions, np.vstack(rows))
-        assert np.array_equal(destinations[:m], agg_targets * m + np.arange(m))
-        assert rng.bit_generator.state == ref.bit_generator.state
+    assert list(share_slots(topo, m)[1]) == [0]  # the aggregator's several out-edges
+    _replayed_round_matches(topo, m, {r: np.full(m, 0.1 * (r + 1)) for r in forced_rows}, 1)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (101, 10), (1001, 30), (7, 0)])
