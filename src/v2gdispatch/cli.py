@@ -23,7 +23,7 @@ from .config import (
     load_config,
     resolve_departures,
 )
-from .costs import CostMatrix
+from .costs import magnitude_bound
 from .fleet import available_ids, common_rate_bounds
 from .harness import (
     SWEEPABLE,
@@ -36,7 +36,7 @@ from .harness import (
 )
 from .orchestrator import run_scenario
 from .records import export_run
-from .shuffle import wire_bound
+from .shuffle import largest_fit, wire_bound
 
 
 def _load(args) -> ScenarioConfig:
@@ -48,22 +48,18 @@ def _load(args) -> ScenarioConfig:
 def _build_instance(config: ScenarioConfig) -> Instance:
     """The config's instance, once its first epoch, over every available EV,
     fits the int64 wire at ``unit_bits``: the bound ``run_optimization``
-    refuses at (``CostMatrix.magnitude_bound``, then ``wire_bound``, which
-    grows with the unit bits), else a ConfigError naming the largest
-    ``unit_bits`` that fits."""
+    refuses at (``costs.magnitude_bound``, then ``wire_bound``), else a
+    ConfigError naming the largest ``unit_bits`` that fits."""
     instance = build_instance(config)
     avail = available_ids(instance.fleet)
     if not avail:
         return instance
     upper = common_rate_bounds(instance.fleet, avail)[1]
-    matrix = CostMatrix(instance.costs.ev.take(avail), instance.costs.agg, 1)
-    magnitude = matrix.magnitude_bound(upper)
-    fits = [bits for bits in range(8, config.unit_bits + 1)
-            if wire_bound(magnitude, len(avail) + 1, bits) < 2.0**63]
-    if config.unit_bits not in fits:
-        largest = f"the largest that fits is {fits[-1]}" if fits else "no value in [8, 48] fits"
+    magnitude = magnitude_bound(instance.costs.ev.take(avail), instance.costs.agg, upper)
+    if not wire_bound(magnitude, len(avail) + 1, config.unit_bits) < 2.0**63:
         raise ConfigError(f"unit_bits: the first epoch's reports could reach 2**63 units at "
-                          f"{config.unit_bits} unit bits, beyond the int64 wire; {largest}")
+                          f"{config.unit_bits} unit bits, beyond the int64 wire; "
+                          f"{largest_fit(magnitude, len(avail) + 1)}")
     return instance
 
 

@@ -18,11 +18,13 @@ aggregator holds only its four coefficients (``AggCostParams``), and at a
 common rate ``r`` it needs only D = eta_sum * r and R = n * r.
 ``agg_cost_of_power`` is the one allocating form of ``Agg``, from D and R;
 ``agg_consensus_cost`` and the centralized baselines' fitness both call it.
-``CostMatrix`` computes the same operations in place, so the per-iteration
-path allocates nothing: at a common rate the generation term is the EV
-formula ``f`` at D with coefficients (gen_a, gen_b, gen_c, 0) and no revenue,
-so the aggregator is row 0 of the matrix operations every EV row runs, and
-only its utility term is computed apart.
+``CostMatrix`` computes the same operations in place, in the wire's units
+of 2**-unit_bits, so the per-iteration path allocates nothing and leaves
+quantisation only the rounding: at a common rate the generation term is the
+EV formula ``f`` at D with coefficients (gen_a, gen_b, gen_c, 0), so the
+aggregator is row 0 of the matrix operations every EV row runs, and its
+utility term takes the place of the EVs' revenue. ``magnitude_bound``
+bounds what the matrix can hold, from the tables alone.
 
 Both models support scalar rates or numpy arrays of rates elementwise.
 Per-EV coefficients are held only as columns, one row per EV, beside the one
@@ -104,78 +106,100 @@ def agg_cost_of_power(delivered, raw, params: AggCostParams):
 
 
 class CostMatrix:
-    """Every agent's net cost at M common candidate rates, as one matrix.
+    """Every agent's net cost at M common candidate rates, in units of
+    2**-``unit_bits``, as one matrix.
 
     Row 0 is the aggregator's ``agg_consensus_cost`` and rows 1..N the net
-    costs ``f`` of the EVs of ``ev`` in order, bit for bit: the same
-    elementwise operations in the same order. Row 0 runs the EV operations
-    on the delivered power with the coefficients (gen_a, gen_b, gen_c, 0):
-    ``gen_a > 0`` and D >= 0 keep the sum before ``+ 0.0`` from being -0.0,
-    so adding 0 changes no bit. Only rows 1..N subtract the revenue ``price
-    * rate``; row 0 subtracts its utility term. What is fixed across calls
-    is set up once: the four coefficients spread to (N+1, M) arrays
-    (contiguous operands keep each operation one flat loop rather than N
-    short broadcast ones), the aggregator's utility constants, the (N+1) x M
-    output and the EV rows' views. Each call refills and returns the same
-    ``values`` array. Rates must be >= 0, which is not checked per call.
+    costs ``f`` of the EVs of ``ev`` in order, each times 2**unit_bits, bit
+    for bit: the same elementwise operations in the same order, on
+    coefficients that are multiplied by 2**unit_bits once, when they are
+    spread. A power of two scales every product and sum exactly, so each
+    value is the unscaled one times 2**unit_bits, save where a product is
+    subnormal before scaling: it has lost bits that the scaled product
+    keeps. Row 0 runs the EV operations on the delivered power with the
+    coefficients (gen_a, gen_b, gen_c, 0): ``gen_a > 0`` and D >= 0 keep
+    the sum before ``+ 0.0`` from being -0.0, so adding 0 changes no bit.
+    Then row 0 of the tiled rates becomes log(N*r + 1), and one product
+    with the spread (omega, price, ..., price) and one subtraction take off
+    the aggregator's utility and the EVs' revenue ``price * rate``. What is
+    fixed across calls is set up once: the five coefficients spread to (N+1,
+    M) arrays (contiguous operands keep each operation one flat loop rather
+    than N short broadcast ones), the (N+1) x M output and work buffers and
+    their views. Each call refills and returns the same ``values`` array.
+    Rates must be >= 0, which is not checked per call. A coefficient whose
+    scaled value overflows float64 raises ValueError, before any is scaled;
+    ``run_optimization`` refuses an epoch whose values could leave the
+    int64 wire before it builds one (``magnitude_bound``).
     """
 
-    __slots__ = ("values", "_coefficients", "_price", "_utility", "_rates", "_work", "_ev_rows")
+    __slots__ = ("values", "_coefficients", "_revenue", "_n", "_eta_sum", "_rates",
+                 "_work", "_head", "_ev_rates")
 
-    def __init__(self, ev: "EvCostTable", agg: AggCostParams, m: int):
-        shape = (len(ev) + 1, m)
-        generation = (agg.gen_a, agg.gen_b, agg.gen_c, 0.0)
-        self._coefficients = tuple(np.repeat(np.concatenate(([a], column))[:, None], m, axis=1)
-                                   for a, column in zip(generation, ev.columns()))
-        self._price = ev.price
-        self._utility = (ev.eta_sum, len(ev), agg.omega)
-        self.values = np.empty(shape)
-        self._rates = np.empty(shape)
-        self._work = np.empty(shape)
-        self._ev_rows = (self.values[1:], self._rates[1:], self._work[1:])
+    def __init__(self, ev: "EvCostTable", agg: AggCostParams, m: int, unit_bits: int):
+        n = len(ev)
+        # alpha, beta, gamma, other, then omega and the price: one row each
+        table = np.empty((5, n + 1))
+        table[:4, 0] = agg.gen_a, agg.gen_b, agg.gen_c, 0.0
+        table[:4, 1:] = ev.columns()
+        table[4] = ev.price
+        table[4, 0] = agg.omega
+        scale = float(1 << unit_bits)
+        peak = float(np.abs(table).max())
+        if peak * scale == math.inf:
+            raise ValueError(f"unit_bits: a cost coefficient of {peak!r} overflows float64 at "
+                             f"{unit_bits} unit bits")
+        table *= scale
+        spread = np.repeat(table[:, :, None], m, axis=2)
+        *self._coefficients, self._revenue = spread
+        self._n, self._eta_sum = n, ev.eta_sum
+        self.values = np.empty((n + 1, m))
+        self._rates = np.empty((n + 1, m))
+        self._work = np.empty((n + 1, m))
+        self._head, self._ev_rates = self._rates[0], self._rates[1:]
 
     def __call__(self, rates: np.ndarray) -> np.ndarray:
-        eta_sum, n, omega = self._utility
         alpha, beta, gamma, other = self._coefficients
-        values, tiled, work = self.values, self._rates, self._work
-        ev_values, ev_rates, ev_work = self._ev_rows
-        np.multiply(eta_sum, rates, out=tiled[0])  # the delivered power D
-        ev_rates[...] = rates
+        values, tiled, work, head = self.values, self._rates, self._work, self._head
+        np.multiply(self._eta_sum, rates, head)  # the delivered power D
+        self._ev_rates[...] = rates
         # the EV formula f, every row at once; row 0 is the generation term
-        np.multiply(alpha, tiled, out=values)
-        values *= tiled
-        np.multiply(beta, tiled, out=work)
-        values += work
-        values += gamma
-        values += other
-        np.multiply(self._price, ev_rates, out=ev_work)
-        ev_values -= ev_work
-        # the aggregator's utility term, as agg_cost_of_power has it
-        utility = work[0]
-        np.multiply(n, rates, out=utility)
-        utility += 1.0
-        np.log(utility, out=utility)
-        np.multiply(omega, utility, out=utility)
-        values[0] -= utility
+        np.multiply(alpha, tiled, values)
+        np.multiply(values, tiled, values)
+        np.multiply(beta, tiled, work)
+        np.add(values, work, values)
+        np.add(values, gamma, values)
+        np.add(values, other, values)
+        # the aggregator's utility log(N*r + 1), as agg_cost_of_power has it
+        np.multiply(self._n, rates, head)
+        np.add(head, 1.0, head)
+        np.log(head, head)
+        # omega * utility on row 0, price * rate on the EV rows
+        np.multiply(self._revenue, tiled, work)
+        np.subtract(values, work, values)
         return values
 
-    def magnitude_bound(self, upper: float) -> float:
-        """A bound on every column's sum of |values| at rates in [0, ``upper``].
 
-        A row's value is a sum of terms, each of a magnitude that does not
-        decrease in the rate r >= 0: alpha*r^2, |beta|*r, |gamma|, other and,
-        on the EV rows, price*r; row 0 takes them at D = eta_sum * r, and its
-        utility term adds omega*log(N*r + 1). By the triangle inequality each
-        row's |value| is at most its terms' magnitudes at ``upper``, summed
-        here over the rows in O(N). NaN when a coefficient is.
-        """
-        eta_sum, n, omega = self._utility
-        alpha, beta, gamma, other = (c[:, 0] for c in self._coefficients)
-        rates = np.full(alpha.shape, upper)
-        rates[0] = eta_sum * upper
-        price = np.concatenate(([0.0], np.full(n, self._price)))  # the aggregator sells nothing
+def magnitude_bound(ev: "EvCostTable", agg: AggCostParams, upper: float) -> float:
+    """A bound on every column's sum of |values| of a ``CostMatrix`` of
+    ``ev`` and ``agg`` at 0 unit bits, at rates in [0, ``upper``].
+
+    A row's value is a sum of terms, each of a magnitude that does not
+    decrease in the rate r >= 0: alpha*r^2, |beta|*r, |gamma|, other and,
+    on the EV rows, price*r; row 0 takes them at D = eta_sum * r, and its
+    utility term adds omega*log(N*r + 1). By the triangle inequality each
+    row's |value| is at most its terms' magnitudes at ``upper``, summed
+    here over the rows in O(N). NaN when a coefficient is, and inf, with
+    no overflow warning, when a term is beyond float64.
+    """
+    n = len(ev)
+    alpha, beta, gamma, other = (np.concatenate(([a], column)) for a, column in
+                                 zip((agg.gen_a, agg.gen_b, agg.gen_c, 0.0), ev.columns()))
+    rates = np.full(n + 1, upper)
+    rates[0] = ev.eta_sum * upper
+    price = np.concatenate(([0.0], np.full(n, ev.price)))  # the aggregator sells nothing
+    with np.errstate(over="ignore"):
         magnitudes = (alpha * rates + np.abs(beta) + price) * rates + np.abs(gamma) + other
-        return float(magnitudes.sum()) + omega * math.log(n * upper + 1.0)
+    return float(magnitudes.sum()) + agg.omega * math.log(n * upper + 1.0)
 
 
 _EV_COST_FIELDS = ("alpha_deg", "beta_deg", "gamma_deg", "other_ops")

@@ -113,14 +113,15 @@ class PoolDraws:
         self.words = np.empty(0, dtype=np.uint64)
         self.pos = 0
 
-    def reserve(self, i: int, n: int) -> int:
+    def reserve(self, i: int, n: int, ahead: float = math.inf) -> int:
         """Cursor ``i`` with at least ``n`` words unread from it. A read
         drops the words before ``i``, from ``doubles`` in place, so a list a
         caller holds stays the list; it reads ``POOL_BLOCK_WORDS`` words, or
-        as many as are missing if more."""
+        ``ahead`` if fewer (the most the caller can still use), or as many
+        as are missing if more."""
         unread = len(self.words) - i
         if unread < n:
-            raw = self.bit_generator.random_raw(max(POOL_BLOCK_WORDS, n - unread))
+            raw = self.bit_generator.random_raw(max(min(POOL_BLOCK_WORDS, ahead), n - unread))
             del self.doubles[:i]
             self.doubles += ((raw >> 11) * 2.0**-53).tolist()
             self.words = np.concatenate((self.words[i:], raw))
@@ -172,9 +173,11 @@ def advance_pool(pool: WhalePool, draws: PoolDraws) -> None:
     positions = pool.positions.tolist()
     m = len(positions)
     # the triples are read unchecked: three words a whale are reserved, and
-    # a reference draw keeps those of the whales after it
+    # a reference draw keeps those of the whales after it. A pass takes at
+    # most 4m words but for a retried reference, so an epoch's last read
+    # stops near its end
     doubles = draws.doubles
-    i = draws.reserve(draws.pos, 3 * m)
+    i = draws.reserve(draws.pos, 3 * m, 4 * m * (pool.k_max - pool.k))
     moved = []
     for h, cur in enumerate(positions):
         r, l, p = doubles[i], doubles[i + 1], doubles[i + 2]

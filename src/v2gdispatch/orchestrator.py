@@ -9,8 +9,9 @@ the same candidate sequence and the answer is one scalar rate.
 
 Each iteration is whole-matrix work: the evaluations form one (N+1) x M
 matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
-order, quantized once, masked by one ``mask_units`` round (when the epoch
-masks) and summed per column (``candidate_totals``, an exact int64 matvec).
+order, computed in units of 2**-unit_bits and rounded to int64 once, masked
+by one ``mask_units`` round (when the epoch masks) and summed per column
+(``candidate_totals``, an exact int64 matvec).
 The ECN selects, and the pool keeps its best, on these exact totals as
 Python ints; only the best total is turned into currency, for the record.
 
@@ -24,17 +25,19 @@ depend on the seed and the topology, not on ``BLOCK_CELLS``.
 The pool draws from a stream of its own: its M initial positions through
 the Generator, then every move through one ``dwoa.PoolDraws``, built right
 after them, which reads the stream's raw PCG64 words
-``dwoa.POOL_BLOCK_WORDS`` a call and decodes each block once into the
-values numpy's ``random`` and ``integers`` would give (``dwoa`` module
-docstring). It too reads in order, so the positions do not depend on the
+``dwoa.POOL_BLOCK_WORDS`` a call (fewer once the passes left need fewer)
+and decodes each block once into the values numpy's ``random`` and
+``integers`` would give (``dwoa`` module docstring). It too reads in order, so the positions do not depend on the
 block size.
 
 What an epoch fixes is set up once, before its iterations:
-- the four cost coefficients spread to (N+1) x M arrays, the aggregator's
-  row 0 among them, and the (N+1) x M cost buffer (``costs.CostMatrix``);
 - the int64 wire's bound: the sum over rows of each row's cost terms at
-  the upper rate bound, with room for rounding; the epoch is refused up
-  front unless it is below 2**63, so no iteration checks its units again;
+  the upper rate bound (``costs.magnitude_bound``), with room for
+  rounding; the epoch is refused up front unless it is below 2**63, so no
+  iteration checks its units again;
+- the five cost coefficients, already times 2**unit_bits, spread to
+  (N+1) x M arrays, the aggregator's row 0 among them, and the (N+1) x M
+  cost buffers (``costs.CostMatrix``);
 - the wire buffers (``shuffle.WireBuffers``): the scaled values, the int64
   units and the masked units; the mask reuses the first two for the kept
   shares and the sends, and adds the sends in through their flat views;
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, CostSet
+from .costs import CostMatrix, CostSet, magnitude_bound
 from .dwoa import PoolDraws, advance_pool, init_pool
 from .fleet import Fleet, apply_discharge, available_ids, common_rate_bounds, grid_power_kw
 from .records import IterationSegment, RunRecord
@@ -72,6 +75,7 @@ from .shuffle import (
     WireBuffers,
     candidate_totals,
     from_units_array,
+    largest_fit,
     mask_units,
     wire_bound,
 )
@@ -82,10 +86,10 @@ from .topology import POLICIES, build_topology
 # time is a step index; from 2**53 steps on, float64 cannot tell consecutive
 # step times (nor step counts) apart
 MAX_STEPS = 2**53
-# an epoch peaks at about 105 bytes per cell of its (N+1) x M matrix (the
+# an epoch peaks at about 118 bytes per cell of its (N+1) x M matrix (the
 # cost, wire and mask arrays, by tracemalloc at N = 2 000, M = 10), so 2**27
-# cells is some 14 GB: past it, numpy's failed allocation would name no setting. 10**5 EVs at 10 candidates
-# are 10**6 cells.
+# cells is some 16 GB: past it, numpy's failed allocation would name no
+# setting. 10**5 EVs at 10 candidates are 10**6 cells.
 MAX_CELLS = 2**27
 # an epoch that masks draws its rounds' fractions in blocks of up to this
 # many cells (rounds x (N+1) x M) and the aggregator's routes in blocks of up
@@ -189,10 +193,11 @@ def run_optimization(
     and the record has no iteration rows.
     Search bounds are the intersection of the available EVs' rate limits
     (``common_rate_bounds``, which refuses an empty or negative one).
-    Before the pool is drawn, it bounds once what any iteration can put on
-    the int64 wire: each row's cost terms at the upper bound, summed over
-    the rows (``CostMatrix.magnitude_bound``), with room for rounding
-    (``shuffle.wire_bound``). It raises ProtocolError when that bound is not
+    Before anything else of the epoch is built, it bounds once what any
+    iteration can put on the int64 wire: each row's cost terms at the upper
+    bound, summed over the rows (``costs.magnitude_bound``), with room for
+    rounding (``shuffle.wire_bound``). It raises ProtocolError, naming
+    ``unit_bits`` and the largest that would fit, when that bound is not
     below 2**63 or is NaN, even if no candidate drawn would reach it; the
     iterations then quantize unchecked. The record's oracle-call
     counters count the cost values actually scored. The pool moves only
@@ -210,6 +215,16 @@ def run_optimization(
         return 0.0, record
 
     lower, upper = common_rate_bounds(fleet, avail)
+    ev = costs.ev.take(avail)
+    # every pool position lies in [lower, upper], so no column of any
+    # iteration's units sums beyond this in magnitude (NaN when a cost is)
+    magnitude = magnitude_bound(ev, costs.agg, upper)
+    bound = wire_bound(magnitude, len(avail) + 1, unit_bits)
+    if not bound < 2.0**63:
+        raise ProtocolError(f"unit_bits: epoch {epoch}'s reports of up to {bound!r} units per "
+                            f"candidate at rates up to {upper} kW reach 2**63: beyond the int64 "
+                            f"wire at {unit_bits} unit bits; "
+                            f"{largest_fit(magnitude, len(avail) + 1)}")
     topo_ss, dwoa_ss, fraction_ss, route_ss = _as_seed_sequence(seed).spawn(4)
     dwoa_rng = np.random.default_rng(dwoa_ss)
     n_iterations = max(k_max, 1)
@@ -221,20 +236,13 @@ def run_optimization(
         masks = MaskBlocks(topology, m_whales, *rounds).rounds(
             np.random.default_rng(fraction_ss), np.random.default_rng(route_ss))
 
-    cost_matrix = CostMatrix(costs.ev.take(avail), costs.agg, m_whales)
-    # every pool position lies in [lower, upper], so no column of any
-    # iteration's units sums beyond this in magnitude (NaN when a cost is)
-    bound = wire_bound(cost_matrix.magnitude_bound(upper), len(avail) + 1, unit_bits)
-    if not bound < 2.0**63:
-        raise ProtocolError(f"reports of up to {bound!r} units per candidate at rates up to "
-                            f"{upper} kW reach 2**63: beyond the int64 wire at {unit_bits} "
-                            "unit bits")
+    cost_matrix = CostMatrix(ev, costs.agg, m_whales, unit_bits)
     wire = WireBuffers(cost_matrix.values.shape)
     pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
     draws = PoolDraws(dwoa_rng)
     segment = IterationSegment(epoch, len(avail))
     for k in range(n_iterations):
-        units = wire.quantize(cost_matrix(pool.positions), unit_bits)
+        units = wire.quantize(cost_matrix(pool.positions))
         if masks is not None:
             units = mask_units(units, *next(masks), out=wire)
         totals = candidate_totals(units).tolist()

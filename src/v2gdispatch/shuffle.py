@@ -14,7 +14,8 @@ with and without shuffling. A value int64 cannot hold is an error, never a
 silent wrap: the mapping path checks each value it quantizes
 (``to_units_array``) and each round's reports (``check_headroom``), and an
 epoch checks once, before its first round, that no report it can make
-reaches 2**63 in any column (``wire_bound``), then quantizes unchecked
+reaches 2**63 in any column (``wire_bound``), then rounds values already
+scaled to units (``costs.CostMatrix``) and casts them unchecked
 (``WireBuffers.quantize``).
 
 One round works on the whole (agents x candidates) unit matrix: row 0 is the
@@ -64,13 +65,13 @@ class ProtocolError(RuntimeError):
 class WireBuffers:
     """The matrices of one round on the wire, reused by every round of a run.
 
-    ``quantize(values, unit_bits)`` leaves ``rint(values * 2**unit_bits)``
-    in ``scaled`` (whole numbers, held exactly as floats) and their int64
-    cast in ``units``, unchecked: the caller has shown that the values fit
-    (``wire_bound``). ``mask_units(wire.units, ..., out=wire)`` then
-    overwrites ``scaled`` with the kept shares and ``units`` with the sends,
-    and returns ``masked``; it adds the sends in through the flat views of
-    the two.
+    ``quantize(values)`` takes values already in units of 2**-unit_bits
+    (``costs.CostMatrix``) and leaves ``rint(values)`` in ``scaled`` (whole
+    numbers, held exactly as floats) and their int64 cast in ``units``,
+    unchecked: the caller has shown that the values fit (``wire_bound``).
+    ``mask_units(wire.units, ..., out=wire)`` then overwrites ``scaled``
+    with the kept shares and ``units`` with the sends, and returns
+    ``masked``; it adds the sends in through the flat views of the two.
     """
 
     __slots__ = ("scaled", "units", "masked", "flat_units", "flat_masked")
@@ -82,11 +83,10 @@ class WireBuffers:
         self.flat_units = self.units.reshape(-1)
         self.flat_masked = self.masked.reshape(-1)
 
-    def quantize(self, values: np.ndarray, unit_bits: int) -> np.ndarray:
-        """The values as int64 units of 2**-unit_bits: multiply, ``rint``, cast."""
-        scaled = np.multiply(values, float(1 << unit_bits), out=self.scaled)
-        np.rint(scaled, out=scaled)
-        self.units[...] = scaled
+    def quantize(self, values: np.ndarray) -> np.ndarray:
+        """Scaled values as int64 units: ``rint``, then the cast."""
+        np.rint(values, self.scaled)
+        self.units[...] = self.scaled
         return self.units
 
 
@@ -115,6 +115,14 @@ def wire_bound(magnitude: float, rows: int, unit_bits: int) -> float:
     NaN when ``magnitude`` is.
     """
     return magnitude * float(1 << unit_bits) * (1.0 + 2.0**-20) + 0.5 * rows
+
+
+def largest_fit(magnitude: float, rows: int) -> str:
+    """Which unit bits in [8, 48] keep the ``wire_bound`` of ``magnitude``
+    over ``rows`` below 2**63: the largest, as a clause for a refusal
+    message, or that none does. The bound grows with the unit bits."""
+    fits = [bits for bits in range(8, 49) if wire_bound(magnitude, rows, bits) < 2.0**63]
+    return f"the largest that fits is {fits[-1]}" if fits else "no value in [8, 48] fits"
 
 
 def check_headroom(units: np.ndarray) -> None:
@@ -246,11 +254,11 @@ def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarra
         out = WireBuffers(units.shape)
         out.scaled[...] = units
     # the float product rounds just as ``fractions * units`` would
-    kept = np.multiply(fractions, out.scaled, out=out.scaled)
-    np.rint(kept, out=kept)
+    kept = np.multiply(fractions, out.scaled, out.scaled)
+    np.rint(kept, kept)
     masked = out.masked
     masked[...] = kept  # whole floats no larger than |units|: the cast is exact
-    np.subtract(units, masked, out=out.units)
+    np.subtract(units, masked, out.units)
     np.add.at(out.flat_masked, destinations, out.flat_units)
     return masked
 

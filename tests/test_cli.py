@@ -173,6 +173,9 @@ WIRE = {"n_evs": 16, "seed": 5, "m_whales": 4, "k_max": 5, "gen_c": 3000.0, "uni
 # a first epoch whose aggregator row reaches 2**63 units at 32 unit bits, but not at 31
 HEAVY = {"n_evs": 10, "gen_a": 1e6}
 FITS_31 = "the largest that fits is 31"
+# a config gives every EV one rate_max_kw, so no epoch after a departure bounds
+# its reports above the first epoch's: the edge refuses by the first epoch
+HEAVY_DEPARTING = {**HEAVY, "departures": [{"time_h": 0.1, "count": 5}]}
 # a departure of EV 7 in a fleet of 5: every verb loads the config, so every verb refuses it
 DEPARTURE_ID = {"n_evs": 5, "k_max": 5, "horizon_h": 0.2,
                 "departures": [{"time_h": 0.1, "ids": [7]}]}
@@ -191,6 +194,7 @@ DEEP = b'{"departures": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
     (["run"], {"other_range": [-1.0, -0.5]}, 1, "other_range"),
     (["run"], WIRE, 1, "beyond the int64 wire; the largest that fits is 47"),
     (["run"], HEAVY, 1, FITS_31),
+    (["run"], HEAVY_DEPARTING, 1, FITS_31),
     (["sweep", "--values", "5", "--runs", "2"], HEAVY, 1, FITS_31),
     (["compare", "--seeds", "2"], HEAVY, 1, FITS_31),
     (["run"], {**HEAVY, "gen_a": 1e20}, 1, "unit_bits: the first epoch's reports could reach "
@@ -209,10 +213,10 @@ DEEP = b'{"departures": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
     (["run"], LONG_INT, 1, "cfg.json"),
     (["run"], DEEP, 1, "cfg.json"),
 ], ids=["negative-seed", "departure-key", "other_range", "int64-wire", "unit-bits-run",
-        "unit-bits-sweep", "unit-bits-compare", "no-unit-bits-fit", "sweep-whale-count",
-        "departure-id-run", "departure-id-oracle", "departure-id-compare", "departure-id-sweep",
-        "huge-int-key", "huge-int-range", "huge-int-departure", "not-utf8", "long-int",
-        "deep-json"])
+        "unit-bits-departing", "unit-bits-sweep", "unit-bits-compare", "no-unit-bits-fit",
+        "sweep-whale-count", "departure-id-run", "departure-id-oracle", "departure-id-compare",
+        "departure-id-sweep", "huge-int-key", "huge-int-range", "huge-int-departure", "not-utf8",
+        "long-int", "deep-json"])
 def test_refusal_exits_by_its_code_names_its_cause_and_writes_nothing(tmp_path, capsys, verb,
                                                                        cfg, code, word):
     path, out = tmp_path / "cfg.json", tmp_path / "out.csv"

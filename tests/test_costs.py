@@ -7,11 +7,15 @@ forms are checked against these formulas.
 """
 
 import math
+import warnings
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from v2gdispatch import costs as costs_module
 from v2gdispatch.config import ScenarioConfig, build_instance
@@ -82,7 +86,7 @@ def one_ev_table(params=EV, eta=1.0) -> EvCostTable:
 def one_ev_costs(rates, params=EV) -> np.ndarray:
     """The EV row of a one-EV ``CostMatrix``: its net cost at each rate."""
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
-    return CostMatrix(one_ev_table(params), UNIT_AGG, len(rates))(rates)[1]
+    return CostMatrix(one_ev_table(params), UNIT_AGG, len(rates), 0)(rates)[1]
 
 
 def test_ev_net_cost_zero_rate_all_terms_vanish():
@@ -264,7 +268,7 @@ def _toy_cost_set(n=5, seed=3):
 def test_cost_matrix_rows_equal_the_agent_costs_bit_for_bit():
     costs = _toy_cost_set(n=40, seed=8)
     rng = np.random.default_rng(4)
-    matrix = CostMatrix(costs.ev, costs.agg, 6)
+    matrix = CostMatrix(costs.ev, costs.agg, 6, 0)
     for _ in range(5):  # each call refills the same buffer
         rates = np.concatenate(([0.0], rng.uniform(0.0, 6.6, 5)))
         values = matrix(rates)
@@ -286,10 +290,65 @@ def test_cost_matrix_aggregator_row_is_bit_exact_at_zero_rates_and_any_sign(n):
         agg = AggCostParams(gen_a=rng.uniform(1e-7, 1e-2), gen_b=float(gen_b),
                             gen_c=float(gen_c), omega=rng.uniform(0.0, 1.0))
         ev = EvCostTable(*columns, 0.02, rng.uniform(0.85, 1.0, n))
-        matrix = CostMatrix(ev, agg, 10)
+        matrix = CostMatrix(ev, agg, 10, 0)
         for _ in range(5):
             rates = np.where(rng.random(10) < 0.3, 0.0, rng.uniform(0.0, 6.6, 10))
             assert matrix(rates)[0].tobytes() == agg_consensus_cost(rates, ev, agg).tobytes()
+
+
+# magnitudes of 2**-60 or more, or zero: at these scales and rates no product
+# of the cost matrix is subnormal, where scaling by 2**unit_bits is not exact
+_TINY = 2.0**-60
+
+
+def _magnitudes(*zeros):
+    """Floats in [2**-60, 1], or one of ``zeros``."""
+    magnitudes = st.floats(_TINY, 1.0)
+    return st.sampled_from(zeros) | magnitudes if zeros else magnitudes
+
+
+def _signed(*zeros):
+    """Floats in [-1, -2**-60] or [2**-60, 1], or one of ``zeros``."""
+    return _magnitudes(*zeros) | st.floats(-1.0, -_TINY)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_cost_matrix_in_units_is_the_currency_matrix_times_a_power_of_two(data):
+    # any signs the tables allow, each coefficient at its own scale, signed
+    # zeros for gen_b and gen_c, and zero rates among the candidates: the
+    # matrix at b unit bits is the one at 0 times 2**b, byte for byte
+    n = data.draw(st.integers(1, 30), label="n")
+    m = data.draw(st.integers(1, 6), label="m")
+    unit_bits = data.draw(st.integers(0, 48), label="unit_bits")
+
+    def draw(label, size, elements):
+        scale = data.draw(st.sampled_from([1e-6, 1.0, 1e3]), label=f"{label} scale")
+        return data.draw(hnp.arrays(np.float64, size, elements=elements), label=label) * scale
+
+    ev = EvCostTable(draw("alpha", n, _magnitudes()), draw("beta", n, _signed(0.0)),
+                     draw("gamma", n, _signed(0.0)), draw("other", n, _magnitudes(0.0)),
+                     *draw("price", 1, _magnitudes(0.0)),
+                     data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.05, 1.0)),
+                               label="eta"))
+    agg = AggCostParams(*draw("gen_a", 1, _magnitudes()), *draw("gen_b", 1, _signed(0.0, -0.0)),
+                        *draw("gen_c", 1, _signed(0.0, -0.0)),
+                        *draw("omega", 1, _magnitudes(0.0)))
+    rates = data.draw(hnp.arrays(np.float64, m, elements=_magnitudes(0.0).map(lambda r: 10 * r)),
+                      label="rates")
+    currency = CostMatrix(ev, agg, m, 0)(rates) * 2.0**unit_bits
+    assert CostMatrix(ev, agg, m, unit_bits)(rates).tobytes() == currency.tobytes()
+
+
+def test_cost_matrix_refuses_a_coefficient_that_overflows_when_scaled():
+    # 2**990 fits float64 and its cost at rate 0 is 0, but times 2**48 it
+    # would be inf: refused before numpy scales anything
+    ev = one_ev_table((2.0**990, 0.0, 0.0, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^unit_bits: .* overflows float64 at 48 unit bits$"):
+            CostMatrix(ev, UNIT_AGG, 3, 48)
+    assert CostMatrix(ev, UNIT_AGG, 3, 24)(np.zeros(3)).tolist() == [[0.0] * 3] * 2
 
 
 @pytest.mark.parametrize("n", [1, 5, 100])

@@ -221,6 +221,21 @@ def test_the_block_size_moves_no_position(m, monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("m", [1, 2, 10, 30])
+def test_an_epochs_last_read_stops_near_its_end(m):
+    # a read takes at most 4m words for each pass the schedule has left, and
+    # a pass uses at least 3m, so a full schedule ends with less than a
+    # quarter block and two passes unread, at any k_max
+    for k_max in (150, 1000):
+        rng = np.random.default_rng(k_max)
+        pool = init_pool(m, 0.5, 6.6, k_max, rng)
+        draws = PoolDraws(rng)
+        for _ in range(k_max - 1):
+            _evaluate(pool, (pool.positions - 3.1) ** 2)
+            advance_pool(pool, draws)
+        assert len(draws.words) - draws.pos < dwoa.POOL_BLOCK_WORDS // 4 + 6 * m
+
+
 def _pool(positions, best_rate, lower=0.0, upper=6.6, k_max=100, k=0):
     pool = WhalePool(
         positions=np.asarray(positions, dtype=float),
@@ -245,7 +260,7 @@ class _ScriptedDraws:
         self._integer = integer
         self._uniform = uniform
 
-    def reserve(self, i, n):
+    def reserve(self, i, n, ahead=0):
         return i
 
     def double(self, i):

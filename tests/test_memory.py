@@ -117,11 +117,12 @@ def test_record_export_and_import_stream(tmp_path):
 
 def test_epoch_peak_is_bounded():
     # one epoch at N = 2 000, M = 10, where one (N+1) x M matrix is 160 KB:
-    # the cost matrix holds seven, the wire three and the masks two (a
-    # one-round fraction block and the flat share destinations), and an
-    # iteration may add about one more. 2.0 MB (13.1 matrices) at the time of
-    # writing; two more wire buffers (separate kept shares and sends) take it
-    # to 2.3 MB
+    # the cost matrix holds eight (five spread coefficients and three
+    # buffers), the wire three and the masks two (a one-round fraction block
+    # and the flat share destinations), and an iteration may add about one
+    # more. 2.26 MB (14.8 matrices) at the time of writing, 2.09 MB before the
+    # fifth spread coefficient; two more wire buffers (separate kept shares
+    # and sends) would take it past the bound
     instance = build_instance(ScenarioConfig(n_evs=2000))
 
     def epoch():

@@ -20,6 +20,7 @@ from v2gdispatch.costs import (
     EvCostTable,
     agg_consensus_cost,
     grid_search_rate,
+    magnitude_bound,
 )
 from v2gdispatch.dwoa import init_pool
 from v2gdispatch.fleet import available_ids, common_rate_bounds
@@ -125,10 +126,9 @@ def test_wire_bound_holds_every_column_sum_of_units(data):
     drawn = data.draw(hnp.arrays(np.float64, m - 1, elements=st.floats(lower, upper)),
                       label="rates")
     rates = np.append(drawn, upper)
-    matrix = CostMatrix(ev, agg, m)
-    bound = wire_bound(matrix.magnitude_bound(upper), n + 1, unit_bits)
+    bound = wire_bound(magnitude_bound(ev, agg, upper), n + 1, unit_bits)
     # exact Python ints, wherever int64 would have wrapped
-    scaled = np.rint(matrix(rates) * 2.0**unit_bits)
+    scaled = np.rint(CostMatrix(ev, agg, m, unit_bits)(rates))
     for column in scaled.T.tolist():
         assert sum(abs(int(u)) for u in column) <= bound
 
@@ -141,10 +141,10 @@ def _instance_with_wire_bound(relative):
     inst = build_instance(ScenarioConfig(n_evs=16, seed=5, m_whales=4, unit_bits=48))
     ev, agg = inst.costs.ev, inst.costs.agg
     upper = common_rate_bounds(inst.fleet, available_ids(inst.fleet))[1]
-    rest = CostMatrix(ev, replace(agg, gen_c=0.0), 4).magnitude_bound(upper)
+    rest = magnitude_bound(ev, replace(agg, gen_c=0.0), upper)
     target = (2.0**63 * (1.0 + relative) - 0.5 * 17) / (2.0**48 * (1.0 + 2.0**-20))
     costs = CostSet(ev, replace(agg, gen_c=target - rest))
-    bound = wire_bound(CostMatrix(ev, costs.agg, 4).magnitude_bound(upper), 17, 48)
+    bound = wire_bound(magnitude_bound(ev, costs.agg, upper), 17, 48)
     assert bound == pytest.approx(2.0**63 * (1.0 + relative), rel=2.0**-45)
     return inst.fleet, costs
 
@@ -179,6 +179,42 @@ def test_epoch_with_wire_bound_just_above_int64_is_refused_before_the_pool(monke
     with pytest.raises(ProtocolError, match="beyond the int64 wire at 48 unit bits"):
         run_optimization(fleet, costs, m_whales=4, k_max=5, seed=0, unit_bits=48)
     assert calls == []
+
+
+def test_a_later_epoch_beyond_the_int64_wire_names_unit_bits():
+    # EV 3's rate_max_kw of 1 kW caps the first epoch; once it departs, the
+    # common upper bound rises to 6.6 kW and the aggregator's gen_a * D**2
+    # with it, past the int64 wire at 48 unit bits
+    inst = build_instance(ScenarioConfig(n_evs=16, seed=5, gen_a=50.0))
+    fleet, costs = inst.fleet, inst.costs
+    fleet.rate_max_kw[3] = 1.0
+    rest = [i for i in range(16) if i != 3]
+    fits = [wire_bound(magnitude_bound(costs.ev.take(ids), costs.agg, upper), len(ids) + 1, 48)
+            < 2.0**63 for ids, upper in ((range(16), 1.0), (rest, 6.6))]
+    assert fits == [True, False]
+    with pytest.raises(ProtocolError, match=r"^unit_bits: epoch 1's reports .* beyond the int64 "
+                                            r"wire at 48 unit bits; the largest that fits is 44$"):
+        run_scenario(fleet, costs, dt_h=0.1, horizon_h=0.3, m_whales=4, k_max=5, seed=0,
+                     events=(DepartureEvent(time_h=0.1, ev_ids=(3,)),), unit_bits=48)
+
+
+@pytest.mark.parametrize("field, value", [("gen_c", 1e300), ("alpha_deg", 1e300),
+                                          ("gen_a", 1e307), ("beta_deg", 1e307)])
+def test_a_coefficient_that_overflows_when_scaled_is_refused_without_a_warning(field, value):
+    # 1e300 * 2**48 is beyond float64: the wire bound refuses the epoch
+    # before any coefficient is scaled, so nothing overflows in numpy; at
+    # 1e307 a term of the bound itself is beyond float64, and the bound is inf
+    inst = build_instance(CFG)
+    costs = inst.costs
+    if field.startswith("gen"):
+        costs = CostSet(costs.ev, replace(costs.agg, **{field: value}))
+    else:
+        getattr(costs.ev, field)[2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProtocolError, match="^unit_bits: .* beyond the int64 wire at 48 "
+                                                "unit bits; no value in \\[8, 48\\] fits$"):
+            run_optimization(inst.fleet, costs, m_whales=4, k_max=3, seed=0, unit_bits=48)
 
 
 def test_run_optimization_converges_to_grid_oracle(instance):
