@@ -23,7 +23,6 @@ from .config import (
     load_config,
     resolve_departures,
 )
-from .costs import magnitude_bound
 from .fleet import available_ids, common_rate_bounds
 from .harness import (
     SWEEPABLE,
@@ -34,9 +33,8 @@ from .harness import (
     solver_order_holds,
     stats_harness,
 )
-from .orchestrator import run_scenario
+from .orchestrator import run_scenario, wire_refusal
 from .records import export_run
-from .shuffle import largest_fit, wire_bound
 
 
 def _load(args) -> ScenarioConfig:
@@ -47,19 +45,15 @@ def _load(args) -> ScenarioConfig:
 
 def _build_instance(config: ScenarioConfig) -> Instance:
     """The config's instance, once its first epoch, over every available EV,
-    fits the int64 wire at ``unit_bits``: the bound ``run_optimization``
-    refuses at (``costs.magnitude_bound``, then ``wire_bound``), else a
-    ConfigError naming the largest ``unit_bits`` that fits."""
+    fits the int64 wire at ``unit_bits``; else a ConfigError with the
+    reason ``run_optimization`` would refuse it for (``wire_refusal``)."""
     instance = build_instance(config)
     avail = available_ids(instance.fleet)
-    if not avail:
-        return instance
-    upper = common_rate_bounds(instance.fleet, avail)[1]
-    magnitude = magnitude_bound(instance.costs.ev.take(avail), instance.costs.agg, upper)
-    if not wire_bound(magnitude, len(avail) + 1, config.unit_bits) < 2.0**63:
-        raise ConfigError(f"unit_bits: the first epoch's reports could reach 2**63 units at "
-                          f"{config.unit_bits} unit bits, beyond the int64 wire; "
-                          f"{largest_fit(magnitude, len(avail) + 1)}")
+    if avail:
+        reason = wire_refusal(instance.costs.ev.take(avail), instance.costs.agg,
+                              common_rate_bounds(instance.fleet, avail)[1], config.unit_bits)
+        if reason is not None:
+            raise ConfigError(reason)
     return instance
 
 

@@ -105,6 +105,18 @@ def agg_cost_of_power(delivered, raw, params: AggCostParams):
     return generation - params.omega * np.log(raw + 1.0)
 
 
+def _coefficient_table(ev: "EvCostTable", agg: AggCostParams) -> np.ndarray:
+    """Every agent's coefficients, one column an agent in ``CostMatrix``'s
+    row order, one row each for alpha, beta, gamma, other and the revenue
+    weight: the aggregator's (gen_a, gen_b, gen_c, 0, omega), then each EV's
+    four and the price."""
+    table = np.empty((5, len(ev) + 1))
+    table[:, 0] = agg.gen_a, agg.gen_b, agg.gen_c, 0.0, agg.omega
+    table[:4, 1:] = ev.columns()
+    table[4, 1:] = ev.price
+    return table
+
+
 class CostMatrix:
     """Every agent's net cost at M common candidate rates, in units of
     2**-``unit_bits``, as one matrix.
@@ -129,7 +141,7 @@ class CostMatrix:
     Rates must be >= 0, which is not checked per call. A coefficient whose
     scaled value overflows float64 raises ValueError, before any is scaled;
     ``run_optimization`` refuses an epoch whose values could leave the
-    int64 wire before it builds one (``magnitude_bound``).
+    int64 wire before it builds one (``orchestrator.wire_refusal``).
     """
 
     __slots__ = ("values", "_coefficients", "_revenue", "_n", "_eta_sum", "_rates",
@@ -137,12 +149,7 @@ class CostMatrix:
 
     def __init__(self, ev: "EvCostTable", agg: AggCostParams, m: int, unit_bits: int):
         n = len(ev)
-        # alpha, beta, gamma, other, then omega and the price: one row each
-        table = np.empty((5, n + 1))
-        table[:4, 0] = agg.gen_a, agg.gen_b, agg.gen_c, 0.0
-        table[:4, 1:] = ev.columns()
-        table[4] = ev.price
-        table[4, 0] = agg.omega
+        table = _coefficient_table(ev, agg)
         scale = float(1 << unit_bits)
         peak = float(np.abs(table).max())
         if peak * scale == math.inf:
@@ -192,11 +199,10 @@ def magnitude_bound(ev: "EvCostTable", agg: AggCostParams, upper: float) -> floa
     no overflow warning, when a term is beyond float64.
     """
     n = len(ev)
-    alpha, beta, gamma, other = (np.concatenate(([a], column)) for a, column in
-                                 zip((agg.gen_a, agg.gen_b, agg.gen_c, 0.0), ev.columns()))
+    alpha, beta, gamma, other, price = _coefficient_table(ev, agg)
+    price[0] = 0.0  # the aggregator sells nothing: its utility term is added below
     rates = np.full(n + 1, upper)
     rates[0] = ev.eta_sum * upper
-    price = np.concatenate(([0.0], np.full(n, ev.price)))  # the aggregator sells nothing
     with np.errstate(over="ignore"):
         magnitudes = (alpha * rates + np.abs(beta) + price) * rates + np.abs(gamma) + other
     return float(magnitudes.sum()) + agg.omega * math.log(n * upper + 1.0)

@@ -11,21 +11,24 @@ evaluated, retained even when every pool position has moved off it. It is
 both the anchor of the update rules and the reported answer, which keeps the
 best-so-far objective non-increasing.
 
-Stream contract (part of every run's reproducibility): one update pass
-visits the whales in ascending h. Each whale takes three uniform doubles,
-r, then l' (the spiral shape l = 2l' − 1) and then the branch selector p,
-and after them, only for a search move, its reference: ``integers(M)``, or
-one more uniform double in a single-whale pool. The draws are numpy's
-``Generator`` draws on the pool's PCG64 stream, read as that stream's raw
-64-bit words (``PoolDraws``): a uniform double is one word w decoded as
-``(w >> 11) * 2**-53``, and ``integers(M)`` is Lemire's bounded draw on
-32-bit halves: the low half of a word first, its high half kept for the
-next 32-bit draw, and a draw u retried while ``(u*M) % 2**32 < (2**32 − M)
-% M``, else ``(u*M) >> 32``. A double does not touch the kept half.
-``exp`` and ``cos`` stay per whale on the libm scalars of
-``math``: numpy's SIMD exp is not correctly rounded either, and the two
-disagree in the last bit on 91 855 of 2·10⁶ uniform inputs in [-1, 1]
-(numpy 2.4.6, AVX-512); one such bit moves a whale, and so the run.
+Stream contract (part of every run's reproducibility): the pool reads a
+PCG64 stream of its own from its first word, through one ``PoolDraws``. Its
+first M doubles u are the initial positions, ``lower + (upper − lower)·u``
+as ``Generator.uniform`` has it. Then one update pass visits the whales in
+ascending h. Each whale takes three uniform doubles, r, then l' (the spiral
+shape l = 2l' − 1) and then the branch selector p, and after them, only for
+a search move, its reference: ``integers(M)``, or one more uniform double in
+a single-whale pool. The draws are numpy's ``Generator`` draws on that
+stream, decoded from its raw 64-bit words: a uniform double is one word w
+decoded as ``(w >> 11) * 2**-53``, and ``integers(M)`` is Lemire's bounded
+draw on 32-bit halves: the low half of a word first, its high half kept for
+the next 32-bit draw, and a draw u retried while
+``(u*M) % 2**32 < (2**32 − M) % M``, else ``(u*M) >> 32``. A double does not
+touch the kept half.
+``exp`` and ``cos`` stay per whale on the libm scalars of ``math``: numpy's
+SIMD exp is not correctly rounded either, and the two disagree in the last
+bit on 91 855 of 2·10⁶ uniform inputs in [-1, 1] (numpy 2.4.6, AVX-512); one
+such bit moves a whale, and so the run.
 """
 
 from __future__ import annotations
@@ -82,33 +85,31 @@ class WhalePool:
             self.best_rate = float(self.positions[index])
 
 
-def init_pool(m: int, lower: float, upper: float, k_max: int, rng) -> WhalePool:
-    """Uniform random initial candidates over the search interval."""
-    rng = np.random.default_rng(rng)
-    positions = rng.uniform(lower, upper, m)
+def init_pool(m: int, lower: float, upper: float, k_max: int, draws: PoolDraws) -> WhalePool:
+    """Uniform random initial candidates over the search interval: the
+    first ``m`` doubles ``draws`` decodes (module docstring). The pool uses
+    at most 4m words a pass after them, so it reads at most 4m·k_max ahead."""
+    i = draws.reserve(draws.pos, m, 4 * m * k_max)
+    draws.pos = i + m
+    positions = lower + (upper - lower) * np.array(draws.doubles[i:i + m])
     return WhalePool(positions=positions, lower=lower, upper=upper, k_max=k_max)
 
 
 class PoolDraws:
-    """The draws of a pool's PCG64 ``Generator``, read a block of raw words
-    at a time and handed out as numpy's own ``random()`` and
-    ``integers(m)`` would give them (module docstring).
+    """The pool's own PCG64 stream, seeded as ``np.random.default_rng(seed)``
+    seeds it, read from its first word a block of raw words at a time and
+    handed out as numpy's own ``random()`` and ``integers(m)`` would give
+    them (module docstring).
 
     ``doubles`` (a list of uniform doubles) and ``words`` (the raw uint64
     words) hold the same words, read and not yet dropped; the pool's next
-    pass starts at ``pos``. ``half`` is the buffered high 32-bit half of a
-    word, or None; it starts as the Generator's own, read once from its
-    ``bit_generator.state``, so the draws continue any PCG64 Generator
-    exactly. Reading ahead leaves that Generator past the draws handed out:
-    draw nothing more from it.
+    read starts at ``pos``. ``half`` is the buffered high 32-bit half of a
+    word, or None.
     """
 
-    def __init__(self, rng) -> None:
-        state = rng.bit_generator.state
-        if state["bit_generator"] != "PCG64":
-            raise ValueError(f"PoolDraws decodes PCG64 words, got {state['bit_generator']}")
-        self.bit_generator = rng.bit_generator
-        self.half = state["uinteger"] if state["has_uint32"] else None
+    def __init__(self, seed) -> None:
+        self.bit_generator = np.random.PCG64(seed)
+        self.half = None
         self.doubles: list[float] = []
         self.words = np.empty(0, dtype=np.uint64)
         self.pos = 0

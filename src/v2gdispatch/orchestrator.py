@@ -22,19 +22,19 @@ their own: every row's kept fractions ``min(iterations, max(1, BLOCK_CELLS
 drawn whole at its first round. Each stream is read in order, so the masks
 depend on the seed and the topology, not on ``BLOCK_CELLS``.
 
-The pool draws from a stream of its own: its M initial positions through
-the Generator, then every move through one ``dwoa.PoolDraws``, built right
-after them, which reads the stream's raw PCG64 words
-``dwoa.POOL_BLOCK_WORDS`` a call (fewer once the passes left need fewer)
-and decodes each block once into the values numpy's ``random`` and
-``integers`` would give (``dwoa`` module docstring). It too reads in order, so the positions do not depend on the
+The pool draws from a stream of its own, through one ``dwoa.PoolDraws``
+and nothing else: its M initial positions, then every move. It reads the
+stream's raw words ``dwoa.POOL_BLOCK_WORDS`` a call (fewer once the passes
+left need fewer) and decodes each block once into the values numpy's
+``uniform``, ``random`` and ``integers`` would give (``dwoa`` module
+docstring). It too reads in order, so the positions do not depend on the
 block size.
 
 What an epoch fixes is set up once, before its iterations:
-- the int64 wire's bound: the sum over rows of each row's cost terms at
-  the upper rate bound (``costs.magnitude_bound``), with room for
-  rounding; the epoch is refused up front unless it is below 2**63, so no
-  iteration checks its units again;
+- the int64 wire's bound (``wire_refusal``): the sum over rows of each
+  row's cost terms at the upper rate bound, with room for rounding; the
+  epoch is refused up front unless it is below 2**63, so no iteration
+  checks its units again;
 - the five cost coefficients, already times 2**unit_bits, spread to
   (N+1) x M arrays, the aggregator's row 0 among them, and the (N+1) x M
   cost buffers (``costs.CostMatrix``);
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, CostSet, magnitude_bound
+from .costs import AggCostParams, CostMatrix, CostSet, EvCostTable, magnitude_bound
 from .dwoa import PoolDraws, advance_pool, init_pool
 from .fleet import Fleet, apply_discharge, available_ids, common_rate_bounds, grid_power_kw
 from .records import IterationSegment, RunRecord
@@ -75,7 +75,6 @@ from .shuffle import (
     WireBuffers,
     candidate_totals,
     from_units_array,
-    largest_fit,
     mask_units,
     wire_bound,
 )
@@ -143,6 +142,23 @@ def ecn_select_best(totals) -> int:
     return totals.index(min(totals))
 
 
+def wire_refusal(ev: EvCostTable, agg: AggCostParams, upper: float,
+                 unit_bits: int) -> str | None:
+    """Why an epoch of ``ev`` and ``agg`` at rates up to ``upper`` does not
+    fit the int64 wire at ``unit_bits``, naming the largest unit bits in
+    [8, 48] that fit; None when it fits: no iteration's column of units can
+    then sum beyond the ``shuffle.wire_bound`` of ``costs.magnitude_bound``
+    (NaN when a cost is), which must be below 2**63."""
+    magnitude, rows = magnitude_bound(ev, agg, upper), len(ev) + 1
+    bound = wire_bound(magnitude, rows, unit_bits)
+    if bound < 2.0**63:
+        return None
+    fits = [bits for bits in range(8, 49) if wire_bound(magnitude, rows, bits) < 2.0**63]
+    return (f"unit_bits: reports of up to {bound!r} units per candidate at rates up to {upper} "
+            f"kW reach 2**63, beyond the int64 wire at {unit_bits} unit bits; "
+            + (f"the largest that fits is {fits[-1]}" if fits else "no value in [8, 48] fits"))
+
+
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         # rebuild so prior spawns on the caller's object cannot leak in:
@@ -194,14 +210,11 @@ def run_optimization(
     Search bounds are the intersection of the available EVs' rate limits
     (``common_rate_bounds``, which refuses an empty or negative one).
     Before anything else of the epoch is built, it bounds once what any
-    iteration can put on the int64 wire: each row's cost terms at the upper
-    bound, summed over the rows (``costs.magnitude_bound``), with room for
-    rounding (``shuffle.wire_bound``). It raises ProtocolError, naming
-    ``unit_bits`` and the largest that would fit, when that bound is not
-    below 2**63 or is NaN, even if no candidate drawn would reach it; the
-    iterations then quantize unchecked. The record's oracle-call
-    counters count the cost values actually scored. The pool moves only
-    between evaluations: ``max(k_max, 1)`` evaluations, so ``k_max`` = 0
+    iteration can put on the int64 wire, and raises ProtocolError, naming
+    the epoch and ``wire_refusal``'s reason, when the bound is not below
+    2**63, even if no candidate drawn would reach it; the iterations then
+    quantize unchecked. The record's oracle-call counters count the cost
+    values actually scored. The pool moves only between evaluations: ``max(k_max, 1)`` evaluations, so ``k_max`` = 0
     scores the initial pool once and never moves it. Before it reads the
     fleet's availability, it raises ValueError for ``m_whales`` < 1, more
     than ``MAX_CELLS`` cells in a (``len(fleet)`` + 1) x ``m_whales``
@@ -216,17 +229,10 @@ def run_optimization(
 
     lower, upper = common_rate_bounds(fleet, avail)
     ev = costs.ev.take(avail)
-    # every pool position lies in [lower, upper], so no column of any
-    # iteration's units sums beyond this in magnitude (NaN when a cost is)
-    magnitude = magnitude_bound(ev, costs.agg, upper)
-    bound = wire_bound(magnitude, len(avail) + 1, unit_bits)
-    if not bound < 2.0**63:
-        raise ProtocolError(f"unit_bits: epoch {epoch}'s reports of up to {bound!r} units per "
-                            f"candidate at rates up to {upper} kW reach 2**63: beyond the int64 "
-                            f"wire at {unit_bits} unit bits; "
-                            f"{largest_fit(magnitude, len(avail) + 1)}")
+    reason = wire_refusal(ev, costs.agg, upper, unit_bits)
+    if reason is not None:
+        raise ProtocolError(f"epoch {epoch}: {reason}")
     topo_ss, dwoa_ss, fraction_ss, route_ss = _as_seed_sequence(seed).spawn(4)
-    dwoa_rng = np.random.default_rng(dwoa_ss)
     n_iterations = max(k_max, 1)
     masks = None
     if shuffle_enabled:
@@ -238,8 +244,8 @@ def run_optimization(
 
     cost_matrix = CostMatrix(ev, costs.agg, m_whales, unit_bits)
     wire = WireBuffers(cost_matrix.values.shape)
-    pool = init_pool(m_whales, lower, upper, n_iterations, dwoa_rng)
-    draws = PoolDraws(dwoa_rng)
+    draws = PoolDraws(dwoa_ss)
+    pool = init_pool(m_whales, lower, upper, n_iterations, draws)
     segment = IterationSegment(epoch, len(avail))
     for k in range(n_iterations):
         units = wire.quantize(cost_matrix(pool.positions))

@@ -117,14 +117,6 @@ def wire_bound(magnitude: float, rows: int, unit_bits: int) -> float:
     return magnitude * float(1 << unit_bits) * (1.0 + 2.0**-20) + 0.5 * rows
 
 
-def largest_fit(magnitude: float, rows: int) -> str:
-    """Which unit bits in [8, 48] keep the ``wire_bound`` of ``magnitude``
-    over ``rows`` below 2**63: the largest, as a clause for a refusal
-    message, or that none does. The bound grows with the unit bits."""
-    fits = [bits for bits in range(8, 49) if wire_bound(magnitude, rows, bits) < 2.0**63]
-    return f"the largest that fits is {fits[-1]}" if fits else "no value in [8, 48] fits"
-
-
 def check_headroom(units: np.ndarray) -> None:
     """Raise ProtocolError unless every column's sum of |units| is below 2**63.
 

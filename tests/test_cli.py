@@ -5,8 +5,11 @@ import json
 import pytest
 
 from v2gdispatch.cli import build_parser, main
+from v2gdispatch.config import build_instance, load_config
 from v2gdispatch.harness import SWEEPABLE
+from v2gdispatch.orchestrator import run_optimization
 from v2gdispatch.records import export_run, import_run
+from v2gdispatch.shuffle import ProtocolError
 
 SMALL = {
     "n_evs": 6,
@@ -172,7 +175,7 @@ WIRE = {"n_evs": 16, "seed": 5, "m_whales": 4, "k_max": 5, "gen_c": 3000.0, "uni
         "other_range": [2000.0, 2001.0], "horizon_h": 0.2}
 # a first epoch whose aggregator row reaches 2**63 units at 32 unit bits, but not at 31
 HEAVY = {"n_evs": 10, "gen_a": 1e6}
-FITS_31 = "the largest that fits is 31"
+FITS_31 = "beyond the int64 wire at 40 unit bits; the largest that fits is 31"
 # a config gives every EV one rate_max_kw, so no epoch after a departure bounds
 # its reports above the first epoch's: the edge refuses by the first epoch
 HEAVY_DEPARTING = {**HEAVY, "departures": [{"time_h": 0.1, "count": 5}]}
@@ -192,14 +195,13 @@ DEEP = b'{"departures": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
     (["run"], {"seed": -1}, 1, "seed"),
     (["run"], {"departures": [{"time_h": 0.3, "count": 2, "idz": [1]}]}, 1, "idz"),
     (["run"], {"other_range": [-1.0, -0.5]}, 1, "other_range"),
-    (["run"], WIRE, 1, "beyond the int64 wire; the largest that fits is 47"),
+    (["run"], WIRE, 1, "beyond the int64 wire at 48 unit bits; the largest that fits is 47"),
     (["run"], HEAVY, 1, FITS_31),
     (["run"], HEAVY_DEPARTING, 1, FITS_31),
     (["sweep", "--values", "5", "--runs", "2"], HEAVY, 1, FITS_31),
     (["compare", "--seeds", "2"], HEAVY, 1, FITS_31),
-    (["run"], {**HEAVY, "gen_a": 1e20}, 1, "unit_bits: the first epoch's reports could reach "
-                                           "2**63 units at 40 unit bits, beyond the int64 "
-                                           "wire; no value in [8, 48] fits"),
+    (["run"], {**HEAVY, "gen_a": 1e20}, 1, "beyond the int64 wire at 40 unit bits; no value in "
+                                           "[8, 48] fits"),
     (["sweep", "--param", "m_whales", f"--values={2**60}", "--runs", "2"], {"n_evs": 5}, 2,
      "m_whales"),
     (["run"], DEPARTURE_ID, 1, OUT_OF_RANGE),
@@ -226,6 +228,21 @@ def test_refusal_exits_by_its_code_names_its_cause_and_writes_nothing(tmp_path, 
     assert main([*verb, "--config", str(path), *out_args]) == code
     assert word in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_edge_and_the_epoch_refuse_a_fleet_beyond_the_wire_for_one_reason(tmp_path, capsys):
+    # the edge asks the epoch's own rule: its ConfigError and the first
+    # epoch's ProtocolError carry the same reason, which names unit_bits
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(WIRE))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    instance = build_instance(load_config(path))
+    with pytest.raises(ProtocolError) as refused:
+        run_optimization(instance.fleet, instance.costs, unit_bits=48)
+    epoch, reason = str(refused.value).split(": ", 1)
+    assert epoch == "epoch 0" and reason.startswith("unit_bits: reports of up to ")
+    assert err == f"config error: {reason}\n"
 
 
 def test_a_departed_fleet_writes_no_flag_line_and_its_trace_round_trips(tmp_path):

@@ -4,8 +4,9 @@
 ``WoaCoefficients.draw`` and one ``update_position`` per whale, three scalar
 draws and then the reference draw, as the module's stream contract states,
 with ``clamp_to_bounds`` amending a position that left [lower, upper]. The
-reference draws from numpy's ``Generator`` one call at a time; the pool
-reads the same stream through ``PoolDraws``.
+reference draws from numpy's ``Generator`` one call at a time, its initial
+positions through ``uniform`` (``reference_pool``); the pool reads the same
+stream through ``PoolDraws``.
 """
 
 import math
@@ -103,6 +104,12 @@ def update_position(h: int, pool: WhalePool, coeffs: WoaCoefficients, rng) -> fl
     return clamp_to_bounds(new, pool.lower, pool.upper)
 
 
+def reference_pool(m: int, lower: float, upper: float, k_max: int, rng) -> WhalePool:
+    """Reference: the initial pool from numpy's own ``uniform``."""
+    return WhalePool(positions=rng.uniform(lower, upper, m), lower=lower, upper=upper,
+                     k_max=k_max)
+
+
 def reference_advance(pool: WhalePool, rng) -> None:
     alpha = alpha_schedule(pool.k, pool.k_max)
     new_positions = np.empty_like(pool.positions)
@@ -149,41 +156,56 @@ def test_advance_pool_matches_scalar_reference(m):
     # same positions bit for bit and the same stream position after every
     # pass of a full schedule, through both halves (alpha >= 1 and < 1)
     for seed in range(3):
-        pools, rngs = [], []
-        for _ in range(2):
-            rng = np.random.default_rng(seed)
-            pool = init_pool(m, 0.5, 6.6, 150, rng)
-            pools.append(pool)
-            rngs.append(rng)
-        draws = PoolDraws(rngs[0])
+        draws, rng = PoolDraws(seed), np.random.default_rng(seed)
+        pools = [init_pool(m, 0.5, 6.6, 150, draws), reference_pool(m, 0.5, 6.6, 150, rng)]
         for _ in range(150):
             for pool in pools:
                 positions = pool.positions
                 _evaluate(pool, (positions - 3.1) ** 2 + 0.01 * np.sin(7.0 * positions))
             advance_pool(pools[0], draws)
-            reference_advance(pools[1], rngs[1])
+            reference_advance(pools[1], rng)
             assert pools[0].positions.tobytes() == pools[1].positions.tobytes()
-            assert _draws_position(draws) == _generator_position(rngs[1])
+            assert _draws_position(draws) == _generator_position(rng)
         assert pools[0].k == pools[1].k == 150
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 30])
+@pytest.mark.parametrize("lower, upper", [(0.5, 6.6), (3.0, 3.0), (-1e300, 1e300),
+                                          (0.0, 5e-324), (1.0, 1.0 + 2.0**-52)],
+                         ids=["default", "equal", "wide", "subnormal", "one-ulp"])
+def test_init_pool_is_numpys_uniform_and_the_first_pass_reads_on(m, lower, upper):
+    # the initial positions are Generator.uniform's bits on the pool's
+    # stream, and the first pass reads the words a Generator reads next
+    for ss in np.random.SeedSequence(42).spawn(3):
+        draws, rng = PoolDraws(ss), np.random.default_rng(ss)
+        pool = init_pool(m, lower, upper, 150, draws)
+        reference = reference_pool(m, lower, upper, 150, rng)
+        assert pool.positions.tobytes() == reference.positions.tobytes()
+        assert _draws_position(draws) == _generator_position(rng)
+        for each in (pool, reference):
+            _evaluate(each, np.arange(m) % 3)
+        advance_pool(pool, draws)
+        reference_advance(reference, rng)
+        assert pool.positions.tobytes() == reference.positions.tobytes()
+        assert _draws_position(draws) == _generator_position(rng)
 
 
 @pytest.mark.parametrize("block_words", [1, 5, None])
 @pytest.mark.parametrize("integers_before", [0, 3])
 @pytest.mark.parametrize("m", [2, 3, 10, 30, 2**31 + 1])
 def test_pool_draws_are_numpys_generator_draws(m, integers_before, block_words, monkeypatch):
-    # random() and integers(m) interleaved, from a fresh Generator and from
-    # one whose 32-bit half is full. At m = 2**31 + 1 about half the 32-bit
-    # draws are rejected, so the retry runs; blocks of 1 and 5 words make
-    # the reads cross blocks, retries included
+    # random() and integers(m) interleaved, from the stream's first word and
+    # after three integers(7), which leave a 32-bit half kept. At m = 2**31
+    # + 1 about half the 32-bit draws are rejected, so the retry runs;
+    # blocks of 1 and 5 words make the reads cross blocks, retries included
     if block_words is not None:
         monkeypatch.setattr(dwoa, "POOL_BLOCK_WORDS", block_words)
-    rng, reference = np.random.default_rng(m), np.random.default_rng(m)
-    for generator in (rng, reference):
-        for _ in range(integers_before):
-            generator.integers(7)
-    assert (_generator_position(rng)[1] is None) == (integers_before == 0)
-    draws = PoolDraws(rng)
+    draws, reference = PoolDraws(m), np.random.default_rng(m)
     i = draws.pos
+    for _ in range(integers_before):
+        value, i = draws.index(7, i)
+        assert value == int(reference.integers(7))
+    assert (draws.half is None) == (integers_before == 0)
     for kind in np.random.default_rng(1).integers(2, size=400).tolist():
         if kind:
             value, i = draws.double(i)
@@ -195,11 +217,6 @@ def test_pool_draws_are_numpys_generator_draws(m, integers_before, block_words, 
     assert _draws_position(draws) == _generator_position(reference)
 
 
-def test_pool_draws_refuse_another_bit_generator():
-    with pytest.raises(ValueError, match="PoolDraws decodes PCG64 words, got MT19937"):
-        PoolDraws(np.random.Generator(np.random.MT19937(0)))
-
-
 @pytest.mark.parametrize("m", [1, 10])
 def test_the_block_size_moves_no_position(m, monkeypatch):
     # a block of one word, the default block and one block for the whole
@@ -209,9 +226,8 @@ def test_the_block_size_moves_no_position(m, monkeypatch):
     runs = []
     for block_words in (1, dwoa.POOL_BLOCK_WORDS, 4 * m * k_max):
         monkeypatch.setattr(dwoa, "POOL_BLOCK_WORDS", block_words)
-        rng = np.random.default_rng(4)
-        pool = init_pool(m, 0.5, 6.6, k_max, rng)
-        draws = PoolDraws(rng)
+        draws = PoolDraws(4)
+        pool = init_pool(m, 0.5, 6.6, k_max, draws)
         passes = []
         for _ in range(k_max - 1):
             _evaluate(pool, (pool.positions - 3.1) ** 2)
@@ -227,9 +243,8 @@ def test_an_epochs_last_read_stops_near_its_end(m):
     # a pass uses at least 3m, so a full schedule ends with less than a
     # quarter block and two passes unread, at any k_max
     for k_max in (150, 1000):
-        rng = np.random.default_rng(k_max)
-        pool = init_pool(m, 0.5, 6.6, k_max, rng)
-        draws = PoolDraws(rng)
+        draws = PoolDraws(k_max)
+        pool = init_pool(m, 0.5, 6.6, k_max, draws)
         for _ in range(k_max - 1):
             _evaluate(pool, (pool.positions - 3.1) ** 2)
             advance_pool(pool, draws)
@@ -352,10 +367,9 @@ def test_single_whale_search_branch_uses_uniform_reference():
 
 
 def test_positions_stay_in_bounds_every_iteration():
-    rng = np.random.default_rng(5)
-    pool = init_pool(8, 1.0, 5.0, 60, rng)
-    _evaluate(pool, rng.uniform(0.0, 1.0, 8))
-    draws = PoolDraws(rng)
+    draws = PoolDraws(5)
+    pool = init_pool(8, 1.0, 5.0, 60, draws)
+    _evaluate(pool, np.random.default_rng(5).uniform(0.0, 1.0, 8))
     for _ in range(60):
         advance_pool(pool, draws)
         assert np.all(pool.positions >= 1.0)
@@ -390,9 +404,8 @@ def _drive_pool(fn, m, k_max, seed, lower=0.0, upper=6.6):
     """(best rate, best value) after each iteration of a pool moved against
     ``fn`` as ``run_optimization`` moves it: ``k_max=0`` evaluates the
     initial pool once."""
-    rng = np.random.default_rng(seed)
-    pool = init_pool(m, lower, upper, max(k_max, 1), rng)
-    draws = PoolDraws(rng)
+    draws = PoolDraws(seed)
+    pool = init_pool(m, lower, upper, max(k_max, 1), draws)
     trace = []
     for _ in range(max(k_max, 1)):
         _evaluate(pool, fn(pool.positions))
@@ -431,6 +444,6 @@ def test_single_whale_pool_still_evolves_and_converges():
 
 def test_pool_validation():
     with pytest.raises(ValueError):
-        init_pool(0, 0.0, 6.6, 10, np.random.default_rng(0))
+        init_pool(0, 0.0, 6.6, 10, PoolDraws(0))
     with pytest.raises(ValueError):
         WhalePool(positions=np.array([1.0]), lower=2.0, upper=1.0, k_max=10)

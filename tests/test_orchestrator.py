@@ -22,7 +22,6 @@ from v2gdispatch.costs import (
     grid_search_rate,
     magnitude_bound,
 )
-from v2gdispatch.dwoa import init_pool
 from v2gdispatch.fleet import available_ids, common_rate_bounds
 from v2gdispatch.orchestrator import (
     DepartureEvent,
@@ -34,7 +33,7 @@ from v2gdispatch.records import FORMAT_TAG, HEADER, export_run, import_run
 from v2gdispatch.shuffle import MaskBlocks, ProtocolError, from_units_array, wire_bound
 from v2gdispatch.topology import build_topology
 
-from test_dwoa import reference_advance
+from test_dwoa import reference_advance, reference_pool
 
 # small instance keeps the protocol tests fast
 CFG = ScenarioConfig(n_evs=12, seed=5, m_whales=4, k_max=40)
@@ -192,7 +191,7 @@ def test_a_later_epoch_beyond_the_int64_wire_names_unit_bits():
     fits = [wire_bound(magnitude_bound(costs.ev.take(ids), costs.agg, upper), len(ids) + 1, 48)
             < 2.0**63 for ids, upper in ((range(16), 1.0), (rest, 6.6))]
     assert fits == [True, False]
-    with pytest.raises(ProtocolError, match=r"^unit_bits: epoch 1's reports .* beyond the int64 "
+    with pytest.raises(ProtocolError, match=r"^epoch 1: unit_bits: reports .* beyond the int64 "
                                             r"wire at 48 unit bits; the largest that fits is 44$"):
         run_scenario(fleet, costs, dt_h=0.1, horizon_h=0.3, m_whales=4, k_max=5, seed=0,
                      events=(DepartureEvent(time_h=0.1, ev_ids=(3,)),), unit_bits=48)
@@ -212,8 +211,8 @@ def test_a_coefficient_that_overflows_when_scaled_is_refused_without_a_warning(f
         getattr(costs.ev, field)[2] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ProtocolError, match="^unit_bits: .* beyond the int64 wire at 48 "
-                                                "unit bits; no value in \\[8, 48\\] fits$"):
+        with pytest.raises(ProtocolError, match="^epoch 0: unit_bits: .* beyond the int64 wire "
+                                                "at 48 unit bits; no value in \\[8, 48\\] fits$"):
             run_optimization(inst.fleet, costs, m_whales=4, k_max=3, seed=0, unit_bits=48)
 
 
@@ -689,10 +688,10 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
     """One epoch with each step separate and freshly allocated: costs,
     quantisation, the exact per-column headroom check, one round, column
     sums. The masks are drawn a round at a time, in order, from the fraction
-    and the route streams, and the pool moves by ``test_dwoa``'s scalar
-    reference, one numpy Generator draw at a time. Returns the rate, the
-    record columns, the oracle calls and the reported matrix of every
-    iteration."""
+    and the route streams, and the pool starts from numpy's ``uniform`` and
+    moves by ``test_dwoa``'s scalar reference, one numpy Generator draw at a
+    time. Returns the rate, the record columns, the oracle calls and the
+    reported matrix of every iteration."""
     avail = available_ids(fleet)
     lower, upper = common_rate_bounds(fleet, avail)
     topo_ss, dwoa_ss, fraction_ss, route_ss = np.random.SeedSequence(seed).spawn(4)
@@ -703,7 +702,7 @@ def _reference_epoch(fleet, costs, m, k_max, seed, shuffle_enabled, policy, unit
     alpha, beta, gamma, other = (column[:, None] for column in ev.columns())
     price = ev.price
     n_iterations = max(k_max, 1)
-    pool = init_pool(m, lower, upper, n_iterations, dwoa_rng)
+    pool = reference_pool(m, lower, upper, n_iterations, dwoa_rng)
     columns = (array("i"), array("d"), array("d"))
     reported = []
     for k in range(n_iterations):

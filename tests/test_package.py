@@ -1,7 +1,7 @@
 """The package root: it binds its modules and re-exports none of their names,
 and its version is the one pyproject.toml declares. No module imports a name
 it never uses, or a module beyond the standard library, numpy and the
-package's own."""
+package's own. Only ``dwoa`` reads the whale pool's raw stream."""
 
 import ast
 import sys
@@ -94,3 +94,12 @@ def test_no_module_imports_beyond_the_standard_library_and_numpy():
     root = Path(v2gdispatch.__file__).parent
     for path in sorted(root.glob("*.py")):
         assert outside_imports(path.read_text()) == [], path.name
+
+
+def test_only_dwoa_names_a_bit_generator():
+    # the pool's stream has one reader, ``dwoa.PoolDraws``: a second one
+    # elsewhere would draw words the pool's moves expect
+    root = Path(v2gdispatch.__file__).parent
+    naming = [path.name for path in sorted(root.glob("*.py"))
+              if any(word in path.read_text() for word in ("PCG64", "bit_generator"))]
+    assert naming == ["dwoa.py"]

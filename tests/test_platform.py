@@ -23,7 +23,8 @@ def _digest(values: np.ndarray) -> str:
 
 # an epoch's four child streams, spawned from its seed as ``run_optimization``
 # spawns them, and the first draw each makes at N = 100, M = 10, k_max = 150:
-# the topology's one target per EV, the pool's M positions, the first
+# the topology's one target per EV, the pool's M positions (which
+# ``dwoa.PoolDraws`` decodes as ``uniform`` gives them), the first
 # 8-round block of every row's kept fractions and the first 150-round block
 # of the aggregator's share routes
 @pytest.mark.parametrize("stream, draw, digest", [
@@ -40,17 +41,16 @@ def test_an_epochs_first_draws_are_numpys_generator_streams(stream, draw, digest
         "versions, and every trace digest rests on them")
 
 
-# the pool's stream past the 10 doubles of its initial positions, as the
-# seed-42 epoch at N = 100 reads it: its first ``random_raw`` block of 2**11
-# words, from which ``dwoa.PoolDraws`` decodes every move's doubles and
-# reference draws
+# the pool's stream from its first word, as the seed-42 epoch at N = 100
+# reads it: its first ``random_raw`` block of 2**11 words, from which
+# ``dwoa.PoolDraws`` decodes the 10 initial positions and then every move's
+# doubles and reference draws
 def test_the_pool_reads_pcg64s_raw_stream():
-    rng = np.random.default_rng(np.random.SeedSequence(42).spawn(4)[1])
-    rng.uniform(0.0, 10.0, 10)
-    assert _digest(rng.bit_generator.random_raw(2048)) == "ec961c6485166de5", (
+    bit_generator = np.random.PCG64(np.random.SeedSequence(42).spawn(4)[1])
+    assert _digest(bit_generator.random_raw(2048)) == "fd473ad72ed4161b", (
         "PCG64's raw stream gave other words on child stream 1 of seed 42 than numpy 2.4 "
-        "does: every move of the whale pool is decoded from these words, and every trace "
-        "digest rests on them")
+        "does: the whale pool's initial positions and every move are decoded from these "
+        "words, and every trace digest rests on them")
 
 
 # the spiral's l = 2u - 1 lies in [-1, 1); advance_pool takes exp(l) and
