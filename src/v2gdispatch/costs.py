@@ -318,6 +318,10 @@ def consensus_objective(rate, ev: EvCostTable, agg: AggCostParams):
 # Grid points per consensus_objective call in grid_search_rate: its buffers
 # are 128 KiB each, and a 66 001-point grid takes five calls
 _GRID_BLOCK = 16_384
+# a grid of 2**27 points is 1 GiB of float64 rates, the cell cap of an epoch
+# (``orchestrator.MAX_CELLS``); past it, numpy's failed allocation would name
+# no option
+MAX_GRID_POINTS = 2**27
 
 
 def grid_search_rate(
@@ -336,17 +340,17 @@ def grid_search_rate(
     minimum replaces the best only when strictly lower, so the result is
     ``np.argmin``'s over the full grid, bit for bit. Working memory is the
     grid (8 bytes a point) plus a few block-sized buffers. A ``step`` that
-    makes 2**53 or more grid points raises ValueError before any allocation.
+    makes more than ``MAX_GRID_POINTS`` grid points raises ValueError, naming
+    ``step``, before any allocation.
     """
     if not lower <= upper:
         raise ValueError(f"need lower <= upper, got [{lower}, {upper}]")
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be a finite number > 0, got {step}")
     spans = (upper - lower) / step
-    # n_points = round(spans) + 1 must stay below 2**53, from where float64
-    # cannot count points exactly (the rule of ``orchestrator.step_count``)
-    if not spans < 2**53 - 1:
-        raise ValueError(f"step = {step} is too small to count the grid over [{lower}, {upper}]")
+    if not spans <= MAX_GRID_POINTS - 1:
+        raise ValueError(f"step = {step} is too small: the grid over [{lower}, {upper}] would "
+                         "hold more than 2**27 points")
     n_points = int(round(spans)) + 1
     grid = np.linspace(lower, upper, n_points)
     best, best_value = 0, np.inf

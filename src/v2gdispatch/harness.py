@@ -56,7 +56,8 @@ def stats_harness(
 
     With ``trace_dir`` set, every run's trace CSV is written there (one file
     per run), so the rate statistics can be recomputed from the raw traces.
-    Each value must be a whole number, or ValueError names ``param``.
+    Each value must be a whole number and no bool, or ValueError names
+    ``param``.
     Runs are timed interleaved across the values (run 0 of each value, then
     run 1, ...), so that a machine slowing down or speeding up part-way
     through the sweep does not bias one value's ``mean_time_s``.
@@ -66,8 +67,8 @@ def stats_harness(
     if param not in SWEEPABLE:
         raise ValueError(f"param must be one of {SWEEPABLE}, got {param!r}")
     values = list(values)
-    if not all(isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
-               for v in values):
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+               or isinstance(v, float) and v.is_integer() for v in values):
         raise ValueError(f"{param} values must be whole numbers, got {values}")
     values = [int(value) for value in values]
     if instance is None:

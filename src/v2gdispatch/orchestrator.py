@@ -10,17 +10,14 @@ the same candidate sequence and the answer is one scalar rate.
 Each iteration is whole-matrix work: the evaluations form one (N+1) x M
 matrix, row 0 the aggregator and rows 1..N the available EVs in ascending id
 order, computed in units of 2**-unit_bits and rounded to int64 once, masked
-by one ``mask_units`` round (when the epoch masks) and summed per column
+by one round (when the epoch masks) and summed per column
 (``candidate_totals``, an exact int64 matvec).
 The ECN selects, and the pool keeps its best, on these exact totals as
 Python ints; only the best total is turned into currency, for the record.
 
-The masks are drawn in blocks (``shuffle.MaskBlocks``), from two streams of
-their own: every row's kept fractions ``min(iterations, max(1, BLOCK_CELLS
-// ((N+1) * M)))`` rounds a call, and the aggregator's share routes
-``min(iterations, max(1, BLOCK_CELLS // M))`` rounds a call. A block is
-drawn whole at its first round. Each stream is read in order, so the masks
-depend on the seed and the topology, not on ``BLOCK_CELLS``.
+The rounds are drawn and applied by one ``shuffle.MaskBlocks``, in blocks
+from two streams of their own; the masks depend on the seed and the
+topology, not on the block sizes.
 
 The pool draws from a stream of its own, through one ``dwoa.PoolDraws``
 and nothing else: its M initial positions, then every move. It reads the
@@ -39,12 +36,8 @@ What an epoch fixes is set up once, before its iterations:
   (N+1) x M arrays, the aggregator's row 0 among them, and the (N+1) x M
   cost buffers (``costs.CostMatrix``);
 - the wire buffers (``shuffle.WireBuffers``): the scaled values, the int64
-  units and the masked units; the mask reuses the first two for the kept
-  shares and the sends, and adds the sends in through their flat views;
-- only when the epoch masks, its topology and its mask blocks
-  (``shuffle.MaskBlocks``): the fraction and route blocks, and the flat
-  share destinations, whose single-edge rows never change, so a round
-  writes only the aggregator's M destinations.
+  units and the masked units, which the mask works in;
+- only when the epoch masks, its topology and its ``shuffle.MaskBlocks``.
 Per iteration run only the arithmetic and, once a block, the draws, each
 array touched once. The loop calls ``candidate_totals``,
 ``from_units_array`` and ``ecn_select_best`` through this module's names,
@@ -75,7 +68,6 @@ from .shuffle import (
     WireBuffers,
     candidate_totals,
     from_units_array,
-    mask_units,
     wire_bound,
 )
 # perfbench/tracer.py wraps these names here; the epoch calls neither
@@ -90,12 +82,6 @@ MAX_STEPS = 2**53
 # cells is some 16 GB: past it, numpy's failed allocation would name no
 # setting. 10**5 EVs at 10 candidates are 10**6 cells.
 MAX_CELLS = 2**27
-# an epoch that masks draws its rounds' fractions in blocks of up to this
-# many cells (rounds x (N+1) x M) and the aggregator's routes in blocks of up
-# to this many values (rounds x M), at least one round a block, so that one
-# generator call fills many rounds. The masks do not depend on it.
-# 2**15 was no faster than 2**13 at N = 100 to 1 000, M = 10
-BLOCK_CELLS = 2**13
 
 
 def check_run_settings(n_evs: int, m_whales: int, k_max: int, topology_policy: str,
@@ -237,10 +223,8 @@ def run_optimization(
     masks = None
     if shuffle_enabled:
         topology = build_topology(fleet, topology_policy, np.random.default_rng(topo_ss))
-        rounds = [min(n_iterations, max(1, BLOCK_CELLS // cells))
-                  for cells in ((len(avail) + 1) * m_whales, m_whales)]
-        masks = MaskBlocks(topology, m_whales, *rounds).rounds(
-            np.random.default_rng(fraction_ss), np.random.default_rng(route_ss))
+        masks = MaskBlocks(topology, m_whales, n_iterations, np.random.default_rng(fraction_ss),
+                           np.random.default_rng(route_ss))
 
     cost_matrix = CostMatrix(ev, costs.agg, m_whales, unit_bits)
     wire = WireBuffers(cost_matrix.values.shape)
@@ -250,7 +234,7 @@ def run_optimization(
     for k in range(n_iterations):
         units = wire.quantize(cost_matrix(pool.positions))
         if masks is not None:
-            units = mask_units(units, *next(masks), out=wire)
+            units = masks.mask(wire)
         totals = candidate_totals(units).tolist()
         selected = ecn_select_best(totals)
         pool.record_evaluation(totals, selected)

@@ -10,43 +10,37 @@ The wire format is fixed-point: values are quantized to integer multiples of
 2**-unit_bits on entry and all splitting/aggregation runs on (numpy) int64,
 which makes conservation exact rather than subject to float rounding drift.
 Quantized units convert back to float exactly, so totals agree bit-for-bit
-with and without shuffling. A value int64 cannot hold is an error, never a
-silent wrap: the mapping path checks each value it quantizes
-(``to_units_array``) and each round's reports (``check_headroom``), and an
-epoch checks once, before its first round, that no report it can make
-reaches 2**63 in any column (``wire_bound``), then rounds values already
-scaled to units (``costs.CostMatrix``) and casts them unchecked
-(``WireBuffers.quantize``).
+with and without shuffling. The wire's one rule: every unit is an integer
+that float64 holds exactly, and each column's sum of |units| is below 2**63
+(``check_headroom``). A row keeps ``rint(f * u)`` of its unit u, f in [0, 1],
+and sends the rest, so under the rule both shares lie between 0 and u and
+no masked value, column total or partial sum of one can wrap. A unit that
+breaks the rule is an error, never a silent wrap: the mapping path checks
+what it takes in (``to_units_array``, ``shuffle_round``), and an epoch checks
+once, before its first round, that no report it can make reaches 2**63 in any
+column (``wire_bound``), then rounds values already scaled to units
+(``costs.CostMatrix``) and casts them unchecked (``WireBuffers.quantize``).
 
 One round works on the whole (agents x candidates) unit matrix: row 0 is the
 aggregator and rows 1..N are the EVs in ascending id order (the rows of a
 built ``NeighborMap``, whose ``ids`` hold each row's agent id: the EV id, or
 -1 for the aggregator). ``mask_units`` applies one round's kept fractions
-and share destinations to it. ``shuffle_round`` draws one round over an
+and share destinations to a ``WireBuffers``, so each round touches each
+matrix once and allocates none. ``shuffle_round`` draws one round over an
 id-keyed mapping of the topology's agents, row by row, and applies it.
+``MaskBlocks`` masks an epoch's rounds, drawn a block at a time.
 ``candidate_totals`` sums the reports per candidate.
 This module owns the share-slot layout: a send share of row r's candidate h
 lands in the flat slot ``t * m + h`` of its target row t, and ``share_slots``
 alone derives those slots from the graph's ``indptr`` and ``targets``
 (``shuffle_round`` and ``MaskBlocks`` read them from it).
-
-A run of rounds over one matrix shape can quantize into the same
-``WireBuffers`` and pass them to ``mask_units``, so each round touches each
-matrix once, allocates none and makes its views not per round but once,
-when the buffers are built.
-
-An epoch draws its rounds a block at a time (``MaskBlocks``), from two
-streams: every row's kept fractions from one, the aggregator's share routes
-from the other. Each stream is read in order, a round after a round, so the
-rounds are the same whatever the block sizes, and a block costs one
-generator call however many rounds it holds.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,24 +48,31 @@ import numpy as np
 from .topology import NeighborMap, TopologyError, deliver_round  # noqa: F401
 
 DEFAULT_UNIT_BITS = 40
+# an epoch that masks draws its rounds' fractions in blocks of up to this
+# many cells (rounds x rows x m) and the aggregator's routes in blocks of up
+# to this many values (rounds x m), at least one round a block, so that one
+# generator call fills many rounds. The masks do not depend on it.
+# 2**15 was no faster than 2**13 at N = 100 to 1 000, M = 10
+BLOCK_CELLS = 2**13
 
 
 class ProtocolError(RuntimeError):
     """Agents disagree on the candidate keys, a report is incomplete, a
-    value does not fit the int64 wire, or forced split fractions are not
-    m values in [0, 1]."""
+    value does not fit the wire, or forced split fractions are not m values
+    in [0, 1]."""
 
 
 class WireBuffers:
     """The matrices of one round on the wire, reused by every round of a run.
 
     ``quantize(values)`` takes values already in units of 2**-unit_bits
-    (``costs.CostMatrix``) and leaves ``rint(values)`` in ``scaled`` (whole
-    numbers, held exactly as floats) and their int64 cast in ``units``,
-    unchecked: the caller has shown that the values fit (``wire_bound``).
-    ``mask_units(wire.units, ..., out=wire)`` then overwrites ``scaled``
-    with the kept shares and ``units`` with the sends, and returns
-    ``masked``; it adds the sends in through the flat views of the two.
+    (``costs.CostMatrix``, or ``shuffle_round``'s int64 reports) and leaves
+    ``rint(values)`` in ``scaled`` (whole numbers, held exactly as floats)
+    and their int64 cast in ``units``, unchecked: the caller has shown that
+    the values keep the wire's rule (module docstring).
+    ``mask_units(wire, ...)`` then overwrites ``scaled`` with the kept
+    shares and ``units`` with the sends, and returns ``masked``; it adds the
+    sends in through the flat views of the two.
     """
 
     __slots__ = ("scaled", "units", "masked", "flat_units", "flat_masked")
@@ -118,14 +119,10 @@ def wire_bound(magnitude: float, rows: int, unit_bits: int) -> float:
 
 
 def check_headroom(units: np.ndarray) -> None:
-    """Raise ProtocolError unless every column's sum of |units| is below 2**63.
-
-    A row keeps ``rint(f * u)`` of its value ``u`` and sends the rest, so
-    both shares lie between 0 and ``u``; every masked value, column total
-    and partial sum of one is therefore bounded by its column's sum of
-    |units|, and under this bound none can wrap. The mapping path
-    (``shuffle_round``, ``candidate_totals`` of a mapping) checks each
-    round's reports with it, summing in Python ints.
+    """Raise ProtocolError unless every column's sum of |units|, summed in
+    Python ints, is below 2**63: the wire's headroom (module docstring). The
+    mapping path (``shuffle_round``, ``candidate_totals`` of a mapping)
+    checks each round's reports with it.
     """
     for h, column in enumerate(units.T.tolist()):
         span = sum(map(abs, column))
@@ -183,75 +180,77 @@ def share_slots(topology: NeighborMap, m: int) -> tuple[np.ndarray, dict[int, np
 class MaskBlocks:
     """An epoch's masking rounds, drawn a block at a time from two streams.
 
-    ``rounds(fraction_rng, route_rng)`` yields each round's ``(fractions,
-    destinations)``, the (rows, m) and (rows * m,) arrays ``mask_units``
-    takes, valid until the next round. ``fractions`` is a (rounds, rows, m)
-    block that one ``fraction_rng.random(out=...)`` call refills; a round's
-    fractions are one contiguous matrix of it. ``routes`` is a
-    (route_rounds, m) block of the aggregator's (row 0's) destinations, one
-    ``route_rng.integers(degree, size=(route_rounds, m))`` call turned into
-    slots; a round writes its m of them into place. Every other row sends
-    to its one target, as ``share_slots`` lays it out. Each stream is read
-    in order, as round-by-round ``random((rows, m))`` and ``integers(degree,
-    size=m)`` draws read it, so the rounds do not depend on the block sizes.
-    A graph with another multi-edge row than the aggregator's raises
-    TopologyError; an aggregator with one out-edge draws no routes.
+    ``mask(wire)`` masks the next round into a ``WireBuffers`` whose
+    ``quantize`` made its units (``mask_units``) and returns ``wire.masked``;
+    ``kept`` and ``destinations`` then hold that round's (rows, m) kept
+    fractions and flat share destinations until the next round.
+    ``fractions``, a (rounds, rows, m) block, and ``routes``, the
+    aggregator's (row 0's) destinations as a (rounds, m) block, each hold up
+    to ``iterations`` rounds and ``BLOCK_CELLS`` values, at least one round.
+    A block is refilled by one ``fraction_rng.random(out=...)`` or
+    ``route_rng.integers(degree, size=(rounds, m))`` call when its first
+    round is reached. Every other row sends to its one target, as
+    ``share_slots`` lays it out. Each stream is read in order, as
+    round-by-round ``random((rows, m))`` and ``integers(degree, size=m)``
+    draws read it, so the rounds do not depend on the block sizes. A graph
+    with another multi-edge row than the aggregator's raises TopologyError;
+    an aggregator with one out-edge draws no routes.
     """
 
-    __slots__ = ("fractions", "routes", "destinations", "_slots")
+    __slots__ = ("fractions", "routes", "destinations", "kept", "_slots", "_fraction_rng",
+                 "_route_rng", "_round", "_fraction_views", "_route_views")
 
-    def __init__(self, topology: NeighborMap, m: int, rounds: int, route_rounds: int):
+    def __init__(self, topology: NeighborMap, m: int, iterations: int, fraction_rng,
+                 route_rng):
         self.destinations, slots = share_slots(topology, m)
         self._slots = slots.pop(0, None)
         if slots:
             raise TopologyError(f"agent {topology.ids[min(slots)]} has several out-edges: "
                                 "only the aggregator's row may")
-        self.fractions = np.empty((rounds, len(topology.ids), m))
-        self.routes = np.empty((route_rounds, m), dtype=np.int64)
+        rows = len(topology.ids)
+        self.fractions = np.empty((min(iterations, max(1, BLOCK_CELLS // (rows * m))), rows, m))
+        self.routes = np.empty((min(iterations, max(1, BLOCK_CELLS // m)), m), dtype=np.int64)
+        self._fraction_views, self._route_views = list(self.fractions), list(self.routes)
+        self._fraction_rng, self._route_rng = fraction_rng, route_rng
+        self._round, self.kept = itertools.count(), None
 
-    def rounds(self, fraction_rng, route_rng) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Every round in turn, without end; a block is drawn whole when its
+    def mask(self, wire: WireBuffers) -> np.ndarray:
+        """Mask the next round into ``wire``; a block is drawn whole when its
         first round is reached."""
-        fractions, routes, destinations, slots = (self.fractions, self.routes,
-                                                  self.destinations, self._slots)
-        columns = np.arange(routes.shape[1])
-        head = destinations[:len(columns)]
-        fraction_views, route_views = list(fractions), list(routes)
-        for k in itertools.count():
-            j = k % len(fraction_views)
-            if not j:
-                fraction_rng.random(out=fractions)
-            if slots is not None:
-                i = k % len(route_views)
-                if not i:
-                    np.add(slots[route_rng.integers(len(slots), size=routes.shape)], columns,
-                           out=routes)
-                head[...] = route_views[i]
-            yield fraction_views[j], destinations
+        k = next(self._round)
+        j = k % len(self._fraction_views)
+        if not j:
+            self._fraction_rng.random(out=self.fractions)
+        slots = self._slots
+        if slots is not None:
+            i = k % len(self._route_views)
+            if not i:
+                routes = self.routes
+                np.add(slots[self._route_rng.integers(len(slots), size=routes.shape)],
+                       np.arange(routes.shape[1]), out=routes)
+            route = self._route_views[i]
+            self.destinations[:len(route)] = route
+        self.kept = self._fraction_views[j]
+        return mask_units(wire, self.kept, self.destinations)
 
 
-def mask_units(units: np.ndarray, fractions: np.ndarray, destinations: np.ndarray,
-               out: WireBuffers | None = None) -> np.ndarray:
-    """Additive split of every value of an int64 (rows, m) unit matrix.
+def mask_units(wire: WireBuffers, fractions: np.ndarray, destinations: np.ndarray) -> np.ndarray:
+    """Additive split of every value of the (rows, m) units in ``wire``,
+    which its ``quantize`` made; returns ``wire.masked``.
 
     Row r keeps ``rint(fraction * units)`` of candidate h and sends the rest
     to the slot ``destinations[r * m + h]``, a flat (rows * m,) array (see
     ``share_slots``); each row reports what it kept plus what it received.
-    Column sums are conserved exactly. Without ``out`` the input is
-    unchanged. ``out`` is the ``WireBuffers`` whose ``quantize`` made
-    these units: the round then works in its buffers and returns
-    ``out.masked``.
+    Column sums are conserved exactly. The round overwrites the wire's
+    ``scaled`` and ``units``.
     """
-    if out is None:
-        out = WireBuffers(units.shape)
-        out.scaled[...] = units
     # the float product rounds just as ``fractions * units`` would
-    kept = np.multiply(fractions, out.scaled, out.scaled)
+    kept = np.multiply(fractions, wire.scaled, wire.scaled)
     np.rint(kept, kept)
-    masked = out.masked
+    masked = wire.masked
     masked[...] = kept  # whole floats no larger than |units|: the cast is exact
-    np.subtract(units, masked, out.units)
-    np.add.at(out.flat_masked, destinations, out.flat_units)
+    np.subtract(wire.units, masked, wire.units)
+    np.add.at(wire.flat_masked, destinations, wire.flat_units)
     return masked
 
 
@@ -265,7 +264,9 @@ def shuffle_round(
 
     ``values_by_agent`` maps each participating agent's id (available EVs and
     the aggregator) to its int64 unit-values for the common candidate
-    sequence, which must pass ``check_headroom``. Every agent splits each
+    sequence, which must keep the wire's rule (module docstring), else
+    ProtocolError names the first agent whose unit float64 cannot hold or
+    the candidate beyond the headroom. Every agent splits each
     value, sends one share to one of its out-edge neighbours (chosen per
     candidate when it has several), keeps the other, then adds the shares
     it received. Returns the masked unit-values per
@@ -291,6 +292,11 @@ def shuffle_round(
     for agent in fractions:
         if agent not in reporting:
             raise TopologyError(f"fractions forced for agent {agent}, which does not report")
+    for agent, row in zip(agents, units.tolist()):
+        inexact = [u for u in row if int(float(u)) != u]
+        if inexact:
+            raise ProtocolError(f"agent {agent}: unit {inexact[0]} is beyond the wire, "
+                                "as float64 cannot hold it")
     m = units.shape[1]
     kept = np.empty(units.shape)
     for r, agent in enumerate(agents):
@@ -308,7 +314,9 @@ def shuffle_round(
             rng.random(out=row)
         if r in slots:
             np.add(slots[r][rng.integers(len(slots[r]), size=m)], columns, out=rows[r])
-    return dict(zip(agents, mask_units(units, kept, destinations)))
+    wire = WireBuffers(units.shape)
+    wire.quantize(units)
+    return dict(zip(agents, mask_units(wire, kept, destinations)))
 
 
 @functools.lru_cache(maxsize=16)

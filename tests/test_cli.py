@@ -315,8 +315,9 @@ def test_oracle_step_that_is_not_finite_and_positive_exits_2(config_path, capsys
 
 
 def test_oracle_step_too_small_to_count_the_grid_exits_2(config_path, capsys):
-    # 1e-300 counts a finite grid, but one of 2**53 or more points
-    for step in ("1e-320", "1e-300"):
+    # 1e-300 counts a finite grid, but one of 2**53 or more points; 1e-12
+    # counts one of 6.6e12 points, far above the 2**27-point cap
+    for step in ("1e-320", "1e-300", "1e-12"):
         assert main(["oracle", "--config", str(config_path), "--step", step]) == 2
         assert f"error: step = {step} is too small" in capsys.readouterr().err
 

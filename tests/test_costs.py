@@ -549,12 +549,20 @@ def test_grid_search_rejects_a_step_that_is_not_finite_and_positive(step):
 
 @pytest.mark.parametrize("lower, upper, step", [(0.0, 6.6, 1e-320), (0.0, 6.6, 5e-324),
                                                 (0.0, 1e308, 1e-10), (0.0, 6.6, 1e-300),
-                                                (0.0, 2.0**53 - 1, 1.0)])
-def test_grid_search_names_a_step_too_small_to_count_the_grid(lower, upper, step):
-    # only grids of 2**53 or more points, refused before any allocation: a
-    # grid just below that would be allocated
+                                                (0.0, 2.0**53 - 1, 1.0), (0.0, 6.6, 1e-12),
+                                                (0.0, 2.0**27, 1.0),
+                                                (-1.0, 1.0, 2.0**-26 * (1 + 2**-40))])
+def test_grid_search_names_a_step_too_small_to_count_the_grid(lower, upper, step, monkeypatch):
+    # grids past the 2**27-point cap, by 2**53 or more points down to one
+    # (the last two cases hold 2**27 + 1), refused by name before linspace
+    # allocates
     costs = _toy_cost_set()
-    with pytest.raises(ValueError, match="step"):
+
+    def linspace(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    with pytest.raises(ValueError, match=fr"^step = {step} is too small: .* more than 2\*\*27 "):
         grid_search_rate(costs.ev, costs.agg, lower, upper, step)
 
 

@@ -39,7 +39,7 @@ def test_stats_harness_validates_arguments():
         stats_harness(CFG, "k_max", [10], runs=1)
     with pytest.raises(ValueError):
         stats_harness(CFG, "price", [1], runs=2)
-    for value in (2.7, 1e-3, -0.5, float("nan"), float("inf"), -float("inf"), "5"):
+    for value in (2.7, 1e-3, -0.5, float("nan"), float("inf"), -float("inf"), "5", True):
         with pytest.raises(ValueError, match="k_max values must be whole numbers"):
             stats_harness(CFG, "k_max", [10, value], 2)
     assert [row.value for row in stats_harness(CFG, "k_max", [2.0, np.int64(3)], 2)] == [2, 3]

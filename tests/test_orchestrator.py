@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from v2gdispatch import orchestrator
+from v2gdispatch import orchestrator, shuffle
 from v2gdispatch.config import ScenarioConfig, build_instance
 from v2gdispatch.costs import (
     AggCostParams,
@@ -775,7 +775,7 @@ def test_the_block_size_moves_neither_the_masks_nor_the_record(instance, monkeyp
     # read the fraction and route streams alike: the same reports, the same
     # record. At this k_max the default route block (BLOCK_CELLS // M
     # rounds) ends within the epoch, and so do 13 fraction blocks
-    k_max = orchestrator.BLOCK_CELLS // CFG.m_whales + 5
+    k_max = shuffle.BLOCK_CELLS // CFG.m_whales + 5
     reported = []
     totals = orchestrator.candidate_totals
 
@@ -785,8 +785,8 @@ def test_the_block_size_moves_neither_the_masks_nor_the_record(instance, monkeyp
 
     monkeypatch.setattr(orchestrator, "candidate_totals", recording_totals)
     runs = []
-    for cells in (1, orchestrator.BLOCK_CELLS, k_max * (CFG.n_evs + 1) * CFG.m_whales):
-        monkeypatch.setattr(orchestrator, "BLOCK_CELLS", cells)
+    for cells in (1, shuffle.BLOCK_CELLS, k_max * (CFG.n_evs + 1) * CFG.m_whales):
+        monkeypatch.setattr(shuffle, "BLOCK_CELLS", cells)
         reported.clear()
         rate, record = run_optimization(instance.fleet, instance.costs,
                                         m_whales=CFG.m_whales, k_max=k_max, seed=3)
@@ -799,26 +799,19 @@ def test_the_block_size_moves_neither_the_masks_nor_the_record(instance, monkeyp
 
 
 @pytest.mark.parametrize("n_evs, m", [(12, 4), (1000, 10)])
-def test_the_mask_blocks_hold_at_most_two_block_cells(monkeypatch, n_evs, m):
+def test_the_mask_blocks_hold_at_most_two_block_cells(n_evs, m):
     # the fraction and route blocks together, at any k_max, but a round of
     # more than BLOCK_CELLS fractions (N = 1 000 at M = 10) is a block of its
-    # own. Each epoch stops once its blocks are built
+    # own. Each block holds at least one round and at most the epoch's
     instance = build_instance(ScenarioConfig(n_evs=n_evs, seed=1))
-    cells, round_cells = orchestrator.BLOCK_CELLS, (n_evs + 1) * m
-    built = []
-
-    class Built(Exception):
-        pass
-
-    def build(*args):
-        built.append(MaskBlocks(*args))
-        raise Built
-
-    monkeypatch.setattr(orchestrator, "MaskBlocks", build)
+    topology = build_topology(instance.fleet, "one-random-neighbor", 0)
+    cells, round_cells = shuffle.BLOCK_CELLS, (n_evs + 1) * m
+    rng = np.random.default_rng(0)
     for k_max in (0, 1, 150, 10**9):
-        with pytest.raises(Built):
-            run_optimization(instance.fleet, instance.costs, m_whales=m, k_max=k_max, seed=0)
-        blocks = built.pop()
+        blocks = MaskBlocks(topology, m, max(k_max, 1), rng, rng)
+        assert blocks.fractions.shape[1:] == (n_evs + 1, m)
+        assert 1 <= len(blocks.fractions) <= max(k_max, 1)
+        assert 1 <= len(blocks.routes) <= max(k_max, 1)
         assert blocks.fractions.size <= max(cells, round_cells)
         assert blocks.routes.size <= cells
         if round_cells <= cells:

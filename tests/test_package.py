@@ -1,7 +1,8 @@
 """The package root: it binds its modules and re-exports none of their names,
 and its version is the one pyproject.toml declares. No module imports a name
 it never uses, or a module beyond the standard library, numpy and the
-package's own. Only ``dwoa`` reads the whale pool's raw stream."""
+package's own. Only ``dwoa`` reads the whale pool's raw stream, and only
+``shuffle`` names the masking round's block size and its one apply."""
 
 import ast
 import sys
@@ -103,3 +104,12 @@ def test_only_dwoa_names_a_bit_generator():
     naming = [path.name for path in sorted(root.glob("*.py"))
               if any(word in path.read_text() for word in ("PCG64", "bit_generator"))]
     assert naming == ["dwoa.py"]
+
+
+def test_only_shuffle_names_the_mask_round():
+    # the masking round has one home: an epoch reaches the block size and
+    # the round's apply through ``shuffle.MaskBlocks``, not by name
+    root = Path(v2gdispatch.__file__).parent
+    naming = [path.name for path in sorted(root.glob("*.py"))
+              if any(word in path.read_text() for word in ("BLOCK_CELLS", "mask_units"))]
+    assert naming == ["shuffle.py"]

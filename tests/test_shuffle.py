@@ -8,10 +8,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from v2gdispatch import shuffle
 from v2gdispatch.fleet import sample_fleet
 from v2gdispatch.shuffle import (
     MaskBlocks,
     ProtocolError,
+    WireBuffers,
     candidate_totals,
     check_headroom,
     from_units_array,
@@ -61,6 +63,14 @@ def test_to_units_array_refuses_a_huge_value_without_a_numpy_warning(value):
             to_units_array(np.array([value]))
 
 
+def _masked(units, fractions, destinations):
+    """The reports of one ``mask_units`` round over int64 ``units`` that
+    float64 holds, loaded into a fresh wire as ``shuffle_round`` loads them."""
+    wire = WireBuffers(units.shape)
+    wire.quantize(units)
+    return mask_units(wire, fractions, destinations)
+
+
 def _split(units, fractions):
     """(keep, send) of one masking round in which row 0 keeps ``fractions``
     of ``units`` and sends the rest to row 1, which holds 0 and keeps it."""
@@ -68,7 +78,7 @@ def _split(units, fractions):
     fractions = np.vstack([fractions, np.ones_like(fractions)])
     m = units.shape[1]
     destinations = np.concatenate([m + np.arange(m), np.arange(m)])  # slots in the other row
-    keep, send = mask_units(units, fractions, destinations)
+    keep, send = _masked(units, fractions, destinations)
     return keep, send
 
 
@@ -281,7 +291,7 @@ def test_draw_split_stream_contract(n):
             agg_targets = np.full(m, topo.targets[0])
         expected_rows = np.vstack([agg_targets, ev_targets])
         destinations = (expected_rows * m + np.arange(m)).reshape(-1)
-        expected = mask_units(units, expected_fractions, destinations)
+        expected = _masked(units, expected_fractions, destinations)
         assert np.array_equal(np.stack([masked[a] for a in topo.ids.tolist()]), expected)
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -307,14 +317,14 @@ _CUSTOM_EDGES = {AGGREGATOR_ID: (0, 2), 0: (1,), 1: (AGGREGATOR_ID, 2, 3), 2: (3
 def _replayed_round_matches(topo, m, forced_rows, seed):
     """Two ``shuffle_round`` calls on one Generator, with ``forced_rows``
     (row -> fractions) forced by agent id, mask nonzero reports as
-    ``mask_units`` over ``_replay_round``'s draws on a reference Generator,
+    ``_masked`` over ``_replay_round``'s draws on a reference Generator,
     and leave the stream where the reference is."""
     values, units = _nonzero_reports(topo, m, seed)
     forced = {int(topo.ids[r]): f for r, f in forced_rows.items()}
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2):
         masked = shuffle_round(values, topo, rng, fractions=forced)
-        expected = mask_units(units, *_replay_round(topo, m, forced_rows, ref))
+        expected = _masked(units, *_replay_round(topo, m, forced_rows, ref))
         assert np.array_equal(np.stack([masked[a] for a in topo.ids.tolist()]), expected)
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -337,29 +347,38 @@ def test_draw_split_stream_contract_on_a_custom_graph():
 
 @pytest.mark.parametrize("rounds", [1, 2, 7])
 @pytest.mark.parametrize("case", [1, 2, 5, 40])
-def test_draw_block_stream_contract(case, rounds):
-    # an epoch's blocks, ``rounds`` rounds of fractions and 3 of routes a
-    # block, replayed round by round from fresh Generators: random((rows, m))
-    # on the fraction stream, integers(degree, size=m) for the aggregator on
-    # the route stream; every EV sends to its one target. A block is drawn
-    # whole, so each stream stops at the end of a block. One EV is the
-    # aggregator's one out-edge: it draws no routes. 43 rounds cross
-    # several blocks of every size here
-    m, route_rounds, n = 3, 3, 43
+def test_draw_block_stream_contract(case, rounds, monkeypatch):
+    # an epoch's blocks, replayed round by round from fresh Generators:
+    # random((rows, m)) on the fraction stream, integers(degree, size=m) for
+    # the aggregator on the route stream; every EV sends to its one target.
+    # BLOCK_CELLS of ``rounds`` rounds of fractions makes route blocks of
+    # rounds * rows rounds, up to the epoch's 43. A block is drawn whole, so
+    # each stream stops at the end of a block; 43 rounds cross several blocks
+    # of both streams in most cases here. One EV is the aggregator's one
+    # out-edge: it draws no routes
+    m, n, rows = 3, 43, case + 1
+    monkeypatch.setattr(shuffle, "BLOCK_CELLS", rounds * rows * m)
     topo = build_topology(sample_fleet(case, case), "one-random-neighbor", 3)
-    blocks = MaskBlocks(topo, m, rounds, route_rounds)
-    assert blocks.fractions.shape == (rounds, case + 1, m)
-    assert blocks.routes.shape == (route_rounds, m)
     fraction_rng, route_rng = np.random.default_rng(11), np.random.default_rng(12)
+    blocks = MaskBlocks(topo, m, n, fraction_rng, route_rng)
+    route_rounds = min(n, rounds * rows)
+    assert blocks.fractions.shape == (rounds, rows, m)
+    assert blocks.routes.shape == (route_rounds, m)
     fraction_ref, route_ref = np.random.default_rng(11), np.random.default_rng(12)
     ev_targets = topo.targets[topo.indptr[1:-1], None].repeat(m, axis=1)
-    for _, (fractions, destinations) in zip(range(n),
-                                            blocks.rounds(fraction_rng, route_rng)):
-        assert np.array_equal(fractions, fraction_ref.random((case + 1, m)))
+    units = _nonzero_reports(topo, m, case)[1]
+    for _ in range(n):
+        wire = WireBuffers(units.shape)
+        wire.quantize(units)
+        masked = blocks.mask(wire)
+        fractions = fraction_ref.random((rows, m))
         agg_targets = topo.targets[route_ref.integers(case, size=m)]
-        expected = np.vstack([agg_targets, ev_targets]) * m + np.arange(m)
-        assert np.array_equal(destinations, expected.reshape(-1))
-    fraction_ref.random((-n % rounds, case + 1, m))
+        destinations = (np.vstack([agg_targets, ev_targets]) * m + np.arange(m)).reshape(-1)
+        assert np.array_equal(blocks.kept, fractions)
+        assert np.array_equal(blocks.destinations, destinations)
+        assert masked is wire.masked
+        assert np.array_equal(masked, _masked(units, fractions, destinations))
+    fraction_ref.random((-n % rounds, rows, m))
     route_ref.integers(case, size=(-n % route_rounds, m))
     assert fraction_rng.bit_generator.state == fraction_ref.bit_generator.state
     assert route_rng.bit_generator.state == route_ref.bit_generator.state
@@ -368,7 +387,7 @@ def test_draw_block_stream_contract(case, rounds):
 def test_mask_blocks_refuse_a_multi_edge_row_beside_the_aggregator():
     topo = build_topology(sample_fleet(4, 0), custom_edges=_CUSTOM_EDGES)
     with pytest.raises(TopologyError, match="agent 1 has several out-edges"):
-        MaskBlocks(topo, 3, 2, 2)
+        MaskBlocks(topo, 3, 2, np.random.default_rng(0), np.random.default_rng(1))
 
 
 def test_forcing_fractions_for_an_agent_that_does_not_report_is_refused():
@@ -447,11 +466,42 @@ def test_mapping_round_and_totals_refuse_reports_beyond_the_wire():
         shuffle_round(big, topo, rng=0)
     with pytest.raises(ProtocolError, match="beyond the int64 wire"):
         candidate_totals(big)
-    # a column summing to 2**63 - 1 in magnitude still goes through exactly
+    # a column summing to 2**63 - 1 in magnitude still sums exactly; a
+    # round's units must also be ones float64 holds (2**62 - 1 is not), so
+    # its columns reach 2**63 - 2**9, the largest such sum
     edge = {i: np.array([2**62, -(2**62)]), j: np.array([2**62 - 1, 1 - 2**62])}
-    totals = [2**63 - 1, 1 - 2**63]
+    assert candidate_totals(edge).tolist() == [2**63 - 1, 1 - 2**63]
+    edge[j] = np.array([2**62 - 2**9, 2**9 - 2**62])
+    totals = [2**63 - 2**9, 2**9 - 2**63]
     assert candidate_totals(edge).tolist() == totals
     assert candidate_totals(shuffle_round(edge, topo, rng=0)).tolist() == totals
+
+
+@pytest.mark.parametrize("unit", [2**53 + 3, -(2**53) - 1, 2**62 - 1, 2**63 - 1])
+def test_a_round_refuses_a_unit_float64_cannot_hold(unit):
+    # kept in float64 at a fraction of 1, 2**53 + 3 would keep 2**53 + 4 and
+    # send -1, and 2**63 - 1, which check_headroom admits, would wrap to
+    # -2**63: refused instead, naming the agent, with no numpy warning
+    i, j, topo = _two_agents_topology()
+    values = {i: np.array([5, 0]), j: np.array([7, unit])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProtocolError, match=f"^agent {j}: unit {unit} is beyond the wire"):
+            shuffle_round(values, topo, rng=0, fractions={i: [1.0, 1.0], j: [1.0, 1.0]})
+
+
+@pytest.mark.parametrize("unit", [2**53 + 4, -(2**53) - 2, 2**63 - 2**10, 2**10 - 2**63])
+def test_a_round_keeps_a_unit_float64_holds_bit_for_bit(unit):
+    # float64's neighbours of the refused units: a fraction of 1 reports
+    # them unchanged, and a random round conserves their column exactly
+    i, j, topo = _two_agents_topology()
+    values = {i: np.array([5, 0]), j: np.array([7, unit])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept = shuffle_round(values, topo, rng=0, fractions={i: [1.0, 1.0], j: [1.0, 1.0]})
+        masked = shuffle_round(values, topo, rng=0)
+    assert [kept[a].tolist() for a in (i, j)] == [[5, 0], [7, unit]]
+    assert candidate_totals(masked).tolist() == [12, unit]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -459,28 +509,46 @@ def test_mapping_round_and_totals_refuse_reports_beyond_the_wire():
 def test_mask_units_conserves_columns_and_bounds_kept_shares(data):
     n = data.draw(st.integers(1, 6), label="rows")
     m = data.draw(st.integers(1, 4), label="candidates")
-    unit_bits = data.draw(st.integers(8, 48), label="unit_bits")
-    # each column's sum of |units| is at most about 2**exponent
-    exponent = data.draw(st.floats(0.0, 63.0, exclude_max=True)
-                         | st.sampled_from([62.0, 62.5, 62.99]), label="exponent")
-    x = data.draw(hnp.arrays(np.float64, (n, m), elements=st.floats(-1.0, 1.0)), label="x")
     fractions = data.draw(hnp.arrays(np.float64, (n, m), elements=st.floats(0.0, 1.0)),
                           label="fractions")
     targets = data.draw(hnp.arrays(np.int64, (n, m), elements=st.integers(0, n - 1)),
                         label="targets")
-    try:
-        units = to_units_array(x * (2.0**exponent / n) / 2.0**unit_bits, unit_bits)
-        check_headroom(units)
-    except ProtocolError:
-        reject()
-    before = units.copy()
-    masked = mask_units(units, fractions, (targets * m + np.arange(m)).reshape(-1))
-    assert np.array_equal(units, before)
-    assert ([sum(column) for column in masked.T.tolist()]
-            == [sum(column) for column in units.T.tolist()])
-    # every row sends to an extra row that holds 0, so rows 0..n-1 report
-    # exactly the share they kept
-    sink_units = np.vstack([units, np.zeros((1, m), dtype=np.int64)])
-    sink_fractions = np.vstack([fractions, np.ones((1, m))])
-    kept = mask_units(sink_units, sink_fractions, np.tile(n * m + np.arange(m), n + 1))[:n]
+    if data.draw(st.booleans(), label="quantized"):
+        # as an epoch makes them: each column's sum of |units| is at most
+        # about 2**exponent
+        unit_bits = data.draw(st.integers(8, 48), label="unit_bits")
+        exponent = data.draw(st.floats(0.0, 63.0, exclude_max=True)
+                             | st.sampled_from([62.0, 62.5, 62.99]), label="exponent")
+        x = data.draw(hnp.arrays(np.float64, (n, m), elements=st.floats(-1.0, 1.0)), label="x")
+        try:
+            units = to_units_array(x * (2.0**exponent / n) / 2.0**unit_bits, unit_bits)
+            check_headroom(units)
+        except ProtocolError:
+            reject()
+    else:
+        # any int64 units within check_headroom, float64 holding them or not
+        bound = (2**63 - 1) // n
+        edges = st.sampled_from([u for u in (bound, -bound, 2**53 + 1, -(2**53) - 3, 2**62 - 2**9)
+                                 if abs(u) <= bound])
+        units = data.draw(hnp.arrays(np.int64, (n, m),
+                                     elements=st.integers(-bound, bound) | edges), label="units")
+    # every EV sends to the aggregator, which holds 0 and keeps it: each EV
+    # reports exactly the share it kept, and the aggregator all it received
+    topo = build_topology(sample_fleet(n, 0), custom_edges={
+        AGGREGATOR_ID: (0,), **{e: (AGGREGATOR_ID,) for e in range(n)}})
+    values = {AGGREGATOR_ID: np.zeros(m, dtype=np.int64), **dict(enumerate(units))}
+    forced = {AGGREGATOR_ID: np.ones(m), **dict(enumerate(fractions))}
+    inexact = [e for e, row in enumerate(units.tolist()) if any(int(float(u)) != u for u in row)]
+    if inexact:
+        with pytest.raises(ProtocolError, match=f"^agent {inexact[0]}: unit"):
+            shuffle_round(values, topo, rng=0, fractions=forced)
+        return
+    masked = shuffle_round(values, topo, rng=0, fractions=forced)
+    kept = np.stack([masked[e] for e in range(n)])
     assert np.all((np.minimum(units, 0) <= kept) & (kept <= np.maximum(units, 0)))
+    column_sums = [sum(column) for column in units.T.tolist()]
+    assert [sum(column) for column in np.vstack([kept, masked[AGGREGATOR_ID]]).T.tolist()
+            ] == column_sums
+    # the same round to any share destinations conserves every column
+    reports = _masked(units, fractions, (targets * m + np.arange(m)).reshape(-1))
+    assert [sum(column) for column in reports.T.tolist()] == column_sums
