@@ -15,15 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    Instance,
-    ScenarioConfig,
-    build_instance,
-    load_config,
-    resolve_departures,
-)
-from .fleet import available_ids, common_rate_bounds
+from .config import ConfigError, ScenarioConfig, build_instance, load_config, resolve_departures
+from .fleet import available_ids
 from .harness import (
     SWEEPABLE,
     compare_solvers,
@@ -33,28 +26,15 @@ from .harness import (
     solver_order_holds,
     stats_harness,
 )
-from .orchestrator import run_scenario, wire_refusal
+from .orchestrator import run_scenario
 from .records import export_run
+from .shuffle import ProtocolError
 
 
 def _load(args) -> ScenarioConfig:
     if args.config is None:
         return ScenarioConfig()
     return load_config(args.config)
-
-
-def _build_instance(config: ScenarioConfig) -> Instance:
-    """The config's instance, once its first epoch, over every available EV,
-    fits the int64 wire at ``unit_bits``; else a ConfigError with the
-    reason ``run_optimization`` would refuse it for (``wire_refusal``)."""
-    instance = build_instance(config)
-    avail = available_ids(instance.fleet)
-    if avail:
-        reason = wire_refusal(instance.costs.ev.take(avail), instance.costs.agg,
-                              common_rate_bounds(instance.fleet, avail)[1], config.unit_bits)
-        if reason is not None:
-            raise ConfigError(reason)
-    return instance
 
 
 def _out_path(config: ScenarioConfig, override, default_name: str) -> Path:
@@ -68,7 +48,7 @@ def _out_path(config: ScenarioConfig, override, default_name: str) -> Path:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    instance = _build_instance(config)
+    instance = build_instance(config)
     events = resolve_departures(config, instance.fleet)
     record = run_scenario(
         instance.fleet,
@@ -93,7 +73,7 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",")]
     except ValueError:
         raise ValueError(f"{args.param} values must be numbers, got {args.values!r}") from None
-    rows = stats_harness(config, args.param, values, args.runs, instance=_build_instance(config))
+    rows = stats_harness(config, args.param, values, args.runs, instance=build_instance(config))
     path = _out_path(config, args.out, f"sweep_{args.param}.csv")
     export_stats(rows, path)
     for row in rows:
@@ -114,7 +94,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load(args)
-    instance = _build_instance(config)
+    instance = build_instance(config)
     rows, oracle_objective = compare_solvers(
         config, n_seeds=args.seeds, k_max=args.iterations, instance=instance
     )
@@ -170,7 +150,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    # on every verb's path the one ProtocolError is run_optimization's refusal
+    # of an epoch whose reports could leave the int64 wire at unit_bits
+    except (ConfigError, ProtocolError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -141,7 +141,7 @@ class CostMatrix:
     Rates must be >= 0, which is not checked per call. A coefficient whose
     scaled value overflows float64 raises ValueError, before any is scaled;
     ``run_optimization`` refuses an epoch whose values could leave the
-    int64 wire before it builds one (``orchestrator.wire_refusal``).
+    int64 wire before it builds one.
     """
 
     __slots__ = ("values", "_coefficients", "_revenue", "_n", "_eta_sum", "_rates",

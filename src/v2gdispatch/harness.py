@@ -21,7 +21,7 @@ from .baselines import cwoa_solve, gwo_solve, make_penalized_fitness
 from .config import Instance, ScenarioConfig, build_instance
 from .costs import consensus_objective, grid_search_rate
 from .fleet import available_ids, common_rate_bounds
-from .orchestrator import run_optimization
+from .orchestrator import check_integer, run_optimization
 from .records import export_run
 
 SWEEPABLE = ("k_max", "m_whales")
@@ -57,11 +57,12 @@ def stats_harness(
     With ``trace_dir`` set, every run's trace CSV is written there (one file
     per run), so the rate statistics can be recomputed from the raw traces.
     Each value must be a whole number and no bool, or ValueError names
-    ``param``.
+    ``param``; ``runs`` must be an integer >= 2 and no bool.
     Runs are timed interleaved across the values (run 0 of each value, then
     run 1, ...), so that a machine slowing down or speeding up part-way
     through the sweep does not bias one value's ``mean_time_s``.
     """
+    check_integer("runs", runs)
     if runs < 2:
         raise ValueError(f"need at least 2 runs per sweep point, got {runs}")
     if param not in SWEEPABLE:
@@ -175,10 +176,13 @@ def compare_solvers(
     returned rate; each baseline vector is scored by its penalized objective
     (equal to the true objective once the vector reaches consensus). Returns
     the per-seed rows plus the grid-oracle optimum objective. Before any
-    solver runs it refuses ``n_seeds`` < 1 and a ``population`` below 3.
+    solver runs it refuses an ``n_seeds`` or ``population`` that is a bool or
+    no integer, ``n_seeds`` < 1 and a ``population`` below 3.
     """
+    check_integer("n_seeds", n_seeds)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    check_integer("population", population)
     if population < 3:
         raise ValueError(f"population must be >= 3 (GWO's pack), got {population}")
     if instance is None:

@@ -84,12 +84,22 @@ MAX_STEPS = 2**53
 MAX_CELLS = 2**27
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer: a
+    numpy integer is one, a bool or a whole float is not."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_run_settings(n_evs: int, m_whales: int, k_max: int, topology_policy: str,
                        unit_bits: int) -> None:
-    """Raise ValueError, naming the setting, unless ``m_whales`` >= 1,
-    ``(n_evs + 1) * m_whales`` <= ``MAX_CELLS``, ``k_max`` >= 0,
-    ``unit_bits`` lies in [8, 48] and ``topology_policy`` is one of
-    ``topology.POLICIES``; ``n_evs`` is the fleet's size."""
+    """Raise ValueError, naming the setting, unless ``m_whales``, ``k_max``
+    and ``unit_bits`` are integers (a numpy integer included, a bool not),
+    ``m_whales`` >= 1, ``(n_evs + 1) * m_whales`` <= ``MAX_CELLS``,
+    ``k_max`` >= 0, ``unit_bits`` lies in [8, 48] and ``topology_policy``
+    is one of ``topology.POLICIES``; ``n_evs`` is the fleet's size."""
+    for name, value in (("m_whales", m_whales), ("k_max", k_max), ("unit_bits", unit_bits)):
+        check_integer(name, value)
     if m_whales < 1:
         raise ValueError(f"m_whales must be >= 1, got {m_whales}")
     if m_whales > MAX_CELLS // (n_evs + 1):
@@ -202,9 +212,10 @@ def run_optimization(
     quantize unchecked. The record's oracle-call counters count the cost
     values actually scored. The pool moves only between evaluations: ``max(k_max, 1)`` evaluations, so ``k_max`` = 0
     scores the initial pool once and never moves it. Before it reads the
-    fleet's availability, it raises ValueError for ``m_whales`` < 1, more
-    than ``MAX_CELLS`` cells in a (``len(fleet)`` + 1) x ``m_whales``
-    matrix, ``k_max`` < 0, ``unit_bits`` outside [8, 48] or a
+    fleet's availability, it raises ValueError for an ``m_whales``,
+    ``k_max`` or ``unit_bits`` that is a bool or no integer, ``m_whales``
+    < 1, more than ``MAX_CELLS`` cells in a (``len(fleet)`` + 1) x
+    ``m_whales`` matrix, ``k_max`` < 0, ``unit_bits`` outside [8, 48] or a
     ``topology_policy`` not in ``topology.POLICIES`` (``check_run_settings``).
     """
     check_run_settings(len(fleet), m_whales, k_max, topology_policy, unit_bits)

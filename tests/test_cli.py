@@ -231,8 +231,8 @@ def test_refusal_exits_by_its_code_names_its_cause_and_writes_nothing(tmp_path, 
 
 
 def test_the_edge_and_the_epoch_refuse_a_fleet_beyond_the_wire_for_one_reason(tmp_path, capsys):
-    # the edge asks the epoch's own rule: its ConfigError and the first
-    # epoch's ProtocolError carry the same reason, which names unit_bits
+    # the edge keeps no rule of its own: it prints the first epoch's
+    # ProtocolError, which names the epoch and unit_bits, as a config error
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(WIRE))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
@@ -240,9 +240,21 @@ def test_the_edge_and_the_epoch_refuse_a_fleet_beyond_the_wire_for_one_reason(tm
     instance = build_instance(load_config(path))
     with pytest.raises(ProtocolError) as refused:
         run_optimization(instance.fleet, instance.costs, unit_bits=48)
-    epoch, reason = str(refused.value).split(": ", 1)
-    assert epoch == "epoch 0" and reason.startswith("unit_bits: reports of up to ")
-    assert err == f"config error: {reason}\n"
+    assert str(refused.value).startswith("epoch 0: unit_bits: reports of up to ")
+    assert err == f"config error: {refused.value}\n"
+
+
+def test_a_departure_at_time_0_is_judged_on_the_first_epochs_evs(tmp_path, capsys):
+    # the aggregator's row grows with the fleet's total rate: all 10 EVs reach
+    # 2**63 at 40 unit bits, but the 5 left after a departure at time 0 do not
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    whole = {"n_evs": 10, "gen_a": 4000.0, "k_max": 5, "horizon_h": 0.2}
+    path.write_text(json.dumps(whole))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "the largest that fits is 39" in capsys.readouterr().err
+    path.write_text(json.dumps({**whole, "departures": [{"time_h": 0.0, "count": 5}]}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert {seg.n_available for seg in import_run(out).iterations.segments} == {5}
 
 
 def test_a_departed_fleet_writes_no_flag_line_and_its_trace_round_trips(tmp_path):

@@ -42,6 +42,9 @@ def test_stats_harness_validates_arguments():
     for value in (2.7, 1e-3, -0.5, float("nan"), float("inf"), -float("inf"), "5", True):
         with pytest.raises(ValueError, match="k_max values must be whole numbers"):
             stats_harness(CFG, "k_max", [10, value], 2)
+    for runs in (2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match="^runs must be an integer"):
+            stats_harness(CFG, "k_max", [2], runs)
     assert [row.value for row in stats_harness(CFG, "k_max", [2.0, np.int64(3)], 2)] == [2, 3]
 
 
@@ -149,6 +152,9 @@ def test_compare_solvers_needs_a_seed():
     for n_seeds in (0, -1):
         with pytest.raises(ValueError, match="n_seeds must be >= 1"):
             compare_solvers(CFG, n_seeds=n_seeds, k_max=5, population=4)
+    for n_seeds in (True, 1.0):
+        with pytest.raises(ValueError, match="^n_seeds must be an integer"):
+            compare_solvers(CFG, n_seeds=n_seeds, k_max=5, population=4)
 
 
 def test_compare_refuses_a_population_below_gwos_pack_before_any_solver(monkeypatch):
@@ -160,6 +166,8 @@ def test_compare_refuses_a_population_below_gwos_pack_before_any_solver(monkeypa
     for population in (0, 1, 2):
         with pytest.raises(ValueError, match=rf"^population must be >= 3 .*, got {population}$"):
             compare_solvers(CFG, n_seeds=1, k_max=5, population=population)
+    with pytest.raises(ValueError, match=r"^population must be an integer, got 30\.0$"):
+        compare_solvers(CFG, n_seeds=1, k_max=5, population=30.0)
 
 
 def test_oracle_and_compare_need_an_available_ev():

@@ -4,6 +4,7 @@ import re
 import warnings
 from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +13,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from v2gdispatch import orchestrator, shuffle
-from v2gdispatch.config import ScenarioConfig, build_instance
+from v2gdispatch.config import ScenarioConfig, build_instance, load_config
 from v2gdispatch.costs import (
     AggCostParams,
     CostMatrix,
     CostSet,
     EvCostTable,
     agg_consensus_cost,
+    consensus_optimum,
     grid_search_rate,
     magnitude_bound,
 )
 from v2gdispatch.fleet import available_ids, common_rate_bounds
+from v2gdispatch.harness import run_seed
 from v2gdispatch.orchestrator import (
     DepartureEvent,
     ecn_select_best,
@@ -261,7 +264,8 @@ def test_negative_k_max_raises(instance):
 
 @pytest.mark.parametrize("setting, value", [
     ("m_whales", -3), ("m_whales", 0), ("k_max", -1), ("unit_bits", -1), ("unit_bits", 7),
-    ("unit_bits", 49), ("topology_policy", "mesh"), ("m_whales", 2**60),
+    ("unit_bits", 49), ("topology_policy", "mesh"), ("m_whales", 2**60), ("k_max", 3.0),
+    ("m_whales", 2.5), ("k_max", True), ("m_whales", True), ("unit_bits", 40.0),
 ])
 def test_run_settings_refused_before_the_fleet_is_read(instance, monkeypatch, setting, value):
     def unread(*args):
@@ -273,6 +277,14 @@ def test_run_settings_refused_before_the_fleet_is_read(instance, monkeypatch, se
     with pytest.raises(ValueError, match=setting):
         run_scenario(instance.fleet, instance.costs, seed=3, **{setting: value})
     assert instance.fleet.time_h == 0.0
+
+
+def test_numpy_integer_settings_run_as_ints(instance):
+    # a numpy integer is an integer setting; only a bool or a non-integer is refused
+    settings = {"m_whales": 3, "k_max": 4, "unit_bits": 40}
+    rate, _ = run_optimization(instance.fleet, instance.costs, seed=3, **settings)
+    as_numpy = {key: np.int64(value) for key, value in settings.items()}
+    assert run_optimization(instance.fleet, instance.costs, seed=3, **as_numpy)[0] == rate
 
 
 @pytest.mark.parametrize("setting, value", [("m_whales", 0), ("topology_policy", "mesh"),
@@ -826,3 +838,19 @@ def test_nan_cost_raises_protocol_error_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ProtocolError):
             run_optimization(instance.fleet, instance.costs, m_whales=4, k_max=3, seed=0)
+
+
+def test_the_scaled_example_at_ten_thousand_evs_reaches_its_closed_form():
+    # gen_a x 100/N and omega x N/100 keep the optimum near the 100-EV one
+    # (about 4.555 kW here), where the default instance's falls to 0.2 kW
+    config = load_config(Path(__file__).parents[1] / "examples" / "scaled-n10000.json")
+    instance = build_instance(config)
+    avail = available_ids(instance.fleet)
+    assert len(avail) == 10**4
+    optimum = consensus_optimum(instance.costs.ev.take(avail), instance.costs.agg,
+                                *common_rate_bounds(instance.fleet, avail))
+    assert optimum == pytest.approx(4.555154, abs=1e-6)
+    for s in range(3):
+        rate, _ = run_optimization(instance.fleet, instance.costs, seed=run_seed(42, s),
+                                   **{**config.solver_kwargs(), "k_max": 20})
+        assert abs(rate - optimum) <= 1e-2

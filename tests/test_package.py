@@ -1,8 +1,9 @@
 """The package root: it binds its modules and re-exports none of their names,
 and its version is the one pyproject.toml declares. No module imports a name
 it never uses, or a module beyond the standard library, numpy and the
-package's own. Only ``dwoa`` reads the whale pool's raw stream, and only
-``shuffle`` names the masking round's block size and its one apply."""
+package's own. Only ``dwoa`` reads the whale pool's raw stream, only
+``shuffle`` names the masking round's block size and its one apply, and
+only ``orchestrator`` names the int64 wire's refusal."""
 
 import ast
 import sys
@@ -113,3 +114,11 @@ def test_only_shuffle_names_the_mask_round():
     naming = [path.name for path in sorted(root.glob("*.py"))
               if any(word in path.read_text() for word in ("BLOCK_CELLS", "mask_units"))]
     assert naming == ["shuffle.py"]
+
+
+def test_only_orchestrator_names_the_wire_refusal():
+    # the wire refusal has one site, the epoch's: the CLI reports the epoch's
+    # ProtocolError and keeps no first-epoch check of its own
+    root = Path(v2gdispatch.__file__).parent
+    naming = [path.name for path in sorted(root.glob("*.py")) if "wire_refusal" in path.read_text()]
+    assert naming == ["orchestrator.py"]
